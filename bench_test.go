@@ -21,9 +21,9 @@ import (
 	"locality/internal/mapping"
 	"locality/internal/mapsel"
 	"locality/internal/netsim"
+	"locality/internal/sim"
 	"locality/internal/telemetry"
 	"locality/internal/topology"
-	"locality/internal/workload"
 )
 
 // benchValidationConfig is the reduced validation study used by the
@@ -274,7 +274,7 @@ func BenchmarkMachineRun(b *testing.B) {
 		{"comm-heavy", 20},
 	}
 	for _, wl := range workloads {
-		for _, mode := range []machine.KernelMode{machine.KernelTick, machine.KernelEvent} {
+		for _, mode := range []sim.KernelKind{sim.KernelTick, sim.KernelEvent} {
 			b.Run(wl.name+"/kernel="+mode.String(), func(b *testing.B) {
 				cfg := machine.DefaultConfig(tor, mapping.Random(tor, 1), 2)
 				cfg.ReadCompute, cfg.WriteCompute = wl.compute, wl.compute
@@ -293,51 +293,6 @@ func BenchmarkMachineRun(b *testing.B) {
 				b.ReportMetric(met.SkipRatio(), "skip-ratio")
 			})
 		}
-	}
-}
-
-// BenchmarkShardedKernel measures the sharded kernel's wall-clock
-// scaling at 1/2/4/8 shards on its best-case workload: the read-share
-// application on a 16×16 torus, where steady state is pure cache hits,
-// the fabric stays drained, and the conservative-lookahead windows are
-// maximal. Reported metrics: simulated P-cycles per wall second, the
-// number of parallel windows opened, and the fraction of cycles
-// covered by windows. cmd/shardbench runs the same comparison
-// standalone and writes BENCH_sharded.json. Shard goroutines only buy
-// wall-clock time when GOMAXPROCS > 1; results are bit-identical
-// regardless (TestKernelParity).
-func BenchmarkShardedKernel(b *testing.B) {
-	tor := topology.MustNew(16, 2)
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(benchName("shards", shards), func(b *testing.B) {
-			cfg := machine.DefaultConfig(tor, mapping.Identity(tor), 1)
-			cfg.Workload = workload.ReadShareConfig{Graph: tor, Instances: 1, LineSize: cfg.LineSize, Compute: 20}
-			cfg.Kernel = machine.KernelSharded
-			cfg.Shards = shards
-			// The lookahead L = Req + Dir + min(CacheResp, Mem + Fill)
-			// prices only the cold fills here (steady state never enters
-			// the protocol), but it bounds the provable independence
-			// horizon: stretch it so each window amortizes its dispatch
-			// and merge overhead.
-			cfg.ReqLatency, cfg.DirLatency = 60, 60
-			mach, err := machine.New(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Warm up past the cold fills so the fabric drains.
-			if _, err := mach.Execute(context.Background(), machine.RunSpec{Cycles: 4000}); err != nil {
-				b.Fatal(err)
-			}
-			mach.ResetStats()
-			base := mach.ShardWindows()
-			b.ResetTimer()
-			if _, err := mach.Execute(context.Background(), machine.RunSpec{Cycles: int64(b.N)}); err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
-			b.ReportMetric(float64(mach.ShardWindows()-base), "windows")
-		})
 	}
 }
 

@@ -17,8 +17,6 @@
 //     fresh ledger establishes the baseline and passes.
 //   - BENCH_telemetry.json: the committed telemetry-overhead benchmark
 //     must report within_budget.
-//   - BENCH_sharded.json: the recorded 4-shard speedup must meet the
-//     file's own min_speedup_at_4 gate.
 //   - BENCH_scale.json: each machine size's measured locality gain
 //     must agree with the model's prediction within -gain-tolerance.
 //   - Served-query probe: an in-process modelserver answers a fixed
@@ -31,8 +29,8 @@
 //     and carry a health verdict.
 //
 // The noise thresholds are deliberately generous: perfcheck gates
-// "the sharded kernel lost its speedup" and "the event kernel got 2×
-// slower", not single-digit jitter between CI hosts.
+// "the event kernel got 2× slower", not single-digit jitter between CI
+// hosts.
 package main
 
 import (
@@ -258,33 +256,6 @@ func checkTelemetryBench(path string) {
 	passf("%s: telemetry overhead %.1f%% within %.1f%% budget", filepath.Base(path), b.OverheadFrac*100, b.BudgetFrac*100)
 }
 
-func checkShardedBench(path string) {
-	var b struct {
-		Results []struct {
-			Shards  int     `json:"shards"`
-			Rate    float64 `json:"cycles_per_sec"`
-			Speedup float64 `json:"speedup_vs_1_shard"`
-		} `json:"results"`
-		MinSpeedupAt4 float64 `json:"min_speedup_at_4"`
-	}
-	if !loadJSON(path, &b) {
-		return
-	}
-	for _, r := range b.Results {
-		if r.Rate <= 0 {
-			failf("%s: %d-shard run recorded %.0f cycles/s", filepath.Base(path), r.Shards, r.Rate)
-			return
-		}
-	}
-	for _, r := range b.Results {
-		if r.Shards == 4 && r.Speedup < b.MinSpeedupAt4 {
-			failf("%s: 4-shard speedup %.2f below the file's own %.2f gate", filepath.Base(path), r.Speedup, b.MinSpeedupAt4)
-			return
-		}
-	}
-	passf("%s: %d shard counts, 4-shard gate %.2f met", filepath.Base(path), len(b.Results), b.MinSpeedupAt4)
-}
-
 func checkScaleBench(path string, gainTol float64) {
 	var b struct {
 		Results []struct {
@@ -415,7 +386,6 @@ func main() {
 	}
 
 	checkTelemetryBench(filepath.Join(*benchDir, "BENCH_telemetry.json"))
-	checkShardedBench(filepath.Join(*benchDir, "BENCH_sharded.json"))
 	checkScaleBench(filepath.Join(*benchDir, "BENCH_scale.json"), *gainTol)
 	if *checkMetrics != "" {
 		checkMetricsFile(*checkMetrics)

@@ -7,7 +7,6 @@
 //	simrun -mapping diag:3 -window 40000
 //	simrun -mapping antilocal -contexts 4 -ratio 1
 //	simrun -mapping random:1 -fault-rate 0.01 -link-mttf 5000
-//	simrun -k 16 -kernel sharded -shards 4
 //	simrun -mapping random:1 -telemetry
 //	simrun -mapping random:1 -trace-out trace.json -slice 1000 -slice-out slices.csv
 //	simrun -window 2000000 -checkpoint-every 100000 -checkpoint-dir ckpts -checkpoint-keep 4
@@ -86,9 +85,7 @@ func main() {
 	faultSeed := flag.Int64("fault-seed", 1, "fault-injection seed")
 	linkMTTF := flag.Float64("link-mttf", 0, "mean N-cycles between transient faults per link (0 disables)")
 	watchdog := flag.Int64("watchdog", 0, "abort after this many P-cycles without progress (0 = auto when faults enabled)")
-	kernelFlag := flag.String("kernel", "event", "execution kernel: event (skip quiescent cycles), tick (naive reference loop), or sharded (parallel windows); results are bit-identical")
-	shards := flag.Int("shards", 0, "parallel shards under -kernel sharded (0 = min(GOMAXPROCS, radix)); affects wall-clock speed only")
-	shardDim := flag.Int("shard-dim", 0, "torus dimension the shard slabs cut across")
+	kernelFlag := flag.String("kernel", "event", "execution kernel: event (skip quiescent cycles) or tick (naive reference loop); results are bit-identical")
 	telemetry_ := flag.Bool("telemetry", false, "enable the metrics registry and cycle attribution; dump both after the run")
 	analyze := flag.Bool("analyze", false, "append the ranked bottleneck report after the run (implies -telemetry)")
 	obsAddr := flag.String("obs", "", "serve live observability (/metrics, /statusz, /healthz, /debug/pprof) on this address, e.g. localhost:9090")
@@ -122,8 +119,6 @@ func main() {
 	}
 	cfg := machine.DefaultConfig(tor, m, *contexts)
 	cfg.Kernel = kernel
-	cfg.Shards = *shards
-	cfg.ShardDim = *shardDim
 	cfg.ClockRatio = *ratio
 	cfg.BufferDepth = *buffers
 	cfg.HWPointers = *pointers
@@ -212,7 +207,6 @@ func main() {
 		rec := obs.NewRunRecord("simrun")
 		rec.Label = label
 		rec.Kernel = kernel.String()
-		rec.Shards = *shards
 		rec.FillMachine(mach)
 		rec.FillOutcome(wall, mach.Now())
 		if runErr != nil {
@@ -264,9 +258,6 @@ func main() {
 	fmt.Printf("channel utilization      %.3f\n", met.ChannelUtilization)
 	fmt.Printf("kernel                   %s: %d cycles executed, %d skipped (%.1f%% skip ratio)\n",
 		kernel, met.CyclesTicked, met.CyclesSkipped, 100*met.SkipRatio())
-	if kernel == sim.KernelSharded {
-		fmt.Printf("parallel windows         %d\n", mach.ShardWindows())
-	}
 	if met.SWTraps > 0 {
 		fmt.Printf("LimitLESS traps          %d\n", met.SWTraps)
 	}

@@ -51,8 +51,7 @@
 // /statusz run status with per-cell progress and ETA, /healthz, and
 // /debug/pprof) on the given address while the sweep runs; -ledger
 // appends one structured run record per invocation to a JSONL ledger
-// for cmd/perfcheck. -pprof is a deprecated alias for -obs, kept one
-// release: the obs server includes the pprof handlers.
+// for cmd/perfcheck.
 //
 // -capture-dir writes one replayable reference trace (<cell>.lref,
 // package internal/replay) per cell: the recorded streams can be
@@ -283,8 +282,7 @@ func main() {
 	watchdog := flag.Int64("watchdog", 0, "abort a cell after this many P-cycles without progress (0 = auto when faults enabled)")
 	workers := flag.Int("workers", 0, "parallel simulation workers (0 = GOMAXPROCS)")
 	progress := flag.Bool("progress", false, "stream per-cell progress to stderr")
-	kernelFlag := flag.String("kernel", "event", "execution kernel: event (skip quiescent cycles), tick (naive reference loop), or sharded (parallel windows); rows are bit-identical either way")
-	shards := flag.Int("shards", 0, "parallel shards per cell under -kernel sharded (0 = min(GOMAXPROCS, radix)); wall-clock only")
+	kernelFlag := flag.String("kernel", "event", "execution kernel: event (skip quiescent cycles) or tick (naive reference loop); rows are bit-identical either way")
 	telemetry_ := flag.Bool("telemetry", false, "per-cell metrics registry + cycle attribution (CSV output unchanged)")
 	slice := flag.Int64("slice", 0, "per-cell time-sliced sampling every N P-cycles (0 disables; needs -slice-dir)")
 	sliceDir := flag.String("slice-dir", "", "directory for per-cell time-slice files (implies -telemetry)")
@@ -294,7 +292,6 @@ func main() {
 	captureDir := flag.String("capture-dir", "", "directory for per-cell replayable reference traces (.lref)")
 	heartbeat := flag.Duration("heartbeat", 0, "periodic progress/ETA line interval on stderr (0 disables)")
 	obsAddr := flag.String("obs", "", "serve live observability (/metrics, /statusz, /healthz, /debug/pprof) on this address, e.g. localhost:9090")
-	pprofAddr := flag.String("pprof", "", "deprecated alias for -obs (will be removed next release; the obs server serves /debug/pprof)")
 	ledger := flag.String("ledger", "", "append a structured run record to this JSONL ledger (e.g. ledger.jsonl)")
 	resume := flag.String("resume", "", "partial output CSV from an interrupted sweep: reuse its completed rows, run only missing or errored cells")
 	flag.Parse()
@@ -302,12 +299,6 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *pprofAddr != "" {
-		fmt.Fprintln(os.Stderr, "sweep: -pprof is deprecated, use -obs (same address, adds /metrics, /statusz, /healthz)")
-		if *obsAddr == "" {
-			*obsAddr = *pprofAddr
-		}
-	}
 	var bridge *obs.Bridge
 	if *obsAddr != "" {
 		bridge = obs.NewBridge()
@@ -347,8 +338,7 @@ func main() {
 	}
 	spec := sweepgrid.Spec{
 		Radix: *k, Dims: *n, Contexts: contexts, Mappings: *mappingsFlag,
-		Warmup: *warmup, Window: *window, Ratio: *ratio, Prefetch: *prefetch,
-		Kernel: *kernelFlag, Shards: *shards,
+		Warmup: *warmup, Window: *window, Ratio: *ratio, Prefetch: *prefetch, Kernel: *kernelFlag,
 		FaultRate: *faultRate, FaultSeed: *faultSeed, LinkMTTF: *linkMTTF,
 		Watchdog: *watchdog,
 	}
@@ -482,7 +472,7 @@ func main() {
 		rec := obs.NewRunRecord("sweep")
 		rec.Label = fmt.Sprintf("%s p=%s k=%d n=%d (%d cells, %d reused)", *mappingsFlag, *contextsFlag, *k, *n, g.Len(), reused)
 		rec.Radix, rec.Dims, rec.Nodes, rec.Mapping = *k, *n, g.Tor.Nodes(), *mappingsFlag
-		rec.Kernel, rec.Shards = g.Kernel.String(), *shards
+		rec.Kernel = g.Kernel.String()
 		rec.FillOutcome(time.Since(t0), int64(stats.Started)*(*warmup+*window))
 		if failed > 0 {
 			rec.Error = fmt.Sprintf("%d of %d cells failed", failed, len(cells))

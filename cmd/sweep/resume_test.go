@@ -87,22 +87,27 @@ func TestResumeRowsRejectsKernelMismatch(t *testing.T) {
 	body := strings.Join(testHeader, ",") + "\n" +
 		"identity,1,1,false,11.9,3.2,21.4,0.046,12.8,34.4,35.1,0.0285,0.138\n"
 
-	// A sharded sweep must refuse rows recorded under the tick kernel,
+	// An event sweep must refuse rows recorded under the tick kernel,
 	// and name both kernels in the error.
 	in := testGrid(t, "tick").KernelComment() + "\n" + body
-	_, err := resumeRows(strings.NewReader(in), testGrid(t, "sharded"))
+	_, err := resumeRows(strings.NewReader(in), testGrid(t, "event"))
 	if err == nil {
-		t.Fatal("tick-kernel resume file accepted for a sharded sweep")
+		t.Fatal("tick-kernel resume file accepted for an event sweep")
 	}
-	for _, want := range []string{"tick", "sharded"} {
+	for _, want := range []string{"tick", "event"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("kernel-mismatch error %q does not name %q", err, want)
 		}
 	}
 
+	// Rows from a kernel this build no longer has are refused too.
+	if _, err := resumeRows(strings.NewReader("# kernel=sharded\n"+body), testGrid(t, "event")); err == nil {
+		t.Error("resume file from the removed sharded kernel accepted")
+	}
+
 	// Matching kernel comment: accepted, rows indexed.
-	in = testGrid(t, "sharded").KernelComment() + "\n" + body
-	rows, err := resumeRows(strings.NewReader(in), testGrid(t, "sharded"))
+	in = testGrid(t, "tick").KernelComment() + "\n" + body
+	rows, err := resumeRows(strings.NewReader(in), testGrid(t, "tick"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +116,7 @@ func TestResumeRowsRejectsKernelMismatch(t *testing.T) {
 	}
 
 	// Legacy file with no kernel comment: accepted for compatibility.
-	if _, err := resumeRows(strings.NewReader(body), testGrid(t, "sharded")); err != nil {
+	if _, err := resumeRows(strings.NewReader(body), testGrid(t, "tick")); err != nil {
 		t.Errorf("legacy resume file without kernel comment rejected: %v", err)
 	}
 }

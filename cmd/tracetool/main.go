@@ -177,7 +177,7 @@ func runReplay(ctx context.Context, args []string) {
 	contexts := fs.Int("contexts", 0, "hardware contexts (0 = recorded count)")
 	warmup := fs.Int64("warmup", 0, "warmup P-cycles (0 = recorded)")
 	window := fs.Int64("window", 0, "measurement window P-cycles (0 = recorded)")
-	kernelFlag := fs.String("kernel", "event", "execution kernel: event, tick, or sharded; results are bit-identical")
+	kernelFlag := fs.String("kernel", "event", "execution kernel: event or tick; results are bit-identical")
 	loop := fs.Bool("loop", false, "rewind exhausted streams instead of halting")
 	fs.Parse(args)
 	if *in == "" {

@@ -194,7 +194,7 @@ func (f *Fingerprint) validate() (int, error) {
 		f.CacheRespLatency < 0 || f.FillLatency < 0 || f.SWTrapLatency < 0 || f.RetryTimeout < 0 {
 		return 0, fmt.Errorf("checkpoint: negative protocol latency in fingerprint")
 	}
-	if f.Kernel > 2 {
+	if f.Kernel > 1 {
 		return 0, fmt.Errorf("checkpoint: unknown kernel mode %d", f.Kernel)
 	}
 	if f.SliceEvery < 0 {

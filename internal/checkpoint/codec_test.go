@@ -270,6 +270,7 @@ func TestValidateRejects(t *testing.T) {
 		{"bad fault spec", mutate(func(c *Checkpoint) { c.FP.FaultSpec = "loss=2" })},
 		{"orphan slicer", mutate(func(c *Checkpoint) { c.Slicer = &SlicerState{} })},
 		{"orphan link faults", mutate(func(c *Checkpoint) { c.FP.FaultSpec = "loss=0.01" })},
+		{"unknown kernel", mutate(func(c *Checkpoint) { c.FP.Kernel = 2 })},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

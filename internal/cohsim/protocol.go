@@ -679,11 +679,29 @@ func (p *Protocol) sendSeq(src, dst int, kind MsgKind, addr uint64, txn *Transac
 // line is then present in the right state).
 func (p *Protocol) Access(nodeID, thread int, addr uint64, write bool, now int64) (hit bool) {
 	p.now = now
-	hit, deferred := p.AccessSharded(nodeID, thread, addr, write, now)
-	if deferred != nil {
-		deferred()
+	n := p.node(nodeID)
+	line := n.cache.LineAddr(addr)
+	if write {
+		if n.cache.AccessWrite(addr) {
+			return true
+		}
+	} else {
+		if n.cache.AccessRead(addr) {
+			return true
+		}
 	}
-	return hit
+	// Coalesce with an outstanding transaction on the same line.
+	if out, ok := n.mshr[line]; ok {
+		out.txn.waiters = append(out.txn.waiters, thread)
+		if write && !out.txn.Write {
+			out.txn.pendingWrite = true
+		}
+		return false
+	}
+	txn := &Transaction{Node: nodeID, Addr: line, Write: write, Started: now}
+	txn.waiters = append(txn.waiters, thread)
+	p.start(n, txn)
+	return false
 }
 
 // Prefetch starts a non-binding read transaction for the line
@@ -695,11 +713,16 @@ func (p *Protocol) Access(nodeID, thread int, addr uint64, write bool, now int64
 // transaction was issued.
 func (p *Protocol) Prefetch(nodeID int, addr uint64, now int64) bool {
 	p.now = now
-	issued, deferred := p.PrefetchSharded(nodeID, addr, now)
-	if deferred != nil {
-		deferred()
+	n := p.node(nodeID)
+	line := n.cache.LineAddr(addr)
+	if n.cache.Lookup(line) != cachesim.Invalid {
+		return false
 	}
-	return issued
+	if _, ok := n.mshr[line]; ok {
+		return false
+	}
+	p.start(n, &Transaction{Node: nodeID, Addr: line, Write: false, Started: now})
+	return true
 }
 
 // WriteBehind starts a non-blocking write-ownership transaction for
@@ -711,11 +734,20 @@ func (p *Protocol) Prefetch(nodeID int, addr uint64, now int64) bool {
 // write chains behind it. It reports whether new work was initiated.
 func (p *Protocol) WriteBehind(nodeID int, addr uint64, now int64) bool {
 	p.now = now
-	initiated, deferred := p.WriteBehindSharded(nodeID, addr, now)
-	if deferred != nil {
-		deferred()
+	n := p.node(nodeID)
+	line := n.cache.LineAddr(addr)
+	if n.cache.Lookup(line) == cachesim.Modified {
+		return false
 	}
-	return initiated
+	if out, ok := n.mshr[line]; ok {
+		if !out.txn.Write && !out.txn.pendingWrite {
+			out.txn.pendingWrite = true
+			return true
+		}
+		return false
+	}
+	p.start(n, &Transaction{Node: nodeID, Addr: line, Write: true, Started: now})
+	return true
 }
 
 // Outstanding reports whether a transaction is in flight at nodeID for
@@ -732,7 +764,27 @@ func (p *Protocol) Outstanding(nodeID int, addr uint64) bool {
 // it returns false immediately.
 func (p *Protocol) Join(nodeID, thread int, addr uint64, now int64) bool {
 	p.now = now
-	return p.JoinSharded(nodeID, thread, addr, now)
+	n := p.node(nodeID)
+	out, ok := n.mshr[n.cache.LineAddr(addr)]
+	if !ok {
+		return false
+	}
+	out.txn.waiters = append(out.txn.waiters, thread)
+	return true
+}
+
+// start records a new transaction in the node's MSHR, assigns its
+// machine-wide ID, counts the miss, and issues its request.
+func (p *Protocol) start(n *node, txn *Transaction) {
+	n.setMSHR(txn.Addr, &outstanding{txn: txn})
+	p.txnSeq++
+	txn.ID = p.txnSeq
+	if txn.Write {
+		p.writeMiss.Inc()
+	} else {
+		p.readMiss.Inc()
+	}
+	p.issue(txn)
 }
 
 // issue sends the transaction's initial request after the miss-handling

@@ -17,19 +17,19 @@ import (
 	"locality/internal/mapping"
 	"locality/internal/procsim"
 	"locality/internal/replay"
+	"locality/internal/sim"
 	"locality/internal/topology"
 	"locality/internal/trace"
 )
 
 // buildCkptMachine is buildParityMachine plus a checkpoint spec; the
 // spec cannot be injected after New because Validate must see it.
-func buildCkptMachine(t *testing.T, c parityCell, mode KernelMode, tr *trace.Tracer, ck CheckpointSpec) *Machine {
+func buildCkptMachine(t *testing.T, c parityCell, mode sim.KernelKind, tr *trace.Tracer, ck CheckpointSpec) *Machine {
 	t.Helper()
 	tor, m := parityTopoMapping(c)
 	cfg := DefaultConfig(tor, m, c.contexts)
 	cfg.Faults = c.spec
 	cfg.Kernel = mode
-	cfg.Shards = c.shards
 	cfg.Trace = tr
 	cfg.LocalDelay = c.localDelay
 	cfg.Checkpoint = ck
@@ -81,7 +81,7 @@ func listCheckpoints(t *testing.T, dir string) []string {
 // restoreAndFinish loads one snapshot file into a fresh machine (fresh
 // tracer) and runs the experiment protocol to the end under the given
 // checkpoint spec.
-func restoreAndFinish(t *testing.T, c parityCell, mode KernelMode, path string, warmup, window int64, spec CheckpointSpec) (ckptResult, *checkpoint.Checkpoint) {
+func restoreAndFinish(t *testing.T, c parityCell, mode sim.KernelKind, path string, warmup, window int64, spec CheckpointSpec) (ckptResult, *checkpoint.Checkpoint) {
 	t.Helper()
 	ck, err := checkpoint.ReadFile(path)
 	if err != nil {
@@ -91,7 +91,6 @@ func restoreAndFinish(t *testing.T, c parityCell, mode KernelMode, path string, 
 	cfg := DefaultConfig(tor, m, c.contexts)
 	cfg.Faults = c.spec
 	cfg.Kernel = mode
-	cfg.Shards = c.shards
 	tr := trace.New(1 << 14)
 	cfg.Trace = tr
 	cfg.LocalDelay = c.localDelay
@@ -156,18 +155,13 @@ func compareCkptResults(t *testing.T, label string, want, got ckptResult) {
 	}
 }
 
-// ckptKernels is the kernel axis of the restore grid: both sequential
-// kernels plus the sharded kernel at one, two, and four shards.
+// ckptKernels is the kernel axis of the restore grid.
 var ckptKernels = []struct {
-	mode   KernelMode
-	shards int
-	label  string
+	mode  sim.KernelKind
+	label string
 }{
-	{KernelEvent, 0, "event"},
-	{KernelTick, 0, "tick"},
-	{KernelSharded, 1, "sharded-s1"},
-	{KernelSharded, 2, "sharded-s2"},
-	{KernelSharded, 4, "sharded-s4"},
+	{sim.KernelEvent, "event"},
+	{sim.KernelTick, "tick"},
 }
 
 // TestCheckpointRestoreParity is the PR's core guarantee, run as a
@@ -187,7 +181,6 @@ func TestCheckpointRestoreParity(t *testing.T) {
 		mode := kc.mode
 		for _, c := range parityGrid() {
 			c, mode := c, mode
-			c.shards = kc.shards
 			t.Run(kc.label+"/"+c.name, func(t *testing.T) {
 				t.Parallel()
 				dir := t.TempDir()
@@ -303,7 +296,6 @@ func TestCheckpointAtWarmupBoundary(t *testing.T) {
 		spec: &faults.Spec{Seed: 7, LossRate: 0.01, LinkMTTF: 3000, StallMin: 8, StallMax: 64}}
 	for _, kc := range ckptKernels {
 		mode, c := kc.mode, c
-		c.shards = kc.shards
 		t.Run(kc.label, func(t *testing.T) {
 			dir := t.TempDir()
 			trRef := trace.New(1 << 14)
@@ -341,7 +333,7 @@ func TestCheckpointOnCancel(t *testing.T) {
 	c := parityCell{name: "identity/p2", mapName: "identity", contexts: 2}
 
 	trRef := trace.New(1 << 14)
-	ref := buildParityMachine(t, c, KernelEvent, trRef)
+	ref := buildParityMachine(t, c, sim.KernelEvent, trRef)
 	metRef, err := execMeasuredChecked(context.Background(), ref, warmup, window)
 	if err != nil {
 		t.Fatal(err)
@@ -350,7 +342,7 @@ func TestCheckpointOnCancel(t *testing.T) {
 
 	dir := t.TempDir()
 	tr := trace.New(1 << 14)
-	mach := buildCkptMachine(t, c, KernelEvent, tr, CheckpointSpec{Dir: dir})
+	mach := buildCkptMachine(t, c, sim.KernelEvent, tr, CheckpointSpec{Dir: dir})
 	if _, err := mach.Execute(context.Background(), RunSpec{Cycles: warmup}); err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +360,7 @@ func TestCheckpointOnCancel(t *testing.T) {
 		t.Fatalf("snapshot %s outside configured directory %s", path, dir)
 	}
 
-	got, ck := restoreAndFinish(t, c, KernelEvent, path, warmup, window, CheckpointSpec{})
+	got, ck := restoreAndFinish(t, c, sim.KernelEvent, path, warmup, window, CheckpointSpec{})
 	want.events = eventsFrom(want.events, ck.PNow)
 	compareCkptResults(t, "cancel restore", want, got)
 }
@@ -411,7 +403,7 @@ func TestCheckpointOnStall(t *testing.T) {
 func TestCheckpointKeepPrunes(t *testing.T) {
 	dir := t.TempDir()
 	c := parityCell{name: "identity/p1", mapName: "identity", contexts: 1}
-	mach := buildCkptMachine(t, c, KernelEvent, nil, CheckpointSpec{Every: 250, Dir: dir, Keep: 3})
+	mach := buildCkptMachine(t, c, sim.KernelEvent, nil, CheckpointSpec{Every: 250, Dir: dir, Keep: 3})
 	if _, err := mach.Execute(context.Background(), RunSpec{Cycles: 2000}); err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +423,7 @@ func TestCheckpointKeepPrunes(t *testing.T) {
 func TestRestoreRejectsMismatchedConfig(t *testing.T) {
 	dir := t.TempDir()
 	c := parityCell{name: "identity/p2", mapName: "identity", contexts: 2}
-	mach := buildCkptMachine(t, c, KernelEvent, nil, CheckpointSpec{Every: 250, Dir: dir})
+	mach := buildCkptMachine(t, c, sim.KernelEvent, nil, CheckpointSpec{Every: 250, Dir: dir})
 	if _, err := mach.Execute(context.Background(), RunSpec{Cycles: 500}); err != nil {
 		t.Fatal(err)
 	}

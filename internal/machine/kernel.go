@@ -8,30 +8,6 @@ import (
 	"locality/internal/trace"
 )
 
-// KernelMode selects the machine's execution loop. It is sim's typed
-// kernel enum; the alias keeps the historical machine.KernelEvent /
-// machine.KernelTick spellings working.
-type KernelMode = sim.KernelKind
-
-const (
-	// KernelEvent is the default: the sim kernel executes a cycle,
-	// then advances straight to the global minimum next-event,
-	// skipping quiescent spans. Bit-identical to KernelTick.
-	KernelEvent = sim.KernelEvent
-	// KernelTick is the naive reference loop, executing every cycle.
-	// Kept as an escape hatch and for differential testing.
-	KernelTick = sim.KernelTick
-	// KernelSharded is the event kernel with conservative-lookahead
-	// parallel windows over spatial processor shards. Bit-identical to
-	// KernelEvent; see Config.Shards and Config.ShardDim.
-	KernelSharded = sim.KernelSharded
-)
-
-// ParseKernelMode parses a kernel selector.
-//
-// Deprecated: use sim.ParseKernel, which this forwards to.
-func ParseKernelMode(s string) (KernelMode, error) { return sim.ParseKernel(s) }
-
 // The machine registers three kinds of components with the sim kernel,
 // in the exact order of the historical per-cycle loop — protocol, then
 // each processor, then the network at ClockRatio sub-cycles — so an
@@ -90,9 +66,7 @@ func (c netComp) Advance(to int64) {
 // telemetry sampler, when enabled, registers last: it observes each
 // executed cycle after every substrate has ticked it, and appending it
 // keeps the attribution indices of the historical components stable.
-// Under KernelSharded it additionally builds the shard runner and,
-// with telemetry on, the per-shard attribution gauges.
-func (m *Machine) buildKernel() error {
+func (m *Machine) buildKernel() {
 	comps := make([]sim.Component, 0, len(m.procs)+3)
 	comps = append(comps, protoComp{m})
 	for _, p := range m.procs {
@@ -114,40 +88,14 @@ func (m *Machine) buildKernel() error {
 			})
 		})
 	}
-	if m.cfg.Kernel == KernelSharded {
-		if err := m.buildSharder(); err != nil {
-			return err
-		}
-		if reg := m.cfg.Telemetry; reg != nil {
-			for s, g := range m.shard.groups {
-				g := g
-				reg.GaugeFunc(fmt.Sprintf("attr/shard/%d", s), func() float64 {
-					attr, _ := m.kernel.Attribution()
-					if attr == nil {
-						return 0
-					}
-					var sum int64
-					for _, node := range g {
-						sum += attr[1+node]
-					}
-					return float64(sum)
-				})
-			}
-			reg.GaugeFunc("kernel/shard_windows", func() float64 { return float64(m.ShardWindows()) })
-		}
-	}
-	return nil
 }
 
 // advance moves the machine forward pCycles P-cycles under the
 // configured kernel mode.
 func (m *Machine) advance(pCycles int64) {
-	switch m.cfg.Kernel {
-	case KernelTick:
+	if m.cfg.Kernel == sim.KernelTick {
 		m.kernel.RunTick(pCycles)
-	case KernelSharded:
-		m.sharder.Run(pCycles)
-	default:
+	} else {
 		m.kernel.Run(pCycles)
 	}
 	m.pnow = m.kernel.Now()

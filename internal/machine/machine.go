@@ -98,22 +98,11 @@ type Config struct {
 	// unconfigured build.
 	Checkpoint CheckpointSpec
 
-	// Kernel selects the execution loop: KernelEvent (the zero value)
-	// skips quiescent spans, KernelTick executes every cycle, and
-	// KernelSharded adds conservative-lookahead parallel windows over
-	// spatial processor shards. All three produce bit-identical
-	// results; tick mode exists as an escape hatch and
-	// differential-testing reference.
-	Kernel KernelMode
-	// Shards is the number of parallel shards under KernelSharded: the
-	// torus is cut into that many contiguous coordinate slabs along
-	// ShardDim, one goroutine each. Zero picks min(GOMAXPROCS, radix).
-	// The shard count affects wall-clock speed only, never simulated
-	// results. Ignored by the other kernels.
-	Shards int
-	// ShardDim is the torus dimension the shard slabs cut across
-	// (default 0). Ignored by the other kernels.
-	ShardDim int
+	// Kernel selects the execution loop: sim.KernelEvent (the zero
+	// value) skips quiescent spans, sim.KernelTick executes every cycle.
+	// Both produce bit-identical results; tick mode exists as an escape
+	// hatch and differential-testing reference.
+	Kernel sim.KernelKind
 
 	// Telemetry, when non-nil, is a registry the machine and all its
 	// substrates publish metrics into: counters and gauges over
@@ -205,15 +194,6 @@ func (c Config) Validate() error {
 	if c.SliceEvery > 0 && (c.Telemetry == nil || c.SliceWriter == nil) {
 		return fmt.Errorf("machine: time-sliced sampling requires both Telemetry and SliceWriter")
 	}
-	if c.Shards < 0 {
-		return fmt.Errorf("machine: shard count %d, must be ≥ 0", c.Shards)
-	}
-	if c.ShardDim < 0 || c.ShardDim >= c.Topo.N() {
-		return fmt.Errorf("machine: shard dimension %d outside the torus's %d dimensions", c.ShardDim, c.Topo.N())
-	}
-	if c.Shards > c.Topo.K() {
-		return fmt.Errorf("machine: %d shards exceed the torus radix %d along one dimension", c.Shards, c.Topo.K())
-	}
 	if err := c.Checkpoint.Validate(); err != nil {
 		return err
 	}
@@ -228,11 +208,7 @@ type Machine struct {
 	proto  *cohsim.Protocol
 	procs  []*procsim.Processor
 	kernel *sim.Kernel
-	// sharder and shard are the KernelSharded runner and its lane
-	// state; both nil under the other kernels.
-	sharder *sim.ShardRunner
-	shard   *shardState
-	pnow    int64
+	pnow   int64
 	// pCyclesSince tracks the measurement window origin.
 	windowStart int64
 	// ksWindow is the kernel accounting at the window origin.
@@ -377,67 +353,18 @@ func New(cfg Config) (*Machine, error) {
 		pcfg.OnOp = cfg.Capture.Record
 	}
 	for nodeID := range m.procs {
-		proc, err := procsim.New(nodeID, pcfg, memAdapter{m}, programs[nodeID])
+		proc, err := procsim.New(nodeID, pcfg, m.proto, programs[nodeID])
 		if err != nil {
 			return nil, err
 		}
 		m.procs[nodeID] = proc
 	}
 	m.initTelemetry()
-	if err := m.buildKernel(); err != nil {
-		return nil, err
-	}
+	m.buildKernel()
 	if m.slicer != nil {
 		m.slicer.rebase() // needs the kernel's stats as a delta origin
 	}
 	return m, nil
-}
-
-// memAdapter narrows the protocol to procsim's MemorySystem. During a
-// sharded parallel window (shard.active) it routes through the
-// protocol's node-local sharded entry points and lanes the deferred
-// global halves for the serial replay; otherwise it is a plain
-// pass-through.
-type memAdapter struct{ m *Machine }
-
-func (a memAdapter) Access(node, context int, addr uint64, write bool, now int64) bool {
-	if sh := a.m.shard; sh != nil && sh.active {
-		hit, op := a.m.proto.AccessSharded(node, context, addr, write, now)
-		if op != nil {
-			sh.push(node, now, op)
-		}
-		return hit
-	}
-	return a.m.proto.Access(node, context, addr, write, now)
-}
-
-func (a memAdapter) Prefetch(node int, addr uint64, now int64) bool {
-	if sh := a.m.shard; sh != nil && sh.active {
-		issued, op := a.m.proto.PrefetchSharded(node, addr, now)
-		if op != nil {
-			sh.push(node, now, op)
-		}
-		return issued
-	}
-	return a.m.proto.Prefetch(node, addr, now)
-}
-
-func (a memAdapter) WriteBehind(node int, addr uint64, now int64) bool {
-	if sh := a.m.shard; sh != nil && sh.active {
-		initiated, op := a.m.proto.WriteBehindSharded(node, addr, now)
-		if op != nil {
-			sh.push(node, now, op)
-		}
-		return initiated
-	}
-	return a.m.proto.WriteBehind(node, addr, now)
-}
-
-func (a memAdapter) Join(node, thread int, addr uint64, now int64) bool {
-	if sh := a.m.shard; sh != nil && sh.active {
-		return a.m.proto.JoinSharded(node, thread, addr, now)
-	}
-	return a.m.proto.Join(node, thread, addr, now)
 }
 
 // ctxPollInterval is the granularity, in P-cycles, at which Execute

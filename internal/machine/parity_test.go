@@ -9,6 +9,7 @@ import (
 	"locality/internal/faults"
 	"locality/internal/mapping"
 	"locality/internal/procsim"
+	"locality/internal/sim"
 	"locality/internal/topology"
 	"locality/internal/trace"
 )
@@ -20,7 +21,6 @@ type parityCell struct {
 	contexts   int
 	spec       *faults.Spec
 	localDelay int
-	shards     int // Config.Shards; only meaningful under KernelSharded
 }
 
 func parityGrid() []parityCell {
@@ -65,7 +65,7 @@ func parityMappingName(c parityCell) string {
 	return m.Name
 }
 
-func buildParityMachine(t *testing.T, c parityCell, mode KernelMode, tr *trace.Tracer) *Machine {
+func buildParityMachine(t *testing.T, c parityCell, mode sim.KernelKind, tr *trace.Tracer) *Machine {
 	t.Helper()
 	tor, m := parityTopoMapping(c)
 	cfg := DefaultConfig(tor, m, c.contexts)
@@ -73,7 +73,6 @@ func buildParityMachine(t *testing.T, c parityCell, mode KernelMode, tr *trace.T
 	cfg.Kernel = mode
 	cfg.Trace = tr
 	cfg.LocalDelay = c.localDelay
-	cfg.Shards = c.shards
 	if c.spec != nil {
 		cfg.Watchdog = faults.Watchdog{StallCycles: 200000}
 	}
@@ -85,10 +84,10 @@ func buildParityMachine(t *testing.T, c parityCell, mode KernelMode, tr *trace.T
 }
 
 // kernelMeta drops trace events that describe how the kernel executed
-// the run (skip markers, shard windows) rather than what the simulated
+// the run (skip markers) rather than what the simulated
 // machine did; parity comparisons exclude them.
 func kernelMeta(e trace.Event) bool {
-	return e.Kind == trace.KindKernelSkip || e.Kind == trace.KindShardWindow
+	return e.Kind == trace.KindKernelSkip
 }
 
 // sweepRow formats metrics exactly as cmd/sweep does (same float verb
@@ -117,9 +116,8 @@ func normalizeKernelStats(met Metrics) Metrics {
 	return met
 }
 
-// TestKernelParity is the PR's core guarantee: the event kernel and
-// the sharded kernel (at 1, 2, and 4 shards) are bit-identical to the
-// tick kernel — Metrics, sweep CSV rows, per-processor cycle
+// TestKernelParity is the core kernel guarantee: the event kernel is
+// bit-identical to the tick kernel — Metrics, sweep CSV rows, per-processor cycle
 // accounting, and trace streams — across mappings, context counts,
 // and fault injection.
 func TestKernelParity(t *testing.T) {
@@ -134,7 +132,7 @@ func TestKernelParity(t *testing.T) {
 				events []trace.Event
 				now    int64
 			}
-			run := func(label string, cell parityCell, mode KernelMode) result {
+			run := func(label string, cell parityCell, mode sim.KernelKind) result {
 				tr := trace.New(1 << 14)
 				mach := buildParityMachine(t, cell, mode, tr)
 				met := execMeasured(t, mach, warmup, window)
@@ -142,9 +140,8 @@ func TestKernelParity(t *testing.T) {
 				for node := 0; node < mach.cfg.Topo.Nodes(); node++ {
 					procs = append(procs, mach.Processor(node).Snapshot())
 				}
-				// Skip markers and shard windows are kernel
-				// bookkeeping, not machine behavior: drop them before
-				// comparing.
+				// Skip markers are kernel bookkeeping, not machine
+				// behavior: drop them before comparing.
 				events := tr.Filter(func(e trace.Event) bool { return !kernelMeta(e) })
 				return result{label: label, met: met, procs: procs, events: events, now: mach.Now()}
 			}
@@ -176,14 +173,9 @@ func TestKernelParity(t *testing.T) {
 					t.Errorf("trace streams differ (%d tick events, %d %s events)", len(tick.events), len(other.events), other.label)
 				}
 			}
-			tick := run("tick", c, KernelTick)
-			event := run("event", c, KernelEvent)
+			tick := run("tick", c, sim.KernelTick)
+			event := run("event", c, sim.KernelEvent)
 			compare(tick, event)
-			for _, shards := range []int{1, 2, 4} {
-				cs := c
-				cs.shards = shards
-				compare(tick, run("sharded/s"+strconv.Itoa(shards), cs, KernelSharded))
-			}
 
 			// Self-consistency of the skip accounting in event mode.
 			if got := event.met.CyclesTicked + event.met.CyclesSkipped; got != event.met.PCycles {
@@ -194,30 +186,6 @@ func TestKernelParity(t *testing.T) {
 				t.Errorf("tick kernel reported %d skipped cycles", tick.met.CyclesSkipped)
 			}
 		})
-	}
-}
-
-// TestShardedKernelDeterminismStress re-runs one sharded configuration
-// many times and demands identical Metrics every time. Goroutine
-// scheduling varies freely across runs; if any scheduling decision
-// could leak into simulated state (a lane merged in arrival order
-// instead of (cycle, node) order, say), twenty runs on a config with
-// multi-shard windows would catch it far more reliably than a single
-// differential pass.
-func TestShardedKernelDeterminismStress(t *testing.T) {
-	const runs = 20
-	c := parityCell{mapName: "random", contexts: 2, localDelay: 9, shards: 4}
-	var want Metrics
-	for i := 0; i < runs; i++ {
-		mach := buildParityMachine(t, c, KernelSharded, nil)
-		met := execMeasured(t, mach, 500, 2000)
-		if i == 0 {
-			want = met
-			continue
-		}
-		if !reflect.DeepEqual(met, want) {
-			t.Fatalf("run %d diverged:\n first: %+v\n now:   %+v", i, want, met)
-		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"locality/internal/engine"
 	"locality/internal/replay"
+	"locality/internal/sim"
 	"locality/internal/workload"
 )
 
@@ -47,7 +48,7 @@ func captureCell(t *testing.T, c parityCell) (Metrics, *replay.Trace) {
 
 // replayCell replays a trace under the given kernel mode with the same
 // machine parameters the capture ran with.
-func replayCell(t *testing.T, c parityCell, tr *replay.Trace, mode KernelMode) Metrics {
+func replayCell(t *testing.T, c parityCell, tr *replay.Trace, mode sim.KernelKind) Metrics {
 	t.Helper()
 	tor, m := parityTopoMapping(c)
 	cfg := DefaultConfig(tor, m, c.contexts)
@@ -79,7 +80,7 @@ func TestCaptureReplayRoundTrip(t *testing.T) {
 			if got, want := tr.Header.MappingName, parityMappingName(c); got != want {
 				t.Errorf("trace records mapping %q, want %q", got, want)
 			}
-			for _, mode := range []KernelMode{KernelEvent, KernelTick} {
+			for _, mode := range []sim.KernelKind{sim.KernelEvent, sim.KernelTick} {
 				repMet := replayCell(t, c, tr, mode)
 				if got, want := normalizeKernelStats(repMet), normalizeKernelStats(capMet); !reflect.DeepEqual(got, want) {
 					t.Errorf("%v replay Metrics differ from capture:\n capture: %+v\n replay:  %+v", mode, want, got)
@@ -102,7 +103,7 @@ func TestReplayGridWorkerInvariance(t *testing.T) {
 
 	makeCells := func() []engine.Cell[string] {
 		var cells []engine.Cell[string]
-		for _, mode := range []KernelMode{KernelEvent, KernelTick} {
+		for _, mode := range []sim.KernelKind{sim.KernelEvent, sim.KernelTick} {
 			mode := mode
 			cells = append(cells, engine.Cell[string]{
 				Key: "replay/" + mode.String(),

@@ -8,6 +8,7 @@ import (
 
 	"locality/internal/faults"
 	"locality/internal/mapping"
+	"locality/internal/sim"
 	"locality/internal/topology"
 	"locality/internal/workload"
 )
@@ -73,7 +74,7 @@ func TestLargeMachineSmoke(t *testing.T) {
 
 // TestWorklistInvariantBothKernels drives a randomized, zero-locality
 // workload — with transient link faults, so fault stalls churn the
-// active set too — under both the event and sharded kernels, and
+// active set too — under both the event and tick kernels, and
 // verifies the fabric's structural invariants (flit conservation,
 // occupancy masks, worklist exactness) after every execution chunk.
 // This is the machine-level counterpart of netsim's whitebox worklist
@@ -86,7 +87,7 @@ func TestWorklistInvariantBothKernels(t *testing.T) {
 		mutate func(*Config)
 	}{
 		{"event", nil},
-		{"sharded", func(c *Config) { c.Kernel = KernelSharded; c.Shards = 4 }},
+		{"tick", func(c *Config) { c.Kernel = sim.KernelTick }},
 	}
 	for _, k := range kernels {
 		k := k

@@ -26,7 +26,7 @@ func TestTelemetryIsObservationallyNeutral(t *testing.T) {
 	for _, c := range parityGrid() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			for _, mode := range []KernelMode{KernelTick, KernelEvent} {
+			for _, mode := range []sim.KernelKind{sim.KernelTick, sim.KernelEvent} {
 				run := func(reg *telemetry.Registry) Metrics {
 					mach := buildParityMachine(t, c, mode, nil)
 					mach.cfg.Telemetry = reg
@@ -60,7 +60,7 @@ func TestAttributionPartitionsExecutedCycles(t *testing.T) {
 	for _, c := range parityGrid() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			for _, mode := range []KernelMode{KernelTick, KernelEvent} {
+			for _, mode := range []sim.KernelKind{sim.KernelTick, sim.KernelEvent} {
 				mach := buildParityMachine(t, c, mode, nil)
 				cfg := mach.cfg
 				cfg.Telemetry = telemetry.New()
@@ -213,7 +213,7 @@ func TestSliceStreamContents(t *testing.T) {
 // remain behaviorally invisible — identical Metrics with and without
 // slicing, under both kernels.
 func TestSlicingDoesNotPerturbResults(t *testing.T) {
-	for _, mode := range []KernelMode{KernelTick, KernelEvent} {
+	for _, mode := range []sim.KernelKind{sim.KernelTick, sim.KernelEvent} {
 		run := func(slice int64) Metrics {
 			tor := topology.MustNew(4, 2)
 			cfg := DefaultConfig(tor, mapping.Random(tor, 1), 2)
@@ -245,7 +245,7 @@ func TestSlicingDoesNotPerturbResults(t *testing.T) {
 // snapshot embeds the attribution line and the registry dump; it must
 // render under both kernels (S3: snapshot stability).
 func TestDiagSnapshotIncludesTelemetry(t *testing.T) {
-	for _, mode := range []KernelMode{KernelTick, KernelEvent} {
+	for _, mode := range []sim.KernelKind{sim.KernelTick, sim.KernelEvent} {
 		tor := topology.MustNew(4, 2)
 		cfg := DefaultConfig(tor, mapping.Identity(tor), 1)
 		cfg.Kernel = mode
@@ -322,7 +322,7 @@ func TestStallReportParityAcrossKernels(t *testing.T) {
 	for _, sc := range scenarios {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			run := func(mode KernelMode) *faults.StallReport {
+			run := func(mode sim.KernelKind) *faults.StallReport {
 				tor := topology.MustNew(4, 2)
 				cfg := DefaultConfig(tor, mapping.Identity(tor), 1)
 				cfg.Kernel = mode
@@ -340,8 +340,8 @@ func TestStallReportParityAcrossKernels(t *testing.T) {
 				}
 				return rep
 			}
-			tick := run(KernelTick)
-			event := run(KernelEvent)
+			tick := run(sim.KernelTick)
+			event := run(sim.KernelEvent)
 			// Snapshot embeds kernel execution stats (and, when enabled,
 			// telemetry), which legitimately differ; the diagnosis must not.
 			if tick.Component != event.Component || tick.Cycle != event.Cycle ||

@@ -13,7 +13,7 @@ import (
 
 // The run ledger is an append-only JSONL file (one JSON object per
 // line) that every command adds a record to when it finishes: what was
-// run (config fingerprint digest, kernel, shards), on what (GOMAXPROCS,
+// run (config fingerprint digest, kernel), on what (GOMAXPROCS,
 // CPU count), and how it went (wall time, peak heap, cycles per
 // second, final metrics). Appending one line keeps concurrent writers
 // safe on POSIX (O_APPEND) and keeps the file greppable; cmd/perfcheck
@@ -39,7 +39,6 @@ type RunRecord struct {
 	Contexts int    `json:"contexts,omitempty"`
 	Mapping  string `json:"mapping,omitempty"`
 	Kernel   string `json:"kernel,omitempty"`
-	Shards   int    `json:"shards,omitempty"`
 	// Host execution environment.
 	GOMAXPROCS int `json:"gomaxprocs"`
 	NumCPU     int `json:"numcpu"`

@@ -101,7 +101,6 @@ type status struct {
 	SnapshotSeq  int64                    `json:"snapshot_seq,omitempty"`
 	SnapshotAge  float64                  `json:"snapshot_age_seconds,omitempty"`
 	SkipRatio    *float64                 `json:"skip_ratio,omitempty"`
-	ShardWindows *float64                 `json:"shard_windows,omitempty"`
 	ActiveRoute  *float64                 `json:"active_routers,omitempty"`
 	Grid         *gridStatus              `json:"grid,omitempty"`
 	Bottlenecks  *report.BottleneckReport `json:"bottlenecks,omitempty"`
@@ -127,7 +126,6 @@ func (s *Server) buildStatus() status {
 		st.SnapshotAge = time.Since(snap.At).Seconds()
 		idx := indexGauges(snap.Metrics)
 		st.SkipRatio = idx["kernel/skip_ratio"]
-		st.ShardWindows = idx["kernel/shard_windows"]
 		st.ActiveRoute = idx["net/active_routers"]
 		st.Bottlenecks = report.AnalyzeBottlenecks(snap.Metrics)
 	}
@@ -188,9 +186,6 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		var facts []string
 		if st.SkipRatio != nil {
 			facts = append(facts, fmt.Sprintf("skip ratio %.2f", *st.SkipRatio))
-		}
-		if st.ShardWindows != nil && *st.ShardWindows > 0 {
-			facts = append(facts, fmt.Sprintf("%.0f shard windows", *st.ShardWindows))
 		}
 		if st.ActiveRoute != nil {
 			facts = append(facts, fmt.Sprintf("%.0f active routers", *st.ActiveRoute))

@@ -51,10 +51,13 @@ const maxMergeOps = 64
 //
 // Merging is a function of program position only, never of how often
 // NextEvent is polled: a non-empty lookahead slot ends the merge even
-// when it holds a compute op parked by a previous capped fold. The
-// sharded kernel depends on this — it polls NextEvent on a different
-// schedule than the sequential loop, and both must leave the context
-// in bit-identical state.
+// when it holds a compute op parked by a previous capped fold. Three
+// things rely on this, because each polls NextEvent on a different
+// schedule yet must leave the context in bit-identical state: the
+// event kernel versus the tick kernel, which polls only for cycle
+// attribution; chunked Execute calls, whose Run boundaries add polls;
+// and a restored machine, which resumes from the checkpointed state
+// without the polling history of the run that wrote it.
 func (p *Processor) mergeBursts(c *context) {
 	if c.pending != nil || c.look != nil {
 		return

@@ -105,7 +105,7 @@ func AnalyzeBottlenecks(metrics []telemetry.Metric) *BottleneckReport {
 				return fmt.Sprintf("mean Tm = %.1f cyc", v)
 			}
 			return ""
-		}, "fabric lookahead (sharded kernel), or a tighter mapping to cut mean hop distance"},
+		}, "a tighter mapping to cut mean hop distance"},
 		{"protocol", "attr/protocol", func() string {
 			if h, ok := idx.worstTail("proto/txn_latency_by_home_dist", 8); ok {
 				return fmt.Sprintf("p99 Tt(home d=%d) = %d cyc", h.Key, h.P99)
@@ -153,9 +153,6 @@ func AnalyzeBottlenecks(metrics []telemetry.Metric) *BottleneckReport {
 
 	if v, ok := idx.value("kernel/skip_ratio"); ok {
 		rep.Notes = append(rep.Notes, fmt.Sprintf("event kernel skipped %.0f%% of machine cycles", v*100))
-	}
-	if v, ok := idx.value("kernel/shard_windows"); ok && v > 0 {
-		rep.Notes = append(rep.Notes, fmt.Sprintf("sharded kernel completed %.0f lookahead windows", v))
 	}
 	if v, ok := idx.value("faults/link_down_cycles"); ok && v > 0 {
 		rep.Notes = append(rep.Notes, fmt.Sprintf("links spent %.3g cycle-units down to injected faults", v))

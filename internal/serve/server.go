@@ -342,7 +342,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		rec.Label = fmt.Sprintf("sweep %s k=%d n=%d (%d cells, policy %s, %d workers)",
 			g.Spec.Mappings, g.Spec.Radix, g.Spec.Dims, g.Len(), policy, len(runners))
 		rec.Radix, rec.Dims, rec.Nodes, rec.Mapping = g.Spec.Radix, g.Spec.Dims, g.Tor.Nodes(), g.Spec.Mappings
-		rec.Kernel, rec.Shards = g.Kernel.String(), g.Spec.Shards
+		rec.Kernel = g.Kernel.String()
 		rec.FillOutcome(time.Since(t0), int64(g.Len())*(g.Spec.Warmup+g.Spec.Window))
 		if err != nil {
 			rec.Error = err.Error()

@@ -14,20 +14,12 @@ const (
 	// KernelTick is the naive reference loop, executing every cycle.
 	// Kept as an escape hatch and for differential testing.
 	KernelTick
-	// KernelSharded is the event kernel with conservative-lookahead
-	// parallel windows: per-node components are partitioned into
-	// spatial shards that advance concurrently wherever the lookahead
-	// bound proves no cross-component effect can reach them, then a
-	// serial replay applies their deferred global effects in the exact
-	// order the sequential loop would have. Bit-identical to
-	// KernelEvent.
-	KernelSharded
 )
 
 // kernelNames holds the canonical spellings, indexed by kind.
-var kernelNames = [...]string{"event", "tick", "sharded"}
+var kernelNames = [...]string{"event", "tick"}
 
-// String implements fmt.Stringer ("event" / "tick" / "sharded").
+// String implements fmt.Stringer ("event" / "tick").
 func (k KernelKind) String() string {
 	if int(k) < len(kernelNames) {
 		return kernelNames[k]
@@ -36,13 +28,13 @@ func (k KernelKind) String() string {
 }
 
 // ParseKernel parses a kernel selector as accepted by the -kernel
-// flags: "event", "tick", or "sharded". The error on bad input lists
-// the valid kinds.
+// flags: "event" or "tick". The error on bad input lists the valid
+// kinds.
 func ParseKernel(s string) (KernelKind, error) {
 	for i, name := range kernelNames {
 		if s == name {
 			return KernelKind(i), nil
 		}
 	}
-	return 0, fmt.Errorf(`sim: unknown kernel %q (valid kinds: "event", "tick", "sharded")`, s)
+	return 0, fmt.Errorf(`sim: unknown kernel %q (valid kinds: "event", "tick")`, s)
 }

@@ -207,6 +207,23 @@ func TestAlwaysBusyComponentPreventsSkipping(t *testing.T) {
 	}
 }
 
+func TestParseKernel(t *testing.T) {
+	for in, want := range map[string]KernelKind{"event": KernelEvent, "tick": KernelTick} {
+		got, err := ParseKernel(in)
+		if err != nil || got != want {
+			t.Errorf("ParseKernel(%q) = %v, %v; want %v", in, got, err, want)
+		}
+		if got.String() != in {
+			t.Errorf("%v.String() = %q, want %q", got, got.String(), in)
+		}
+	}
+	for _, in := range []string{"parallel", "sharded"} {
+		if _, err := ParseKernel(in); err == nil {
+			t.Errorf("ParseKernel accepted the unknown kernel %q", in)
+		}
+	}
+}
+
 func TestStatsHelpers(t *testing.T) {
 	s := Stats{Ticked: 25, Skipped: 75}
 	if s.Cycles() != 100 {

@@ -36,7 +36,6 @@ type Spec struct {
 	Ratio    int    `json:"ratio"`
 	Prefetch bool   `json:"prefetch,omitempty"`
 	Kernel   string `json:"kernel,omitempty"`
-	Shards   int    `json:"shards,omitempty"`
 
 	FaultRate float64 `json:"fault_rate,omitempty"`
 	FaultSeed int64   `json:"fault_seed,omitempty"`
@@ -54,7 +53,7 @@ type Grid struct {
 	Spec   Spec
 	Tor    *topology.Torus
 	Maps   []*mapping.Mapping
-	Kernel machine.KernelMode
+	Kernel sim.KernelKind
 	Fault  faults.Spec
 	Watch  faults.Watchdog
 
@@ -161,7 +160,6 @@ func (g *Grid) Config(i int) machine.Config {
 	m, p := g.Cell(i)
 	cfg := machine.DefaultConfig(g.Tor, m, p)
 	cfg.Kernel = g.Kernel
-	cfg.Shards = g.Spec.Shards
 	cfg.ClockRatio = g.Spec.Ratio
 	if g.Spec.Prefetch {
 		cfg.Workload = workload.RelaxationConfig{

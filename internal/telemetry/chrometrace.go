@@ -16,10 +16,6 @@ import (
 //
 //   - a "kernel" track (tid 0) of complete-event spans for every
 //     quiescent span the event kernel skipped (KindKernelSkip);
-//   - a "shards" track of complete-event spans for every parallel
-//     window the sharded kernel opened (KindShardWindow), with the
-//     shard count in the span's args — the track renders as shard
-//     occupancy over time;
 //   - one track per node (tid = node+1) carrying message spans —
 //     send→deliver pairs matched FIFO per (src, dst, addr) — plus
 //     transaction-complete spans reconstructed from their recorded
@@ -71,17 +67,6 @@ func WriteChromeTrace(w io.Writer, events []trace.Event) error {
 		return node + 1
 	}
 
-	// The shard-occupancy track sits far above the node tracks so its
-	// tid can never collide with a node's.
-	const shardTid = 1 << 20
-	shardTrack := func() int {
-		if !nodes[shardTid] {
-			nodes[shardTid] = true
-			meta("thread_name", shardTid, "shards")
-		}
-		return shardTid
-	}
-
 	// FIFO queues of unmatched sends per flow. Wormhole routing
 	// delivers a flow's messages in injection order, so FIFO matching
 	// is exact.
@@ -94,12 +79,6 @@ func WriteChromeTrace(w io.Writer, events []trace.Event) error {
 				Name: "skip", Cat: "kernel", Ph: "X",
 				Ts: e.Cycle, Dur: e.Info, Pid: 0, Tid: 0,
 				Args: map[string]any{"cycles": e.Info},
-			})
-		case trace.KindShardWindow:
-			out = append(out, chromeEvent{
-				Name: "parallel window", Cat: "kernel", Ph: "X",
-				Ts: e.Cycle, Dur: e.Info, Pid: 0, Tid: shardTrack(),
-				Args: map[string]any{"cycles": e.Info, "shards": e.Peer},
 			})
 		case trace.KindMsgSend:
 			k := pairKey{src: e.Node, dst: e.Peer, addr: e.Addr}

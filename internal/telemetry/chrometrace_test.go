@@ -100,43 +100,6 @@ func TestChromeTraceKernelSkipSpans(t *testing.T) {
 	}
 }
 
-func TestChromeTraceShardWindowSpans(t *testing.T) {
-	events := []trace.Event{
-		{Cycle: 40, Kind: trace.KindShardWindow, Node: -1, Peer: 4, Info: 25},
-		{Cycle: 90, Kind: trace.KindShardWindow, Node: -1, Peer: 4, Info: 12},
-	}
-	var sb strings.Builder
-	if err := WriteChromeTrace(&sb, events); err != nil {
-		t.Fatal(err)
-	}
-	decoded := decodeTrace(t, sb.String())
-	spans := findEvents(decoded, "X", "parallel window")
-	if len(spans) != 2 {
-		t.Fatalf("got %d shard-window spans, want 2:\n%s", len(spans), sb.String())
-	}
-	s := spans[0]
-	if s["ts"] != float64(40) || s["dur"] != float64(25) {
-		t.Errorf("span ts=%v dur=%v, want 40/25", s["ts"], s["dur"])
-	}
-	args := s["args"].(map[string]any)
-	if args["shards"] != float64(4) || args["cycles"] != float64(25) {
-		t.Errorf("span args = %v, want shards=4 cycles=25", args)
-	}
-	if spans[0]["tid"] != spans[1]["tid"] {
-		t.Errorf("shard windows landed on different tracks: %v vs %v", spans[0]["tid"], spans[1]["tid"])
-	}
-	// The track is named, and distinct from every node track.
-	named := false
-	for _, e := range findEvents(decoded, "M", "thread_name") {
-		if e["args"].(map[string]any)["name"] == "shards" && e["tid"] == spans[0]["tid"] {
-			named = true
-		}
-	}
-	if !named {
-		t.Errorf("no thread_name metadata for the shards track:\n%s", sb.String())
-	}
-}
-
 func TestChromeTraceUnmatchedBecomeInstants(t *testing.T) {
 	events := []trace.Event{
 		{Cycle: 10, Kind: trace.KindMsgSend, Node: 3, Peer: 4, Addr: 0x80},    // never delivered

@@ -30,16 +30,12 @@ const (
 	// over in bulk: Cycle is the first skipped cycle, Info the span
 	// length, Node/Peer are -1 (machine-wide).
 	KindKernelSkip
-	// KindShardWindow is a parallel window opened by the sharded
-	// kernel: Cycle is the window's first cycle, Info its length, Peer
-	// the shard count, Node -1 (machine-wide).
-	KindShardWindow
 	numKinds
 )
 
 // String implements fmt.Stringer.
 func (k Kind) String() string {
-	names := [...]string{"msg-send", "msg-deliver", "txn-start", "txn-complete", "ctx-switch", "evict", "kernel-skip", "shard-window"}
+	names := [...]string{"msg-send", "msg-deliver", "txn-start", "txn-complete", "ctx-switch", "evict", "kernel-skip"}
 	if int(k) < len(names) {
 		return names[k]
 	}
