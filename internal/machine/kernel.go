@@ -66,6 +66,15 @@ func (c netComp) Advance(to int64) {
 // telemetry sampler, when enabled, registers last: it observes each
 // executed cycle after every substrate has ticked it, and appending it
 // keeps the attribution indices of the historical components stable.
+//
+// The processors are sleepers: the event kernel ticks only those due
+// at an executed cycle, so its per-cycle cost tracks the busy
+// processors rather than N. procsim meets the sleeper contract — its
+// NextEvent does not move under Advance, and the only outside change,
+// Ready, fires from inside Protocol.Tick, where OnReady touches the
+// processor first. Each processor keeps its own registration index
+// (1+node), so attribution charges and checkpointed pending indices
+// are the dense kernel's.
 func (m *Machine) buildKernel() {
 	comps := make([]sim.Component, 0, len(m.procs)+3)
 	comps = append(comps, protoComp{m})
@@ -77,6 +86,7 @@ func (m *Machine) buildKernel() {
 		comps = append(comps, m.slicer)
 	}
 	m.kernel = sim.New(comps...)
+	m.kernel.SetSleepers(1, 1+len(m.procs))
 	if m.cfg.Telemetry != nil {
 		m.kernel.EnableAttribution()
 	}

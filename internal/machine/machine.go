@@ -316,6 +316,7 @@ func New(cfg Config) (*Machine, error) {
 		Retry:            retry,
 		Loss:             loss,
 		OnReady: func(node, thread int, now int64) {
+			m.kernel.Touch(1 + node) // processors are kernel sleepers
 			m.procs[node].Ready(thread, now)
 		},
 		OnComplete: func(txn *cohsim.Transaction) {

@@ -1,17 +1,24 @@
 package machine
 
 import (
+	"bytes"
+	"context"
+	"encoding/csv"
+	"fmt"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
+	"locality/internal/checkpoint"
 	"locality/internal/faults"
 	"locality/internal/mapping"
 	"locality/internal/procsim"
 	"locality/internal/sim"
+	"locality/internal/telemetry"
 	"locality/internal/topology"
 	"locality/internal/trace"
+	"locality/internal/workload"
 )
 
 // parityCell is one grid point of the tick-vs-event differential test.
@@ -228,5 +235,189 @@ func TestEventKernelSkipsWithSlowLocalDelivery(t *testing.T) {
 	met := execMeasured(t, mach, 1000, 4000)
 	if r := met.SkipRatio(); r < 0.3 {
 		t.Errorf("skip ratio %.2f with LocalDelay 15, want ≥ 0.3 (local deliveries should stay skippable)", r)
+	}
+}
+
+// TestKernelParityObservedMidRun looks at the event kernel's processors
+// from outside while they lag: the kernel ticks a processor only at
+// cycles it is due at and brings it current when the run returns, or
+// when the slicer syncs it mid-cycle. Processor snapshots taken by an
+// Observer at every chunk boundary, the final Metrics, and the slice
+// CSV (minus its kernel-dependent skip_ratio column) must match the
+// tick kernel's, across grains, context counts, staggered starts and
+// slicing.
+func TestKernelParityObservedMidRun(t *testing.T) {
+	tor := topology.MustNew(8, 2)
+	mp := mapping.Random(tor, 5)
+	type observed struct {
+		procs  [][]procsim.Stats
+		met    Metrics
+		slices string
+	}
+	run := func(t *testing.T, mode sim.KernelKind, grain, contexts int, stagger bool, slice int64) observed {
+		cfg := DefaultConfig(tor, mp, contexts)
+		cfg.ReadCompute, cfg.WriteCompute = grain, grain
+		cfg.Kernel = mode
+		if stagger {
+			cfg.Workload = workload.RelaxationConfig{
+				Graph: tor, Map: mp, Instances: contexts, LineSize: cfg.LineSize,
+				ReadCompute: grain, WriteCompute: grain, Stagger: true,
+			}
+		}
+		var csvOut strings.Builder
+		if slice > 0 {
+			sw, err := telemetry.NewSliceWriter(&csvOut, "csv")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Telemetry, cfg.SliceEvery, cfg.SliceWriter = telemetry.New(), slice, sw
+		}
+		var obs observed
+		cfg.Observer = func(m *Machine) {
+			snap := make([]procsim.Stats, tor.Nodes())
+			for i := range snap {
+				snap[i] = m.Processor(i).Snapshot()
+			}
+			obs.procs = append(obs.procs, snap)
+		}
+		mach, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 7; i++ {
+			res, err := mach.Execute(context.Background(), RunSpec{Cycles: 1001})
+			if err != nil {
+				t.Fatal(err)
+			}
+			obs.met = normalizeKernelStats(res.Metrics)
+		}
+		obs.slices = dropCSVColumn(t, csvOut.String(), "skip_ratio")
+		return obs
+	}
+	for _, grain := range []int{20, 2000} {
+		for _, contexts := range []int{1, 2, 4} {
+			for _, stagger := range []bool{false, true} {
+				for _, slice := range []int64{0, 333} {
+					grain, contexts, stagger, slice := grain, contexts, stagger, slice
+					name := fmt.Sprintf("grain%d/p%d/stagger=%v/slice%d", grain, contexts, stagger, slice)
+					t.Run(name, func(t *testing.T) {
+						t.Parallel()
+						tick := run(t, sim.KernelTick, grain, contexts, stagger, slice)
+						event := run(t, sim.KernelEvent, grain, contexts, stagger, slice)
+						if len(tick.procs) != 7 || len(event.procs) != 7 {
+							t.Fatalf("observer fired %d (tick) / %d (event) times, want 7", len(tick.procs), len(event.procs))
+						}
+						for i := range tick.procs {
+							if !reflect.DeepEqual(tick.procs[i], event.procs[i]) {
+								t.Errorf("processor snapshots differ at chunk boundary %d:\n tick:  %+v\n event: %+v", i+1, tick.procs[i], event.procs[i])
+							}
+						}
+						if !reflect.DeepEqual(tick.met, event.met) {
+							t.Errorf("Metrics differ:\n tick:  %+v\n event: %+v", tick.met, event.met)
+						}
+						if tick.slices != event.slices {
+							t.Errorf("slice CSVs differ:\n tick:\n%s\n event:\n%s", tick.slices, event.slices)
+						}
+						if slice > 0 && strings.Count(event.slices, "\n") < 7007/333 {
+							t.Errorf("slice CSV has too few rows:\n%s", event.slices)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// dropCSVColumn returns the CSV text without the named column.
+func dropCSVColumn(t *testing.T, text, name string) string {
+	t.Helper()
+	rows, err := csv.NewReader(strings.NewReader(text)).ReadAll()
+	if err != nil {
+		t.Fatalf("slice stream is not valid CSV: %v", err)
+	}
+	var b strings.Builder
+	col := -1
+	for i, row := range rows {
+		if i == 0 {
+			for j, h := range row {
+				if h == name {
+					col = j
+				}
+			}
+			if col < 0 {
+				t.Fatalf("no %q column in %v", name, row)
+			}
+		}
+		b.WriteString(strings.Join(append(row[:col:col], row[col+1:]...), ","))
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// TestSleepersMatchDenseEventKernel pins the processor calendar to the
+// event kernel it replaced: the same machine run once with its
+// processors registered as sleepers and once with every component
+// ticked on every executed cycle must write byte-identical checkpoints
+// at every chunk boundary (processor lookahead state, kernel
+// accounting, attribution and slicer state included) and report
+// identical Metrics, kernel accounting included.
+func TestSleepersMatchDenseEventKernel(t *testing.T) {
+	for _, c := range parityGrid() {
+		for _, instrument := range []bool{false, true} {
+			c, instrument := c, instrument
+			name := c.name
+			if instrument {
+				name += "/telemetry"
+			}
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				run := func(sleepers bool) ([][]byte, Metrics) {
+					tor, mp := parityTopoMapping(c)
+					cfg := DefaultConfig(tor, mp, c.contexts)
+					cfg.Faults, cfg.LocalDelay = c.spec, c.localDelay
+					if instrument {
+						sw, err := telemetry.NewSliceWriter(&strings.Builder{}, "csv")
+						if err != nil {
+							t.Fatal(err)
+						}
+						cfg.Telemetry, cfg.SliceEvery, cfg.SliceWriter = telemetry.New(), 333, sw
+					}
+					mach, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sleepers {
+						mach.kernel.SetSleepers(0, 0)
+					}
+					var snaps [][]byte
+					var met Metrics
+					// Prime-length chunks put Run boundaries at cycles
+					// unrelated to the workload's phase.
+					for i := 0; i < 7; i++ {
+						res, err := mach.Execute(context.Background(), RunSpec{Cycles: 359})
+						if err != nil {
+							t.Fatal(err)
+						}
+						met = res.Metrics
+						var b bytes.Buffer
+						if err := checkpoint.Write(&b, mach.BuildCheckpoint(0)); err != nil {
+							t.Fatal(err)
+						}
+						snaps = append(snaps, b.Bytes())
+					}
+					return snaps, met
+				}
+				denseSnaps, denseMet := run(false)
+				sleepSnaps, sleepMet := run(true)
+				for i := range denseSnaps {
+					if !bytes.Equal(denseSnaps[i], sleepSnaps[i]) {
+						t.Fatalf("checkpoints differ after chunk %d", i+1)
+					}
+				}
+				if !reflect.DeepEqual(denseMet, sleepMet) {
+					t.Errorf("Metrics differ:\n dense:    %+v\n sleepers: %+v", denseMet, sleepMet)
+				}
+			})
+		}
 	}
 }

@@ -143,8 +143,11 @@ func (s *slicer) NextEvent() int64 { return s.next }
 // whenever ResetStats zeroes the substrate counters underneath us.
 func (s *slicer) rebase() { s.prev = s.m.baseNow() }
 
-// baseNow reads the cumulative counters a slice differences.
+// baseNow reads the cumulative counters a slice differences. The
+// sampler runs inside the kernel's cycle, where processors not due at
+// it still lag, so it syncs them before reading their busy counters.
 func (m *Machine) baseNow() sliceBase {
+	m.kernel.Sync()
 	ns := m.net.Snapshot()
 	ps := m.proto.Snapshot()
 	ks := m.kernel.Stats()

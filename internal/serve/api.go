@@ -41,6 +41,10 @@ type ConfigSpec struct {
 	Config *core.Config `json:"config,omitempty"`
 }
 
+// maxEchoBytes bounds how much of a rejected preset name an error
+// echoes back.
+const maxEchoBytes = 64
+
 // Resolve builds the core configuration the request describes.
 func (cs ConfigSpec) Resolve() (core.Config, error) {
 	if cs.Config != nil {
@@ -68,7 +72,11 @@ func (cs ConfigSpec) Resolve() (core.Config, error) {
 	case "alewife-large":
 		cfg = core.AlewifeLargeScale(contexts, d)
 	default:
-		return core.Config{}, fmt.Errorf("serve: unknown preset %q (have alewife, alewife-large)", cs.Preset)
+		name := cs.Preset
+		if len(name) > maxEchoBytes {
+			name = name[:maxEchoBytes] + "..."
+		}
+		return core.Config{}, fmt.Errorf("serve: unknown preset %q (have alewife, alewife-large)", name)
 	}
 	if cs.GrainFactor > 0 {
 		cfg = cfg.WithGrainFactor(cs.GrainFactor)

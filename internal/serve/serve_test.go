@@ -78,25 +78,49 @@ func TestSolveEndpointMatchesDirectSolve(t *testing.T) {
 
 func TestSolveEndpointRejectsBadRequests(t *testing.T) {
 	s := startServer(t, Config{BatchWindow: -1})
-	base := "http://" + s.Addr()
-
-	var e errorResponse
-	if resp := postJSON(t, base+"/v1/solve", SolveRequest{ConfigSpec: ConfigSpec{Preset: "cm5"}}, &e); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown preset: status = %d, want 400", resp.StatusCode)
-	}
-	if !strings.Contains(e.Error, "preset") {
-		t.Fatalf("unknown preset error = %q", e.Error)
-	}
-	if resp := postJSON(t, base+"/v1/solve", SolveRequest{ConfigSpec: ConfigSpec{Contexts: -3}}, &e); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("negative contexts: status = %d, want 400", resp.StatusCode)
-	}
-	resp, err := http.Get(base + "/v1/solve")
-	if err != nil {
-		t.Fatalf("GET: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET status = %d, want 405", resp.StatusCode)
+	url := "http://" + s.Addr() + "/v1/solve"
+	preset := func(n int) string { return `{"preset":"` + strings.Repeat("x", n) + `"}` }
+	for _, c := range []struct {
+		name, method, body string
+		status             int
+		errHas             string
+	}{
+		{"unknown preset", http.MethodPost, `{"preset":"cm5"}`, http.StatusBadRequest, "preset"},
+		{"negative contexts", http.MethodPost, `{"contexts":-3}`, http.StatusBadRequest, "contexts"},
+		{"GET", http.MethodGet, "", http.StatusMethodNotAllowed, "POST"},
+		// Just over the cap, so the client finishes writing before the
+		// server closes the connection.
+		{"oversized body", http.MethodPost, preset(maxBodyBytes), http.StatusRequestEntityTooLarge, "too large"},
+		{"trailing data", http.MethodPost, `{"contexts":2} trailing garbage`, http.StatusBadRequest, "trailing"},
+		{"second value", http.MethodPost, `{"contexts":2} {}`, http.StatusBadRequest, "trailing"},
+		{"long unknown preset", http.MethodPost, preset(100_000), http.StatusBadRequest, "preset"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			req, err := http.NewRequest(c.method, url, strings.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatalf("%s: %v", c.method, err)
+			}
+			defer resp.Body.Close()
+			reply, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != c.status {
+				t.Fatalf("status = %d, want %d (reply %.200s)", resp.StatusCode, c.status, reply)
+			}
+			var e errorResponse
+			if err := json.Unmarshal(reply, &e); err != nil || !strings.Contains(e.Error, c.errHas) {
+				t.Fatalf("error reply %.200q (%v), want one mentioning %q", reply, err, c.errHas)
+			}
+			// Rejections never echo the request back at length.
+			if len(reply) > 512 {
+				t.Errorf("error reply is %d bytes", len(reply))
+			}
+		})
 	}
 }
 

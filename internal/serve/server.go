@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -162,17 +164,35 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorResponse{Error: err.Error()})
 }
 
-// decodePost enforces POST + JSON body on the /v1 query endpoints.
+// maxBodyBytes caps a request body, far above any valid request (a
+// few hundred bytes, sweep specs included).
+const maxBodyBytes = 1 << 20
+
+// decodePost enforces POST + a single JSON value of at most
+// maxBodyBytes as the body on the /v1 endpoints: 405 for another
+// method, 413 for a longer body, 400 for a malformed one or trailing
+// data after the value.
 func decodePost(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST with a JSON body"))
 		return false
 	}
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return false
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		}
+		if !errors.As(err, new(*http.MaxBytesError)) {
+			err = errors.New("trailing data after the JSON value")
+		}
 	}
-	return true
+	status := http.StatusBadRequest
+	if errors.As(err, new(*http.MaxBytesError)) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, fmt.Errorf("bad request body: %w", err))
+	return false
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {

@@ -38,7 +38,8 @@ func (k *Kernel) Checkpoint() KernelState {
 
 // Restore overwrites the kernel's execution state. Attribution must be
 // configured the same way (enabled over the same component count) as
-// when the state was captured.
+// when the state was captured. The sleeper calendar is not part of the
+// state: Restore drops it and the next Run rebuilds it.
 func (k *Kernel) Restore(s KernelState) error {
 	if (s.Attr == nil) != (k.attr == nil) {
 		return fmt.Errorf("sim: checkpoint and kernel disagree on attribution (checkpoint %v, kernel %v)",
@@ -50,6 +51,7 @@ func (k *Kernel) Restore(s KernelState) error {
 	if s.Pending < -1 || s.Pending >= len(k.comps) {
 		return fmt.Errorf("sim: checkpoint pending charge %d out of range", s.Pending)
 	}
+	k.cal.built = false
 	k.now = s.Now
 	k.stats = s.Stats
 	k.pending = s.Pending

@@ -6,12 +6,15 @@
 //
 //   - Tick mode (RunTick) executes every cycle, calling Tick on every
 //     component in registration order — the naive reference loop.
-//   - Event mode (Run) executes a cycle exactly like tick mode, then
-//     advances the clock directly to the global minimum NextEvent,
-//     skipping the quiescent cycles in between. Components that accrue
-//     per-cycle state even while quiescent (cycle counters, stat
-//     accumulators, secondary clocks) implement Advancer to apply the
-//     skipped span in bulk.
+//   - Event mode (Run) executes only the cycles some component is due
+//     at, advancing the clock directly to the global minimum NextEvent
+//     and skipping the quiescent cycles in between. Components that
+//     accrue per-cycle state even while quiescent (cycle counters,
+//     stat accumulators, secondary clocks) implement Advancer to apply
+//     the skipped span in bulk. An executed cycle ticks every ordinary
+//     component but only the sleepers (SetSleepers) that are due at
+//     it; a sleeper's other cycles are applied through its Advancer
+//     when it next ticks or is synced (calendar.go).
 //
 // Equivalence rests on one contract: a component's NextEvent must be a
 // lower bound on the first future cycle whose Tick is not fully
@@ -32,9 +35,10 @@ const Never int64 = math.MaxInt64
 type Component interface {
 	// Tick executes the component's work for cycle now. The kernel
 	// calls Tick on every component, in registration order, for every
-	// cycle it executes; now is strictly increasing across calls but
-	// not necessarily consecutive (skipped spans are applied through
-	// Advance, never through Tick).
+	// cycle it executes (on sleepers, only for the cycles they are due
+	// at); now is strictly increasing across calls but not necessarily
+	// consecutive (skipped spans are applied through Advance, never
+	// through Tick).
 	Tick(now int64)
 	// NextEvent returns the earliest future cycle at which the
 	// component must be ticked, or Never when it is quiescent. The
@@ -49,7 +53,8 @@ type Component interface {
 // faster secondary clock. Advance(to) applies, in bulk, exactly what
 // per-cycle Ticks over (lastExecuted, to] would have done, given that
 // the kernel has proven every cycle in that span quiescent (no
-// component's NextEvent falls inside it).
+// component's NextEvent falls inside it; for a sleeper, no NextEvent
+// of its own).
 type Advancer interface {
 	Advance(to int64)
 }
@@ -97,12 +102,18 @@ type Kernel struct {
 	attr     []int64
 	attrNone int64
 	pending  int
+	// Components sleepLo..sleepHi-1 are sleepers; cal schedules them
+	// in event mode. cur is the registration index of the component
+	// being ticked, -1 between cycles.
+	sleepLo, sleepHi int
+	cal              calendar
+	cur              int
 }
 
 // New builds a kernel over the given components, which are ticked in
 // argument order on every executed cycle. Time starts at cycle 0.
 func New(comps ...Component) *Kernel {
-	k := &Kernel{comps: comps, advs: make([]Advancer, len(comps))}
+	k := &Kernel{comps: comps, advs: make([]Advancer, len(comps)), cur: -1}
 	for i, c := range comps {
 		if a, ok := c.(Advancer); ok {
 			k.advs[i] = a
@@ -149,12 +160,23 @@ func (k *Kernel) Attribution() ([]int64, int64) {
 	return out, k.attrNone
 }
 
-// tick executes one cycle across all components.
+// tick executes one cycle: every component, or with the calendar in
+// use, every non-sleeper and the due sleepers, in registration order.
 func (k *Kernel) tick() {
 	now := k.now
-	for _, c := range k.comps {
-		c.Tick(now)
+	lo, hi := k.sleeperSpan()
+	for i := 0; i < lo; i++ {
+		k.cur = i
+		k.comps[i].Tick(now)
 	}
+	if lo < hi {
+		k.tickSleepers(now)
+	}
+	for i := hi; i < len(k.comps); i++ {
+		k.cur = i
+		k.comps[i].Tick(now)
+	}
+	k.cur = -1
 	k.stats.Ticked++
 	k.now = now + 1
 	if k.attr != nil {
@@ -171,21 +193,46 @@ func (k *Kernel) tick() {
 // registration index of the component announcing it (-1 when every
 // component is quiescent). Ties go to the earliest-registered
 // component. NextEvent implementations are side-effect free, so
-// sweeping is observationally neutral.
+// sweeping is observationally neutral. With the calendar in use the
+// sleepers are represented by the calendar's head, after the ones
+// ticked or touched since the last sweep are re-read.
 func (k *Kernel) sweep() (int64, int) {
+	lo, hi := k.sleeperSpan()
 	next, arg := Never, -1
-	for i, c := range k.comps {
-		if ne := c.NextEvent(); ne < next {
+	for i := 0; i < lo; i++ {
+		if ne := k.comps[i].NextEvent(); ne < next {
+			next, arg = ne, i
+		}
+	}
+	if lo < hi {
+		k.settle()
+		if e, ok := k.cal.head(); ok && e.at < next {
+			next, arg = e.at, lo+int(e.s)
+		}
+	}
+	for i := hi; i < len(k.comps); i++ {
+		if ne := k.comps[i].NextEvent(); ne < next {
 			next, arg = ne, i
 		}
 	}
 	return next, arg
 }
 
+// sleeperSpan returns the registration range the calendar covers, or
+// an empty range at the end when the calendar is not in use.
+func (k *Kernel) sleeperSpan() (lo, hi int) {
+	if k.cal.built {
+		return k.sleepLo, k.sleepHi
+	}
+	return len(k.comps), len(k.comps)
+}
+
 // RunTick advances the kernel by cycles in the naive per-cycle mode:
-// every cycle is executed, nothing is skipped. This is the reference
-// semantics event mode must reproduce bit for bit.
+// every cycle is executed on every component, sleepers included, and
+// nothing is skipped. This is the reference semantics event mode must
+// reproduce bit for bit.
 func (k *Kernel) RunTick(cycles int64) {
+	k.cal.built = false // Run left every sleeper current; tick them all
 	for end := k.now + cycles; k.now < end; {
 		k.tick()
 		if k.attr != nil {
@@ -210,7 +257,13 @@ func (k *Kernel) RunTick(cycles int64) {
 // quiescent — executing a quiescent cycle is a no-op by the Component
 // contract, so this is safe and keeps the loop free of stale
 // cross-call event state.
+//
+// Sleepers tick only at the cycles they are due at; Run brings every
+// sleeper through the last completed cycle before it returns.
 func (k *Kernel) Run(cycles int64) {
+	if k.sleepLo < k.sleepHi && !k.cal.built {
+		k.buildCalendar()
+	}
 	end := k.now + cycles
 	for k.now < end {
 		k.tick()
@@ -223,7 +276,7 @@ func (k *Kernel) Run(cycles int64) {
 					k.pending = arg
 				}
 			}
-			return
+			break
 		}
 		next, arg := k.sweep()
 		if next <= k.now {
@@ -234,8 +287,15 @@ func (k *Kernel) Run(cycles int64) {
 			next = end
 			arg = -1 // clamped: nothing forced the cycle at end
 		}
-		// Cycles k.now .. next-1 are quiescent: apply them in bulk.
-		for _, a := range k.advs {
+		// Cycles k.now .. next-1 are quiescent: apply them in bulk
+		// (sleepers catch up when they next tick or sync).
+		lo, hi := k.sleeperSpan()
+		for _, a := range k.advs[:lo] {
+			if a != nil {
+				a.Advance(next - 1)
+			}
+		}
+		for _, a := range k.advs[hi:] {
 			if a != nil {
 				a.Advance(next - 1)
 			}
@@ -246,5 +306,8 @@ func (k *Kernel) Run(cycles int64) {
 		k.stats.Skipped += next - k.now
 		k.now = next
 		k.pending = arg
+	}
+	if k.cal.built {
+		k.syncSleepers()
 	}
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -103,33 +105,203 @@ func TestRunExecutesEveryEventCycle(t *testing.T) {
 	}
 }
 
-func TestRunMatchesRunTick(t *testing.T) {
-	run := func(event bool) (*scripted, *scripted, Stats) {
-		a := newScripted(t, 1, 2, 3, 17)
-		b := newScripted(t, 5, 50, 51)
-		k := New(a, b)
-		if event {
-			k.Run(60)
-		} else {
-			k.RunTick(60)
+// rig is one TestRunMatchesRunTick input: components in registration
+// order, the scripted state behind each (states[0] is never a
+// sleeper, so its ticks are the executed cycles), the sleeper range,
+// and the hooks that need the kernel.
+type rig struct {
+	comps  []Component
+	states []*scripted
+	lo, hi int
+	hooks  []*hook
+}
+
+// fixedRig is two fixed scripts; the second is a sleeper.
+func fixedRig(t *testing.T) rig {
+	a := newScripted(t, 1, 2, 3, 17)
+	b := newScripted(t, 5, 50, 51)
+	return rig{comps: []Component{a, b}, states: []*scripted{a, b}, lo: 1, hi: 2}
+}
+
+// wakeRig is a random script: six sleepers between two hooks. At each
+// of its own event cycles a hook touches one sleeper and gives it an
+// event, as the protocol wakes a processor: the hook before the
+// sleepers at the current cycle, the hook after them at a later one.
+// The wake plan is drawn up front, so every kernel mode applies the
+// same changes.
+func wakeRig(t *testing.T, seed int64, cycles int64) rig {
+	rng := rand.New(rand.NewSource(seed))
+	draw := func(p float64) []int64 {
+		var ev []int64
+		for c := int64(0); c < cycles; c++ {
+			if rng.Float64() < p {
+				ev = append(ev, c)
+			}
 		}
-		return a, b, k.Stats()
+		return ev
 	}
-	ea, eb, est := run(true)
-	ta, tb, tst := run(false)
-	// Identical end state: same last cycle, same quiescent accrual.
-	if ea.last != ta.last || eb.last != tb.last {
-		t.Errorf("last cycles differ: event (%d,%d) vs tick (%d,%d)", ea.last, eb.last, ta.last, tb.last)
+	const n = 6
+	r := rig{lo: 1, hi: 1 + n}
+	preEv, postEv := draw(0.06), draw(0.06)
+	sleepers := make([]*scripted, n)
+	for i := range sleepers {
+		sleepers[i] = newScripted(t, draw(0.02)...)
 	}
-	if ea.quietAcc != ta.quietAcc || eb.quietAcc != tb.quietAcc {
-		t.Errorf("quiescent accrual differs: event (%d,%d) vs tick (%d,%d)",
-			ea.quietAcc, eb.quietAcc, ta.quietAcc, tb.quietAcc)
+	type wake struct {
+		s     int
+		delay int64
 	}
-	if tst.Skipped != 0 || tst.Ticked != 60 {
-		t.Errorf("tick mode stats = %+v, want 60 ticked / 0 skipped", tst)
+	preWake, postWake := map[int64]wake{}, map[int64]wake{}
+	for _, c := range preEv {
+		preWake[c] = wake{s: rng.Intn(n)}
 	}
-	if est.Cycles() != 60 {
-		t.Errorf("event mode Cycles() = %d, want 60", est.Cycles())
+	for _, c := range postEv {
+		postWake[c] = wake{s: rng.Intn(n), delay: 1 + rng.Int63n(20)}
+	}
+	waker := func(plan map[int64]wake) func(*hook, int64) {
+		return func(h *hook, now int64) {
+			if w, ok := plan[now]; ok {
+				h.k.Touch(r.lo + w.s)
+				sleepers[w.s].events[now+w.delay] = true
+			}
+		}
+	}
+	pre := &hook{scripted: newScripted(t, preEv...), fn: waker(preWake)}
+	post := &hook{scripted: newScripted(t, postEv...), fn: waker(postWake)}
+	r.comps = append(r.comps, pre)
+	r.states = append(r.states, pre.scripted)
+	for _, s := range sleepers {
+		r.comps = append(r.comps, s)
+		r.states = append(r.states, s)
+	}
+	r.comps = append(r.comps, post)
+	r.states = append(r.states, post.scripted)
+	r.hooks = []*hook{pre, post}
+	return r
+}
+
+type rigMode int
+
+const (
+	modeTick rigMode = iota
+	modeDense
+	modeSleepers
+)
+
+type rigResult struct {
+	last, quiet []int64
+	executed    []int64
+	stats       Stats
+	attr        []int64
+	none        int64
+	pending     []int
+	sweeps      [][2]int64 // next event and argmin after each chunk
+}
+
+func runRig(r rig, mode rigMode, attr bool, chunks []int64) rigResult {
+	k := New(r.comps...)
+	for _, h := range r.hooks {
+		h.k = k
+	}
+	if mode == modeSleepers {
+		k.SetSleepers(r.lo, r.hi)
+	}
+	if attr {
+		k.EnableAttribution()
+	}
+	var res rigResult
+	for _, n := range chunks {
+		if mode == modeTick {
+			k.RunTick(n)
+		} else {
+			k.Run(n)
+		}
+		res.pending = append(res.pending, k.pending)
+		if attr {
+			next, arg := k.sweep()
+			res.sweeps = append(res.sweeps, [2]int64{next, int64(arg)})
+		}
+	}
+	for _, s := range r.states {
+		res.last = append(res.last, s.last)
+		res.quiet = append(res.quiet, s.quietAcc)
+	}
+	res.executed = r.states[0].ticked
+	res.stats = k.Stats()
+	res.attr, res.none = k.Attribution()
+	return res
+}
+
+// TestRunMatchesRunTick runs each input under RunTick, under Run with
+// every component ticked on every executed cycle, and under Run with
+// sleepers. All three must leave every component in the same state.
+// The two Run variants must also execute the same cycles, charge them
+// to the same components, and agree on the next event and its argmin
+// after every chunk.
+func TestRunMatchesRunTick(t *testing.T) {
+	type input struct {
+		name   string
+		build  func() rig
+		chunks []int64 // lengths of successive Run/RunTick calls
+	}
+	inputs := []input{
+		{"fixed", func() rig { return fixedRig(t) }, []int64{60}},
+		// The sleeper ticks at 50, the last cycle of a Run, and is due
+		// again at 51, the first cycle of the next.
+		{"fixed/chunked", func() rig { return fixedRig(t) }, []int64{5, 46, 9}},
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		seed := seed
+		rng := rand.New(rand.NewSource(-seed))
+		var chunks []int64
+		total := int64(0)
+		for total < 400 {
+			n := 1 + rng.Int63n(60)
+			chunks = append(chunks, n)
+			total += n
+		}
+		inputs = append(inputs, input{fmt.Sprintf("wake/seed%d", seed), func() rig { return wakeRig(t, seed, total+40) }, chunks})
+	}
+	for _, in := range inputs {
+		var total int64
+		for _, n := range in.chunks {
+			total += n
+		}
+		for _, attr := range []bool{false, true} {
+			name := in.name
+			if attr {
+				name += "/attr"
+			}
+			t.Run(name, func(t *testing.T) {
+				tick := runRig(in.build(), modeTick, attr, in.chunks)
+				dense := runRig(in.build(), modeDense, attr, in.chunks)
+				sleep := runRig(in.build(), modeSleepers, attr, in.chunks)
+				for _, got := range []rigResult{dense, sleep} {
+					if !reflect.DeepEqual(got.last, tick.last) || !reflect.DeepEqual(got.quiet, tick.quiet) {
+						t.Errorf("end state differs from tick mode: last %v quiet %v, tick last %v quiet %v",
+							got.last, got.quiet, tick.last, tick.quiet)
+					}
+					if got.stats.Cycles() != total {
+						t.Errorf("event mode Cycles() = %d, want %d", got.stats.Cycles(), total)
+					}
+				}
+				if tick.stats != (Stats{Ticked: total}) {
+					t.Errorf("tick mode stats = %+v, want %d ticked / 0 skipped", tick.stats, total)
+				}
+				if !reflect.DeepEqual(sleep.executed, dense.executed) {
+					t.Errorf("executed cycles differ:\n dense:    %v\n sleepers: %v", dense.executed, sleep.executed)
+				}
+				if sleep.stats != dense.stats || !reflect.DeepEqual(sleep.pending, dense.pending) {
+					t.Errorf("stats/pending differ: dense %+v %v, sleepers %+v %v", dense.stats, dense.pending, sleep.stats, sleep.pending)
+				}
+				if !reflect.DeepEqual(sleep.attr, dense.attr) || sleep.none != dense.none {
+					t.Errorf("attribution differs: dense %v+%d, sleepers %v+%d", dense.attr, dense.none, sleep.attr, sleep.none)
+				}
+				if !reflect.DeepEqual(sleep.sweeps, dense.sweeps) || !reflect.DeepEqual(tick.sweeps, dense.sweeps) {
+					t.Errorf("next events differ:\n tick:     %v\n dense:    %v\n sleepers: %v", tick.sweeps, dense.sweeps, sleep.sweeps)
+				}
+			})
+		}
 	}
 }
 
