@@ -16,7 +16,6 @@
 package checkpoint
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -26,6 +25,7 @@ import (
 	"locality/internal/netsim"
 	"locality/internal/procsim"
 	"locality/internal/sim"
+	"locality/internal/wire"
 )
 
 // Magic begins every serialized checkpoint.
@@ -152,9 +152,9 @@ func (f *Fingerprint) Equal(g *Fingerprint) bool {
 // 10⁵ entries on the machines the ledger most wants to track.
 func (f *Fingerprint) Digest() string {
 	h := sha256.New()
-	bw := bufio.NewWriter(h)
-	writeFingerprint(bw, f)
-	bw.Flush()
+	s := sections{c: wire.NewEncoder(h, "checkpoint")}
+	s.fingerprint(f)
+	s.c.End() // a hash cannot fail; a fingerprint Validate rejects digests up to its first bad field
 	return hex.EncodeToString(h.Sum(nil)[:12])
 }
 

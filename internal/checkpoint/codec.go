@@ -1,8 +1,6 @@
 package checkpoint
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -14,7 +12,9 @@ import (
 	"locality/internal/faults"
 	"locality/internal/netsim"
 	"locality/internal/procsim"
+	"locality/internal/sim"
 	"locality/internal/stats"
+	"locality/internal/wire"
 )
 
 // Wire layout (after Magic + Version):
@@ -37,96 +37,229 @@ import (
 // producing Checkpoint methods (ascending address / (due, seq) /
 // message discovery order) make the encoding canonical: re-encoding a
 // decoded checkpoint is byte-identical.
+//
+// Each section is one method of sections, run by Write and Read alike,
+// so every range and ordering check holds in both directions: Write
+// refuses what Read would reject.
 
 // Write streams the checkpoint to w in the wire format.
 func Write(w io.Writer, c *Checkpoint) error {
 	if err := c.Validate(); err != nil {
 		return err
 	}
-	txns, err := collectTxns(c)
+	s := sections{c: wire.NewEncoder(w, "checkpoint")}
+	s.checkpoint(c)
+	return s.c.End()
+}
+
+// WriteFile writes the checkpoint to path.
+func WriteFile(path string, c *Checkpoint) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	byPtr := make(map[*cohsim.Transaction]int64, len(txns))
-	for _, t := range txns {
-		byPtr[t] = t.ID
-	}
-	ref := func(t *cohsim.Transaction) uint64 {
-		if t == nil {
-			return 0
-		}
-		return uint64(byPtr[t])
-	}
-
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(Magic); err != nil {
+	if err := Write(f, c); err != nil {
+		f.Close()
 		return err
 	}
-	if err := bw.WriteByte(Version); err != nil {
-		return err
+	return f.Close()
+}
+
+// Read decodes a checkpoint from r, validating every structural
+// invariant. It never trusts a declared count for more than an
+// incremental allocation, so truncated, corrupt, or adversarial
+// inputs fail with an error rather than a panic or a huge allocation.
+func Read(r io.Reader) (*Checkpoint, error) {
+	c := &Checkpoint{}
+	s := sections{c: wire.NewDecoder(r, "checkpoint")}
+	s.checkpoint(c)
+	if err := s.c.End(); err != nil {
+		return nil, err
 	}
-	writeFingerprint(bw, &c.FP)
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
 
-	putUvarint(bw, uint64(c.PNow))
-	putUvarint(bw, uint64(c.WindowStart))
-	putUvarint(bw, uint64(c.ChunkDone))
-	putUvarint(bw, uint64(c.KSWindow.Ticked))
-	putUvarint(bw, uint64(c.KSWindow.Skipped))
+// ReadFile decodes the checkpoint at path.
+func ReadFile(path string) (*Checkpoint, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return Read(f)
+}
 
-	k := &c.Kernel
-	putVarint(bw, k.Now)
-	putUvarint(bw, uint64(k.Stats.Ticked))
-	putUvarint(bw, uint64(k.Stats.Skipped))
-	putVarint(bw, int64(k.Pending))
-	putBool(bw, k.Attr != nil)
-	if k.Attr != nil {
-		putUvarint(bw, uint64(len(k.Attr)))
-		for _, v := range k.Attr {
-			putUvarint(bw, uint64(v))
+// sections codes a checkpoint one section at a time. nodes and
+// contexts are fixed by the fingerprint and bound later sections; txns
+// is the decoded transaction table, by ID.
+type sections struct {
+	c               *wire.Codec
+	nodes, contexts int
+	txns            map[int64]*cohsim.Transaction
+}
+
+func (s *sections) checkpoint(ck *Checkpoint) {
+	c := s.c
+	c.Header(Magic, Version)
+	s.fingerprint(&ck.FP)
+	wire.Uvarint(c, &ck.PNow, maxTime, "cycle")
+	wire.Uvarint(c, &ck.WindowStart, maxTime, "window origin")
+	wire.Uvarint(c, &ck.ChunkDone, maxTime, "chunk offset")
+	wire.Uvarint(c, &ck.KSWindow.Ticked, maxTime, "window ticked")
+	wire.Uvarint(c, &ck.KSWindow.Skipped, maxTime, "window skipped")
+	s.kernel(&ck.Kernel)
+	s.txnTable(ck)
+	wire.Slice(c, &ck.Procs, s.nodes, s.nodes, "processor count", s.proc)
+	s.proto(&ck.Proto)
+	s.net(&ck.Net)
+	optional(c, &ck.LinkFaults, "link-fault presence", func(lf *faults.LinkFaultsState) {
+		wire.Slice(c, &lf.Links, 0, maxChannels, "link count", func(_ int, l *faults.LinkState) {
+			c.Word(&l.RNG, "link RNG state")
+			wire.Varint(c, &l.Start, math.MinInt64, math.MaxInt64, "fault start")
+			wire.Varint(c, &l.End, math.MinInt64, math.MaxInt64, "fault end")
+			c.Bool(&l.Init, "link initialized")
+		})
+		wire.Uvarint(c, &lf.DownCycles, maxTime, "down cycles")
+		wire.Uvarint(c, &lf.FaultCount, maxTime, "fault count")
+	})
+	optional(c, &ck.LossCoin, "loss-coin presence", func(co *faults.CoinState) {
+		c.Word(&co.RNG, "coin RNG state")
+		wire.Uvarint(c, &co.Heads, maxTime, "coin heads")
+		wire.Uvarint(c, &co.Total, maxTime, "coin total")
+	})
+	optional(c, &ck.Slicer, "slicer presence", func(sl *SlicerState) {
+		wire.Varint(c, &sl.Next, math.MinInt64, math.MaxInt64, "slice boundary")
+		for i := range sl.Prev {
+			wire.Varint(c, &sl.Prev[i], math.MinInt64, math.MaxInt64, "slice origin")
 		}
-		putUvarint(bw, uint64(k.AttrNone))
-	}
+	})
+}
 
-	putUvarint(bw, uint64(len(txns)))
-	for _, t := range txns {
-		writeTxn(bw, t.State())
-	}
-
-	putUvarint(bw, uint64(len(c.Procs)))
-	for i := range c.Procs {
-		writeProc(bw, &c.Procs[i])
-	}
-	writeProto(bw, &c.Proto, ref)
-	if err := writeNet(bw, &c.Net, ref); err != nil {
-		return err
-	}
-
-	putBool(bw, c.LinkFaults != nil)
-	if lf := c.LinkFaults; lf != nil {
-		putUvarint(bw, uint64(len(lf.Links)))
-		for _, l := range lf.Links {
-			putU64(bw, l.RNG)
-			putVarint(bw, l.Start)
-			putVarint(bw, l.End)
-			putBool(bw, l.Init)
+// optional codes a presence flag for *p and, when it is set, the value
+// through body; decoding allocates the value.
+func optional[T any](c *wire.Codec, p **T, what string, body func(*T)) {
+	present := *p != nil
+	c.Bool(&present, what)
+	if present && c.Err() == nil {
+		if c.Decoding() {
+			*p = new(T)
 		}
-		putUvarint(bw, uint64(lf.DownCycles))
-		putUvarint(bw, uint64(lf.FaultCount))
+		body(*p)
 	}
-	putBool(bw, c.LossCoin != nil)
-	if co := c.LossCoin; co != nil {
-		putU64(bw, co.RNG)
-		putUvarint(bw, uint64(co.Heads))
-		putUvarint(bw, uint64(co.Total))
+}
+
+// fingerprint also fixes the node and context counts. The placement
+// must cover every node, which is checked as soon as its length is
+// coded, so a header declaring a huge machine cannot make Read allocate
+// per-node state the input does not back.
+func (s *sections) fingerprint(f *Fingerprint) {
+	c := s.c
+	wire.Uvarint(c, &f.Radix, maxRadix, "radix")
+	wire.Uvarint(c, &f.Dims, maxDims, "dims")
+	wire.Uvarint(c, &f.Contexts, maxContexts, "contexts")
+	c.String(&f.MappingName, maxNameLen, "mapping name")
+	if c.Err() != nil {
+		return
 	}
-	putBool(bw, c.Slicer != nil)
-	if sl := c.Slicer; sl != nil {
-		putVarint(bw, sl.Next)
-		for _, v := range sl.Prev {
-			putVarint(bw, v)
+	nodes, err := f.Nodes()
+	if err == nil && f.Contexts < 1 {
+		err = fmt.Errorf("checkpoint: context count %d, must be ≥ 1", f.Contexts)
+	}
+	if err != nil {
+		c.Fail(err)
+		return
+	}
+	wire.Slice(c, &f.Place, nodes, nodes, "placement length", func(_ int, p *int) {
+		wire.Uvarint(c, p, nodes-1, "placement entry")
+	})
+	if c.Err() != nil {
+		return
+	}
+	s.nodes, s.contexts = nodes, f.Contexts
+	wire.Uvarint(c, &f.SwitchTime, maxEntries, "switch time")
+	wire.Uvarint(c, &f.HitLatency, maxEntries, "hit latency")
+	wire.Uvarint(c, &f.ClockRatio, maxEntries, "clock ratio")
+	wire.Uvarint(c, &f.BufferDepth, maxEntries, "buffer depth")
+	wire.Uvarint(c, &f.CacheLines, maxEntries, "cache lines")
+	wire.Uvarint(c, &f.LineSize, maxEntries, "line size")
+	wire.Uvarint(c, &f.HWPointers, maxEntries, "hardware pointers")
+	wire.Uvarint(c, &f.LocalDelay, maxEntries, "local delay")
+	wire.Uvarint(c, &f.ReadCompute, maxEntries, "read compute")
+	wire.Uvarint(c, &f.WriteCompute, maxEntries, "write compute")
+	c.String(&f.Workload, maxNameLen, "workload identity")
+	wire.Uvarint(c, &f.ReqLatency, maxEntries, "request latency")
+	wire.Uvarint(c, &f.DirLatency, maxEntries, "directory latency")
+	wire.Uvarint(c, &f.MemLatency, maxEntries, "memory latency")
+	wire.Uvarint(c, &f.CacheRespLatency, maxEntries, "cache response latency")
+	wire.Uvarint(c, &f.FillLatency, maxEntries, "fill latency")
+	wire.Uvarint(c, &f.SWTrapLatency, maxEntries, "software trap latency")
+	wire.Uvarint(c, &f.RetryTimeout, maxEntries, "retry timeout")
+	c.String(&f.FaultSpec, maxNameLen, "fault spec")
+	wire.Byte(c, &f.Kernel, 1, "kernel mode")
+	wire.Uvarint(c, &f.SliceEvery, maxTime, "slice interval")
+}
+
+func (s *sections) kernel(k *sim.KernelState) {
+	c := s.c
+	wire.Varint(c, &k.Now, math.MinInt64, math.MaxInt64, "kernel clock")
+	wire.Uvarint(c, &k.Stats.Ticked, maxTime, "kernel ticked")
+	wire.Uvarint(c, &k.Stats.Skipped, maxTime, "kernel skipped")
+	wire.Varint(c, &k.Pending, -1, s.nodes+8, "kernel pending charge")
+	present := k.Attr != nil
+	c.Bool(&present, "attribution presence")
+	if present {
+		wire.Slice(c, &k.Attr, 0, s.nodes+8, "attribution length", func(_ int, v *int64) {
+			wire.Uvarint(c, v, maxTime, "attribution charge")
+		})
+		wire.Uvarint(c, &k.AttrNone, maxTime, "unattributed charge")
+	}
+}
+
+// txnTable codes the transaction table. Write builds it from the
+// transactions collectTxns finds; Read rebuilds one Transaction per
+// entry, for ref to hand out by ID.
+func (s *sections) txnTable(ck *Checkpoint) {
+	c := s.c
+	var table []cohsim.TxnState
+	if !c.Decoding() {
+		txns, err := collectTxns(ck)
+		if err != nil {
+			c.Fail(err)
+			return
+		}
+		table = make([]cohsim.TxnState, len(txns))
+		for i, t := range txns {
+			table[i] = t.State()
 		}
 	}
-	return bw.Flush()
+	wire.Slice(c, &table, 0, maxTxns, "transaction table length", func(i int, t *cohsim.TxnState) {
+		wire.Uvarint(c, &t.ID, maxTime, "transaction ID")
+		if t.ID < 1 || i > 0 && t.ID <= table[i-1].ID {
+			c.Failf("transaction table not strictly ascending from ID 1 at entry %d", i)
+		}
+		wire.Uvarint(c, &t.Node, s.nodes-1, "transaction node")
+		wire.Uvarint(c, &t.Addr, math.MaxUint64, "transaction address")
+		c.Bool(&t.Write, "transaction write")
+		wire.Varint(c, &t.Started, math.MinInt64, math.MaxInt64, "transaction start")
+		wire.Varint(c, &t.Completed, math.MinInt64, math.MaxInt64, "transaction completion")
+		wire.Uvarint(c, &t.NetMessages, maxMessages, "transaction message count")
+		wire.Uvarint(c, &t.Retries, maxEvents, "transaction retries")
+		c.Bool(&t.Done, "transaction done")
+		wire.Slice(c, &t.Waiters, 0, s.contexts, "waiter count", func(_ int, w *int) {
+			wire.Uvarint(c, w, s.contexts-1, "waiter thread")
+		})
+		c.Bool(&t.PendingWrite, "transaction pending write")
+		wire.Varint(c, &t.Epoch, 0, math.MaxInt32, "transaction epoch")
+	})
+	if c.Decoding() {
+		s.txns = make(map[int64]*cohsim.Transaction, len(table))
+		for _, t := range table {
+			s.txns[t.ID] = cohsim.NewTransactionFromState(t)
+		}
+	}
 }
 
 // collectTxns gathers every transaction reachable from the checkpoint —
@@ -141,9 +274,6 @@ func collectTxns(c *Checkpoint) ([]*cohsim.Transaction, error) {
 	add := func(t *cohsim.Transaction) error {
 		if t == nil {
 			return nil
-		}
-		if t.ID < 1 {
-			return fmt.Errorf("checkpoint: transaction ID %d, must be ≥ 1", t.ID)
 		}
 		if prev, ok := byID[t.ID]; ok {
 			if prev != t {
@@ -188,98 +318,57 @@ func collectTxns(c *Checkpoint) ([]*cohsim.Transaction, error) {
 		}
 	}
 	sort.Slice(list, func(a, b int) bool { return list[a].ID < list[b].ID })
-	if len(list) > maxTxns {
-		return nil, fmt.Errorf("checkpoint: %d live transactions exceed cap %d", len(list), maxTxns)
-	}
 	return list, nil
 }
 
-func writeFingerprint(bw *bufio.Writer, f *Fingerprint) {
-	putUvarint(bw, uint64(f.Radix))
-	putUvarint(bw, uint64(f.Dims))
-	putUvarint(bw, uint64(f.Contexts))
-	putString(bw, f.MappingName)
-	putUvarint(bw, uint64(len(f.Place)))
-	for _, node := range f.Place {
-		putUvarint(bw, uint64(node))
+// ref codes a transaction reference as its ID, 0 for nil.
+func (s *sections) ref(t **cohsim.Transaction, what string) {
+	var id int64
+	if *t != nil {
+		id = (*t).ID
 	}
-	putUvarint(bw, uint64(f.SwitchTime))
-	putUvarint(bw, uint64(f.HitLatency))
-	putUvarint(bw, uint64(f.ClockRatio))
-	putUvarint(bw, uint64(f.BufferDepth))
-	putUvarint(bw, uint64(f.CacheLines))
-	putUvarint(bw, uint64(f.LineSize))
-	putUvarint(bw, uint64(f.HWPointers))
-	putUvarint(bw, uint64(f.LocalDelay))
-	putUvarint(bw, uint64(f.ReadCompute))
-	putUvarint(bw, uint64(f.WriteCompute))
-	putString(bw, f.Workload)
-	putUvarint(bw, uint64(f.ReqLatency))
-	putUvarint(bw, uint64(f.DirLatency))
-	putUvarint(bw, uint64(f.MemLatency))
-	putUvarint(bw, uint64(f.CacheRespLatency))
-	putUvarint(bw, uint64(f.FillLatency))
-	putUvarint(bw, uint64(f.SWTrapLatency))
-	putUvarint(bw, uint64(f.RetryTimeout))
-	putString(bw, f.FaultSpec)
-	bw.WriteByte(f.Kernel)
-	putUvarint(bw, uint64(f.SliceEvery))
-}
-
-func writeTxn(bw *bufio.Writer, t cohsim.TxnState) {
-	putUvarint(bw, uint64(t.ID))
-	putUvarint(bw, uint64(t.Node))
-	putUvarint(bw, t.Addr)
-	putBool(bw, t.Write)
-	putVarint(bw, t.Started)
-	putVarint(bw, t.Completed)
-	putUvarint(bw, uint64(t.NetMessages))
-	putUvarint(bw, uint64(t.Retries))
-	putBool(bw, t.Done)
-	putUvarint(bw, uint64(len(t.Waiters)))
-	for _, w := range t.Waiters {
-		putUvarint(bw, uint64(w))
+	wire.Uvarint(s.c, &id, maxTime, what)
+	if id != 0 && s.c.Decoding() {
+		if *t = s.txns[id]; *t == nil {
+			s.c.Failf("%s references unknown transaction %d", what, id)
+		}
 	}
-	putBool(bw, t.PendingWrite)
-	putVarint(bw, int64(t.Epoch))
 }
 
-func writeOp(bw *bufio.Writer, op procsim.Op) {
-	bw.WriteByte(byte(op.Kind))
-	putUvarint(bw, uint64(op.Cycles))
-	putUvarint(bw, op.Addr)
-}
-
-func writeProc(bw *bufio.Writer, p *procsim.CheckpointState) {
-	putUvarint(bw, uint64(len(p.Ctxs)))
-	for i := range p.Ctxs {
-		cs := &p.Ctxs[i]
-		bw.WriteByte(cs.State)
-		putBool(bw, cs.HasPending)
+func (s *sections) proc(_ int, p *procsim.CheckpointState) {
+	c := s.c
+	wire.Slice(c, &p.Ctxs, s.contexts, s.contexts, "context count", func(_ int, cs *procsim.ContextState) {
+		wire.Byte(c, &cs.State, math.MaxUint8, "context state")
+		c.Bool(&cs.HasPending, "pending-op presence")
 		if cs.HasPending {
-			writeOp(bw, cs.Pending)
+			s.op(&cs.Pending)
 		}
-		putBool(bw, cs.HasLook)
+		c.Bool(&cs.HasLook, "lookahead presence")
 		if cs.HasLook {
-			writeOp(bw, cs.Look)
+			s.op(&cs.Look)
 		}
-		putUvarint(bw, uint64(cs.Remaining))
-		putUvarint(bw, uint64(len(cs.WBPending)))
-		for _, addr := range cs.WBPending {
-			putUvarint(bw, addr)
-		}
-		putUvarint(bw, uint64(cs.Fetched))
-	}
-	putUvarint(bw, uint64(p.Cur))
-	putUvarint(bw, uint64(p.SwitchLeft))
-	putVarint(bw, p.LastTick)
-	putUvarint(bw, uint64(p.Busy))
-	putUvarint(bw, uint64(p.Switching))
-	putUvarint(bw, uint64(p.Idle))
-	putUvarint(bw, uint64(p.Accesses))
-	putUvarint(bw, uint64(p.Misses))
-	putUvarint(bw, uint64(p.Prefetches))
-	putUvarint(bw, uint64(p.WriteBehinds))
+		wire.Uvarint(c, &cs.Remaining, maxEntries, "burst remainder")
+		wire.Slice(c, &cs.WBPending, 0, maxQueue, "write-behind count", func(_ int, addr *uint64) {
+			wire.Uvarint(c, addr, math.MaxUint64, "write-behind address")
+		})
+		wire.Uvarint(c, &cs.Fetched, maxTime, "fetch count")
+	})
+	wire.Uvarint(c, &p.Cur, maxContexts, "scheduled context")
+	wire.Uvarint(c, &p.SwitchLeft, maxEntries, "switch countdown")
+	wire.Varint(c, &p.LastTick, math.MinInt64, math.MaxInt64, "last tick")
+	wire.Uvarint(c, &p.Busy, maxTime, "busy cycles")
+	wire.Uvarint(c, &p.Switching, maxTime, "switch cycles")
+	wire.Uvarint(c, &p.Idle, maxTime, "idle cycles")
+	wire.Uvarint(c, &p.Accesses, maxTime, "access count")
+	wire.Uvarint(c, &p.Misses, maxTime, "miss count")
+	wire.Uvarint(c, &p.Prefetches, maxTime, "prefetch count")
+	wire.Uvarint(c, &p.WriteBehinds, maxTime, "write-behind total")
+}
+
+func (s *sections) op(op *procsim.Op) {
+	wire.Byte(s.c, &op.Kind, procsim.OpHalt, "op kind")
+	wire.Uvarint(s.c, &op.Cycles, 1<<32, "op cycles")
+	wire.Uvarint(s.c, &op.Addr, math.MaxUint64, "op address")
 }
 
 // protoNodeZero reports whether a node carries no serializable
@@ -289,1341 +378,211 @@ func protoNodeZero(n *cohsim.NodeState) bool {
 	return n.Cache.Zero() && len(n.Dir) == 0 && len(n.MSHR) == 0
 }
 
-func writeProto(bw *bufio.Writer, p *cohsim.CheckpointState, ref func(*cohsim.Transaction) uint64) {
+func (s *sections) proto(p *cohsim.CheckpointState) {
+	c := s.c
 	// The node section is sparse: only nodes with non-zero state appear,
-	// index-tagged, in ascending order (Nodes itself is dense in memory,
-	// so iteration order gives ascending indices for free).
-	nz := 0
-	for i := range p.Nodes {
-		if !protoNodeZero(&p.Nodes[i]) {
-			nz++
-		}
-	}
-	putUvarint(bw, uint64(nz))
-	for i := range p.Nodes {
-		n := &p.Nodes[i]
-		if protoNodeZero(n) {
-			continue
-		}
-		putUvarint(bw, uint64(i))
-		putUvarint(bw, uint64(len(n.Cache.Lines)))
-		for _, ln := range n.Cache.Lines {
-			putUvarint(bw, uint64(ln.Index))
-			putUvarint(bw, ln.Tag)
-			bw.WriteByte(byte(ln.State))
-		}
-		putUvarint(bw, uint64(n.Cache.Hits))
-		putUvarint(bw, uint64(n.Cache.Misses))
-		putUvarint(bw, uint64(n.Cache.Evictions))
-		putUvarint(bw, uint64(len(n.Dir)))
-		for _, de := range n.Dir {
-			putUvarint(bw, de.Addr)
-			bw.WriteByte(de.State)
-			putUvarint(bw, uint64(len(de.Sharers)))
-			for _, sh := range de.Sharers {
-				putUvarint(bw, uint64(sh))
-			}
-			putVarint(bw, int64(de.Owner))
-			bw.WriteByte(de.Busy)
-			putUvarint(bw, uint64(len(de.PendingInv)))
-			for _, pi := range de.PendingInv {
-				putUvarint(bw, uint64(pi))
-			}
-			putUvarint(bw, uint64(de.OpSeq))
-			putVarint(bw, int64(de.Requester))
-			putUvarint(bw, ref(de.Txn))
-			putUvarint(bw, uint64(len(de.Queue)))
-			for _, q := range de.Queue {
-				bw.WriteByte(q.Kind)
-				putUvarint(bw, uint64(q.From))
-				putUvarint(bw, ref(q.Txn))
-			}
-		}
-		putUvarint(bw, uint64(len(n.MSHR)))
-		for _, ms := range n.MSHR {
-			putUvarint(bw, ms.Addr)
-			putUvarint(bw, ref(ms.Txn))
-		}
-	}
-	putUvarint(bw, uint64(len(p.Events)))
-	for _, e := range p.Events {
-		putVarint(bw, e.Due)
-		putUvarint(bw, uint64(e.Seq))
-		a := e.Act
-		bw.WriteByte(a.Kind)
-		putVarint(bw, int64(a.Node))
-		putVarint(bw, int64(a.Peer))
-		bw.WriteByte(a.MsgKind)
-		putUvarint(bw, a.Addr)
-		putUvarint(bw, ref(a.Txn))
-		putVarint(bw, a.Seq)
-		putVarint(bw, int64(a.Epoch))
-		putUvarint(bw, uint64(a.Attempt))
-		putUvarint(bw, uint64(a.Size))
-	}
-	putUvarint(bw, uint64(p.Seq))
-	putUvarint(bw, uint64(p.TxnSeq))
-	putVarint(bw, p.Now)
-	putUvarint(bw, uint64(len(p.NextSend)))
-	for _, v := range p.NextSend {
-		putVarint(bw, v)
-	}
-	putUvarint(bw, uint64(p.Transactions))
-	putMean(bw, p.TxnLatency)
-	putMean(bw, p.TxnMsgs)
-	putUvarint(bw, uint64(p.NetMessages))
-	putUvarint(bw, uint64(len(p.KindCounts)))
-	for _, v := range p.KindCounts {
-		putUvarint(bw, uint64(v))
-	}
-	putUvarint(bw, uint64(p.SWTraps))
-	putUvarint(bw, uint64(p.ReadMisses))
-	putUvarint(bw, uint64(p.WriteMisses))
-	putUvarint(bw, uint64(p.Retries))
-	putUvarint(bw, uint64(p.HomeRetries))
-	putUvarint(bw, uint64(p.Dropped))
-}
-
-func writeNet(bw *bufio.Writer, n *netsim.CheckpointState, ref func(*cohsim.Transaction) uint64) error {
-	putUvarint(bw, uint64(len(n.Messages)))
-	for i := range n.Messages {
-		ms := &n.Messages[i]
-		msg, ok := ms.Payload.(cohsim.Msg)
-		if !ok {
-			return fmt.Errorf("checkpoint: message %d payload is %T, want cohsim.Msg", i, ms.Payload)
-		}
-		putUvarint(bw, uint64(ms.Src))
-		putUvarint(bw, uint64(ms.Dst))
-		putUvarint(bw, uint64(ms.Size))
-		bw.WriteByte(byte(msg.Kind))
-		putUvarint(bw, msg.Addr)
-		putUvarint(bw, uint64(msg.From))
-		putUvarint(bw, ref(msg.Txn))
-		putVarint(bw, msg.Seq)
-		putVarint(bw, ms.EnqueuedAt)
-		putVarint(bw, ms.InjectedAt)
-		putVarint(bw, ms.DeliveredAt)
-		putUvarint(bw, uint64(ms.Hops))
-		putUvarint(bw, uint64(ms.Remaining))
-		putVarint(bw, int64(ms.CurDim))
-		putUvarint(bw, uint64(ms.VCClass))
-	}
-	putUvarint(bw, uint64(len(n.Routers)))
-	for i := range n.Routers {
-		r := &n.Routers[i]
-		putUvarint(bw, uint64(r.Index))
-		putUvarint(bw, uint64(len(r.Inputs)))
-		for _, flits := range r.Inputs {
-			putUvarint(bw, uint64(len(flits)))
-			for _, f := range flits {
-				putUvarint(bw, uint64(f.Msg))
-				putUvarint(bw, uint64(f.Seq))
-				putVarint(bw, f.ArrivedAt)
-			}
-		}
-		putUvarint(bw, uint64(len(r.Owner)))
-		for _, o := range r.Owner {
-			putVarint(bw, int64(o))
-		}
-		putUvarint(bw, uint64(len(r.OwnerInput)))
-		for _, v := range r.OwnerInput {
-			putUvarint(bw, uint64(v))
-		}
-		putUvarint(bw, uint64(len(r.LastGranted)))
-		for _, v := range r.LastGranted {
-			putUvarint(bw, uint64(v))
-		}
-		putUvarint(bw, uint64(len(r.LastVC)))
-		for _, v := range r.LastVC {
-			putUvarint(bw, uint64(v))
-		}
-	}
-	putUvarint(bw, uint64(len(n.InjectQ)))
-	for _, q := range n.InjectQ {
-		putUvarint(bw, uint64(q.Node))
-		putUvarint(bw, uint64(len(q.Msgs)))
-		for _, idx := range q.Msgs {
-			putUvarint(bw, uint64(idx))
-		}
-	}
-	putUvarint(bw, uint64(len(n.Local)))
-	for _, e := range n.Local {
-		putUvarint(bw, uint64(e.Msg))
-		putVarint(bw, e.Due)
-	}
-	putVarint(bw, n.Now)
-	putVarint(bw, n.LastProgress)
-	putUvarint(bw, uint64(n.FlitsIn))
-	putUvarint(bw, uint64(n.FlitsOut))
-	putVarint(bw, n.StatsSince)
-	putUvarint(bw, uint64(n.Injected))
-	putUvarint(bw, uint64(n.Delivered))
-	putUvarint(bw, uint64(n.FlitHops))
-	putUvarint(bw, uint64(n.FaultStalls))
-	putMean(bw, n.Latency)
-	putMean(bw, n.NetLatency)
-	putMean(bw, n.Hops)
-	putMean(bw, n.Sizes)
-	return nil
-}
-
-// WriteFile writes the checkpoint to path.
-func WriteFile(path string, c *Checkpoint) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := Write(f, c); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func putUvarint(bw *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	bw.Write(buf[:n]) // bufio defers errors to Flush
-}
-
-func putVarint(bw *bufio.Writer, v int64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
-	bw.Write(buf[:n])
-}
-
-func putBool(bw *bufio.Writer, b bool) {
-	if b {
-		bw.WriteByte(1)
+	// index-tagged, in ascending order. Nodes itself is dense in memory.
+	count := 0
+	if c.Decoding() {
+		p.Nodes = make([]cohsim.NodeState, s.nodes)
 	} else {
-		bw.WriteByte(0)
-	}
-}
-
-func putU64(bw *bufio.Writer, v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	bw.Write(buf[:])
-}
-
-func putFloat(bw *bufio.Writer, f float64) {
-	putU64(bw, math.Float64bits(f))
-}
-
-func putString(bw *bufio.Writer, s string) {
-	putUvarint(bw, uint64(len(s)))
-	bw.WriteString(s)
-}
-
-func putMean(bw *bufio.Writer, m stats.MeanState) {
-	putUvarint(bw, uint64(m.N))
-	putFloat(bw, m.Mean)
-	putFloat(bw, m.M2)
-	putFloat(bw, m.Min)
-	putFloat(bw, m.Max)
-}
-
-// decoder wraps the input with the bounds checking the hostile-input
-// contract requires.
-type decoder struct {
-	r *bufio.Reader
-}
-
-func (d *decoder) uvarint(what string) (uint64, error) {
-	v, err := binary.ReadUvarint(d.r)
-	if err != nil {
-		return 0, fmt.Errorf("checkpoint: reading %s: %w", what, err)
-	}
-	return v, nil
-}
-
-func (d *decoder) varint(what string) (int64, error) {
-	v, err := binary.ReadVarint(d.r)
-	if err != nil {
-		return 0, fmt.Errorf("checkpoint: reading %s: %w", what, err)
-	}
-	return v, nil
-}
-
-// count reads a varint and bounds it; max guards allocation size.
-func (d *decoder) count(what string, max int) (int, error) {
-	v, err := d.uvarint(what)
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(max) {
-		return 0, fmt.Errorf("checkpoint: %s %d exceeds cap %d", what, v, max)
-	}
-	return int(v), nil
-}
-
-// i64 reads an unsigned quantity that lands in an int64 field.
-func (d *decoder) i64(what string) (int64, error) {
-	v, err := d.uvarint(what)
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(maxTime) {
-		return 0, fmt.Errorf("checkpoint: absurd %s %d", what, v)
-	}
-	return int64(v), nil
-}
-
-func (d *decoder) byteVal(what string) (byte, error) {
-	b, err := d.r.ReadByte()
-	if err != nil {
-		return 0, fmt.Errorf("checkpoint: reading %s: %w", what, err)
-	}
-	return b, nil
-}
-
-func (d *decoder) boolVal(what string) (bool, error) {
-	b, err := d.byteVal(what)
-	if err != nil {
-		return false, err
-	}
-	if b > 1 {
-		return false, fmt.Errorf("checkpoint: %s flag %d, want 0 or 1", what, b)
-	}
-	return b == 1, nil
-}
-
-func (d *decoder) u64(what string) (uint64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(d.r, buf[:]); err != nil {
-		return 0, fmt.Errorf("checkpoint: reading %s: %w", what, err)
-	}
-	return binary.LittleEndian.Uint64(buf[:]), nil
-}
-
-func (d *decoder) float(what string) (float64, error) {
-	v, err := d.u64(what)
-	if err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(v), nil
-}
-
-func (d *decoder) str(what string, max int) (string, error) {
-	n, err := d.count(what+" length", max)
-	if err != nil {
-		return "", err
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(d.r, buf); err != nil {
-		return "", fmt.Errorf("checkpoint: reading %s: %w", what, err)
-	}
-	return string(buf), nil
-}
-
-func (d *decoder) mean(what string) (stats.MeanState, error) {
-	var m stats.MeanState
-	var err error
-	if m.N, err = d.i64(what + " count"); err != nil {
-		return m, err
-	}
-	if m.Mean, err = d.float(what + " mean"); err != nil {
-		return m, err
-	}
-	if m.M2, err = d.float(what + " M2"); err != nil {
-		return m, err
-	}
-	if m.Min, err = d.float(what + " min"); err != nil {
-		return m, err
-	}
-	if m.Max, err = d.float(what + " max"); err != nil {
-		return m, err
-	}
-	return m, nil
-}
-
-func (d *decoder) op(what string) (procsim.Op, error) {
-	var op procsim.Op
-	kind, err := d.byteVal(what + " kind")
-	if err != nil {
-		return op, err
-	}
-	if kind > byte(procsim.OpHalt) {
-		return op, fmt.Errorf("checkpoint: %s kind %d invalid", what, kind)
-	}
-	op.Kind = procsim.OpKind(kind)
-	cycles, err := d.count(what+" cycles", 1<<32)
-	if err != nil {
-		return op, err
-	}
-	op.Cycles = cycles
-	if op.Addr, err = d.uvarint(what + " address"); err != nil {
-		return op, err
-	}
-	return op, nil
-}
-
-// Read decodes a checkpoint from r, validating every structural
-// invariant. It never trusts a declared count for more than an
-// incremental allocation, so truncated, corrupt, or adversarial
-// inputs fail with an error rather than a panic or a huge allocation.
-func Read(r io.Reader) (*Checkpoint, error) {
-	d := &decoder{r: bufio.NewReader(r)}
-	var magic [len(Magic)]byte
-	if _, err := io.ReadFull(d.r, magic[:]); err != nil {
-		return nil, fmt.Errorf("checkpoint: reading magic: %w", err)
-	}
-	if string(magic[:]) != Magic {
-		return nil, fmt.Errorf("checkpoint: bad magic %q (want %q)", magic[:], Magic)
-	}
-	version, err := d.r.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: reading version: %w", err)
-	}
-	if version != Version {
-		return nil, fmt.Errorf("checkpoint: unsupported version %d (want %d)", version, Version)
-	}
-
-	c := &Checkpoint{}
-	nodes, err := d.readFingerprint(&c.FP)
-	if err != nil {
-		return nil, err
-	}
-
-	if c.PNow, err = d.i64("cycle"); err != nil {
-		return nil, err
-	}
-	if c.WindowStart, err = d.i64("window origin"); err != nil {
-		return nil, err
-	}
-	if c.ChunkDone, err = d.i64("chunk offset"); err != nil {
-		return nil, err
-	}
-	if c.KSWindow.Ticked, err = d.i64("window ticked"); err != nil {
-		return nil, err
-	}
-	if c.KSWindow.Skipped, err = d.i64("window skipped"); err != nil {
-		return nil, err
-	}
-
-	if c.Kernel.Now, err = d.varint("kernel clock"); err != nil {
-		return nil, err
-	}
-	if c.Kernel.Stats.Ticked, err = d.i64("kernel ticked"); err != nil {
-		return nil, err
-	}
-	if c.Kernel.Stats.Skipped, err = d.i64("kernel skipped"); err != nil {
-		return nil, err
-	}
-	pending, err := d.varint("kernel pending charge")
-	if err != nil {
-		return nil, err
-	}
-	if pending < -1 || pending > int64(nodes)+8 {
-		return nil, fmt.Errorf("checkpoint: kernel pending charge %d out of range", pending)
-	}
-	c.Kernel.Pending = int(pending)
-	hasAttr, err := d.boolVal("attribution presence")
-	if err != nil {
-		return nil, err
-	}
-	if hasAttr {
-		n, err := d.count("attribution length", nodes+8)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			v, err := d.i64("attribution charge")
-			if err != nil {
-				return nil, err
-			}
-			c.Kernel.Attr = append(c.Kernel.Attr, v)
-		}
-		if c.Kernel.AttrNone, err = d.i64("unattributed charge"); err != nil {
-			return nil, err
-		}
-	}
-
-	txnCount, err := d.count("transaction table length", maxTxns)
-	if err != nil {
-		return nil, err
-	}
-	byID := make(map[int64]*cohsim.Transaction)
-	prevID := int64(0)
-	for i := 0; i < txnCount; i++ {
-		t, err := d.readTxn(nodes, c.FP.Contexts)
-		if err != nil {
-			return nil, err
-		}
-		if t.ID <= prevID {
-			return nil, fmt.Errorf("checkpoint: transaction table not strictly ascending at entry %d", i)
-		}
-		prevID = t.ID
-		byID[t.ID] = cohsim.NewTransactionFromState(t)
-	}
-	txn := func(what string) (*cohsim.Transaction, error) {
-		id, err := d.i64(what)
-		if err != nil {
-			return nil, err
-		}
-		if id == 0 {
-			return nil, nil
-		}
-		t, ok := byID[id]
-		if !ok {
-			return nil, fmt.Errorf("checkpoint: %s references unknown transaction %d", what, id)
-		}
-		return t, nil
-	}
-
-	procCount, err := d.count("processor count", maxNodes)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < procCount; i++ {
-		ps, err := d.readProc(c.FP.Contexts)
-		if err != nil {
-			return nil, err
-		}
-		c.Procs = append(c.Procs, ps)
-	}
-	if err := d.readProto(&c.Proto, nodes, txn); err != nil {
-		return nil, err
-	}
-	if err := d.readNet(&c.Net, nodes, txn); err != nil {
-		return nil, err
-	}
-
-	hasLF, err := d.boolVal("link-fault presence")
-	if err != nil {
-		return nil, err
-	}
-	if hasLF {
-		lf := &faults.LinkFaultsState{}
-		n, err := d.count("link count", maxChannels)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			var l faults.LinkState
-			if l.RNG, err = d.u64("link RNG state"); err != nil {
-				return nil, err
-			}
-			if l.Start, err = d.varint("fault start"); err != nil {
-				return nil, err
-			}
-			if l.End, err = d.varint("fault end"); err != nil {
-				return nil, err
-			}
-			if l.Init, err = d.boolVal("link initialized"); err != nil {
-				return nil, err
-			}
-			lf.Links = append(lf.Links, l)
-		}
-		if lf.DownCycles, err = d.i64("down cycles"); err != nil {
-			return nil, err
-		}
-		if lf.FaultCount, err = d.i64("fault count"); err != nil {
-			return nil, err
-		}
-		c.LinkFaults = lf
-	}
-	hasCoin, err := d.boolVal("loss-coin presence")
-	if err != nil {
-		return nil, err
-	}
-	if hasCoin {
-		co := &faults.CoinState{}
-		if co.RNG, err = d.u64("coin RNG state"); err != nil {
-			return nil, err
-		}
-		if co.Heads, err = d.i64("coin heads"); err != nil {
-			return nil, err
-		}
-		if co.Total, err = d.i64("coin total"); err != nil {
-			return nil, err
-		}
-		c.LossCoin = co
-	}
-	hasSlicer, err := d.boolVal("slicer presence")
-	if err != nil {
-		return nil, err
-	}
-	if hasSlicer {
-		sl := &SlicerState{}
-		if sl.Next, err = d.varint("slice boundary"); err != nil {
-			return nil, err
-		}
-		for i := range sl.Prev {
-			if sl.Prev[i], err = d.varint("slice origin"); err != nil {
-				return nil, err
+		for i := range p.Nodes {
+			if !protoNodeZero(&p.Nodes[i]) {
+				count++
 			}
 		}
-		c.Slicer = sl
 	}
-
-	// A well-formed checkpoint ends exactly here.
-	if _, err := d.r.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("checkpoint: trailing bytes after slicer state")
-	}
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-func (d *decoder) readFingerprint(f *Fingerprint) (int, error) {
-	var err error
-	if f.Radix, err = d.count("radix", maxRadix); err != nil {
-		return 0, err
-	}
-	if f.Dims, err = d.count("dims", maxDims); err != nil {
-		return 0, err
-	}
-	if f.Contexts, err = d.count("contexts", maxContexts); err != nil {
-		return 0, err
-	}
-	if f.Contexts < 1 {
-		// Contexts bounds later reads (waiter lists), so reject early.
-		return 0, fmt.Errorf("checkpoint: context count %d, must be ≥ 1", f.Contexts)
-	}
-	if f.MappingName, err = d.str("mapping name", maxNameLen); err != nil {
-		return 0, err
-	}
-	nodes, err := f.Nodes()
-	if err != nil {
-		return 0, err
-	}
-	placeLen, err := d.count("placement length", maxNodes)
-	if err != nil {
-		return 0, err
-	}
-	for i := 0; i < placeLen; i++ {
-		node, err := d.count("placement entry", maxNodes)
-		if err != nil {
-			return 0, err
+	wire.Uvarint(c, &count, s.nodes, "protocol node count")
+	for k, prev := 0, -1; k < count && c.Err() == nil; k++ {
+		i := prev + 1
+		for !c.Decoding() && protoNodeZero(&p.Nodes[i]) {
+			i++
 		}
-		f.Place = append(f.Place, node)
-	}
-	for _, field := range []struct {
-		dst *int
-		str string
-	}{
-		{&f.SwitchTime, "switch time"},
-		{&f.HitLatency, "hit latency"},
-		{&f.ClockRatio, "clock ratio"},
-		{&f.BufferDepth, "buffer depth"},
-		{&f.CacheLines, "cache lines"},
-		{&f.LineSize, "line size"},
-		{&f.HWPointers, "hardware pointers"},
-		{&f.LocalDelay, "local delay"},
-		{&f.ReadCompute, "read compute"},
-		{&f.WriteCompute, "write compute"},
-	} {
-		if *field.dst, err = d.count(field.str, maxEntries); err != nil {
-			return 0, err
+		wire.Uvarint(c, &i, s.nodes-1, "protocol node index")
+		if i <= prev {
+			c.Failf("protocol node indices not strictly ascending at %d", i)
 		}
-	}
-	if f.Workload, err = d.str("workload identity", maxNameLen); err != nil {
-		return 0, err
-	}
-	for _, field := range []struct {
-		dst *int
-		str string
-	}{
-		{&f.ReqLatency, "request latency"},
-		{&f.DirLatency, "directory latency"},
-		{&f.MemLatency, "memory latency"},
-		{&f.CacheRespLatency, "cache response latency"},
-		{&f.FillLatency, "fill latency"},
-		{&f.SWTrapLatency, "software trap latency"},
-		{&f.RetryTimeout, "retry timeout"},
-	} {
-		if *field.dst, err = d.count(field.str, maxEntries); err != nil {
-			return 0, err
+		if c.Err() != nil {
+			return
 		}
+		s.node(i, &p.Nodes[i])
+		prev = i
 	}
-	if f.FaultSpec, err = d.str("fault spec", maxNameLen); err != nil {
-		return 0, err
-	}
-	if f.Kernel, err = d.byteVal("kernel mode"); err != nil {
-		return 0, err
-	}
-	if f.SliceEvery, err = d.i64("slice interval"); err != nil {
-		return 0, err
-	}
-	return nodes, nil
-}
-
-func (d *decoder) readTxn(nodes, contexts int) (cohsim.TxnState, error) {
-	var t cohsim.TxnState
-	var err error
-	if t.ID, err = d.i64("transaction ID"); err != nil {
-		return t, err
-	}
-	if t.ID < 1 {
-		return t, fmt.Errorf("checkpoint: transaction ID %d, must be ≥ 1", t.ID)
-	}
-	if t.Node, err = d.count("transaction node", nodes-1); err != nil {
-		return t, err
-	}
-	if t.Addr, err = d.uvarint("transaction address"); err != nil {
-		return t, err
-	}
-	if t.Write, err = d.boolVal("transaction write"); err != nil {
-		return t, err
-	}
-	if t.Started, err = d.varint("transaction start"); err != nil {
-		return t, err
-	}
-	if t.Completed, err = d.varint("transaction completion"); err != nil {
-		return t, err
-	}
-	if t.NetMessages, err = d.count("transaction message count", maxMessages); err != nil {
-		return t, err
-	}
-	if t.Retries, err = d.count("transaction retries", maxEvents); err != nil {
-		return t, err
-	}
-	if t.Done, err = d.boolVal("transaction done"); err != nil {
-		return t, err
-	}
-	nw, err := d.count("waiter count", contexts)
-	if err != nil {
-		return t, err
-	}
-	for i := 0; i < nw; i++ {
-		w, err := d.count("waiter thread", contexts-1)
-		if err != nil {
-			return t, err
-		}
-		t.Waiters = append(t.Waiters, w)
-	}
-	if t.PendingWrite, err = d.boolVal("transaction pending write"); err != nil {
-		return t, err
-	}
-	epoch, err := d.varint("transaction epoch")
-	if err != nil {
-		return t, err
-	}
-	if epoch < 0 || epoch > int64(^uint32(0)>>1) {
-		return t, fmt.Errorf("checkpoint: transaction epoch %d out of range", epoch)
-	}
-	t.Epoch = int32(epoch)
-	return t, nil
-}
-
-func (d *decoder) readProc(contexts int) (procsim.CheckpointState, error) {
-	var p procsim.CheckpointState
-	nctx, err := d.count("context count", maxContexts)
-	if err != nil {
-		return p, err
-	}
-	for i := 0; i < nctx; i++ {
-		var cs procsim.ContextState
-		if cs.State, err = d.byteVal("context state"); err != nil {
-			return p, err
-		}
-		if cs.HasPending, err = d.boolVal("pending-op presence"); err != nil {
-			return p, err
-		}
-		if cs.HasPending {
-			if cs.Pending, err = d.op("pending op"); err != nil {
-				return p, err
+	wire.Slice(c, &p.Events, 0, maxEvents, "event count", func(i int, e *cohsim.EventState) {
+		wire.Varint(c, &e.Due, math.MinInt64, math.MaxInt64, "event due time")
+		wire.Uvarint(c, &e.Seq, maxTime, "event sequence")
+		if i > 0 {
+			if prev := &p.Events[i-1]; e.Due < prev.Due || e.Due == prev.Due && e.Seq <= prev.Seq {
+				c.Failf("event heap not strictly ascending at entry %d", i)
 			}
 		}
-		if cs.HasLook, err = d.boolVal("lookahead presence"); err != nil {
-			return p, err
-		}
-		if cs.HasLook {
-			if cs.Look, err = d.op("lookahead op"); err != nil {
-				return p, err
-			}
-		}
-		if cs.Remaining, err = d.count("burst remainder", maxEntries); err != nil {
-			return p, err
-		}
-		nwb, err := d.count("write-behind count", maxQueue)
-		if err != nil {
-			return p, err
-		}
-		for j := 0; j < nwb; j++ {
-			addr, err := d.uvarint("write-behind address")
-			if err != nil {
-				return p, err
-			}
-			cs.WBPending = append(cs.WBPending, addr)
-		}
-		if cs.Fetched, err = d.i64("fetch count"); err != nil {
-			return p, err
-		}
-		p.Ctxs = append(p.Ctxs, cs)
-	}
-	if p.Cur, err = d.count("scheduled context", maxContexts); err != nil {
-		return p, err
-	}
-	if p.SwitchLeft, err = d.count("switch countdown", maxEntries); err != nil {
-		return p, err
-	}
-	if p.LastTick, err = d.varint("last tick"); err != nil {
-		return p, err
-	}
-	for _, field := range []struct {
-		dst *int64
-		str string
-	}{
-		{&p.Busy, "busy cycles"},
-		{&p.Switching, "switch cycles"},
-		{&p.Idle, "idle cycles"},
-		{&p.Accesses, "access count"},
-		{&p.Misses, "miss count"},
-		{&p.Prefetches, "prefetch count"},
-		{&p.WriteBehinds, "write-behind count"},
-	} {
-		if *field.dst, err = d.i64(field.str); err != nil {
-			return p, err
-		}
-	}
-	return p, nil
-}
-
-func (d *decoder) readProto(p *cohsim.CheckpointState, nodes int, txn func(string) (*cohsim.Transaction, error)) error {
-	// The wire carries only nodes with non-zero state, index-tagged in
-	// strictly ascending order; the in-memory representation is dense.
-	p.Nodes = make([]cohsim.NodeState, nodes)
-	nodeCount, err := d.count("protocol node count", nodes)
-	if err != nil {
-		return err
-	}
-	prevNode := -1
-	for k := 0; k < nodeCount; k++ {
-		i, err := d.count("protocol node index", nodes-1)
-		if err != nil {
-			return err
-		}
-		if i <= prevNode {
-			return fmt.Errorf("checkpoint: protocol node indices not strictly ascending at %d", i)
-		}
-		prevNode = i
-		ns := &p.Nodes[i]
-		nlines, err := d.count("cache line count", maxEntries)
-		if err != nil {
-			return err
-		}
-		prevFrame := -1
-		for j := 0; j < nlines; j++ {
-			var ln cachesim.LineState
-			if ln.Index, err = d.count("cache frame index", maxEntries); err != nil {
-				return err
-			}
-			if ln.Index <= prevFrame {
-				return fmt.Errorf("checkpoint: cache frames of node %d not strictly ascending at entry %d", i, j)
-			}
-			prevFrame = ln.Index
-			if ln.Tag, err = d.uvarint("cache tag"); err != nil {
-				return err
-			}
-			st, err := d.byteVal("cache line state")
-			if err != nil {
-				return err
-			}
-			ln.State = cachesim.State(st)
-			ns.Cache.Lines = append(ns.Cache.Lines, ln)
-		}
-		if ns.Cache.Hits, err = d.i64("cache hits"); err != nil {
-			return err
-		}
-		if ns.Cache.Misses, err = d.i64("cache misses"); err != nil {
-			return err
-		}
-		if ns.Cache.Evictions, err = d.i64("cache evictions"); err != nil {
-			return err
-		}
-		ndir, err := d.count("directory entry count", maxEntries)
-		if err != nil {
-			return err
-		}
-		prevAddr := uint64(0)
-		for j := 0; j < ndir; j++ {
-			de, err := d.readDirEntry(nodes, txn)
-			if err != nil {
-				return err
-			}
-			if j > 0 && de.Addr <= prevAddr {
-				return fmt.Errorf("checkpoint: directory of node %d not strictly ascending at entry %d", i, j)
-			}
-			prevAddr = de.Addr
-			ns.Dir = append(ns.Dir, de)
-		}
-		nmshr, err := d.count("MSHR count", maxEntries)
-		if err != nil {
-			return err
-		}
-		prevAddr = 0
-		for j := 0; j < nmshr; j++ {
-			var ms cohsim.MSHRState
-			if ms.Addr, err = d.uvarint("MSHR address"); err != nil {
-				return err
-			}
-			if j > 0 && ms.Addr <= prevAddr {
-				return fmt.Errorf("checkpoint: MSHR table of node %d not strictly ascending at entry %d", i, j)
-			}
-			prevAddr = ms.Addr
-			if ms.Txn, err = txn("MSHR transaction"); err != nil {
-				return err
-			}
-			ns.MSHR = append(ns.MSHR, ms)
-		}
-	}
-	nev, err := d.count("event count", maxEvents)
-	if err != nil {
-		return err
-	}
-	prevDue, prevSeq := int64(-1), int64(-1)
-	for i := 0; i < nev; i++ {
-		var e cohsim.EventState
-		if e.Due, err = d.varint("event due time"); err != nil {
-			return err
-		}
-		if e.Seq, err = d.i64("event sequence"); err != nil {
-			return err
-		}
-		if i > 0 && (e.Due < prevDue || (e.Due == prevDue && e.Seq <= prevSeq)) {
-			return fmt.Errorf("checkpoint: event heap not strictly ascending at entry %d", i)
-		}
-		prevDue, prevSeq = e.Due, e.Seq
 		a := &e.Act
-		if a.Kind, err = d.byteVal("action kind"); err != nil {
-			return err
-		}
-		node, err := d.varint("action node")
-		if err != nil {
-			return err
-		}
-		peer, err := d.varint("action peer")
-		if err != nil {
-			return err
-		}
-		if node < -1 || node >= int64(nodes) || peer < -1 || peer >= int64(nodes) {
-			return fmt.Errorf("checkpoint: action endpoints %d→%d out of range", node, peer)
-		}
-		a.Node, a.Peer = int(node), int(peer)
-		if a.MsgKind, err = d.byteVal("action message kind"); err != nil {
-			return err
-		}
-		if a.Addr, err = d.uvarint("action address"); err != nil {
-			return err
-		}
-		if a.Txn, err = txn("action transaction"); err != nil {
-			return err
-		}
-		if a.Seq, err = d.varint("action sequence"); err != nil {
-			return err
-		}
-		epoch, err := d.varint("action epoch")
-		if err != nil {
-			return err
-		}
-		if epoch < 0 || epoch > int64(^uint32(0)>>1) {
-			return fmt.Errorf("checkpoint: action epoch %d out of range", epoch)
-		}
-		a.Epoch = int32(epoch)
-		if a.Attempt, err = d.count("action attempt", maxEvents); err != nil {
-			return err
-		}
-		if a.Size, err = d.count("action size", maxQueue); err != nil {
-			return err
-		}
-		p.Events = append(p.Events, e)
-	}
-	if p.Seq, err = d.i64("protocol sequence"); err != nil {
-		return err
-	}
-	if p.TxnSeq, err = d.i64("transaction sequence"); err != nil {
-		return err
-	}
-	if p.Now, err = d.varint("protocol clock"); err != nil {
-		return err
-	}
-	nsend, err := d.count("send slot count", maxNodes)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < nsend; i++ {
-		v, err := d.varint("send slot")
-		if err != nil {
-			return err
-		}
-		p.NextSend = append(p.NextSend, v)
-	}
-	if p.Transactions, err = d.i64("transaction count"); err != nil {
-		return err
-	}
-	if p.TxnLatency, err = d.mean("transaction latency"); err != nil {
-		return err
-	}
-	if p.TxnMsgs, err = d.mean("transaction messages"); err != nil {
-		return err
-	}
-	if p.NetMessages, err = d.i64("network message count"); err != nil {
-		return err
-	}
-	nkinds, err := d.count("kind counter count", maxCounters)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < nkinds; i++ {
-		v, err := d.i64("kind counter")
-		if err != nil {
-			return err
-		}
-		p.KindCounts = append(p.KindCounts, v)
-	}
-	for _, field := range []struct {
-		dst *int64
-		str string
-	}{
-		{&p.SWTraps, "software traps"},
-		{&p.ReadMisses, "read misses"},
-		{&p.WriteMisses, "write misses"},
-		{&p.Retries, "retries"},
-		{&p.HomeRetries, "home retries"},
-		{&p.Dropped, "dropped messages"},
-	} {
-		if *field.dst, err = d.i64(field.str); err != nil {
-			return err
-		}
-	}
-	return nil
+		wire.Byte(c, &a.Kind, math.MaxUint8, "action kind")
+		wire.Varint(c, &a.Node, -1, s.nodes-1, "action node")
+		wire.Varint(c, &a.Peer, -1, s.nodes-1, "action peer")
+		wire.Byte(c, &a.MsgKind, math.MaxUint8, "action message kind")
+		wire.Uvarint(c, &a.Addr, math.MaxUint64, "action address")
+		s.ref(&a.Txn, "action transaction")
+		wire.Varint(c, &a.Seq, math.MinInt64, math.MaxInt64, "action sequence")
+		wire.Varint(c, &a.Epoch, 0, math.MaxInt32, "action epoch")
+		wire.Uvarint(c, &a.Attempt, maxEvents, "action attempt")
+		wire.Uvarint(c, &a.Size, maxQueue, "action size")
+	})
+	wire.Uvarint(c, &p.Seq, maxTime, "protocol sequence")
+	wire.Uvarint(c, &p.TxnSeq, maxTime, "transaction sequence")
+	wire.Varint(c, &p.Now, math.MinInt64, math.MaxInt64, "protocol clock")
+	wire.Slice(c, &p.NextSend, s.nodes, s.nodes, "send slot count", func(_ int, v *int64) {
+		wire.Varint(c, v, math.MinInt64, math.MaxInt64, "send slot")
+	})
+	wire.Uvarint(c, &p.Transactions, maxTime, "transaction count")
+	s.mean(&p.TxnLatency, "transaction latency")
+	s.mean(&p.TxnMsgs, "transaction messages")
+	wire.Uvarint(c, &p.NetMessages, maxTime, "network message count")
+	wire.Slice(c, &p.KindCounts, 0, maxCounters, "kind counter count", func(_ int, v *int64) {
+		wire.Uvarint(c, v, maxTime, "kind counter")
+	})
+	wire.Uvarint(c, &p.SWTraps, maxTime, "software traps")
+	wire.Uvarint(c, &p.ReadMisses, maxTime, "read misses")
+	wire.Uvarint(c, &p.WriteMisses, maxTime, "write misses")
+	wire.Uvarint(c, &p.Retries, maxTime, "retries")
+	wire.Uvarint(c, &p.HomeRetries, maxTime, "home retries")
+	wire.Uvarint(c, &p.Dropped, maxTime, "dropped messages")
 }
 
-func (d *decoder) readDirEntry(nodes int, txn func(string) (*cohsim.Transaction, error)) (cohsim.DirEntryState, error) {
-	var de cohsim.DirEntryState
-	var err error
-	if de.Addr, err = d.uvarint("directory address"); err != nil {
-		return de, err
-	}
-	if de.State, err = d.byteVal("directory state"); err != nil {
-		return de, err
-	}
-	nsh, err := d.count("sharer count", nodes)
-	if err != nil {
-		return de, err
-	}
-	for i := 0; i < nsh; i++ {
-		sh, err := d.count("sharer", nodes-1)
-		if err != nil {
-			return de, err
+// node codes protocol node i: its cache lines by ascending frame, its
+// directory and MSHR table by ascending address.
+func (s *sections) node(i int, n *cohsim.NodeState) {
+	c := s.c
+	wire.Slice(c, &n.Cache.Lines, 0, maxEntries, "cache line count", func(j int, ln *cachesim.LineState) {
+		wire.Uvarint(c, &ln.Index, maxEntries, "cache frame index")
+		if j > 0 && ln.Index <= n.Cache.Lines[j-1].Index {
+			c.Failf("cache frames of node %d not strictly ascending at entry %d", i, j)
 		}
-		de.Sharers = append(de.Sharers, sh)
-	}
-	owner, err := d.varint("directory owner")
-	if err != nil {
-		return de, err
-	}
-	if owner < -1 || owner >= int64(nodes) {
-		return de, fmt.Errorf("checkpoint: directory owner %d out of range", owner)
-	}
-	de.Owner = int(owner)
-	if de.Busy, err = d.byteVal("directory busy state"); err != nil {
-		return de, err
-	}
-	npi, err := d.count("pending invalidation count", nodes)
-	if err != nil {
-		return de, err
-	}
-	for i := 0; i < npi; i++ {
-		pi, err := d.count("pending invalidation", nodes-1)
-		if err != nil {
-			return de, err
+		wire.Uvarint(c, &ln.Tag, math.MaxUint64, "cache tag")
+		wire.Byte(c, &ln.State, math.MaxUint8, "cache line state")
+	})
+	wire.Uvarint(c, &n.Cache.Hits, maxTime, "cache hits")
+	wire.Uvarint(c, &n.Cache.Misses, maxTime, "cache misses")
+	wire.Uvarint(c, &n.Cache.Evictions, maxTime, "cache evictions")
+	wire.Slice(c, &n.Dir, 0, maxEntries, "directory entry count", func(j int, de *cohsim.DirEntryState) {
+		wire.Uvarint(c, &de.Addr, math.MaxUint64, "directory address")
+		if j > 0 && de.Addr <= n.Dir[j-1].Addr {
+			c.Failf("directory of node %d not strictly ascending at entry %d", i, j)
 		}
-		de.PendingInv = append(de.PendingInv, pi)
-	}
-	if de.OpSeq, err = d.i64("directory operation sequence"); err != nil {
-		return de, err
-	}
-	req, err := d.varint("directory requester")
-	if err != nil {
-		return de, err
-	}
-	if req < -1 || req >= int64(nodes) {
-		return de, fmt.Errorf("checkpoint: directory requester %d out of range", req)
-	}
-	de.Requester = int(req)
-	if de.Txn, err = txn("directory transaction"); err != nil {
-		return de, err
-	}
-	nq, err := d.count("queued request count", maxQueue)
-	if err != nil {
-		return de, err
-	}
-	for i := 0; i < nq; i++ {
-		var q cohsim.QueuedReqState
-		if q.Kind, err = d.byteVal("queued request kind"); err != nil {
-			return de, err
+		wire.Byte(c, &de.State, math.MaxUint8, "directory state")
+		wire.Slice(c, &de.Sharers, 0, s.nodes, "sharer count", func(_ int, v *int) {
+			wire.Uvarint(c, v, s.nodes-1, "sharer")
+		})
+		wire.Varint(c, &de.Owner, -1, s.nodes-1, "directory owner")
+		wire.Byte(c, &de.Busy, math.MaxUint8, "directory busy state")
+		wire.Slice(c, &de.PendingInv, 0, s.nodes, "pending invalidation count", func(_ int, v *int) {
+			wire.Uvarint(c, v, s.nodes-1, "pending invalidation")
+		})
+		wire.Uvarint(c, &de.OpSeq, maxTime, "directory operation sequence")
+		wire.Varint(c, &de.Requester, -1, s.nodes-1, "directory requester")
+		s.ref(&de.Txn, "directory transaction")
+		wire.Slice(c, &de.Queue, 0, maxQueue, "queued request count", func(_ int, q *cohsim.QueuedReqState) {
+			wire.Byte(c, &q.Kind, math.MaxUint8, "queued request kind")
+			wire.Uvarint(c, &q.From, s.nodes-1, "queued requester")
+			s.ref(&q.Txn, "queued transaction")
+		})
+	})
+	wire.Slice(c, &n.MSHR, 0, maxEntries, "MSHR count", func(j int, ms *cohsim.MSHRState) {
+		wire.Uvarint(c, &ms.Addr, math.MaxUint64, "MSHR address")
+		if j > 0 && ms.Addr <= n.MSHR[j-1].Addr {
+			c.Failf("MSHR table of node %d not strictly ascending at entry %d", i, j)
 		}
-		if q.From, err = d.count("queued requester", nodes-1); err != nil {
-			return de, err
-		}
-		if q.Txn, err = txn("queued transaction"); err != nil {
-			return de, err
-		}
-		de.Queue = append(de.Queue, q)
-	}
-	return de, nil
+		s.ref(&ms.Txn, "MSHR transaction")
+	})
 }
 
-func (d *decoder) readNet(n *netsim.CheckpointState, nodes int, txn func(string) (*cohsim.Transaction, error)) error {
-	nmsg, err := d.count("message count", maxMessages)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < nmsg; i++ {
-		var ms netsim.MessageState
-		var msg cohsim.Msg
-		if ms.Src, err = d.count("message source", maxNodes); err != nil {
-			return err
+func (s *sections) net(n *netsim.CheckpointState) {
+	c := s.c
+	wire.Slice(c, &n.Messages, 0, maxMessages, "message count", func(_ int, ms *netsim.MessageState) {
+		wire.Uvarint(c, &ms.Src, maxNodes, "message source")
+		wire.Uvarint(c, &ms.Dst, maxNodes, "message destination")
+		wire.Uvarint(c, &ms.Size, maxQueue, "message size")
+		msg, _ := ms.Payload.(cohsim.Msg) // collectTxns vetted every payload Write sees
+		wire.Byte(c, &msg.Kind, math.MaxUint8, "payload kind")
+		wire.Uvarint(c, &msg.Addr, math.MaxUint64, "payload address")
+		wire.Uvarint(c, &msg.From, maxNodes, "payload source")
+		s.ref(&msg.Txn, "payload transaction")
+		wire.Varint(c, &msg.Seq, math.MinInt64, math.MaxInt64, "payload sequence")
+		if c.Decoding() {
+			ms.Payload = msg
 		}
-		if ms.Dst, err = d.count("message destination", maxNodes); err != nil {
-			return err
-		}
-		if ms.Size, err = d.count("message size", maxQueue); err != nil {
-			return err
-		}
-		kind, err := d.byteVal("payload kind")
-		if err != nil {
-			return err
-		}
-		msg.Kind = cohsim.MsgKind(kind)
-		if msg.Addr, err = d.uvarint("payload address"); err != nil {
-			return err
-		}
-		if msg.From, err = d.count("payload source", maxNodes); err != nil {
-			return err
-		}
-		if msg.Txn, err = txn("payload transaction"); err != nil {
-			return err
-		}
-		if msg.Seq, err = d.varint("payload sequence"); err != nil {
-			return err
-		}
-		ms.Payload = msg
-		if ms.EnqueuedAt, err = d.varint("enqueue time"); err != nil {
-			return err
-		}
-		if ms.InjectedAt, err = d.varint("injection time"); err != nil {
-			return err
-		}
-		if ms.DeliveredAt, err = d.varint("delivery time"); err != nil {
-			return err
-		}
-		if ms.Hops, err = d.count("message hops", maxNodes); err != nil {
-			return err
-		}
-		if ms.Remaining, err = d.count("flits remaining", maxQueue); err != nil {
-			return err
-		}
-		dim, err := d.varint("routing dimension")
-		if err != nil {
-			return err
-		}
-		if dim < -1 || dim > maxDims {
-			return fmt.Errorf("checkpoint: routing dimension %d out of range", dim)
-		}
-		ms.CurDim = int(dim)
-		if ms.VCClass, err = d.count("virtual channel class", 1); err != nil {
-			return err
-		}
-		n.Messages = append(n.Messages, ms)
-	}
-	msgRef := func(what string) (int, error) {
-		if len(n.Messages) == 0 {
-			return 0, fmt.Errorf("checkpoint: %s references a message but the table is empty", what)
-		}
-		return d.count(what, len(n.Messages)-1)
-	}
+		wire.Varint(c, &ms.EnqueuedAt, math.MinInt64, math.MaxInt64, "enqueue time")
+		wire.Varint(c, &ms.InjectedAt, math.MinInt64, math.MaxInt64, "injection time")
+		wire.Varint(c, &ms.DeliveredAt, math.MinInt64, math.MaxInt64, "delivery time")
+		wire.Uvarint(c, &ms.Hops, maxNodes, "message hops")
+		wire.Uvarint(c, &ms.Remaining, maxQueue, "flits remaining")
+		wire.Varint(c, &ms.CurDim, -1, maxDims, "routing dimension")
+		wire.Uvarint(c, &ms.VCClass, 1, "virtual channel class")
+	})
+	// Flits, output owners, queues and local deliveries name messages by
+	// table index; with an empty table the range is empty.
+	last := len(n.Messages) - 1
 
 	// Router and injection-queue entries are sparse: each is tagged with
 	// its index, and indices must be strictly ascending (which also
 	// guarantees canonical encoding and no duplicates).
-	nrouters, err := d.count("router count", nodes)
-	if err != nil {
-		return err
-	}
-	prevRouter := -1
-	for v := 0; v < nrouters; v++ {
-		var rs netsim.RouterState
-		if rs.Index, err = d.count("router index", nodes-1); err != nil {
-			return err
+	wire.Slice(c, &n.Routers, 0, s.nodes, "router count", func(j int, r *netsim.RouterState) {
+		wire.Uvarint(c, &r.Index, s.nodes-1, "router index")
+		if j > 0 && r.Index <= n.Routers[j-1].Index {
+			c.Failf("router indices not strictly ascending at %d", r.Index)
 		}
-		if rs.Index <= prevRouter {
-			return fmt.Errorf("checkpoint: router indices not strictly ascending at %d", rs.Index)
+		wire.Slice(c, &r.Inputs, 0, maxPorts, "input buffer count", func(_ int, flits *[]netsim.FlitState) {
+			wire.Slice(c, flits, 0, maxQueue, "buffered flit count", func(_ int, f *netsim.FlitState) {
+				wire.Uvarint(c, &f.Msg, last, "buffered flit")
+				wire.Uvarint(c, &f.Seq, maxQueue, "flit sequence")
+				wire.Varint(c, &f.ArrivedAt, math.MinInt64, math.MaxInt64, "flit arrival")
+			})
+		})
+		wire.Slice(c, &r.Owner, 0, maxPorts, "owner count", func(_ int, o *int) {
+			wire.Varint(c, o, -1, last, "output owner")
+		})
+		wire.Slice(c, &r.OwnerInput, 0, maxPorts, "owner input count", func(_ int, v *int) {
+			wire.Uvarint(c, v, maxPorts, "owner input")
+		})
+		wire.Slice(c, &r.LastGranted, 0, maxPorts, "arbitration rotor count", func(_ int, v *int) {
+			wire.Uvarint(c, v, maxPorts, "arbitration rotor")
+		})
+		wire.Slice(c, &r.LastVC, 0, maxPorts, "VC rotor count", func(_ int, v *int) {
+			wire.Uvarint(c, v, 1, "VC rotor")
+		})
+	})
+	wire.Slice(c, &n.InjectQ, 0, s.nodes, "injection queue count", func(j int, q *netsim.InjectQState) {
+		wire.Uvarint(c, &q.Node, s.nodes-1, "injection queue node")
+		if j > 0 && q.Node <= n.InjectQ[j-1].Node {
+			c.Failf("injection queue nodes not strictly ascending at %d", q.Node)
 		}
-		prevRouter = rs.Index
-		nin, err := d.count("input buffer count", maxPorts)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < nin; i++ {
-			nf, err := d.count("buffered flit count", maxQueue)
-			if err != nil {
-				return err
-			}
-			var flits []netsim.FlitState
-			for j := 0; j < nf; j++ {
-				var f netsim.FlitState
-				if f.Msg, err = msgRef("buffered flit"); err != nil {
-					return err
-				}
-				if f.Seq, err = d.count("flit sequence", maxQueue); err != nil {
-					return err
-				}
-				if f.ArrivedAt, err = d.varint("flit arrival"); err != nil {
-					return err
-				}
-				flits = append(flits, f)
-			}
-			rs.Inputs = append(rs.Inputs, flits)
-		}
-		nown, err := d.count("owner count", maxPorts)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < nown; i++ {
-			o, err := d.varint("output owner")
-			if err != nil {
-				return err
-			}
-			if o < -1 || o >= int64(len(n.Messages)) {
-				return fmt.Errorf("checkpoint: output owner %d out of range", o)
-			}
-			rs.Owner = append(rs.Owner, int(o))
-		}
-		noi, err := d.count("owner input count", maxPorts)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < noi; i++ {
-			oi, err := d.count("owner input", maxPorts)
-			if err != nil {
-				return err
-			}
-			rs.OwnerInput = append(rs.OwnerInput, oi)
-		}
-		ng, err := d.count("arbitration rotor count", maxPorts)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < ng; i++ {
-			g, err := d.count("arbitration rotor", maxPorts)
-			if err != nil {
-				return err
-			}
-			rs.LastGranted = append(rs.LastGranted, g)
-		}
-		nvc, err := d.count("VC rotor count", maxPorts)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < nvc; i++ {
-			vc, err := d.count("VC rotor", 1)
-			if err != nil {
-				return err
-			}
-			rs.LastVC = append(rs.LastVC, vc)
-		}
-		n.Routers = append(n.Routers, rs)
-	}
-
-	nq, err := d.count("injection queue count", nodes)
-	if err != nil {
-		return err
-	}
-	prevNode := -1
-	for v := 0; v < nq; v++ {
-		var qs netsim.InjectQState
-		if qs.Node, err = d.count("injection queue node", nodes-1); err != nil {
-			return err
-		}
-		if qs.Node <= prevNode {
-			return fmt.Errorf("checkpoint: injection queue nodes not strictly ascending at %d", qs.Node)
-		}
-		prevNode = qs.Node
-		qn, err := d.count("queued message count", maxMessages)
-		if err != nil {
-			return err
-		}
-		if qn == 0 {
-			return fmt.Errorf("checkpoint: empty injection queue entry for node %d", qs.Node)
-		}
-		for i := 0; i < qn; i++ {
-			idx, err := msgRef("queued message")
-			if err != nil {
-				return err
-			}
-			qs.Msgs = append(qs.Msgs, idx)
-		}
-		n.InjectQ = append(n.InjectQ, qs)
-	}
-	nlocal, err := d.count("local delivery count", maxMessages)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < nlocal; i++ {
-		var e netsim.LocalState
-		if e.Msg, err = msgRef("local delivery"); err != nil {
-			return err
-		}
-		if e.Due, err = d.varint("local due time"); err != nil {
-			return err
-		}
-		n.Local = append(n.Local, e)
-	}
-
-	if n.Now, err = d.varint("network clock"); err != nil {
-		return err
-	}
-	if n.LastProgress, err = d.varint("last progress"); err != nil {
-		return err
-	}
-	if n.FlitsIn, err = d.i64("flits in"); err != nil {
-		return err
-	}
-	if n.FlitsOut, err = d.i64("flits out"); err != nil {
-		return err
-	}
-	if n.StatsSince, err = d.varint("stats origin"); err != nil {
-		return err
-	}
-	for _, field := range []struct {
-		dst *int64
-		str string
-	}{
-		{&n.Injected, "injected count"},
-		{&n.Delivered, "delivered count"},
-		{&n.FlitHops, "flit hops"},
-		{&n.FaultStalls, "fault stalls"},
-	} {
-		if *field.dst, err = d.i64(field.str); err != nil {
-			return err
-		}
-	}
-	if n.Latency, err = d.mean("latency"); err != nil {
-		return err
-	}
-	if n.NetLatency, err = d.mean("network latency"); err != nil {
-		return err
-	}
-	if n.Hops, err = d.mean("hop distance"); err != nil {
-		return err
-	}
-	if n.Sizes, err = d.mean("message size"); err != nil {
-		return err
-	}
-	return nil
+		wire.Slice(c, &q.Msgs, 1, maxMessages, "queued message count", func(_ int, m *int) {
+			wire.Uvarint(c, m, last, "queued message")
+		})
+	})
+	wire.Slice(c, &n.Local, 0, maxMessages, "local delivery count", func(_ int, e *netsim.LocalState) {
+		wire.Uvarint(c, &e.Msg, last, "local delivery")
+		wire.Varint(c, &e.Due, math.MinInt64, math.MaxInt64, "local due time")
+	})
+	wire.Varint(c, &n.Now, math.MinInt64, math.MaxInt64, "network clock")
+	wire.Varint(c, &n.LastProgress, math.MinInt64, math.MaxInt64, "last progress")
+	wire.Uvarint(c, &n.FlitsIn, maxTime, "flits in")
+	wire.Uvarint(c, &n.FlitsOut, maxTime, "flits out")
+	wire.Varint(c, &n.StatsSince, math.MinInt64, math.MaxInt64, "stats origin")
+	wire.Uvarint(c, &n.Injected, maxTime, "injected count")
+	wire.Uvarint(c, &n.Delivered, maxTime, "delivered count")
+	wire.Uvarint(c, &n.FlitHops, maxTime, "flit hops")
+	wire.Uvarint(c, &n.FaultStalls, maxTime, "fault stalls")
+	s.mean(&n.Latency, "latency")
+	s.mean(&n.NetLatency, "network latency")
+	s.mean(&n.Hops, "hop distance")
+	s.mean(&n.Sizes, "message size")
 }
 
-// ReadFile decodes the checkpoint at path.
-func ReadFile(path string) (*Checkpoint, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Read(f)
+func (s *sections) mean(m *stats.MeanState, what string) {
+	wire.Uvarint(s.c, &m.N, maxTime, what)
+	s.c.Float(&m.Mean, what)
+	s.c.Float(&m.M2, what)
+	s.c.Float(&m.Min, what)
+	s.c.Float(&m.Max, what)
 }

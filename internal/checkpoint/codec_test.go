@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -156,6 +157,28 @@ func testCheckpoint() *Checkpoint {
 	}
 }
 
+// attributedCheckpoint extends testCheckpoint with the two sections it
+// leaves out: the kernel's attribution array and the slicer state.
+func attributedCheckpoint() *Checkpoint {
+	c := testCheckpoint()
+	c.FP.SliceEvery = 500
+	c.Kernel.Attr = []int64{400, 120, 0, 95, 3, 0}
+	c.Kernel.AttrNone = 282
+	c.Slicer = &SlicerState{Next: 1500, Prev: [8]int64{1000, 700, 900, 100, 93, 91, 2, 40}}
+	return c
+}
+
+// hostileCheckpoint is a 45-byte file declaring a 1024×1024 machine
+// with an empty placement, followed by zero clocks and empty tables.
+func hostileCheckpoint() []byte {
+	b := []byte(Magic + "\x02")
+	b = append(b, 0x80, 0x08, 2, 1, 0, 0)    // radix 1024, dims 2, contexts 1, no name, no placement
+	b = append(b, make([]byte, 10+1+7+3)...) // machine, workload, protocol fields; fault spec, kernel, slicing
+	b = append(b, 0, 0, 0, 0, 0)             // clocks and window accounting
+	b = append(b, 0, 0, 0, 1, 0)             // kernel: now, ticked, skipped, pending -1, no attribution
+	return append(b, 0, 0, 0)                // no transactions, processors or protocol nodes
+}
+
 func encode(t *testing.T, c *Checkpoint) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -166,33 +189,34 @@ func encode(t *testing.T, c *Checkpoint) []byte {
 }
 
 func TestRoundTrip(t *testing.T) {
-	want := testCheckpoint()
-	data := encode(t, want)
-	got, err := Read(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("decoded checkpoint differs from original")
-	}
-	if !bytes.Equal(encode(t, got), data) {
-		t.Error("re-encoding the decoded checkpoint changed its bytes")
-	}
+	for _, want := range []*Checkpoint{testCheckpoint(), attributedCheckpoint()} {
+		data := encode(t, want)
+		got, err := Read(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("Read: %v", err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Error("decoded checkpoint differs from original")
+		}
+		if !bytes.Equal(encode(t, got), data) {
+			t.Error("re-encoding the decoded checkpoint changed its bytes")
+		}
 
-	// Pointer sharing must be rebuilt, not just value equality: the
-	// directory entry, its MSHR slot, and the event heap all named the
-	// same transaction, as did the queued request and the in-flight
-	// message payload.
-	t1 := got.Proto.Nodes[0].Dir[0].Txn
-	if got.Proto.Nodes[0].MSHR[0].Txn != t1 || got.Proto.Events[0].Act.Txn != t1 {
-		t.Error("transaction 1 no longer shared between directory, MSHR, and events")
-	}
-	t2 := got.Proto.Nodes[0].Dir[0].Queue[0].Txn
-	if got.Proto.Nodes[2].MSHR[0].Txn != t2 || got.Proto.Events[1].Act.Txn != t2 {
-		t.Error("transaction 2 no longer shared between queue, MSHR, and events")
-	}
-	if got.Net.Messages[0].Payload.(cohsim.Msg).Txn != t2 {
-		t.Error("in-flight payload lost its transaction identity")
+		// Pointer sharing must be rebuilt, not just value equality: the
+		// directory entry, its MSHR slot, and the event heap all named the
+		// same transaction, as did the queued request and the in-flight
+		// message payload.
+		t1 := got.Proto.Nodes[0].Dir[0].Txn
+		if got.Proto.Nodes[0].MSHR[0].Txn != t1 || got.Proto.Events[0].Act.Txn != t1 {
+			t.Error("transaction 1 no longer shared between directory, MSHR, and events")
+		}
+		t2 := got.Proto.Nodes[0].Dir[0].Queue[0].Txn
+		if got.Proto.Nodes[2].MSHR[0].Txn != t2 || got.Proto.Events[1].Act.Txn != t2 {
+			t.Error("transaction 2 no longer shared between queue, MSHR, and events")
+		}
+		if got.Net.Messages[0].Payload.(cohsim.Msg).Txn != t2 {
+			t.Error("in-flight payload lost its transaction identity")
+		}
 	}
 }
 
@@ -282,6 +306,77 @@ func TestValidateRejects(t *testing.T) {
 				t.Error("invalid checkpoint encoded without error")
 			}
 		})
+	}
+}
+
+// TestWriteRejectsWhatReadRejects checks that every range and ordering
+// check of the decoder also holds on write: each checkpoint below
+// passes neither, so Write cannot produce a file Read would reject.
+func TestWriteRejectsWhatReadRejects(t *testing.T) {
+	mutate := func(f func(*Checkpoint)) *Checkpoint {
+		c := testCheckpoint()
+		f(c)
+		return c
+	}
+	cases := []struct {
+		name string
+		c    *Checkpoint
+	}{
+		{"directory owner", mutate(func(c *Checkpoint) { c.Proto.Nodes[0].Dir[0].Owner = 99 })},
+		{"directory requester", mutate(func(c *Checkpoint) { c.Proto.Nodes[0].Dir[0].Requester = -5 })},
+		{"sharer", mutate(func(c *Checkpoint) { c.Proto.Nodes[0].Dir[0].Sharers[0] = 7 })},
+		{"event order", mutate(func(c *Checkpoint) {
+			c.Proto.Events[0], c.Proto.Events[1] = c.Proto.Events[1], c.Proto.Events[0]
+		})},
+		{"action epoch", mutate(func(c *Checkpoint) { c.Proto.Events[0].Act.Epoch = -1 })},
+		{"action node", mutate(func(c *Checkpoint) { c.Proto.Events[0].Act.Node = 4 })},
+		{"virtual channel class", mutate(func(c *Checkpoint) { c.Net.Messages[0].VCClass = 2 })},
+		{"pending op kind", mutate(func(c *Checkpoint) { c.Procs[0].Ctxs[1].Pending.Kind = 200 })},
+		{"kernel pending charge", mutate(func(c *Checkpoint) { c.Kernel.Pending = 1000 })},
+		{"cache frame order", mutate(func(c *Checkpoint) {
+			cache := &c.Proto.Nodes[0].Cache
+			cache.Lines = append(cache.Lines, cachesim.LineState{Index: 2, Tag: 0x20, State: cachesim.Shared})
+		})},
+		{"duplicate MSHR", mutate(func(c *Checkpoint) {
+			n := &c.Proto.Nodes[0]
+			n.MSHR = append(n.MSHR, n.MSHR[0])
+		})},
+		{"VC rotor", mutate(func(c *Checkpoint) { c.Net.Routers[0].LastVC[0] = 2 })},
+		{"output owner", mutate(func(c *Checkpoint) { c.Net.Routers[0].Owner[1] = 5 })},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := Write(&buf, tc.c); err == nil {
+				t.Error("Write encoded a checkpoint Read rejects")
+			}
+		})
+	}
+}
+
+// TestReadAllocatesWithInput checks that a file declaring a huge
+// machine fails before Read allocates its per-node state.
+func TestReadAllocatesWithInput(t *testing.T) {
+	data := hostileCheckpoint()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("hostile checkpoint accepted")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Errorf("Read allocated %d bytes on a %d-byte input before failing with %v", n, len(data), err)
+	}
+}
+
+// TestFingerprintDigest pins the digest that names machines in the run
+// ledger: it hashes the fingerprint's wire bytes, so a layout change
+// would silently rename every recorded machine.
+func TestFingerprintDigest(t *testing.T) {
+	fp := testCheckpoint().FP
+	if got, want := fp.Digest(), "55edc61300fbb4dc759ac513"; got != want {
+		t.Errorf("Digest() = %s, want %s", got, want)
 	}
 }
 

@@ -34,6 +34,14 @@ func FuzzReadCheckpoint(f *testing.F) {
 	huge := append([]byte{}, valid[:16]...)
 	huge = append(huge, 0xff, 0xff, 0xff, 0xff, 0x7f)
 	f.Add(huge)
+	// The attribution and slicer sections, and a huge machine declared
+	// with an empty placement.
+	var attributed bytes.Buffer
+	if err := Write(&attributed, attributedCheckpoint()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(attributed.Bytes())
+	f.Add(hostileCheckpoint())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := Read(bytes.NewReader(data))

@@ -1,13 +1,12 @@
 package replay
 
 import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"locality/internal/procsim"
+	"locality/internal/wire"
 )
 
 // Write streams the trace to w in the wire format. The encoding is
@@ -18,51 +17,9 @@ func Write(w io.Writer, t *Trace) error {
 	if err := t.Validate(); err != nil {
 		return err
 	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(Magic); err != nil {
-		return err
-	}
-	if err := bw.WriteByte(Version); err != nil {
-		return err
-	}
-	h := t.Header
-	putUvarint(bw, uint64(h.Radix))
-	putUvarint(bw, uint64(h.Dims))
-	putUvarint(bw, uint64(h.Contexts))
-	putUvarint(bw, uint64(h.LineSize))
-	putUvarint(bw, uint64(h.Warmup))
-	putUvarint(bw, uint64(h.Window))
-	putUvarint(bw, uint64(len(h.MappingName)))
-	if _, err := bw.WriteString(h.MappingName); err != nil {
-		return err
-	}
-	putUvarint(bw, uint64(len(h.Place)))
-	for _, node := range h.Place {
-		putUvarint(bw, uint64(node))
-	}
-	for _, stream := range t.Threads {
-		putUvarint(bw, uint64(len(stream)))
-		for _, r := range stream {
-			wire, err := wireKindOf(r.Kind)
-			if err != nil {
-				return err
-			}
-			if err := bw.WriteByte(wire); err != nil {
-				return err
-			}
-			if hasArg(r.Kind) {
-				putUvarint(bw, r.Arg)
-			}
-		}
-	}
-	putUvarint(bw, uint64(len(t.Home)))
-	prev := uint64(0)
-	for _, e := range t.Home {
-		putUvarint(bw, e.Addr-prev)
-		putUvarint(bw, uint64(e.Thread))
-		prev = e.Addr
-	}
-	return bw.Flush()
+	c := wire.NewEncoder(w, "replay")
+	code(c, t)
+	return c.End()
 }
 
 // WriteFile writes the trace to path.
@@ -78,170 +35,16 @@ func WriteFile(path string, t *Trace) error {
 	return f.Close()
 }
 
-func putUvarint(bw *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	bw.Write(buf[:n]) // bufio defers errors to Flush
-}
-
-// decoder wraps the input with the bounds checking the hostile-input
-// contract requires.
-type decoder struct {
-	r *bufio.Reader
-}
-
-func (d *decoder) uvarint(what string) (uint64, error) {
-	v, err := binary.ReadUvarint(d.r)
-	if err != nil {
-		return 0, fmt.Errorf("replay: reading %s: %w", what, err)
-	}
-	return v, nil
-}
-
-// count reads a varint and bounds it; max guards allocation size.
-func (d *decoder) count(what string, max int) (int, error) {
-	v, err := d.uvarint(what)
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(max) {
-		return 0, fmt.Errorf("replay: %s %d exceeds cap %d", what, v, max)
-	}
-	return int(v), nil
-}
-
 // Read decodes a trace from r, validating every structural invariant.
 // It never trusts a declared count for more than an incremental
 // allocation, so truncated, corrupt, or adversarial inputs fail with
 // an error rather than a panic or a huge allocation.
 func Read(r io.Reader) (*Trace, error) {
-	d := &decoder{r: bufio.NewReader(r)}
-	var magic [len(Magic)]byte
-	if _, err := io.ReadFull(d.r, magic[:]); err != nil {
-		return nil, fmt.Errorf("replay: reading magic: %w", err)
-	}
-	if string(magic[:]) != Magic {
-		return nil, fmt.Errorf("replay: bad magic %q (want %q)", magic[:], Magic)
-	}
-	version, err := d.r.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("replay: reading version: %w", err)
-	}
-	if version != Version {
-		return nil, fmt.Errorf("replay: unsupported version %d (want %d)", version, Version)
-	}
-
-	var h Header
-	if h.Radix, err = d.count("radix", maxRadix); err != nil {
+	t := &Trace{}
+	c := wire.NewDecoder(r, "replay")
+	code(c, t)
+	if err := c.End(); err != nil {
 		return nil, err
-	}
-	if h.Dims, err = d.count("dims", maxDims); err != nil {
-		return nil, err
-	}
-	if h.Contexts, err = d.count("contexts", maxContexts); err != nil {
-		return nil, err
-	}
-	if h.LineSize, err = d.count("line size", maxLineSize); err != nil {
-		return nil, err
-	}
-	warmup, err := d.uvarint("warmup")
-	if err != nil {
-		return nil, err
-	}
-	window, err := d.uvarint("window")
-	if err != nil {
-		return nil, err
-	}
-	if warmup > 1<<62 || window > 1<<62 {
-		return nil, fmt.Errorf("replay: absurd warmup %d or window %d", warmup, window)
-	}
-	h.Warmup, h.Window = int64(warmup), int64(window)
-	nameLen, err := d.count("mapping name length", maxNameLen)
-	if err != nil {
-		return nil, err
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(d.r, name); err != nil {
-		return nil, fmt.Errorf("replay: reading mapping name: %w", err)
-	}
-	h.MappingName = string(name)
-	placeLen, err := d.count("placement length", maxNodes)
-	if err != nil {
-		return nil, err
-	}
-	h.Place = make([]int, placeLen)
-	for i := range h.Place {
-		node, err := d.count("placement entry", maxNodes)
-		if err != nil {
-			return nil, err
-		}
-		h.Place[i] = node
-	}
-	if err := h.Validate(); err != nil {
-		return nil, err
-	}
-
-	t := &Trace{Header: h, Threads: make([][]Rec, h.Threads())}
-	for i := range t.Threads {
-		n, err := d.uvarint("stream length")
-		if err != nil {
-			return nil, err
-		}
-		// Grow incrementally: a lying length costs at most the bytes
-		// actually present, not the declared allocation.
-		var stream []Rec
-		for j := uint64(0); j < n; j++ {
-			wire, err := d.r.ReadByte()
-			if err != nil {
-				return nil, fmt.Errorf("replay: reading stream %d record %d: %w", i, j, err)
-			}
-			kind, withArg, err := opKindOf(wire)
-			if err != nil {
-				return nil, err
-			}
-			rec := Rec{Kind: kind}
-			if withArg {
-				if rec.Arg, err = d.uvarint("record argument"); err != nil {
-					return nil, err
-				}
-				if kind == procsim.OpCompute && rec.Arg > maxComputeArg {
-					return nil, fmt.Errorf("replay: compute burst %d exceeds cap", rec.Arg)
-				}
-			}
-			stream = append(stream, rec)
-		}
-		t.Threads[i] = stream
-	}
-
-	homeLen, err := d.uvarint("home table length")
-	if err != nil {
-		return nil, err
-	}
-	threads := h.Nodes()
-	var addr uint64
-	for i := uint64(0); i < homeLen; i++ {
-		delta, err := d.uvarint("home address delta")
-		if err != nil {
-			return nil, err
-		}
-		if i > 0 && delta == 0 {
-			return nil, fmt.Errorf("replay: home table not strictly ascending at entry %d", i)
-		}
-		next := addr + delta
-		if next < addr {
-			return nil, fmt.Errorf("replay: home address overflow at entry %d", i)
-		}
-		addr = next
-		owner, err := d.count("home owner thread", threads-1)
-		if err != nil {
-			return nil, err
-		}
-		t.Home = append(t.Home, HomeEntry{Addr: addr, Thread: owner})
-	}
-
-	// A well-formed trace ends exactly here.
-	if _, err := d.r.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("replay: trailing bytes after home table")
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -257,4 +60,80 @@ func ReadFile(path string) (*Trace, error) {
 	}
 	defer f.Close()
 	return Read(f)
+}
+
+// code runs the whole layout, for Write and Read alike. The placement
+// must cover every node, which is checked as soon as its length is
+// coded, and the streams are appended one at a time, so a header
+// declaring a huge machine cannot make Read allocate what the input
+// does not back.
+func code(c *wire.Codec, t *Trace) {
+	c.Header(Magic, Version)
+	h := &t.Header
+	wire.Uvarint(c, &h.Radix, maxRadix, "radix")
+	wire.Uvarint(c, &h.Dims, maxDims, "dims")
+	wire.Uvarint(c, &h.Contexts, maxContexts, "contexts")
+	wire.Uvarint(c, &h.LineSize, maxLineSize, "line size")
+	wire.Uvarint(c, &h.Warmup, 1<<62, "warmup")
+	wire.Uvarint(c, &h.Window, 1<<62, "window")
+	c.String(&h.MappingName, maxNameLen, "mapping name")
+	if c.Err() != nil {
+		return
+	}
+	nodes, err := h.geometry()
+	if err != nil {
+		c.Fail(err)
+		return
+	}
+	wire.Slice(c, &h.Place, nodes, nodes, "placement length", func(_ int, p *int) {
+		wire.Uvarint(c, p, nodes-1, "placement entry")
+	})
+	for i, n := 0, h.Threads(); i < n && c.Err() == nil; i++ {
+		if c.Decoding() {
+			t.Threads = append(t.Threads, nil)
+		}
+		wire.Slice(c, &t.Threads[i], 0, math.MaxInt, "stream length", func(_ int, r *Rec) { record(c, r) })
+	}
+	// Home addresses are delta-coded; the cap on each delta keeps the
+	// running address from overflowing.
+	wire.Slice(c, &t.Home, 0, math.MaxInt, "home table length", func(i int, e *HomeEntry) {
+		var prev uint64
+		if i > 0 {
+			prev = t.Home[i-1].Addr
+		}
+		delta := e.Addr - prev
+		wire.Uvarint(c, &delta, math.MaxUint64-prev, "home address delta")
+		if i > 0 && delta == 0 {
+			c.Failf("home table not strictly ascending at entry %d", i)
+		}
+		if c.Decoding() {
+			e.Addr = prev + delta
+		}
+		wire.Uvarint(c, &e.Thread, nodes-1, "home owner thread")
+	})
+}
+
+// record codes one stream record: its frozen wire kind, then its
+// argument unless the kind carries none.
+func record(c *wire.Codec, r *Rec) {
+	var kind uint8
+	if !c.Decoding() {
+		kind, _ = wireKindOf(r.Kind) // Validate vetted every kind Write sees
+	}
+	wire.Byte(c, &kind, wireHalt, "record kind")
+	if c.Decoding() && c.Err() == nil {
+		k, err := opKindOf(kind)
+		if err != nil {
+			c.Fail(err)
+			return
+		}
+		r.Kind = k
+	}
+	if hasArg(r.Kind) {
+		max := uint64(math.MaxUint64)
+		if r.Kind == procsim.OpCompute {
+			max = maxComputeArg
+		}
+		wire.Uvarint(c, &r.Arg, max, "record argument")
+	}
 }

@@ -34,6 +34,8 @@ func FuzzReadTrace(f *testing.F) {
 	huge := append([]byte{}, valid[:16]...)
 	huge = append(huge, 0xff, 0xff, 0xff, 0xff, 0x7f)
 	f.Add(huge)
+	// A placement far longer than the declared machine.
+	f.Add(hostileTrace())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Read(bytes.NewReader(data))

@@ -98,30 +98,9 @@ func (h Header) Threads() int { return h.Nodes() * h.Contexts }
 
 // Validate checks the header against the format's structural bounds.
 func (h Header) Validate() error {
-	if h.Radix < 2 || h.Radix > maxRadix {
-		return fmt.Errorf("replay: radix %d outside [2, %d]", h.Radix, maxRadix)
-	}
-	if h.Dims < 1 || h.Dims > maxDims {
-		return fmt.Errorf("replay: dims %d outside [1, %d]", h.Dims, maxDims)
-	}
-	nodes := 1
-	for i := 0; i < h.Dims; i++ {
-		nodes *= h.Radix
-		if nodes > maxNodes {
-			return fmt.Errorf("replay: %d^%d nodes exceed cap %d", h.Radix, h.Dims, maxNodes)
-		}
-	}
-	if h.Contexts < 1 || h.Contexts > maxContexts {
-		return fmt.Errorf("replay: context count %d outside [1, %d]", h.Contexts, maxContexts)
-	}
-	if h.LineSize < 1 || h.LineSize > maxLineSize {
-		return fmt.Errorf("replay: line size %d outside [1, %d]", h.LineSize, maxLineSize)
-	}
-	if h.Warmup < 0 || h.Window < 0 {
-		return fmt.Errorf("replay: negative warmup %d or window %d", h.Warmup, h.Window)
-	}
-	if len(h.MappingName) > maxNameLen {
-		return fmt.Errorf("replay: mapping name length %d exceeds cap %d", len(h.MappingName), maxNameLen)
+	nodes, err := h.geometry()
+	if err != nil {
+		return err
 	}
 	if len(h.Place) != nodes {
 		return fmt.Errorf("replay: placement covers %d threads, machine has %d nodes", len(h.Place), nodes)
@@ -137,6 +116,37 @@ func (h Header) Validate() error {
 		seen[node] = true
 	}
 	return nil
+}
+
+// geometry checks every bound but the placement's and returns the
+// node count.
+func (h Header) geometry() (int, error) {
+	if h.Radix < 2 || h.Radix > maxRadix {
+		return 0, fmt.Errorf("replay: radix %d outside [2, %d]", h.Radix, maxRadix)
+	}
+	if h.Dims < 1 || h.Dims > maxDims {
+		return 0, fmt.Errorf("replay: dims %d outside [1, %d]", h.Dims, maxDims)
+	}
+	nodes := 1
+	for i := 0; i < h.Dims; i++ {
+		nodes *= h.Radix
+		if nodes > maxNodes {
+			return 0, fmt.Errorf("replay: %d^%d nodes exceed cap %d", h.Radix, h.Dims, maxNodes)
+		}
+	}
+	if h.Contexts < 1 || h.Contexts > maxContexts {
+		return 0, fmt.Errorf("replay: context count %d outside [1, %d]", h.Contexts, maxContexts)
+	}
+	if h.LineSize < 1 || h.LineSize > maxLineSize {
+		return 0, fmt.Errorf("replay: line size %d outside [1, %d]", h.LineSize, maxLineSize)
+	}
+	if h.Warmup < 0 || h.Window < 0 {
+		return 0, fmt.Errorf("replay: negative warmup %d or window %d", h.Warmup, h.Window)
+	}
+	if len(h.MappingName) > maxNameLen {
+		return 0, fmt.Errorf("replay: mapping name length %d exceeds cap %d", len(h.MappingName), maxNameLen)
+	}
+	return nodes, nil
 }
 
 // Wire kinds. These are frozen format values, deliberately distinct
@@ -173,26 +183,25 @@ func wireKindOf(k procsim.OpKind) (uint8, error) {
 	return 0, fmt.Errorf("replay: unencodable op kind %d", k)
 }
 
-// opKindOf maps a wire value back to the OpKind, reporting whether the
-// record carries an argument.
-func opKindOf(wire uint8) (kind procsim.OpKind, hasArg bool, err error) {
+// opKindOf maps a wire value back to the OpKind.
+func opKindOf(wire uint8) (procsim.OpKind, error) {
 	switch wire {
 	case wireCompute:
-		return procsim.OpCompute, true, nil
+		return procsim.OpCompute, nil
 	case wireRead:
-		return procsim.OpRead, true, nil
+		return procsim.OpRead, nil
 	case wireWrite:
-		return procsim.OpWrite, true, nil
+		return procsim.OpWrite, nil
 	case wirePrefetch:
-		return procsim.OpPrefetch, true, nil
+		return procsim.OpPrefetch, nil
 	case wireWriteBehind:
-		return procsim.OpWriteBehind, true, nil
+		return procsim.OpWriteBehind, nil
 	case wireFence:
-		return procsim.OpFence, false, nil
+		return procsim.OpFence, nil
 	case wireHalt:
-		return procsim.OpHalt, false, nil
+		return procsim.OpHalt, nil
 	}
-	return 0, false, fmt.Errorf("replay: unknown wire kind %d", wire)
+	return 0, fmt.Errorf("replay: unknown wire kind %d", wire)
 }
 
 // hasArg reports whether a kind's record carries a varint argument.

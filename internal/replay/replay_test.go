@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -34,6 +35,14 @@ func testTrace() *Trace {
 	}
 	t.Home = []HomeEntry{{Addr: 0, Thread: 0}, {Addr: 16, Thread: 1}, {Addr: 32, Thread: 2}, {Addr: 48, Thread: 3}}
 	return t
+}
+
+// hostileTrace is a 15-byte file whose header declares an 8×8 machine
+// and a placement of 2²⁰ entries, and then ends.
+func hostileTrace() []byte {
+	b := []byte(Magic + "\x01")
+	b = append(b, 8, 2, 1, 16, 0, 0, 0) // radix, dims, contexts, line size, warmup, window, no name
+	return append(b, 0x80, 0x80, 0x40)  // placement length 2²⁰
 }
 
 func encode(t *testing.T, tr *Trace) []byte {
@@ -134,6 +143,22 @@ func TestReadRejectsCorruptInputs(t *testing.T) {
 		if _, err := Read(bytes.NewReader(data)); err == nil {
 			t.Errorf("%s: Read accepted corrupt input", name)
 		}
+	}
+}
+
+// TestReadAllocatesWithInput checks that a declared placement longer
+// than the machine fails before Read allocates for it.
+func TestReadAllocatesWithInput(t *testing.T) {
+	data := hostileTrace()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("hostile trace accepted")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Errorf("Read allocated %d bytes on a %d-byte input before failing with %v", n, len(data), err)
 	}
 }
 
