@@ -2,7 +2,7 @@
 // sizes up to and beyond 10⁵ nodes and writes the measured curve as
 // JSON. The largest default cell is a 320×320 torus — 102 400 nodes,
 // two orders of magnitude past the paper's 64-node simulations — made
-// runnable by the active-router worklist and the sparse per-node
+// runnable by the active-router set and the sparse per-node
 // state: the machine's construction cost and resident memory track the
 // state actually touched, and the fabric's per-cycle cost tracks the
 // flits actually in flight.

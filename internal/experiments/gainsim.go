@@ -22,8 +22,10 @@ type GainSimRow struct {
 	RandomD float64
 	// MeasuredGain is tt(random)/tt(ideal) from simulation.
 	MeasuredGain float64
-	// ModelGain is the combined model's prediction using the measured
-	// node curve of the simulated machine.
+	// ModelGain is the combined model's prediction from the
+	// core.Alewife(Contexts, 1) preset: its issue time at distance
+	// RandomD over its issue time at distance 1. Nothing measured on
+	// the simulated machine enters it.
 	ModelGain float64
 }
 

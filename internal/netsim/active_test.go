@@ -218,6 +218,112 @@ func TestInjectQReleasesDeliveredMessages(t *testing.T) {
 	}
 }
 
+// TestRingsReleaseDeliveredMessages extends the same guarantee to the
+// switch input rings and the local-bypass list: once traffic drains,
+// no ring slot and no slot of local's backing array may reference a
+// message.
+func TestRingsReleaseDeliveredMessages(t *testing.T) {
+	nw, err := New(Config{Topo: topology.MustNew(4, 2), BufferDepth: 4, LocalDelay: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.SetDelivery(func(now int64, m *Message) {})
+	rng := rand.New(rand.NewSource(5))
+	for cycle := 0; cycle < 300; cycle++ {
+		if cycle < 200 {
+			// src == dst on about one send in sixteen exercises the
+			// local bypass alongside fabric traffic.
+			sendRandom(t, rng, nw)
+		}
+		nw.Step()
+	}
+	drain(t, nw, 100000)
+	for i := range nw.in {
+		for slot, f := range nw.in[i].buf {
+			if f.msg != nil {
+				t.Fatalf("drained buffer %d slot %d still references message %d→%d", i, slot, f.msg.Src, f.msg.Dst)
+			}
+		}
+	}
+	if cap(nw.local) == 0 {
+		t.Fatal("workload sent no local-bypass messages")
+	}
+	for i, e := range nw.local[:cap(nw.local)] {
+		if e.msg != nil {
+			t.Fatalf("drained local list slot %d still references message %d→%d", i, e.msg.Src, e.msg.Dst)
+		}
+	}
+}
+
+// TestCheckCatchesActiveSetDrift corrupts one piece of the derived
+// per-router state of a 4×4 fabric in mid-traffic — the active bitmap,
+// its summary level, or the held-output mask — and requires Check to
+// report it.
+func TestCheckCatchesActiveSetDrift(t *testing.T) {
+	// find returns the first router (and key) satisfying pred, failing
+	// the test when the traffic produced none.
+	find := func(t *testing.T, nw *Network, pred func(v, key int) bool) (int, int) {
+		for v := 0; v < nw.nodes; v++ {
+			for key := 0; key < nw.nin; key++ {
+				if pred(v, key) {
+					return v, key
+				}
+			}
+		}
+		t.Fatal("mid-traffic fabric has no router in the wanted state")
+		return 0, 0
+	}
+	occupied := func(nw *Network, v int) bool { return nw.routerFlits[v] > 0 || len(nw.injectQ[v]) > 0 }
+	mutations := []struct {
+		name   string
+		mutate func(t *testing.T, nw *Network)
+	}{
+		{"occupied router's active bit cleared", func(t *testing.T, nw *Network) {
+			v, _ := find(t, nw, func(v, _ int) bool { return occupied(nw, v) })
+			nw.deactivate(v)
+		}},
+		{"drained router's active bit set", func(t *testing.T, nw *Network) {
+			v, _ := find(t, nw, func(v, _ int) bool { return !occupied(nw, v) })
+			nw.activate(v)
+		}},
+		{"summary bit cleared under a non-empty word", func(t *testing.T, nw *Network) {
+			nw.activeSum[0] &^= 1
+		}},
+		{"summary bit set over an empty word", func(t *testing.T, nw *Network) {
+			nw.activeSum[0] |= 2
+		}},
+		{"held bit set without an owner", func(t *testing.T, nw *Network) {
+			v, key := find(t, nw, func(v, key int) bool { return nw.owner[v*nw.nin+key] == nil })
+			setBit(&nw.held[v], key)
+		}},
+		{"held bit cleared while an owner exists", func(t *testing.T, nw *Network) {
+			v, key := find(t, nw, func(v, key int) bool { return nw.owner[v*nw.nin+key] != nil })
+			clrBit(&nw.held[v], key)
+		}},
+	}
+	for _, tc := range mutations {
+		t.Run(tc.name, func(t *testing.T) {
+			nw := newNet(t, 4, 2, 4)
+			rng := rand.New(rand.NewSource(31))
+			for cycle := 0; cycle < 40; cycle++ {
+				if cycle%2 == 0 {
+					sendRandom(t, rng, nw)
+				}
+				nw.Step()
+			}
+			if err := nw.Check(); err != nil {
+				t.Fatalf("before the mutation: %v", err)
+			}
+			tc.mutate(t, nw)
+			if err := nw.Check(); err == nil {
+				t.Fatal("Check passed a corrupted fabric")
+			} else {
+				t.Log(err)
+			}
+		})
+	}
+}
+
 // newIdleCornerNet builds a large torus with a little traffic pinned in
 // one corner — the mostly-idle regime the worklist targets. refill
 // re-arms the corner traffic so the fabric never drains during timing.

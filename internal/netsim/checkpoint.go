@@ -165,8 +165,8 @@ func (nw *Network) Checkpoint() CheckpointState {
 		for key := 0; key < nw.nin; key++ {
 			in := &nw.in[base+key]
 			var flits []FlitState // nil when empty, matching the codec
-			for n := 0; n < in.count; n++ {
-				f := in.buf[(in.head+n)%len(in.buf)]
+			for n := 0; n < int(in.count); n++ {
+				f := in.buf[(int(in.head)+n)%len(in.buf)]
 				flits = append(flits, FlitState{Msg: ref(f.msg), Seq: f.seq, ArrivedAt: f.arrivedAt})
 			}
 			rs.Inputs[key] = flits
@@ -207,7 +207,7 @@ func (nw *Network) Checkpoint() CheckpointState {
 // network must have been built with the same configuration; the
 // delivery callback and fault model stay as wired. Every router and
 // queue absent from the sparse state is reset to zero, and the active
-// worklist is rebuilt from the restored occupancy.
+// set is rebuilt from the restored occupancy.
 func (nw *Network) Restore(s CheckpointState) error {
 	nodes := nw.nodes
 	for i, ms := range s.Messages {
@@ -309,8 +309,9 @@ func (nw *Network) Restore(s CheckpointState) error {
 		}
 	}
 	// Reset every router to zero state, then overlay the sparse entries
-	// and rebuild the active worklist from the restored occupancy.
+	// and rebuild the active set and masks from the restored occupancy.
 	for i := range nw.in {
+		clear(nw.in[i].buf)
 		nw.in[i].head, nw.in[i].count = 0, 0
 		nw.owner[i] = nil
 		nw.ownerInput[i] = 0
@@ -321,12 +322,12 @@ func (nw *Network) Restore(s CheckpointState) error {
 	}
 	for v := 0; v < nodes; v++ {
 		nw.routerFlits[v] = 0
-		nw.occ[v] = [2]uint64{}
+		nw.occ[v], nw.held[v] = [2]uint64{}, [2]uint64{}
 		nw.injectQ[v] = nil
-		nw.isActive[v] = false
 	}
-	nw.activeIDs = nw.activeIDs[:0]
-	nw.activeDirty = false
+	clear(nw.active)
+	clear(nw.activeSum)
+	nw.activeCount = 0
 	for _, rs := range s.Routers {
 		v := rs.Index
 		base := v * nin
@@ -335,12 +336,12 @@ func (nw *Network) Restore(s CheckpointState) error {
 			if len(flits) > 0 && in.buf == nil {
 				in.buf = make([]flit, nw.cfg.BufferDepth)
 			}
-			in.head, in.count = 0, len(flits)
+			in.head, in.count = 0, int32(len(flits))
 			for n, f := range flits {
 				in.buf[n] = flit{msg: msgs[f.Msg], seq: f.Seq, arrivedAt: f.ArrivedAt}
 			}
 			if len(flits) > 0 {
-				nw.setOcc(v, i)
+				setBit(&nw.occ[v], i)
 			}
 			nw.routerFlits[v] += int32(len(flits))
 		}
@@ -348,6 +349,7 @@ func (nw *Network) Restore(s CheckpointState) error {
 			if owner != -1 {
 				nw.owner[base+i] = msgs[owner]
 				nw.ownerInput[base+i] = int32(rs.OwnerInput[i])
+				setBit(&nw.held[v], i)
 			}
 			nw.lastGranted[base+i] = int32(rs.LastGranted[i])
 		}

@@ -22,17 +22,19 @@
 // themselves.
 //
 // Per-switch state lives in flat structure-of-arrays slices indexed by
-// router, and Step iterates an active-router worklist instead of all N
-// routers, so a mostly-idle fabric costs O(active switches) per cycle
-// and an untouched switch costs no resident memory (large zeroed slices
-// are backed by untouched pages). Both changes are behavior-preserving:
+// router, and Step visits only the routers of a two-level active bitmap,
+// in ascending order, so a mostly-idle fabric costs O(active switches)
+// per cycle and an untouched switch costs no resident memory (large
+// zeroed slices are backed by untouched pages). Listing the active
+// routers needs no sort, and moving a flit reads a per-port neighbor
+// table and per-router held-output masks instead of dividing out
+// coordinates or scanning owners. All of this is behavior-preserving:
 // see DESIGN.md §5i for the parity argument.
 package netsim
 
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 	"strings"
 
 	"locality/internal/stats"
@@ -88,21 +90,25 @@ func (f flit) isTail() bool { return f.seq == f.msg.Size-1 }
 // The depth is owned by the network and passed in where needed.
 type fifo struct {
 	buf   []flit
-	head  int
-	count int
+	head  int32
+	count int32
 }
 
-func (q *fifo) full(depth int) bool { return q.count == depth }
+func (q *fifo) full(depth int) bool { return int(q.count) == depth }
 func (q *fifo) empty() bool         { return q.count == 0 }
 
 func (q *fifo) push(f flit, depth int) {
-	if q.count == depth {
+	if int(q.count) == depth {
 		panic("netsim: push to full buffer")
 	}
 	if q.buf == nil {
 		q.buf = make([]flit, depth)
 	}
-	q.buf[(q.head+q.count)%len(q.buf)] = f
+	i := int(q.head + q.count)
+	if i >= depth {
+		i -= depth
+	}
+	q.buf[i] = f
 	q.count++
 }
 
@@ -113,9 +119,14 @@ func (q *fifo) peek() flit {
 	return q.buf[q.head]
 }
 
+// pop removes the front flit, zeroing its slot so the ring does not
+// keep a delivered message reachable.
 func (q *fifo) pop() flit {
 	f := q.peek()
-	q.head = (q.head + 1) % len(q.buf)
+	q.buf[q.head] = flit{}
+	if q.head++; int(q.head) == len(q.buf) {
+		q.head = 0
+	}
 	q.count--
 	return f
 }
@@ -148,18 +159,15 @@ type Config struct {
 // DeliveryFunc receives each message when its tail flit arrives.
 type DeliveryFunc func(now int64, msg *Message)
 
-// move is one committed flit transfer for the two-phase update.
+// move is one decided flit transfer for the two-phase update: the
+// front flit of router's input buffer leaves through virtual output
+// outKey, and acquire marks a head flit granted that output this cycle.
+// commit derives everything else from the popped flit and nbr. A byte
+// holds any input or key (nin ≤ 125, see Network.occ).
 type move struct {
-	router  int
-	input   int
-	outKey  int
-	release bool     // tail flit: release virtual output ownership
-	acquire *Message // head flit granted the output this cycle
-	newDim  int      // dimension entered by the acquiring head (fabric moves)
-	crossed bool     // this hop crosses the dateline
-	eject   bool
-	dest    int // destination router for fabric moves
-	destIn  int // destination input buffer index
+	router        int32
+	input, outKey uint8
+	acquire       bool
 }
 
 // Network simulates the whole fabric.
@@ -195,6 +203,8 @@ type Network struct {
 	lastGranted []int32
 	// lastVC[v·ports+o] rotates the physical channel between its two VCs.
 	lastVC []uint8
+	// nbr[v·ports+o] is the router across directional port o of v.
+	nbr []int32
 
 	// routerFlits[v] counts flits buffered across all of router v's
 	// inputs, for O(1) occupancy checks.
@@ -204,19 +214,24 @@ type Network struct {
 	// topology (nin = 4n+1 ≤ 125 for n ≤ 31). decide consults it so a
 	// router's cost tracks its occupied inputs, not nin².
 	occ [][2]uint64
+	// held[v] mirrors owner the same way: bit key is set iff router v's
+	// virtual output key has an owner.
+	held [][2]uint64
 	// headReq is decide's per-router scratch: headReq[idx] is the
 	// virtual output key requested by the arrived head flit at input
 	// idx, or -1. Filled from occ at the top of each router's decide.
 	headReq []int16
 
-	// Active-router worklist: v is on it iff it holds buffered flits or
-	// queued injections. Sorted ascending at the top of every Step so
-	// iteration visits routers in exactly the order the dense sweep
-	// did; activeDirty marks out-of-order appends made mid-cycle.
-	activeIDs   []int32
-	isActive    []bool
-	activeDirty bool
-	// forceDense pins every router to the worklist permanently,
+	// Active set: router v is active iff it holds buffered flits or
+	// queued injections. Bit v&63 of active[v>>6] marks it, and bit w&63
+	// of activeSum[w>>6] marks a non-zero active[w], so listing the set
+	// costs O(active + N/4096). worklist is that list in ascending
+	// router order — the dense sweep's order — rebuilt at each Step.
+	active      []uint64
+	activeSum   []uint64
+	activeCount int
+	worklist    []int32
+	// forceDense pins every router to the active set permanently,
 	// restoring the pre-worklist dense sweep. Behavior is identical by
 	// construction (idle routers decide nothing and mutate nothing);
 	// differential tests and benchmarks use it as the reference.
@@ -301,10 +316,38 @@ func New(cfg Config) (*Network, error) {
 		lastGranted: make([]int32, n*nin),
 		lastVC:      make([]uint8, n*ports),
 		routerFlits: make([]int32, n),
-		occ:         make([][2]uint64, n),
+		nbr:         make([]int32, n*ports),
 		headReq:     make([]int16, nin),
-		isActive:    make([]bool, n),
 		injectQ:     make([][]*Message, n),
+	}
+	// occ and held share one allocation, as do the two bitmap levels:
+	// every allocation counts in the set-up of a small machine.
+	masks := make([][2]uint64, 2*n)
+	nw.occ, nw.held = masks[:n:n], masks[n:]
+	words := (n + 63) >> 6
+	bitmap := make([]uint64, words+(n+4095)>>12)
+	nw.active, nw.activeSum = bitmap[:words:words], bitmap[words:]
+	// Fill nbr by walking each dimension's coordinate c alongside v (j
+	// counts v's position within a run of stride routers sharing c), so
+	// the table costs no division per entry.
+	k := nw.k
+	for dim, stride := 0, 1; dim < dims; dim, stride = dim+1, stride*k {
+		wrap := (k - 1) * stride
+		for v, c, j := 0, 0, 0; v < n; v++ {
+			plus, minus := v+stride, v-stride
+			if c == k-1 {
+				plus = v - wrap
+			}
+			if c == 0 {
+				minus = v + wrap
+			}
+			nw.nbr[v*ports+2*dim], nw.nbr[v*ports+2*dim+1] = int32(plus), int32(minus)
+			if j++; j == stride {
+				if j, c = 0, c+1; c == k {
+					c = 0
+				}
+			}
+		}
 	}
 	if cfg.Faults != nil {
 		nw.downAt = make([]int64, n*ports)
@@ -324,26 +367,42 @@ func (nw *Network) ejectKey() int { return 2 * nw.ports }
 // injectIn is the input buffer index of the injection port.
 func (nw *Network) injectIn() int { return 2 * nw.ports }
 
-// setOcc marks input idx of router v occupied.
-func (nw *Network) setOcc(v, idx int) {
-	nw.occ[v][idx>>6] |= 1 << (idx & 63)
-}
+// setBit and clrBit set and clear bit i of a router's two-word mask
+// (occ or held).
+func setBit(m *[2]uint64, i int) { m[i>>6] |= 1 << (i & 63) }
+func clrBit(m *[2]uint64, i int) { m[i>>6] &^= 1 << (i & 63) }
 
-// clrOcc marks input idx of router v empty.
-func (nw *Network) clrOcc(v, idx int) {
-	nw.occ[v][idx>>6] &^= 1 << (idx & 63)
-}
-
-// activate puts router v on the worklist if it is not already there.
+// activate adds router v to the active set.
 func (nw *Network) activate(v int) {
-	if nw.isActive[v] {
+	w := v >> 6
+	if nw.active[w]&(1<<(v&63)) != 0 {
 		return
 	}
-	nw.isActive[v] = true
-	if n := len(nw.activeIDs); n > 0 && nw.activeIDs[n-1] > int32(v) {
-		nw.activeDirty = true
+	nw.active[w] |= 1 << (v & 63)
+	nw.activeSum[w>>6] |= 1 << (w & 63)
+	nw.activeCount++
+}
+
+// deactivate removes an active router v from the active set.
+func (nw *Network) deactivate(v int) {
+	w := v >> 6
+	if nw.active[w] &^= 1 << (v & 63); nw.active[w] == 0 {
+		nw.activeSum[w>>6] &^= 1 << (w & 63)
 	}
-	nw.activeIDs = append(nw.activeIDs, int32(v))
+	nw.activeCount--
+}
+
+// appendActive appends the active routers to dst in ascending order.
+func (nw *Network) appendActive(dst []int32) []int32 {
+	for s, sum := range nw.activeSum {
+		for ; sum != 0; sum &= sum - 1 {
+			w := s<<6 + bits.TrailingZeros64(sum)
+			for m := nw.active[w]; m != 0; m &= m - 1 {
+				dst = append(dst, int32(w<<6+bits.TrailingZeros64(m)))
+			}
+		}
+	}
+	return dst
 }
 
 // forceDenseSweep marks every router permanently active, restoring the
@@ -357,9 +416,9 @@ func (nw *Network) forceDenseSweep() {
 	}
 }
 
-// ActiveRouters returns the current size of the active-router worklist
+// ActiveRouters returns the current size of the active-router set
 // (routers holding buffered flits or queued injections). O(1).
-func (nw *Network) ActiveRouters() int { return len(nw.activeIDs) }
+func (nw *Network) ActiveRouters() int { return nw.activeCount }
 
 // Send enqueues a message for injection at its source node. Messages
 // with src == dst bypass the fabric and deliver after LocalDelay.
@@ -424,21 +483,12 @@ func (nw *Network) outputPortFor(v, dst int) (port int, eject bool) {
 	return 0, true
 }
 
-// crossesDateline reports whether traversing port o out of router v
-// crosses the ring's wraparound edge: coordinate k−1 → 0 in the
-// positive direction, 0 → k−1 in the negative.
-func (nw *Network) crossesDateline(v, o int) bool {
-	dim := o / 2
-	coord := v
-	for i := 0; i < dim; i++ {
-		coord /= nw.k
-	}
-	coord %= nw.k
-	if o%2 == 0 {
-		return coord == nw.k-1
-	}
-	return coord == 0
-}
+// wraps reports whether the hop from router v through port o to next
+// crosses the ring's dateline (coordinate k−1 → 0 in the positive
+// direction, 0 → k−1 in the negative). Only the wrap edge moves a
+// positive hop (o even) to a lower router or a negative one to a
+// higher router, for every k ≥ 2.
+func wraps(v, o, next int) bool { return (o&1 == 0) == (next < v) }
 
 // vcFor returns the virtual channel a head flit must use on port o:
 // VC0 when entering a new dimension, its accumulated class otherwise.
@@ -449,23 +499,9 @@ func vcFor(msg *Message, o int) int {
 	return msg.vcClass
 }
 
-// neighborFor returns the router on the far side of directional port o
-// of router v.
-func (nw *Network) neighborFor(v, o int) int {
-	dim := o / 2
-	dir := 1
-	if o%2 == 1 {
-		dir = -1
-	}
-	return nw.topo.Neighbor(v, dim, dir)
-}
-
 // Step advances the network one cycle.
 func (nw *Network) Step() {
-	if nw.activeDirty {
-		slices.Sort(nw.activeIDs)
-		nw.activeDirty = false
-	}
+	nw.worklist = nw.appendActive(nw.worklist[:0])
 	if nw.cfg.Faults != nil {
 		nw.sweepFaults()
 	}
@@ -508,7 +544,7 @@ func (nw *Network) sweepFaults() {
 // injection buffer, one flit per cycle per node. Only active routers
 // can hold queued messages (Send activates the source).
 func (nw *Network) stepInjection() {
-	for _, v32 := range nw.activeIDs {
+	for _, v32 := range nw.worklist {
 		v := int(v32)
 		q := nw.injectQ[v]
 		if len(q) == 0 {
@@ -526,7 +562,7 @@ func (nw *Network) stepInjection() {
 			nw.sizes.Add(float64(msg.Size))
 		}
 		in.push(flit{msg: msg, seq: seq, arrivedAt: nw.now}, nw.cfg.BufferDepth)
-		nw.setOcc(v, nw.injectIn())
+		setBit(&nw.occ[v], nw.injectIn())
 		nw.routerFlits[v]++
 		nw.flitsIn++
 		nw.lastProgress = nw.now
@@ -545,11 +581,11 @@ func (nw *Network) stepInjection() {
 // per ejection port) based on cycle-start state, appending to the
 // reusable moves scratch buffer. Routers with no buffered flits can
 // produce no transfer and mutate no arbitration state, so iterating
-// the (sorted) worklist yields exactly the moves of a dense sweep, in
+// the ascending worklist yields exactly the moves of a dense sweep, in
 // the same order.
 func (nw *Network) decide() {
 	nw.moves = nw.moves[:0]
-	for _, v32 := range nw.activeIDs {
+	for _, v32 := range nw.worklist {
 		v := int(v32)
 		if nw.routerFlits[v] == 0 {
 			continue
@@ -564,7 +600,7 @@ func (nw *Network) decide() {
 		for i := range nw.headReq {
 			nw.headReq[i] = -1
 		}
-		var avail [2]uint64
+		avail := nw.held[v]
 		for w := 0; w < 2; w++ {
 			m := nw.occ[v][w]
 			for m != 0 {
@@ -576,12 +612,7 @@ func (nw *Network) decide() {
 				}
 				key := nw.requestKey(v, f.msg)
 				nw.headReq[idx] = int16(key)
-				avail[key>>6] |= 1 << (key & 63)
-			}
-		}
-		for key := 0; key < nw.nin; key++ {
-			if nw.owner[base+key] != nil {
-				avail[key>>6] |= 1 << (key & 63)
+				setBit(&avail, key)
 			}
 		}
 		// Directional physical channels: arbitrate between the two VCs.
@@ -598,68 +629,66 @@ func (nw *Network) decide() {
 				continue
 			}
 			firstVC := 1 - int(nw.lastVC[v*nw.ports+o])
-			granted := false
-			for attempt := 0; attempt < 2 && !granted; attempt++ {
-				vc := (firstVC + attempt) % 2
+			for attempt := 0; attempt < 2; attempt++ {
+				vc := firstVC ^ attempt
 				key := o*2 + vc
-				if avail[key>>6]&(1<<(key&63)) == 0 {
-					continue
-				}
-				if mv, ok := nw.decideVirtualOutput(v, key); ok {
-					nw.moves = append(nw.moves, mv)
+				if avail[key>>6]&(1<<(key&63)) != 0 && nw.decideVirtualOutput(v, key) {
 					nw.lastVC[v*nw.ports+o] = uint8(vc)
-					granted = true
+					break
 				}
 			}
 		}
 		// Ejection port.
 		ek := nw.ejectKey()
 		if avail[ek>>6]&(1<<(ek&63)) != 0 {
-			if mv, ok := nw.decideVirtualOutput(v, ek); ok {
-				nw.moves = append(nw.moves, mv)
-			}
+			nw.decideVirtualOutput(v, ek)
 		}
 	}
 }
 
-// decideVirtualOutput picks the flit (if any) to send through virtual
-// output key this cycle at router v.
-func (nw *Network) decideVirtualOutput(v, key int) (move, bool) {
+// decideVirtualOutput appends the transfer (if any) through virtual
+// output key at router v this cycle and reports whether there is one.
+func (nw *Network) decideVirtualOutput(v, key int) bool {
 	base := v * nw.nin
+	mv := move{router: int32(v), outKey: uint8(key)}
 	if owner := nw.owner[base+key]; owner != nil {
 		input := int(nw.ownerInput[base+key])
 		in := &nw.in[base+input]
 		if in.empty() {
-			return move{}, false
+			return false
 		}
-		f := in.peek()
-		if f.msg != owner || f.arrivedAt >= nw.now {
-			return move{}, false
+		if f := in.peek(); f.msg != owner || f.arrivedAt >= nw.now {
+			return false
 		}
-		return nw.buildMove(v, input, key, f)
+		mv.input = uint8(input)
+	} else {
+		// Arbitrate round-robin among input buffers whose head flit
+		// requests this key, consulting the gather phase's per-input
+		// request table instead of re-peeking every buffer.
+		idx := int(nw.lastGranted[base+key])
+		for i := 0; ; i++ {
+			if i == nw.nin {
+				return false
+			}
+			if idx++; idx == nw.nin {
+				idx = 0
+			}
+			if nw.headReq[idx] == int16(key) {
+				break
+			}
+		}
+		mv.input, mv.acquire = uint8(idx), true
 	}
-	// Arbitrate among input buffers whose head flit requests this key,
-	// consulting the gather phase's per-input request table instead of
-	// re-peeking every buffer (same skip conditions, same round-robin
-	// order).
-	start := int(nw.lastGranted[base+key])
-	for i := 1; i <= nw.nin; i++ {
-		idx := (start + i) % nw.nin
-		if nw.headReq[idx] != int16(key) {
-			continue
-		}
-		f := nw.in[base+idx].peek()
-		mv, ok := nw.buildMove(v, idx, key, f)
-		if !ok {
-			// The downstream buffer is full; no other input can use
-			// this key more productively this cycle.
-			return move{}, false
-		}
-		mv.acquire = f.msg
-		nw.lastGranted[base+key] = int32(idx)
-		return mv, true
+	if !nw.hasRoom(v, key) {
+		// The downstream buffer is full; no input can use this key
+		// this cycle.
+		return false
 	}
-	return move{}, false
+	if mv.acquire {
+		nw.lastGranted[base+key] = int32(mv.input)
+	}
+	nw.moves = append(nw.moves, mv)
+	return true
 }
 
 // requestKey returns the virtual output key the message's head flit
@@ -672,102 +701,95 @@ func (nw *Network) requestKey(v int, msg *Message) int {
 	return o*2 + vcFor(msg, o)
 }
 
-// buildMove checks downstream capacity for a candidate transfer.
-func (nw *Network) buildMove(v, input, key int, f flit) (move, bool) {
+// hasRoom reports whether virtual output key of router v can take a
+// flit: the node sinks one flit per cycle unconditionally, and a
+// channel needs space in the downstream buffer of the same key.
+func (nw *Network) hasRoom(v, key int) bool {
 	if key == nw.ejectKey() {
-		// The node sinks one flit per cycle unconditionally.
-		return move{router: v, input: input, outKey: key, release: f.isTail(), eject: true}, true
+		return true
 	}
-	o := key / 2
-	next := nw.neighborFor(v, o)
-	if nw.in[next*nw.nin+key].full(nw.cfg.BufferDepth) {
-		return move{}, false
-	}
-	return move{
-		router:  v,
-		input:   input,
-		outKey:  key,
-		release: f.isTail(),
-		dest:    next,
-		destIn:  key,
-		newDim:  o / 2,
-		crossed: nw.crossesDateline(v, o),
-	}, true
+	next := int(nw.nbr[v*nw.ports+key>>1])
+	return !nw.in[next*nw.nin+key].full(nw.cfg.BufferDepth)
 }
 
-// commit applies the decided transfers.
+// commit applies the decided transfers. A tail flit releases its
+// output; a fabric move of key o·2+vc lands in input o·2+vc of
+// nbr[v·ports+o].
 func (nw *Network) commit() {
 	if len(nw.moves) > 0 {
 		nw.lastProgress = nw.now
 	}
-	for i := range nw.moves {
-		mv := &nw.moves[i]
-		base := mv.router * nw.nin
-		f := nw.in[base+mv.input].pop()
-		if nw.in[base+mv.input].empty() {
-			nw.clrOcc(mv.router, mv.input)
+	ek := nw.ejectKey()
+	for _, mv := range nw.moves {
+		v, input, key := int(mv.router), int(mv.input), int(mv.outKey)
+		base := v * nw.nin
+		in := &nw.in[base+input]
+		f := in.pop()
+		if in.empty() {
+			clrBit(&nw.occ[v], input)
 		}
-		nw.routerFlits[mv.router]--
-		if mv.acquire != nil {
-			nw.owner[base+mv.outKey] = mv.acquire
-			nw.ownerInput[base+mv.outKey] = int32(mv.input)
-			if !mv.eject {
-				// Update the worm's dateline state as its head
-				// advances; body flits inherit the reserved path.
-				if f.msg.curDim != mv.newDim {
-					f.msg.curDim = mv.newDim
-					f.msg.vcClass = 0
-				}
-				if mv.crossed {
-					f.msg.vcClass = 1
-				}
-			}
+		nw.routerFlits[v]--
+		if mv.acquire {
+			nw.owner[base+key] = f.msg
+			nw.ownerInput[base+key] = int32(input)
+			setBit(&nw.held[v], key)
 		}
-		if mv.release {
-			nw.owner[base+mv.outKey] = nil
+		if f.isTail() {
+			nw.owner[base+key] = nil
+			clrBit(&nw.held[v], key)
 		}
-		if mv.eject {
+		if key == ek {
 			nw.flitsOut++
 			if f.isTail() {
 				nw.completeDelivery(f.msg)
 			}
 			continue
 		}
+		o := key >> 1
+		dest := int(nw.nbr[v*nw.ports+o])
+		if mv.acquire {
+			// Update the worm's dateline state as its head advances;
+			// body flits inherit the reserved path.
+			if dim := o >> 1; f.msg.curDim != dim {
+				f.msg.curDim = dim
+				f.msg.vcClass = 0
+			}
+			if wraps(v, o, dest) {
+				f.msg.vcClass = 1
+			}
+		}
 		if f.isHead() {
 			f.msg.Hops++
 		}
 		nw.flitHops.Inc()
 		f.arrivedAt = nw.now
-		nw.in[mv.dest*nw.nin+mv.destIn].push(f, nw.cfg.BufferDepth)
-		nw.setOcc(mv.dest, mv.destIn)
-		nw.routerFlits[mv.dest]++
+		nw.in[dest*nw.nin+key].push(f, nw.cfg.BufferDepth)
+		setBit(&nw.occ[dest], key)
+		nw.routerFlits[dest]++
 		// A flit arriving this cycle cannot move before the next one
 		// (the arrivedAt >= now guard), so activating the destination
 		// now — for the next cycle's worklist — is timing-exact.
-		nw.activate(mv.dest)
+		nw.activate(dest)
 	}
 }
 
-// compactActive drops drained routers from the worklist: a router with
-// no buffered flits and no queued injections contributes nothing to
-// any future cycle until traffic re-activates it. Its persistent
+// compactActive drops drained routers from the active set: a router
+// with no buffered flits and no queued injections contributes nothing
+// to any future cycle until traffic re-activates it. Its persistent
 // arbitration rotors (lastGranted, lastVC) and any stretched-worm
 // output ownership stay in the flat arrays, untouched, exactly as a
-// dense sweep would leave them.
+// dense sweep would leave them. Only worklist routers can have
+// drained: a router activated during this cycle received a flit or a
+// queued message.
 func (nw *Network) compactActive() {
 	if nw.forceDense {
 		return
 	}
-	kept := nw.activeIDs[:0]
-	for _, v32 := range nw.activeIDs {
-		v := int(v32)
-		if nw.routerFlits[v] > 0 || len(nw.injectQ[v]) > 0 {
-			kept = append(kept, v32)
-		} else {
-			nw.isActive[v] = false
+	for _, v32 := range nw.worklist {
+		if v := int(v32); nw.routerFlits[v] == 0 && len(nw.injectQ[v]) == 0 {
+			nw.deactivate(v)
 		}
 	}
-	nw.activeIDs = kept
 }
 
 func (nw *Network) completeDelivery(msg *Message) {
@@ -797,6 +819,9 @@ func (nw *Network) stepLocal() {
 			kept = append(kept, e)
 		}
 	}
+	// Zero the dropped tail so the backing array does not keep
+	// delivered messages reachable.
+	clear(nw.local[len(kept):])
 	nw.local = kept
 }
 
@@ -875,32 +900,32 @@ func (nw *Network) ResetStats() {
 
 // inFlightFlits counts flits currently buffered anywhere in the fabric
 // (injection buffers included; queued-but-uninjected messages are not).
-// O(active routers): inactive routers hold no flits by invariant.
-func (nw *Network) inFlightFlits() int {
-	total := 0
-	for _, v := range nw.activeIDs {
-		total += int(nw.routerFlits[v])
-	}
-	return total
-}
+// O(1): by flit conservation, which Check verifies, it is the flits
+// accepted less the flits ejected.
+func (nw *Network) inFlightFlits() int { return int(nw.flitsIn - nw.flitsOut) }
 
 // Check verifies the fabric's structural invariants: flit conservation
 // (every flit ever accepted has either been ejected or is buffered in
-// a switch), the queued-message counter, the per-router flit counts
-// and input-occupancy masks, and the active-worklist invariant — the worklist holds exactly the
-// routers with buffered flits or queued injections (every such router,
-// no drained ones, no duplicates). Watchdog, fault, and restore code
-// call this so no code path can silently leak flits or corrupt the
-// worklist. O(N·nin), so not for per-cycle hot paths.
+// a switch), the queued-message counter, the per-router flit counts,
+// input-occupancy and held-output masks, and the active set — exactly
+// the routers with buffered flits or queued injections (every such
+// router, no drained ones), with each summary bit set iff its word is
+// non-zero and the count equal to the bits set. Watchdog, fault, and
+// restore code call this so no code path can silently leak flits or
+// corrupt the active set. O(N·nin), so not for per-cycle hot paths.
 func (nw *Network) Check() error {
 	var inFlight int64
+	q := 0
 	for v := 0; v < nw.nodes; v++ {
 		sum := int32(0)
-		var occ [2]uint64
+		var occ, held [2]uint64
 		for key := 0; key < nw.nin; key++ {
 			if c := nw.in[v*nw.nin+key].count; c > 0 {
-				sum += int32(c)
-				occ[key>>6] |= 1 << (key & 63)
+				sum += c
+				setBit(&occ, key)
+			}
+			if nw.owner[v*nw.nin+key] != nil {
+				setBit(&held, key)
 			}
 		}
 		if sum != nw.routerFlits[v] {
@@ -911,39 +936,42 @@ func (nw *Network) Check() error {
 			return fmt.Errorf("netsim: router %d input-occupancy mask drifted at cycle %d: mask %x, buffers %x",
 				v, nw.now, nw.occ[v], occ)
 		}
-		occupied := sum > 0 || len(nw.injectQ[v]) > 0
-		if occupied && !nw.isActive[v] {
-			return fmt.Errorf("netsim: router %d holds traffic at cycle %d but is missing from the active worklist", v, nw.now)
+		if held != nw.held[v] {
+			return fmt.Errorf("netsim: router %d held-output mask drifted at cycle %d: mask %x, owners %x",
+				v, nw.now, nw.held[v], held)
 		}
-		if !occupied && nw.isActive[v] && !nw.forceDense {
-			return fmt.Errorf("netsim: drained router %d left on the active worklist at cycle %d", v, nw.now)
+		occupied := sum > 0 || len(nw.injectQ[v]) > 0
+		isActive := nw.active[v>>6]&(1<<(v&63)) != 0
+		if occupied && !isActive {
+			return fmt.Errorf("netsim: router %d holds traffic at cycle %d but is missing from the active set", v, nw.now)
+		}
+		if !occupied && isActive && !nw.forceDense {
+			return fmt.Errorf("netsim: drained router %d left in the active set at cycle %d", v, nw.now)
 		}
 		inFlight += int64(sum)
+		q += len(nw.injectQ[v])
 	}
 	if nw.flitsIn != nw.flitsOut+inFlight {
 		return fmt.Errorf("netsim: flit conservation violated at cycle %d: injected %d != delivered %d + in-flight %d",
 			nw.now, nw.flitsIn, nw.flitsOut, inFlight)
 	}
-	q := 0
-	active := 0
-	for v := 0; v < nw.nodes; v++ {
-		q += len(nw.injectQ[v])
-		if nw.isActive[v] {
-			active++
-		}
-	}
 	if q != nw.queued {
 		return fmt.Errorf("netsim: queued-message count drifted at cycle %d: counter %d, queues hold %d",
 			nw.now, nw.queued, q)
 	}
-	for _, v := range nw.activeIDs {
-		if v < 0 || int(v) >= nw.nodes || !nw.isActive[v] {
-			return fmt.Errorf("netsim: stale worklist entry %d at cycle %d", v, nw.now)
+	set := 0
+	for w := 0; w < len(nw.activeSum)<<6; w++ {
+		word := uint64(0)
+		if w < len(nw.active) {
+			word = nw.active[w]
 		}
+		if (word != 0) != (nw.activeSum[w>>6]&(1<<(w&63)) != 0) {
+			return fmt.Errorf("netsim: active-set summary bit %d disagrees with its word %x at cycle %d", w, word, nw.now)
+		}
+		set += bits.OnesCount64(word)
 	}
-	if len(nw.activeIDs) != active {
-		return fmt.Errorf("netsim: worklist holds %d entries but %d routers are marked active at cycle %d",
-			len(nw.activeIDs), active, nw.now)
+	if set != nw.activeCount {
+		return fmt.Errorf("netsim: active set holds %d routers but counts %d at cycle %d", set, nw.activeCount, nw.now)
 	}
 	return nil
 }
@@ -968,13 +996,11 @@ func (nw *Network) DiagSnapshot() string {
 	fmt.Fprintf(&b, "network @ N-cycle %d: %d flits in flight, last progress at %d\n",
 		nw.now, nw.inFlightFlits(), nw.lastProgress)
 	var busyRouters []int
-	for _, v32 := range nw.activeIDs {
-		v := int(v32)
-		if nw.routerFlits[v] > 0 || len(nw.injectQ[v]) > 0 {
+	for _, v32 := range nw.appendActive(nil) {
+		if v := int(v32); nw.routerFlits[v] > 0 || len(nw.injectQ[v]) > 0 {
 			busyRouters = append(busyRouters, v)
 		}
 	}
-	slices.Sort(busyRouters)
 	shown := busyRouters
 	if len(shown) > maxRouters {
 		shown = shown[:maxRouters]

@@ -1,15 +1,35 @@
 package netsim
 
-import (
-	"testing"
-
-	"locality/internal/topology"
-)
+import "testing"
 
 // White-box tests for the routing internals: virtual-channel dateline
 // discipline and minimal-direction tie balancing.
 
-func TestCrossesDateline(t *testing.T) {
+// TestPortTablesMatchTopology checks the per-port neighbor table and
+// the dateline crossing derived from it against the topology: every
+// nbr entry is topo.Neighbor(v, o/2, ±1), and a hop wraps iff it goes
+// k−1 → 0 in the positive direction or 0 → k−1 in the negative.
+func TestPortTablesMatchTopology(t *testing.T) {
+	for _, k := range []int{2, 3, 4, 5, 8} {
+		for n := 1; n <= 3; n++ {
+			nw := newNet(t, k, n, 4)
+			for v := 0; v < nw.nodes; v++ {
+				coords := nw.topo.Coords(v)
+				for o := 0; o < nw.ports; o++ {
+					dim, dir := o/2, 1-2*(o%2)
+					next := int(nw.nbr[v*nw.ports+o])
+					if want := nw.topo.Neighbor(v, dim, dir); next != want {
+						t.Fatalf("k=%d n=%d: nbr[%v port %d] = %d, want %d", k, n, coords, o, next, want)
+					}
+					want := dir == 1 && coords[dim] == k-1 || dir == -1 && coords[dim] == 0
+					if got := wraps(v, o, next); got != want {
+						t.Fatalf("k=%d n=%d: wraps(%v, port %d) = %v, want %v", k, n, coords, o, got, want)
+					}
+				}
+			}
+		}
+	}
+	// Named rows on the 8×8 torus.
 	nw := newNet(t, 8, 2, 4)
 	tests := []struct {
 		coords []int
@@ -24,11 +44,10 @@ func TestCrossesDateline(t *testing.T) {
 		{[]int{0, 7}, 0, false}, // +x unaffected by y coordinate
 		{[]int{3, 0}, 3, true},  // −y from y=0 wraps
 	}
-	tor := topology.MustNew(8, 2)
 	for _, tc := range tests {
-		v := tor.ID(tc.coords)
-		if got := nw.crossesDateline(v, tc.port); got != tc.want {
-			t.Errorf("crossesDateline(%v, port %d) = %v, want %v", tc.coords, tc.port, got, tc.want)
+		v := nw.topo.ID(tc.coords)
+		if got := wraps(v, tc.port, int(nw.nbr[v*nw.ports+tc.port])); got != tc.want {
+			t.Errorf("wraps(%v, port %d) = %v, want %v", tc.coords, tc.port, got, tc.want)
 		}
 	}
 }

@@ -149,8 +149,7 @@ func (t *Torus) Neighbor(id, dim, dir int) int {
 	if dir != 1 && dir != -1 {
 		panic(fmt.Sprintf("topology: direction %d must be ±1", dir))
 	}
-	// Pure arithmetic — this sits on the simulator's per-flit hot path,
-	// so it must not allocate the way Coords/ID do.
+	// Pure arithmetic, so unlike Coords/ID it does not allocate.
 	stride := 1
 	for i := 0; i < dim; i++ {
 		stride *= t.k
