@@ -1,9 +1,10 @@
 // Command modelserver serves the analytic combined model over
 // HTTP/JSON: point queries (/v1/solve, /v1/gain, /v1/sensitivity)
-// through a coalescing batcher and bounded solve cache, and grid
-// queries (/v1/sweep) fanned out to registered modelworker processes —
-// or run locally when none are registered. Observability rides along
-// on /metrics (Prometheus), /statusz, and /healthz.
+// answered inline, /v1/solve through a coalescing batcher and a bounded
+// solve cache, and grid queries (/v1/sweep) fanned out one cell at a
+// time to registered modelworker processes — or run locally when none
+// are registered. Observability rides along on /metrics (Prometheus),
+// /statusz, and /healthz.
 //
 //	modelserver -addr :8090 -ledger runs.jsonl
 //
@@ -33,7 +34,6 @@ func main() {
 	window := flag.Duration("batch-window", 2*time.Millisecond, "point-query micro-batch window (0 disables)")
 	stale := flag.Duration("stale-after", 10*time.Second, "mark workers dead after this heartbeat silence")
 	localWorkers := flag.Int("local-workers", 1, "goroutines for sweeps when no workers are registered")
-	cacheCap := flag.Int("cache-capacity", 0, "solve cache entry bound (0 = default)")
 	flag.Parse()
 
 	cfg := serve.Config{
@@ -45,9 +45,6 @@ func main() {
 	}
 	if *window == 0 {
 		cfg.BatchWindow = -1 // serve.Config uses negative for "disabled"
-	}
-	if *cacheCap > 0 {
-		cfg.CacheCapacity = *cacheCap
 	}
 	s, err := serve.New(cfg)
 	if err != nil {

@@ -1,12 +1,13 @@
-// Command modelworker executes sweep chunks on behalf of a
+// Command modelworker executes sweep cells on behalf of a
 // modelserver. It registers itself, heartbeats, and serves POST /run
 // requests that carry a sweep grid spec plus a cell range; the server
-// handles scheduling, requeue on death, and in-order result streaming.
+// hands out cells, requeues them on death, and streams results in
+// order.
 //
 //	modelworker -server http://localhost:8090 -id worker-1
 //
 // Workers are stateless: killing one mid-sweep loses nothing (the
-// server requeues its outstanding chunk) and restarting one just
+// server requeues its outstanding cell) and restarting one just
 // re-registers. Run as many as the host has cores to spare.
 package main
 

@@ -44,14 +44,13 @@ func ExpectedGain(c Config, nodes float64) (GainResult, error) {
 		return GainResult{}, fmt.Errorf("core: ExpectedGain needs at least 2 nodes, got %g", nodes)
 	}
 	dRandom := RandomMappingDistance(c.Net.Dims, nodes)
-	// Memoized solves: across a gain sweep every size shares the same
-	// ideal-mapping configuration, so only the random-mapping point
-	// costs a fresh bisection per size.
-	ideal, err := c.WithDistance(1).SolveCached()
+	// Both points are plain solves: a bisection costs about a
+	// microsecond, so a memo would save nothing a caller could see.
+	ideal, err := c.WithDistance(1).Solve()
 	if err != nil {
 		return GainResult{}, fmt.Errorf("core: ideal-mapping solve: %w", err)
 	}
-	random, err := c.WithDistance(dRandom).SolveCached()
+	random, err := c.WithDistance(dRandom).Solve()
 	if err != nil {
 		return GainResult{}, fmt.Errorf("core: random-mapping solve: %w", err)
 	}

@@ -38,7 +38,7 @@ func LinearGainBound(c Config, dFrom, dTo float64) float64 {
 // returns the resulting average per-hop latency; used to plot the
 // approach to HopLatencyLimit (Figure 6).
 func HopLatencyAtDistance(c Config, d float64) (float64, error) {
-	sol, err := c.WithDistance(d).SolveCached()
+	sol, err := c.WithDistance(d).Solve()
 	if err != nil {
 		return 0, err
 	}

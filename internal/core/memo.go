@@ -3,106 +3,55 @@ package core
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 )
 
 // SolveCache memoizes Config.Solve results keyed by the canonicalized
-// configuration. The experiment grids resolve the same operating
-// points over and over — every Figure 7 size shares one ideal-mapping
-// (d=1) solve, Figure 8 revisits Figure 7's configurations, and the
-// parallel engine makes repeated solves concurrent — so the analytical
-// half of a figures run collapses to one bisection per distinct
-// configuration. The model-serving front end put the same cache on a
-// request path that never exits, which is why it is bounded: entries
-// live in power-of-two shards, each a mutex-guarded hash map plus an
-// intrusive LRU list, and once a shard reaches its capacity every
-// insert evicts the shard's least-recently-used entry. Hits, misses,
-// and evictions are counted for the /metrics exposition.
+// configuration. The model server puts one in front of /v1/solve. A
+// cold solve costs about a microsecond, so the cache is deliberately
+// plain: one mutex-guarded map from the key's hash to its entry, which
+// is cleared outright when it reaches its capacity. The bound keeps a
+// server that sees a stream of distinct configurations from growing
+// without limit. Hits, misses, and evictions are counted for the
+// /metrics exposition.
 //
 // Safe for concurrent use. A concurrent miss on the same key may solve
-// twice, which is harmless because Solve is deterministic; sharding
-// means two hot keys contend only when they hash to the same shard.
-// The zero value is usable and sizes itself to DefaultCacheCapacity on
-// first use; NewSolveCache picks an explicit bound.
+// twice, which is harmless because Solve is deterministic. The zero
+// value is usable and holds up to DefaultCacheCapacity entries.
 type SolveCache struct {
-	capacity int // requested total capacity; 0 → DefaultCacheCapacity
-	once     sync.Once
-	shards   []solveShard
-	mask     uint64
-
-	hits, misses, evictions atomic.Int64
-}
-
-// DefaultCacheCapacity bounds the process-wide DefaultSolveCache. An
-// entry is a Config key plus a Solution and list pointers — a few
-// hundred bytes — so the default caps the cache around tens of MB
-// while still covering every distinct operating point any of the
-// repo's experiment grids resolves.
-const DefaultCacheCapacity = 1 << 16
-
-// solveShardCount is the number of power-of-two shards. 16 keeps
-// per-shard mutex contention negligible at the serving layer's
-// GOMAXPROCS-scale concurrency without fragmenting the LRU bound into
-// meaninglessly small per-shard slices.
-const solveShardCount = 16
-
-type solveShard struct {
-	// front is the entry this shard most recently served or stored.
-	// Repeated queries for one operating point — the serving layer's
-	// hot case — resolve against it without taking the lock. Entries
-	// are immutable once published, so a front hit stays correct even
-	// after the entry is evicted from the map.
-	front atomic.Pointer[solveEntry]
+	capacity int // <= 0 selects DefaultCacheCapacity
 
 	mu sync.Mutex
-	// m maps the precomputed key hash to a chain of entries. Keying by
-	// uint64 instead of the 13-field Config struct keeps the hot hit
-	// path off the runtime's generic struct hasher (measurably ~3× the
-	// whole lookup cost); genuine 64-bit collisions chain through
-	// collide and are resolved by full key comparison.
-	m    map[uint64]*solveEntry
-	size int // resident entries; len(m) undercounts chained collisions
-	cap  int // per-shard entry bound, ≥ 1
-	// Intrusive LRU list: head is most recent, tail the eviction
-	// candidate. nil/nil when empty.
-	head, tail *solveEntry
+	// m maps the precomputed key hash to its entry. Keying by uint64
+	// instead of the 13-field Config struct keeps lookups off the
+	// runtime's generic struct hasher; a lookup still compares the full
+	// key, so a 64-bit collision is a miss that replaces the old entry.
+	m                       map[uint64]*solveEntry
+	hits, misses, evictions int64
 }
+
+// DefaultCacheCapacity bounds a SolveCache built with a non-positive
+// capacity or used as a zero value. An entry is a Config key plus a
+// Solution, a few hundred bytes, so a full cache stays well under 1 MB.
+const DefaultCacheCapacity = 1 << 10
 
 type solveEntry struct {
-	key        Config
-	hash       uint64
-	sol        Solution
-	err        error
-	collide    *solveEntry // next entry with the same 64-bit hash
-	prev, next *solveEntry
+	key  Config
+	hash uint64
+	sol  Solution
+	err  error
 }
 
-// NewSolveCache returns a cache bounded to roughly capacity entries
-// (rounded up so each of the power-of-two shards holds at least one).
+// NewSolveCache returns a cache bounded to capacity entries.
 // capacity <= 0 selects DefaultCacheCapacity.
 func NewSolveCache(capacity int) *SolveCache {
-	sc := &SolveCache{capacity: capacity}
-	sc.init()
-	return sc
+	return &SolveCache{capacity: capacity}
 }
 
-func (sc *SolveCache) init() {
-	sc.once.Do(func() {
-		total := sc.capacity
-		if total <= 0 {
-			total = DefaultCacheCapacity
-		}
-		per := (total + solveShardCount - 1) / solveShardCount
-		if per < 1 {
-			per = 1
-		}
-		sc.shards = make([]solveShard, solveShardCount)
-		for i := range sc.shards {
-			sc.shards[i].cap = per
-			sc.shards[i].m = make(map[uint64]*solveEntry)
-		}
-		sc.mask = solveShardCount - 1
-	})
+func (sc *SolveCache) limit() int {
+	if sc.capacity <= 0 {
+		return DefaultCacheCapacity
+	}
+	return sc.capacity
 }
 
 const (
@@ -117,10 +66,9 @@ func fnvMix(h, v uint64) uint64 {
 
 // hash folds every field that participates in map-key equality with
 // FNV-1a over the fields' bit patterns, so canonically equal configs
-// land on the same shard and the same collision chain. Two independent
-// lanes halve the multiply dependency chain — the hash sits on the
-// lock-free hit path, where serial FNV latency was the largest single
-// cost — and a final cross-mix folds them together.
+// get the same hash. Two independent lanes halve the multiply
+// dependency chain, which sits on every lookup, and a final cross-mix
+// folds them together.
 func (c *Config) hash() uint64 {
 	a := uint64(fnvOffset)
 	b := uint64(fnvOffset) ^ fnvPrime
@@ -152,176 +100,69 @@ func (c *Config) hash() uint64 {
 func (sc *SolveCache) Solve(cfg Config) (Solution, error) {
 	key, ok := cfg.canonical()
 	if !ok {
-		sc.misses.Add(1)
+		sc.mu.Lock()
+		sc.misses++
+		sc.mu.Unlock()
 		return cfg.Solve()
 	}
-	sc.init()
 	h := key.hash()
-	sh := &sc.shards[h&sc.mask]
-	if e := sh.front.Load(); e != nil && e.hash == h && e.key == key {
-		sc.hits.Add(1)
+	sc.mu.Lock()
+	if e := sc.m[h]; e != nil && e.key == key {
+		sc.hits++
+		sc.mu.Unlock()
 		return e.sol, e.err
 	}
-	sh.mu.Lock()
-	if e := sh.lookup(h, key); e != nil {
-		sh.moveToFront(e)
-		sh.mu.Unlock()
-		sh.front.Store(e)
-		sc.hits.Add(1)
-		return e.sol, e.err
-	}
-	sh.mu.Unlock()
+	sc.misses++
+	sc.mu.Unlock()
 
-	// Solve outside the shard lock: a bisection takes microseconds and
-	// must not serialize unrelated keys behind it.
-	sc.misses.Add(1)
+	// Solve outside the lock so a miss never stalls other lookups.
 	sol, err := cfg.Solve()
-
-	sh.mu.Lock()
-	if sh.lookup(h, key) == nil {
-		if sh.size >= sh.cap {
-			sh.evictOldest()
-			sc.evictions.Add(1)
-		}
-		e := &solveEntry{key: key, hash: h, sol: sol, err: err}
-		sh.insert(e)
-		sh.front.Store(e)
-	}
-	sh.mu.Unlock()
+	sc.store(&solveEntry{key: key, hash: h, sol: sol, err: err})
 	return sol, err
 }
 
-// lookup walks the collision chain for h to the entry whose full key
-// matches. Caller holds the shard lock.
-func (sh *solveShard) lookup(h uint64, key Config) *solveEntry {
-	for e := sh.m[h]; e != nil; e = e.collide {
-		if e.key == key {
-			return e
+// store inserts e, first clearing the map if it is full.
+func (sc *SolveCache) store(e *solveEntry) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if old := sc.m[e.hash]; old != nil {
+		if old.key == e.key {
+			return // a concurrent miss stored it first
 		}
+		sc.evictions++
+	} else if len(sc.m) >= sc.limit() {
+		sc.evictions += int64(len(sc.m))
+		clear(sc.m)
 	}
-	return nil
-}
-
-// insert links a fresh entry into the hash chain and the LRU head.
-// Caller holds the shard lock and has checked the key is absent.
-func (sh *solveShard) insert(e *solveEntry) {
-	e.collide = sh.m[e.hash]
-	sh.m[e.hash] = e
-	sh.pushFront(e)
-	sh.size++
-}
-
-// moveToFront marks e most-recently-used. Caller holds the shard lock.
-func (sh *solveShard) moveToFront(e *solveEntry) {
-	if sh.head == e {
-		return
+	if sc.m == nil {
+		sc.m = make(map[uint64]*solveEntry)
 	}
-	// Unlink.
-	if e.prev != nil {
-		e.prev.next = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	}
-	if sh.tail == e {
-		sh.tail = e.prev
-	}
-	// Relink at head.
-	e.prev = nil
-	e.next = sh.head
-	if sh.head != nil {
-		sh.head.prev = e
-	}
-	sh.head = e
-	if sh.tail == nil {
-		sh.tail = e
-	}
-}
-
-// pushFront links a fresh entry at the head. Caller holds the lock.
-func (sh *solveShard) pushFront(e *solveEntry) {
-	e.next = sh.head
-	if sh.head != nil {
-		sh.head.prev = e
-	}
-	sh.head = e
-	if sh.tail == nil {
-		sh.tail = e
-	}
-}
-
-// evictOldest removes the tail entry. Caller holds the lock and has
-// checked the shard is non-empty.
-func (sh *solveShard) evictOldest() {
-	old := sh.tail
-	if old == nil {
-		return
-	}
-	sh.tail = old.prev
-	if sh.tail != nil {
-		sh.tail.next = nil
-	} else {
-		sh.head = nil
-	}
-	old.prev, old.next = nil, nil
-	// Unlink from the collision chain.
-	if head := sh.m[old.hash]; head == old {
-		if old.collide != nil {
-			sh.m[old.hash] = old.collide
-		} else {
-			delete(sh.m, old.hash)
-		}
-	} else {
-		for e := head; e != nil; e = e.collide {
-			if e.collide == old {
-				e.collide = old.collide
-				break
-			}
-		}
-	}
-	old.collide = nil
-	sh.size--
+	sc.m[e.hash] = e
 }
 
 // CacheStats is a point-in-time view of the cache's counters and size.
 type CacheStats struct {
 	Hits, Misses, Evictions int64
 	// Entries counts currently resident entries; Capacity is the
-	// configured bound (summed across shards).
+	// configured bound.
 	Entries, Capacity int
 }
 
 // Stats returns the cache's lifetime counters and current occupancy.
 func (sc *SolveCache) Stats() CacheStats {
-	sc.init()
-	st := CacheStats{
-		Hits:      sc.hits.Load(),
-		Misses:    sc.misses.Load(),
-		Evictions: sc.evictions.Load(),
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	return CacheStats{
+		Hits:      sc.hits,
+		Misses:    sc.misses,
+		Evictions: sc.evictions,
+		Entries:   len(sc.m),
+		Capacity:  sc.limit(),
 	}
-	for i := range sc.shards {
-		sh := &sc.shards[i]
-		sh.mu.Lock()
-		st.Entries += sh.size
-		st.Capacity += sh.cap
-		sh.mu.Unlock()
-	}
-	return st
 }
 
 // Len counts the stored entries.
 func (sc *SolveCache) Len() int { return sc.Stats().Entries }
-
-// DefaultSolveCache is the process-wide cache behind SolveCached,
-// bounded to DefaultCacheCapacity entries.
-var DefaultSolveCache = NewSolveCache(DefaultCacheCapacity)
-
-// SolveCached is Solve through the process-wide memoization cache. Use
-// it on analytical sweep paths that revisit operating points; results
-// are bit-identical to Solve because Solve is deterministic.
-func (c Config) SolveCached() (Solution, error) {
-	return DefaultSolveCache.Solve(c)
-}
 
 // canonical normalizes a configuration to its cache key, mapping
 // configurations that provably share a solution onto one key: a

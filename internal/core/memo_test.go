@@ -123,8 +123,8 @@ func TestSolveCacheConcurrent(t *testing.T) {
 }
 
 func TestSolveCacheEvictsWhenFull(t *testing.T) {
-	sc := NewSolveCache(solveShardCount) // one entry per shard
-	const distinct = 8 * solveShardCount
+	sc := NewSolveCache(16)
+	const distinct = 8 * 16
 	for i := 0; i < distinct; i++ {
 		if _, err := sc.Solve(Alewife(2, 1+float64(i))); err != nil {
 			t.Fatal(err)
@@ -155,10 +155,10 @@ func TestSolveCacheEvictsWhenFull(t *testing.T) {
 // TestSolveCacheBoundedHeap is the regression test for the unbounded
 // sync.Map this cache replaced: a sweep over 10^6 distinct
 // configurations must not grow the heap past a fixed budget, because
-// the LRU bound caps residency at the configured capacity. The
-// configs are inserted through the internal store path (a million real
-// bisections would dominate the suite's runtime; memory behavior is
-// identical because the stored entry is the same either way).
+// the capacity bound caps residency. The configs are inserted through
+// the internal store path (a million real bisections would dominate
+// the suite's runtime; memory behavior is identical because the stored
+// entry is the same either way).
 func TestSolveCacheBoundedHeap(t *testing.T) {
 	sc := NewSolveCache(DefaultCacheCapacity)
 	var before runtime.MemStats
@@ -170,17 +170,7 @@ func TestSolveCacheBoundedHeap(t *testing.T) {
 	for i := 0; i < distinct; i++ {
 		key := base
 		key.D = 1 + float64(i)*1e-3
-		h := key.hash()
-		sh := &sc.shards[h&sc.mask]
-		sh.mu.Lock()
-		if sh.lookup(h, key) == nil {
-			if sh.size >= sh.cap {
-				sh.evictOldest()
-				sc.evictions.Add(1)
-			}
-			sh.insert(&solveEntry{key: key, hash: h})
-		}
-		sh.mu.Unlock()
+		sc.store(&solveEntry{key: key, hash: key.hash()})
 	}
 
 	var after runtime.MemStats
@@ -195,10 +185,10 @@ func TestSolveCacheBoundedHeap(t *testing.T) {
 		t.Errorf("evictions = %d, want %d", st.Evictions, distinct-st.Entries)
 	}
 	// Budget: DefaultCacheCapacity entries at a few hundred bytes each
-	// is ≈25 MB; 64 MB leaves headroom for map growth slop while still
-	// failing loudly if the bound ever stops holding (10^6 unbounded
-	// entries would be several hundred MB).
-	const budget = 64 << 20
+	// is well under 1 MB; 8 MB leaves headroom for map growth slop
+	// while still failing loudly if the bound ever stops holding (10^6
+	// unbounded entries would be several hundred MB).
+	const budget = 8 << 20
 	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > budget {
 		t.Errorf("heap grew %d MB over a 10^6-distinct-config sweep, budget %d MB",
 			grew>>20, budget>>20)

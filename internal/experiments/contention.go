@@ -54,7 +54,7 @@ func RunContentionShare(ctx context.Context, fc ContentionConfig) ([]ContentionR
 			Key: fmt.Sprintf("contention N=%g", n),
 			Run: func(ctx context.Context) (ContentionRow, error) {
 				d := core.RandomMappingDistance(cfg.Net.Dims, n)
-				sol, err := cfg.WithDistance(d).SolveCached()
+				sol, err := cfg.WithDistance(d).Solve()
 				if err != nil {
 					return ContentionRow{}, fmt.Errorf("experiments: contention share at N=%g: %w", n, err)
 				}

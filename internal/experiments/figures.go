@@ -112,9 +112,7 @@ func DefaultFigure7Config() Figure7Config {
 }
 
 // RunFigure7 evaluates the model over the (contexts × sizes) grid, one
-// engine cell per point. The shared ideal-mapping solve per context
-// count is memoized by core's solve cache, so the grid costs one
-// bisection per distinct operating point.
+// engine cell per point.
 func RunFigure7(ctx context.Context, fc Figure7Config) (Figure7Result, error) {
 	var res Figure7Result
 	var cells []engine.Cell[float64]
@@ -202,7 +200,7 @@ func RunFigure8(ctx context.Context, fc Figure8Config) ([]Figure8Case, error) {
 					// Figure 7: the p=4 ideal-mapping point is
 					// latency-masked.
 					cfg.AssumeUnmasked = false
-					sol, err := cfg.SolveCached()
+					sol, err := cfg.Solve()
 					if err != nil {
 						return Figure8Case{}, fmt.Errorf("experiments: figure 8 p=%d %s: %w", p, tc.name, err)
 					}

@@ -180,11 +180,11 @@ func measureGainScaleCell(ctx context.Context, k int, cfg GainScaleConfig) (Gain
 	}.GrainEstimate(1)
 	model := core.AlewifeLargeScale(cfg.Contexts, 1)
 	model.App.Grain = grain
-	modelIdeal, err := model.WithDistance(1).SolveCached()
+	modelIdeal, err := model.WithDistance(1).Solve()
 	if err != nil {
 		return GainScaleRow{}, err
 	}
-	modelRandom, err := model.WithDistance(dRand).SolveCached()
+	modelRandom, err := model.WithDistance(dRand).Solve()
 	if err != nil {
 		return GainScaleRow{}, err
 	}

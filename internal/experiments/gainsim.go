@@ -106,11 +106,11 @@ func measureGainSimCell(ctx context.Context, k int, cfg GainSimConfig) (GainSimR
 	// channel contention on (small machine regime).
 	dRand := random.AvgDistance(tor)
 	model := core.Alewife(cfg.Contexts, 1)
-	modelIdeal, err := model.WithDistance(1).SolveCached()
+	modelIdeal, err := model.WithDistance(1).Solve()
 	if err != nil {
 		return GainSimRow{}, err
 	}
-	modelRandom, err := model.WithDistance(dRand).SolveCached()
+	modelRandom, err := model.WithDistance(dRand).Solve()
 	if err != nil {
 		return GainSimRow{}, err
 	}

@@ -1,11 +1,10 @@
 // Package serve is the model-serving subsystem: a long-running
 // HTTP/JSON front end over the analytic combined model. Point queries
-// (/v1/solve, /v1/gain, /v1/sensitivity) go through a
-// request-coalescing batcher backed by the bounded sharded solve cache
-// in internal/core; grid queries (/v1/sweep) fan out to registered
-// modelworker processes balanced by the internal/engine scheduling
-// family, with a local-goroutine fallback so a lone modelserver still
-// answers everything. The server exposes the obs endpoints (/metrics,
+// (/v1/solve, /v1/gain, /v1/sensitivity) are answered inline, /v1/solve
+// through a request-coalescing batcher over a bounded core.SolveCache;
+// grid queries (/v1/sweep) fan out one cell at a time to registered
+// modelworker processes, with a local-goroutine fallback so a lone
+// modelserver still answers everything. The server exposes the obs endpoints (/metrics,
 // /statusz, /healthz) and appends per-request-class rows to the JSONL
 // run ledger.
 package serve
@@ -133,15 +132,11 @@ type SensitivityResponse struct {
 	Sensitivity float64 `json:"sensitivity"`
 }
 
-// SweepRequest is the /v1/sweep body: a sweepgrid specification plus
-// the worker scheduling policy. The response streams the sweep CSV —
-// kernel comment, header, rows in grid order — byte-identical to
-// cmd/sweep run on the same grid.
+// SweepRequest is the /v1/sweep body: a sweepgrid specification. The
+// response streams the sweep CSV — kernel comment, header, rows in
+// grid order — byte-identical to cmd/sweep run on the same grid.
 type SweepRequest struct {
 	sweepgrid.Spec
-	// Policy selects the chunk scheduling policy: static, fsc, gss,
-	// factoring (default), or awf.
-	Policy string `json:"policy,omitempty"`
 }
 
 // workerRegistration is the /v1/workers/register and heartbeat body.

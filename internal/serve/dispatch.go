@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"locality/internal/engine"
 	"locality/internal/sweepgrid"
 )
 
@@ -102,15 +101,14 @@ func (r *registry) live() []workerState {
 	return out
 }
 
-// chunkRunner executes one contiguous chunk of a sweep grid and
-// returns its rows in cell order.
-type chunkRunner interface {
+// cellRunner executes one cell of a sweep grid and returns its row.
+type cellRunner interface {
 	id() string
-	run(ctx context.Context, spec sweepgrid.Spec, ch engine.Chunk) ([][]string, error)
+	run(ctx context.Context, spec sweepgrid.Spec, cell int) ([]string, error)
 }
 
-// httpRunner proxies chunks to a remote modelworker. Any transport or
-// status failure marks the worker dead for this sweep: its chunk is
+// httpRunner proxies cells to a remote modelworker. Any transport or
+// status failure marks the worker dead for this sweep: its cell is
 // requeued and the runner retired.
 type httpRunner struct {
 	wid    string
@@ -120,8 +118,8 @@ type httpRunner struct {
 
 func (r *httpRunner) id() string { return r.wid }
 
-func (r *httpRunner) run(ctx context.Context, spec sweepgrid.Spec, ch engine.Chunk) ([][]string, error) {
-	body, err := json.Marshal(runChunkRequest{Spec: spec, Start: ch.Start, Count: ch.Count})
+func (r *httpRunner) run(ctx context.Context, spec sweepgrid.Spec, cell int) ([]string, error) {
+	body, err := json.Marshal(runChunkRequest{Spec: spec, Start: cell, Count: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -143,13 +141,13 @@ func (r *httpRunner) run(ctx context.Context, spec sweepgrid.Spec, ch engine.Chu
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		return nil, fmt.Errorf("worker %s: decoding rows: %w", r.wid, err)
 	}
-	if len(out.Rows) != ch.Count {
-		return nil, fmt.Errorf("worker %s: returned %d rows for a %d-cell chunk", r.wid, len(out.Rows), ch.Count)
+	if len(out.Rows) != 1 {
+		return nil, fmt.Errorf("worker %s: returned %d rows for one cell", r.wid, len(out.Rows))
 	}
-	return out.Rows, nil
+	return out.Rows[0], nil
 }
 
-// localRunner executes chunks in-process — the standalone fallback,
+// localRunner executes cells in-process — the standalone fallback,
 // and the rescue path when every remote worker has died mid-sweep.
 type localRunner struct {
 	wid string
@@ -158,18 +156,14 @@ type localRunner struct {
 
 func (r *localRunner) id() string { return r.wid }
 
-func (r *localRunner) run(ctx context.Context, _ sweepgrid.Spec, ch engine.Chunk) ([][]string, error) {
-	rows := make([][]string, 0, ch.Count)
-	for i := ch.Start; i < ch.Start+ch.Count; i++ {
-		row, err := r.g.RunRow(ctx, i)
-		if err != nil && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		// Cell failures become error= rows, exactly as cmd/sweep emits
-		// them; only cancellation aborts the chunk.
-		rows = append(rows, row)
+func (r *localRunner) run(ctx context.Context, _ sweepgrid.Spec, cell int) ([]string, error) {
+	row, err := r.g.RunRow(ctx, cell)
+	if err != nil && ctx.Err() != nil {
+		return nil, ctx.Err()
 	}
-	return rows, nil
+	// Cell failures become error= rows, exactly as cmd/sweep emits
+	// them; only cancellation fails the run.
+	return row, nil
 }
 
 // sweepCounters aggregates dispatcher activity across sweeps for the
@@ -178,41 +172,96 @@ type sweepCounters struct {
 	sweeps, rows, chunks, requeues, workerDeaths atomic.Int64
 }
 
-// chunkResult is what a runner goroutine reports back: a completed
-// chunk's rows, or a runner death (err != nil).
-type chunkResult struct {
-	ch     engine.Chunk
-	rows   [][]string
-	runner chunkRunner
+// cursor hands out a sweep's cells one at a time to self-scheduling
+// runners: a runner asks for its next cell when it finishes the last,
+// so a fast runner simply runs more cells and no chunk size needs
+// tuning (DESIGN §5k has the measurement). A dead runner's cell comes
+// back through requeue and is served before fresh cells. Safe for
+// concurrent use.
+type cursor struct {
+	mu       sync.Mutex
+	total    int
+	next     int   // first cell never yet handed out
+	requeued []int // cells returned by dead runners, FIFO
+	done     int   // cells recorded complete
+}
+
+// take returns the next cell to run. ok is false when no cell is
+// available right now — which is not the same as the sweep being
+// finished: a cell held by a dying runner may still come back through
+// requeue.
+func (c *cursor) take() (cell int, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.requeued) > 0 {
+		cell = c.requeued[0]
+		c.requeued = c.requeued[1:]
+		return cell, true
+	}
+	if c.next >= c.total {
+		return 0, false
+	}
+	c.next++
+	return c.next - 1, true
+}
+
+// requeue returns a taken but unfinished cell to the front of the
+// queue.
+func (c *cursor) requeue(cell int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.requeued = append(c.requeued, cell)
+}
+
+// record marks one taken cell complete.
+func (c *cursor) record() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.done++
+}
+
+// finished reports whether every cell has been recorded complete.
+func (c *cursor) finished() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.done >= c.total
+}
+
+// cellResult is what a runner goroutine reports back: a completed
+// cell's row, or a runner death (err != nil).
+type cellResult struct {
+	cell   int
+	row    []string
+	runner cellRunner
 	err    error
 }
 
-// dispatch drives one sweep: it carves the grid with the policy
-// scheduler, fans chunks out to the runners, requeues the chunks of
-// runners that die, falls back to a local runner if every remote dies,
-// and calls emit for each row in grid order (the completed-prefix
-// cursor). It returns the number of error= rows.
-func (s *Server) dispatch(ctx context.Context, g *sweepgrid.Grid, policy engine.Policy, runners []chunkRunner, emit func([]string) error) (failed int, err error) {
+// dispatch drives one sweep: runners pull cells from a shared cursor,
+// the cells of runners that die are requeued, a local runner takes
+// over if every remote dies, and emit is called for each row in grid
+// order (the completed-prefix cursor). It returns the number of
+// error= rows.
+func (s *Server) dispatch(ctx context.Context, g *sweepgrid.Grid, runners []cellRunner, emit func([]string) error) (failed int, err error) {
 	total := g.Len()
 	if total == 0 {
 		return 0, nil
 	}
-	sched := engine.NewScheduler(policy, total, len(runners), 1)
+	cur := &cursor{total: total}
 	rows := make([][]string, total)
-	results := make(chan chunkResult)
+	results := make(chan cellResult)
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	launch := func(r chunkRunner) {
+	launch := func(r cellRunner) {
 		go func() {
 			for {
-				ch, ok := sched.Next(r.id())
+				cell, ok := cur.take()
 				if !ok {
-					if sched.Done() {
+					if cur.finished() {
 						return
 					}
-					// Another runner holds outstanding work that may yet
-					// be requeued; poll briefly rather than exiting.
+					// Another runner holds a cell that may yet be
+					// requeued; poll briefly rather than exiting.
 					select {
 					case <-time.After(10 * time.Millisecond):
 						continue
@@ -220,22 +269,21 @@ func (s *Server) dispatch(ctx context.Context, g *sweepgrid.Grid, policy engine.
 						return
 					}
 				}
-				t0 := time.Now()
-				out, err := r.run(runCtx, g.Spec, ch)
+				row, err := r.run(runCtx, g.Spec, cell)
 				if err != nil {
-					sched.Requeue(ch)
+					cur.requeue(cell)
 					s.sweepStats.requeues.Add(1)
 					s.sweepStats.workerDeaths.Add(1)
 					select {
-					case results <- chunkResult{runner: r, err: err}:
+					case results <- cellResult{runner: r, err: err}:
 					case <-runCtx.Done():
 					}
 					return
 				}
-				sched.Record(r.id(), ch, time.Since(t0))
+				cur.record()
 				s.sweepStats.chunks.Add(1)
 				select {
-				case results <- chunkResult{ch: ch, rows: out}:
+				case results <- cellResult{cell: cell, row: row}:
 				case <-runCtx.Done():
 					return
 				}
@@ -272,10 +320,8 @@ func (s *Server) dispatch(ctx context.Context, g *sweepgrid.Grid, policy engine.
 				}
 				continue
 			}
-			for i := 0; i < res.ch.Count; i++ {
-				rows[res.ch.Start+i] = res.rows[i]
-			}
-			s.sweepStats.rows.Add(int64(res.ch.Count))
+			rows[res.cell] = res.row
+			s.sweepStats.rows.Add(1)
 			for emitted < total && rows[emitted] != nil {
 				if isErrorRow(rows[emitted]) {
 					failed++

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"locality/internal/core"
 	"locality/internal/stats"
 	"locality/internal/telemetry"
 )
@@ -27,16 +26,23 @@ type classMetrics struct {
 	lat *stats.Histogram // microseconds
 }
 
-// latency bucketing: 2048 × 100µs buckets cover 0–205ms with the
-// overflow bucket absorbing long sweeps; percentiles above the range
-// saturate rather than lie.
-const (
-	latBuckets = 2048
-	latWidthUS = 100
-)
+// latBuckets is every class's histogram length; percentiles past the
+// last bucket saturate at its edge rather than lie.
+const latBuckets = 2048
 
-func newClassMetrics() *classMetrics {
-	return &classMetrics{lat: stats.NewHistogram(latBuckets, latWidthUS)}
+// latWidthUS is each class's bucket width in microseconds. Point
+// queries take microseconds in the handler, so 5 µs buckets resolve
+// them up to ~10 ms; sweeps run simulations for seconds, so 100 ms
+// buckets reach ~200 s. A percentile reads its bucket's upper edge.
+var latWidthUS = map[string]int64{
+	"solve":       5,
+	"gain":        5,
+	"sensitivity": 5,
+	"sweep":       100_000,
+}
+
+func newClassMetrics(class string) *classMetrics {
+	return &classMetrics{lat: stats.NewHistogram(latBuckets, latWidthUS[class])}
 }
 
 // observe records one request's latency and outcome.
@@ -119,7 +125,3 @@ func (s *Server) renderMetrics() []telemetry.Metric {
 	sort.Slice(ms, func(i, j int) bool { return ms[i].Name < ms[j].Name })
 	return ms
 }
-
-// cacheStats is a convenience indirection so tests can read the same
-// stats the exposition reports.
-func (s *Server) cacheStats() core.CacheStats { return s.cache.Stats() }

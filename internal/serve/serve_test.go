@@ -9,11 +9,11 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"locality/internal/core"
-	"locality/internal/engine"
 	"locality/internal/obs"
 	"locality/internal/sweepgrid"
 )
@@ -53,7 +53,7 @@ func postJSON(t *testing.T, url string, body any, out any) *http.Response {
 }
 
 func TestSolveEndpointMatchesDirectSolve(t *testing.T) {
-	s := startServer(t, Config{BatchWindow: -1})
+	s := startServer(t, Config{})
 	base := "http://" + s.Addr()
 
 	var got SolveResponse
@@ -71,13 +71,13 @@ func TestSolveEndpointMatchesDirectSolve(t *testing.T) {
 
 	// Second identical request must be a cache hit.
 	postJSON(t, base+"/v1/solve", SolveRequest{ConfigSpec: ConfigSpec{Contexts: 4, D: 2.5}}, &got)
-	if st := s.cacheStats(); st.Hits < 1 {
+	if st := s.cache.Stats(); st.Hits < 1 {
 		t.Fatalf("cache stats after repeat query: %+v, want >= 1 hit", st)
 	}
 }
 
 func TestSolveEndpointRejectsBadRequests(t *testing.T) {
-	s := startServer(t, Config{BatchWindow: -1})
+	s := startServer(t, Config{})
 	url := "http://" + s.Addr() + "/v1/solve"
 	preset := func(n int) string { return `{"preset":"` + strings.Repeat("x", n) + `"}` }
 	for _, c := range []struct {
@@ -125,7 +125,7 @@ func TestSolveEndpointRejectsBadRequests(t *testing.T) {
 }
 
 func TestGainEndpointMatchesExpectedGain(t *testing.T) {
-	s := startServer(t, Config{BatchWindow: -1})
+	s := startServer(t, Config{})
 	base := "http://" + s.Addr()
 
 	var got GainResponse
@@ -260,17 +260,18 @@ func postSweep(t *testing.T, base string, req SweepRequest) (string, int) {
 }
 
 // TestSweepLocalFallbackMatchesDirectRun: no workers registered, so the
-// sweep runs on the local fallback and must stream byte-identical CSV.
+// sweep runs on the local fallback and must stream byte-identical CSV
+// whether one goroutine runs every cell or four race for them.
 func TestSweepLocalFallbackMatchesDirectRun(t *testing.T) {
-	s := startServer(t, Config{LocalWorkers: 2})
 	want := localCSV(t, testSweepSpec())
-	for _, policy := range []string{"static", "factoring", "awf"} {
-		got, status := postSweep(t, "http://"+s.Addr(), SweepRequest{Spec: testSweepSpec(), Policy: policy})
+	for _, workers := range []int{1, 4} {
+		s := startServer(t, Config{LocalWorkers: workers})
+		got, status := postSweep(t, "http://"+s.Addr(), SweepRequest{Spec: testSweepSpec()})
 		if status != http.StatusOK {
-			t.Fatalf("policy %s: status = %d: %s", policy, status, got)
+			t.Fatalf("%d local workers: status = %d: %s", workers, status, got)
 		}
 		if got != want {
-			t.Errorf("policy %s: served sweep differs from direct run\nserved:\n%s\ndirect:\n%s", policy, got, want)
+			t.Errorf("%d local workers: served sweep differs from direct run\nserved:\n%s\ndirect:\n%s", workers, got, want)
 		}
 	}
 }
@@ -291,21 +292,18 @@ func startWorkers(t *testing.T, s *Server, n int) []*Worker {
 	return workers
 }
 
-// TestSweepDistributedMatchesDirectRun is the tentpole acceptance
-// check: two remote workers under factoring and AWF must stream the
-// exact bytes a local cmd/sweep-style run produces.
+// TestSweepDistributedMatchesDirectRun: two remote workers must stream
+// the exact bytes a local cmd/sweep-style run produces.
 func TestSweepDistributedMatchesDirectRun(t *testing.T) {
 	s := startServer(t, Config{})
 	startWorkers(t, s, 2)
 	want := localCSV(t, testSweepSpec())
-	for _, policy := range []string{"factoring", "awf"} {
-		got, status := postSweep(t, "http://"+s.Addr(), SweepRequest{Spec: testSweepSpec(), Policy: policy})
-		if status != http.StatusOK {
-			t.Fatalf("policy %s: status = %d: %s", policy, status, got)
-		}
-		if got != want {
-			t.Errorf("policy %s: distributed sweep differs from direct run\nserved:\n%s\ndirect:\n%s", policy, got, want)
-		}
+	got, status := postSweep(t, "http://"+s.Addr(), SweepRequest{Spec: testSweepSpec()})
+	if status != http.StatusOK {
+		t.Fatalf("status = %d: %s", status, got)
+	}
+	if got != want {
+		t.Errorf("distributed sweep differs from direct run\nserved:\n%s\ndirect:\n%s", got, want)
 	}
 	if st := s.sweepStats.chunks.Load(); st == 0 {
 		t.Fatalf("no chunks dispatched through remote workers")
@@ -322,7 +320,7 @@ type deadRunner struct {
 }
 
 func (d *deadRunner) id() string { return d.name }
-func (d *deadRunner) run(context.Context, sweepgrid.Spec, engine.Chunk) ([][]string, error) {
+func (d *deadRunner) run(context.Context, sweepgrid.Spec, int) ([]string, error) {
 	if d.gate != nil {
 		d.once.Do(func() { close(d.gate) })
 	}
@@ -330,26 +328,26 @@ func (d *deadRunner) run(context.Context, sweepgrid.Spec, engine.Chunk) ([][]str
 }
 
 // gatedRunner delegates to inner only once gate closes. On a
-// single-CPU host the scheduler can otherwise let one runner drain the
-// whole grid before another ever runs, which would make a
-// worker-death test vacuous.
+// single-CPU host one runner could otherwise drain the whole grid
+// before another ever runs, which would make a worker-death test
+// vacuous.
 type gatedRunner struct {
-	inner chunkRunner
+	inner cellRunner
 	gate  chan struct{}
 }
 
 func (r *gatedRunner) id() string { return r.inner.id() }
-func (r *gatedRunner) run(ctx context.Context, spec sweepgrid.Spec, ch engine.Chunk) ([][]string, error) {
+func (r *gatedRunner) run(ctx context.Context, spec sweepgrid.Spec, cell int) ([]string, error) {
 	select {
 	case <-r.gate:
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	return r.inner.run(ctx, spec, ch)
+	return r.inner.run(ctx, spec, cell)
 }
 
 // TestSweepSurvivesWorkerDeath: one healthy runner plus one that dies
-// on its first chunk — the dead runner's chunk requeues and the sweep
+// on its first cell — the dead runner's cell requeues and the sweep
 // still completes byte-identically.
 func TestSweepSurvivesWorkerDeath(t *testing.T) {
 	s := startServer(t, Config{})
@@ -359,7 +357,7 @@ func TestSweepSurvivesWorkerDeath(t *testing.T) {
 		t.Fatalf("sweepgrid.New: %v", err)
 	}
 	gate := make(chan struct{})
-	runners := []chunkRunner{
+	runners := []cellRunner{
 		&deadRunner{name: "doomed", gate: gate},
 		&gatedRunner{inner: &localRunner{wid: "healthy", g: g}, gate: gate},
 	}
@@ -369,7 +367,7 @@ func TestSweepSurvivesWorkerDeath(t *testing.T) {
 		got.WriteString("\n")
 		return nil
 	}
-	failed, err := s.dispatch(context.Background(), g, engine.PolicyFactoring, runners, emit)
+	failed, err := s.dispatch(context.Background(), g, runners, emit)
 	if err != nil {
 		t.Fatalf("dispatch: %v", err)
 	}
@@ -403,9 +401,9 @@ func TestSweepAllWorkersDeadRescuesLocally(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sweepgrid.New: %v", err)
 	}
-	runners := []chunkRunner{&deadRunner{name: "d0"}, &deadRunner{name: "d1"}}
+	runners := []cellRunner{&deadRunner{name: "d0"}, &deadRunner{name: "d1"}}
 	rows := 0
-	failed, err := s.dispatch(context.Background(), g, engine.PolicyGSS, runners, func([]string) error {
+	failed, err := s.dispatch(context.Background(), g, runners, func([]string) error {
 		rows++
 		return nil
 	})
@@ -417,9 +415,196 @@ func TestSweepAllWorkersDeadRescuesLocally(t *testing.T) {
 	}
 }
 
+func TestSweepCursorPartitionsExactly(t *testing.T) {
+	// However many runners race for cells, every cell of [0, total) is
+	// handed out exactly once and the cursor finishes.
+	for _, total := range []int{0, 1, 7, 27, 100} {
+		for _, workers := range []int{1, 2, 4} {
+			c := &cursor{total: total}
+			taken := make([]atomic.Int32, total)
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						cell, ok := c.take()
+						if !ok {
+							return
+						}
+						if cell < 0 || cell >= total {
+							t.Errorf("N=%d P=%d: cell %d out of range", total, workers, cell)
+							return
+						}
+						taken[cell].Add(1)
+						c.record()
+					}
+				}()
+			}
+			wg.Wait()
+			for i := range taken {
+				if n := taken[i].Load(); n != 1 {
+					t.Errorf("N=%d P=%d: cell %d taken %d times", total, workers, i, n)
+				}
+			}
+			if !c.finished() {
+				t.Errorf("N=%d P=%d: not finished after a full drain", total, workers)
+			}
+		}
+	}
+}
+
+func TestSweepCursorRequeueServesFirst(t *testing.T) {
+	c := &cursor{total: 10}
+	lost, _ := c.take() // taken by a runner that then dies
+	fresh, _ := c.take()
+	c.requeue(lost)
+	back, ok := c.take()
+	if !ok || back != lost {
+		t.Fatalf("requeued cell not served first: got %d ok=%v, want %d", back, ok, lost)
+	}
+	if back == fresh {
+		t.Fatal("requeued cell collided with a fresh one")
+	}
+	if next, _ := c.take(); next != fresh+1 {
+		t.Fatalf("fresh cells resumed at %d, want %d", next, fresh+1)
+	}
+}
+
+func TestSweepCursorReassemblyDeterminism(t *testing.T) {
+	// However the cells interleave across racing runners — one runner
+	// or four, with or without a runner that dies holding a cell —
+	// results reassembled by index are byte-identical.
+	render := func(workers int, withDeath bool) []byte {
+		const total = 500
+		c := &cursor{total: total}
+		out := make([]int, total)
+		deadline := time.Now().Add(10 * time.Second)
+		var wg sync.WaitGroup
+		runner := func(dies bool) {
+			defer wg.Done()
+			for {
+				cell, ok := c.take()
+				if !ok {
+					if c.finished() || time.Now().After(deadline) {
+						return
+					}
+					// A dying runner may still hand its cell back.
+					time.Sleep(time.Millisecond)
+					continue
+				}
+				if dies {
+					c.requeue(cell)
+					return
+				}
+				out[cell] = cell * cell
+				c.record()
+			}
+		}
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go runner(false)
+		}
+		if withDeath {
+			wg.Add(1)
+			go runner(true)
+		}
+		wg.Wait()
+		if !c.finished() {
+			t.Fatalf("P=%d death=%v: drain did not complete", workers, withDeath)
+		}
+		var buf bytes.Buffer
+		for i, v := range out {
+			fmt.Fprintf(&buf, "%d,%d\n", i, v)
+		}
+		return buf.Bytes()
+	}
+
+	want := render(1, false)
+	for _, workers := range []int{1, 2, 4} {
+		for _, withDeath := range []bool{false, true} {
+			if got := render(workers, withDeath); !bytes.Equal(got, want) {
+				t.Errorf("%d runners (death=%v) produced different bytes", workers, withDeath)
+			}
+		}
+	}
+}
+
+func TestSweepCursorFinishedOnlyAfterEveryRecord(t *testing.T) {
+	const total = 5
+	c := &cursor{total: total}
+	var cells []int
+	for {
+		cell, ok := c.take()
+		if !ok {
+			break
+		}
+		cells = append(cells, cell)
+	}
+	if len(cells) != total {
+		t.Fatalf("took %d cells, want %d", len(cells), total)
+	}
+	if c.finished() {
+		t.Fatal("finished with every cell taken but none recorded")
+	}
+	// A dead runner's cell must be taken and recorded again before the
+	// sweep counts as finished.
+	c.requeue(cells[0])
+	for range cells[1:] {
+		c.record()
+	}
+	if c.finished() {
+		t.Fatal("finished with a requeued cell outstanding")
+	}
+	if cell, ok := c.take(); !ok || cell != cells[0] {
+		t.Fatalf("retake = %d ok=%v, want the requeued cell %d", cell, ok, cells[0])
+	}
+	if c.finished() {
+		t.Fatal("finished before the retaken cell was recorded")
+	}
+	c.record()
+	if !c.finished() {
+		t.Fatal("not finished after every cell was recorded")
+	}
+}
+
+// TestClassLatencyHistogramsResolveTheirRange feeds each request class
+// latencies typical of it. A percentile reads its bucket's upper edge,
+// so a histogram that resolves the class reads each one back within a
+// factor of two.
+func TestClassLatencyHistogramsResolveTheirRange(t *testing.T) {
+	s := startServer(t, Config{})
+	for _, c := range []struct {
+		class    string
+		p50, p99 time.Duration
+	}{
+		{"solve", 7 * time.Microsecond, 60 * time.Microsecond},
+		{"gain", 12 * time.Microsecond, 90 * time.Microsecond},
+		{"sensitivity", 4 * time.Microsecond, 40 * time.Microsecond},
+		{"sweep", 1050 * time.Millisecond, 20 * time.Second},
+	} {
+		cm := s.classes[c.class]
+		for i := 0; i < 98; i++ {
+			cm.observe(c.p50, false)
+		}
+		cm.observe(c.p99, false)
+		cm.observe(c.p99, false)
+		p50, p99 := cm.percentiles()
+		for _, q := range []struct {
+			name string
+			got  float64
+			want time.Duration
+		}{{"p50", p50, c.p50}, {"p99", p99, c.p99}} {
+			want := float64(q.want.Microseconds())
+			if q.got < want || q.got > 2*want {
+				t.Errorf("%s %s = %g µs, want %g–%g µs", c.class, q.name, q.got, want, 2*want)
+			}
+		}
+	}
+}
+
 // TestMetricsEndpointIsValidExposition scrapes the live /metrics after
-// real traffic and runs the exposition-format validator over it — the
-// satellite-3 check.
+// real traffic and runs the exposition-format validator over it.
 func TestMetricsEndpointIsValidExposition(t *testing.T) {
 	s := startServer(t, Config{BatchWindow: -1})
 	base := "http://" + s.Addr()
@@ -444,7 +629,10 @@ func TestMetricsEndpointIsValidExposition(t *testing.T) {
 	}
 	for _, want := range []string{
 		"serve_solve_requests 2",
-		"serve_cache_hits",
+		// The two identical solves are one miss and one hit; /v1/gain
+		// solves directly and leaves the cache alone.
+		"\nlocality_serve_cache_hits 1\n",
+		"\nlocality_serve_cache_misses 1\n",
 		"serve_cache_capacity",
 		"serve_sweep_rows 4",
 		"serve_solve_latency_micros_count 2",

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/csv"
 	"encoding/json"
 	"errors"
@@ -14,7 +13,6 @@ import (
 	"time"
 
 	"locality/internal/core"
-	"locality/internal/engine"
 	"locality/internal/obs"
 	"locality/internal/sweepgrid"
 )
@@ -38,17 +36,13 @@ type Config struct {
 	// when no remote workers are registered (default 1; sweeps are
 	// CPU-bound simulations, so more only helps on multicore hosts).
 	LocalWorkers int
-	// CacheCapacity bounds the solve cache (default
-	// core.DefaultCacheCapacity). The server always builds its own
-	// cache so tests and embedders get isolated counters.
-	CacheCapacity int
 }
 
 // Server is the model-serving HTTP front end. Build with New, stop
 // with Close.
 type Server struct {
 	cfg     Config
-	cache   *core.SolveCache
+	cache   core.SolveCache // per server, so tests get isolated counters
 	batcher *batcher
 	workers *registry
 	classes map[string]*classMetrics
@@ -76,18 +70,16 @@ func New(cfg Config) (*Server, error) {
 	if cfg.LocalWorkers <= 0 {
 		cfg.LocalWorkers = 1
 	}
-	cache := core.NewSolveCache(cfg.CacheCapacity)
 	s := &Server{
 		cfg:     cfg,
-		cache:   cache,
-		batcher: newBatcher(cache, cfg.BatchWindow),
 		workers: newRegistry(cfg.StaleAfter),
 		classes: make(map[string]*classMetrics, len(requestClasses)),
 		bridge:  obs.NewBridge(),
 		start:   time.Now(),
 	}
+	s.batcher = newBatcher(&s.cache, cfg.BatchWindow)
 	for _, class := range requestClasses {
-		s.classes[class] = newClassMetrics()
+		s.classes[class] = newClassMetrics(class)
 	}
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
@@ -225,11 +217,7 @@ func (s *Server) handleGain(w http.ResponseWriter, r *http.Request) {
 	cfg, err := req.Resolve()
 	if err == nil {
 		var res core.GainResult
-		// ExpectedGain solves through the process-wide default cache;
-		// route its two point solves through this server's bounded
-		// cache instead by solving the distances directly. The gain
-		// math itself stays core's.
-		res, err = s.expectedGain(r.Context(), cfg, req.Nodes)
+		res, err = core.ExpectedGain(cfg, req.Nodes)
 		if err == nil {
 			s.classes["gain"].observe(time.Since(t0), false)
 			writeJSON(w, http.StatusOK, GainResponse{GainResult: res})
@@ -238,28 +226,6 @@ func (s *Server) handleGain(w http.ResponseWriter, r *http.Request) {
 	}
 	s.classes["gain"].observe(time.Since(t0), true)
 	writeError(w, http.StatusBadRequest, err)
-}
-
-// expectedGain mirrors core.ExpectedGain but pushes both point solves
-// through the server's batcher (singleflight + bounded cache).
-func (s *Server) expectedGain(ctx context.Context, c core.Config, nodes float64) (core.GainResult, error) {
-	if nodes < 2 {
-		return core.GainResult{}, fmt.Errorf("serve: gain needs nodes >= 2, got %g", nodes)
-	}
-	dRandom := core.RandomMappingDistance(c.Net.Dims, nodes)
-	ideal, _, err := s.batcher.solve(ctx, c.WithDistance(1))
-	if err != nil {
-		return core.GainResult{}, fmt.Errorf("ideal-mapping solve: %w", err)
-	}
-	random, _, err := s.batcher.solve(ctx, c.WithDistance(dRandom))
-	if err != nil {
-		return core.GainResult{}, fmt.Errorf("random-mapping solve: %w", err)
-	}
-	return core.GainResult{
-		Nodes: nodes, IdealDistance: 1, RandomDistance: dRandom,
-		Ideal: ideal, Random: random,
-		Gain: random.IssueTime / ideal.IssueTime,
-	}, nil
 }
 
 func (s *Server) handleSensitivity(w http.ResponseWriter, r *http.Request) {
@@ -295,28 +261,16 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !decodePost(w, r, &req) {
 		return
 	}
-	fail := func(err error) {
-		s.classes["sweep"].observe(time.Since(t0), true)
-		writeError(w, http.StatusBadRequest, err)
-	}
-	policyName := req.Policy
-	if policyName == "" {
-		policyName = "factoring"
-	}
-	policy, err := engine.ParsePolicy(policyName)
-	if err != nil {
-		fail(err)
-		return
-	}
 	g, err := sweepgrid.New(req.Spec)
 	if err != nil {
-		fail(err)
+		s.classes["sweep"].observe(time.Since(t0), true)
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 
 	// Runner selection: every live registered worker, or the local
 	// goroutine pool when none are registered.
-	var runners []chunkRunner
+	var runners []cellRunner
 	for _, ws := range s.workers.live() {
 		runners = append(runners, &httpRunner{wid: ws.ID, addr: ws.Addr, client: http.DefaultClient})
 	}
@@ -355,12 +309,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		return nil
 	}
-	failedRows, err := s.dispatch(r.Context(), g, policy, runners, emit)
+	failedRows, err := s.dispatch(r.Context(), g, runners, emit)
 	s.classes["sweep"].observe(time.Since(t0), err != nil || failedRows > 0)
 	if s.cfg.Ledger != "" {
 		rec := obs.NewRunRecord("modelserver")
-		rec.Label = fmt.Sprintf("sweep %s k=%d n=%d (%d cells, policy %s, %d workers)",
-			g.Spec.Mappings, g.Spec.Radix, g.Spec.Dims, g.Len(), policy, len(runners))
+		rec.Label = fmt.Sprintf("sweep %s k=%d n=%d (%d cells, %d workers)",
+			g.Spec.Mappings, g.Spec.Radix, g.Spec.Dims, g.Len(), len(runners))
 		rec.Radix, rec.Dims, rec.Nodes, rec.Mapping = g.Spec.Radix, g.Spec.Dims, g.Tor.Nodes(), g.Spec.Mappings
 		rec.Kernel = g.Kernel.String()
 		rec.FillOutcome(time.Since(t0), int64(g.Len())*(g.Spec.Warmup+g.Spec.Window))
@@ -449,7 +403,7 @@ func (s *Server) buildStatus() serverStatus {
 		UptimeSec: time.Since(s.start).Seconds(),
 		Requests:  make(map[string]int64, len(requestClasses)),
 		Errors:    make(map[string]int64),
-		Cache:     s.cacheStats(),
+		Cache:     s.cache.Stats(),
 		Sweeps:    s.sweepStats.sweeps.Load(),
 		SweepRows: s.sweepStats.rows.Load(),
 		Requeues:  s.sweepStats.requeues.Load(),
