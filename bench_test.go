@@ -12,7 +12,9 @@ package locality_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"locality/internal/core"
 	"locality/internal/engine"
@@ -425,44 +427,70 @@ func BenchmarkSweepGrid(b *testing.B) {
 	}
 }
 
+// telemetryBudget is the design bound on what the telemetry stack may
+// cost the comm-heavy workload: 1 - on/off cycles per second.
+const telemetryBudget = 0.05
+
 // BenchmarkTelemetryOverhead measures what the full telemetry stack —
 // registry gauges, per-distance latency histograms, and kernel cycle
-// attribution — costs on the workloads where it matters most. On the
-// comm-heavy workload nearly every cycle executes and every message
-// feeds a histogram, so this is the worst case; the design budget is
-// < 5% overhead there. Reported metric: simulated P-cycles per
-// wall-clock second (compare telemetry=off vs telemetry=on rows).
-// cmd/telemetrybench runs the same comparison standalone and writes
-// BENCH_telemetry.json.
+// attribution — costs on the workloads where it matters most. Each
+// iteration is one rep: a machine with telemetry off and then one with
+// it on each settle for 2,000 P-cycles and are timed over the next
+// 10,000. Reported metrics: each side's best rep, in simulated P-cycles
+// per wall-clock second, and the overhead between them; -benchtime=2x
+// takes the best of two reps. On the comm-heavy workload nearly every
+// cycle executes and every message feeds a histogram, so it is the
+// worst case, and the benchmark fails when its overhead exceeds
+// telemetryBudget.
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	tor := topology.MustNew(8, 2)
+	const settle, cycles = 2000, 10000
+	rep := func(b *testing.B, compute int, telem bool) float64 {
+		cfg := machine.DefaultConfig(tor, mapping.Random(tor, 1), 2)
+		cfg.ReadCompute, cfg.WriteCompute = compute, compute
+		if telem {
+			cfg.Telemetry = telemetry.New()
+		}
+		mach, err := machine.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		runCycles(b, mach, settle)
+		mach.ResetStats()
+		// Collect earlier machines now: otherwise the second side of a
+		// rep pays, inside its timed section, for the first side's
+		// garbage.
+		runtime.GC()
+		t0 := time.Now()
+		runCycles(b, mach, cycles)
+		return cycles / time.Since(t0).Seconds()
+	}
 	workloads := []struct {
 		name    string
 		compute int
+		gated   bool
 	}{
-		{"comm-heavy", 20},
-		{"idle-heavy", 2000},
+		{"comm-heavy", 20, true},
+		{"idle-heavy", 2000, false},
 	}
 	for _, wl := range workloads {
-		for _, telem := range []bool{false, true} {
-			name := fmt.Sprintf("%s/telemetry=%t", wl.name, telem)
-			b.Run(name, func(b *testing.B) {
-				cfg := machine.DefaultConfig(tor, mapping.Random(tor, 1), 2)
-				cfg.ReadCompute, cfg.WriteCompute = wl.compute, wl.compute
-				if telem {
-					cfg.Telemetry = telemetry.New()
-				}
-				mach, err := machine.New(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				runCycles(b, mach, 2000)
-				mach.ResetStats()
-				b.ResetTimer()
-				runCycles(b, mach, int64(b.N))
-				b.StopTimer()
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
-			})
+		// off and on hold the last run's best reps: the framework may
+		// call the function more than once, and its last call is the
+		// one it reports.
+		var off, on float64
+		b.Run(wl.name, func(b *testing.B) {
+			off, on = 0, 0
+			for i := 0; i < b.N; i++ {
+				off = max(off, rep(b, wl.compute, false))
+				on = max(on, rep(b, wl.compute, true))
+			}
+			b.ReportMetric(off, "off-cycles/s")
+			b.ReportMetric(on, "on-cycles/s")
+			b.ReportMetric(100*(1-on/off), "overhead-%")
+		})
+		if wl.gated && off > 0 && 1-on/off > telemetryBudget {
+			b.Errorf("%s: telemetry overhead %.2f%% exceeds the %.0f%% budget (off %.0f, on %.0f cycles/s)",
+				wl.name, 100*(1-on/off), 100*telemetryBudget, off, on)
 		}
 	}
 }

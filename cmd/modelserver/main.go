@@ -13,8 +13,8 @@
 //	curl -s localhost:8090/v1/sweep -d '{"k":4,"n":2,"contexts":[1,2],
 //	    "mappings":"identity,random:1","warmup":500,"window":1000}'
 //
-// The process runs until SIGINT/SIGTERM, then flushes per-request-class
-// latency rows to the ledger for cmd/perfcheck's served-query gates.
+// The process runs until SIGINT/SIGTERM, then flushes one latency row
+// per request class (count, p50, p99) to the ledger.
 package main
 
 import (

@@ -30,8 +30,8 @@
 // appends the ranked bottleneck report (implies -telemetry); -obs
 // serves /metrics (Prometheus), /statusz, /healthz, and /debug/pprof
 // on the given address for the duration of the run; -ledger appends
-// one structured run record to a JSONL ledger that cmd/perfcheck
-// gates regressions against; -trace-out writes a Chrome trace-event
+// one structured run record (wall time, cycles/sec, heap, final
+// metrics) to a JSONL ledger; -trace-out writes a Chrome trace-event
 // JSON (load it in Perfetto or chrome://tracing) of message flows,
 // transactions, and kernel-skip spans; -slice streams time-sliced
 // interval samples (utilization, queue depths, skip ratio, fault

@@ -50,8 +50,7 @@
 // the live observability endpoints (/metrics Prometheus exposition,
 // /statusz run status with per-cell progress and ETA, /healthz, and
 // /debug/pprof) on the given address while the sweep runs; -ledger
-// appends one structured run record per invocation to a JSONL ledger
-// for cmd/perfcheck.
+// appends one structured run record per invocation to a JSONL ledger.
 //
 // -capture-dir writes one replayable reference trace (<cell>.lref,
 // package internal/replay) per cell: the recorded streams can be

@@ -52,14 +52,6 @@ type GainScaleConfig struct {
 	Warmup, Window int64
 	// Seed selects the random mapping.
 	Seed int64
-	// Instrument, when non-nil, is applied to each cell's machine
-	// configuration just before construction — the hook the live
-	// observability layer uses to attach a telemetry registry and a
-	// run-loop observer. The label names the cell and placement
-	// ("gainscale k=320 random:1"). Instrumentation must be
-	// observational: it may attach Telemetry, Observer, Trace, and the
-	// like, but must not alter simulated behavior.
-	Instrument func(label string, mc *machine.Config)
 }
 
 // DefaultGainScaleConfig spans 1 024 → 102 400 nodes, ending above the
@@ -143,11 +135,7 @@ func measureGainScaleCell(ctx context.Context, k int, cfg GainScaleConfig) (Gain
 	random := mapping.Random(tor, cfg.Seed)
 
 	measure := func(m *mapping.Mapping) (machine.Metrics, error) {
-		mc := scaleMachineConfig(tor, m, cfg)
-		if cfg.Instrument != nil {
-			cfg.Instrument(fmt.Sprintf("gainscale k=%d %s", k, m.Name), &mc)
-		}
-		mach, err := machine.New(mc)
+		mach, err := machine.New(scaleMachineConfig(tor, m, cfg))
 		if err != nil {
 			return machine.Metrics{}, err
 		}

@@ -1,8 +1,8 @@
 package obs
 
 import (
+	"bytes"
 	"context"
-	"io"
 	"reflect"
 	"sync"
 	"testing"
@@ -35,8 +35,9 @@ func testMachine(t *testing.T, attach func(*machine.Config)) *machine.Machine {
 // snapshot bridge: one goroutine runs an instrumented machine whose
 // Observer publishes at every chunk boundary, while reader goroutines
 // hammer every bridge read path (Snapshot, Health, the full Prometheus
-// exposition). Run with -race this proves the single-writer /
-// many-reader contract holds with zero locks in the simulation path.
+// exposition) and validate each exposition they scrape. Run with -race
+// this proves the single-writer / many-reader contract holds with zero
+// locks in the simulation path.
 func TestBridgeConcurrentReaders(t *testing.T) {
 	b := NewBridge()
 	m := testMachine(t, func(cfg *machine.Config) {
@@ -62,8 +63,13 @@ func TestBridgeConcurrentReaders(t *testing.T) {
 					}
 				}
 				b.Health()
-				if err := WriteExposition(io.Discard, b); err != nil {
+				var buf bytes.Buffer
+				if err := WriteExposition(&buf, b); err != nil {
 					t.Errorf("exposition during run: %v", err)
+					return
+				}
+				if err := ValidateExposition(&buf); err != nil {
+					t.Errorf("exposition during run is invalid: %v", err)
 					return
 				}
 			}

@@ -16,15 +16,16 @@ import (
 // run (config fingerprint digest, kernel), on what (GOMAXPROCS,
 // CPU count), and how it went (wall time, peak heap, cycles per
 // second, final metrics). Appending one line keeps concurrent writers
-// safe on POSIX (O_APPEND) and keeps the file greppable; cmd/perfcheck
-// reads it back to gate performance regressions against history.
+// safe on POSIX (O_APPEND) and keeps the file greppable; ReadLedger
+// reads it back. It is a local history, not a gate: the committed
+// performance baseline is cmd/bench's.
 
 // RunRecord is one ledger line.
 type RunRecord struct {
 	// Time is the record's wall-clock timestamp (RFC3339).
 	Time string `json:"time"`
-	// Cmd is the writing command ("simrun", "sweep", "scalebench",
-	// "perfcheck"); Label narrows it to the cell or scenario.
+	// Cmd is the writing command ("simrun", "sweep", "modelserver");
+	// Label narrows it to the cell or scenario.
 	Cmd   string `json:"cmd"`
 	Label string `json:"label,omitempty"`
 	// Fingerprint is the machine configuration digest
@@ -48,8 +49,7 @@ type RunRecord struct {
 	PCycles      int64   `json:"p_cycles,omitempty"`
 	CyclesPerSec float64 `json:"cycles_per_sec,omitempty"`
 	Error        string  `json:"error,omitempty"`
-	// Served-query summary, written by modelserver per request class
-	// and by perfcheck's served-latency probe.
+	// Served-query summary, written by modelserver per request class.
 	Requests  int64   `json:"requests,omitempty"`
 	P50Micros float64 `json:"p50_micros,omitempty"`
 	P99Micros float64 `json:"p99_micros,omitempty"`

@@ -75,6 +75,9 @@ func TestServerEndpoints(t *testing.T) {
 		t.Fatalf("/statusz?format=json = %d", code)
 	}
 	var st struct {
+		Health struct {
+			Status string `json:"status"`
+		} `json:"health"`
 		Label string `json:"label"`
 		Cycle int64  `json:"cycle"`
 		Grid  *struct {
@@ -84,7 +87,7 @@ func TestServerEndpoints(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatalf("statusz JSON: %v\n%s", err, body)
 	}
-	if st.Label != "srv-test" || st.Cycle != 777 || st.Grid == nil || st.Grid.Total != 9 {
+	if st.Health.Status != "ok" || st.Label != "srv-test" || st.Cycle != 777 || st.Grid == nil || st.Grid.Total != 9 {
 		t.Fatalf("statusz JSON content: %+v", st)
 	}
 

@@ -724,7 +724,7 @@ func TestStatuszReportsState(t *testing.T) {
 }
 
 // TestServerWritesClassLedgerRows: Close flushes one ledger row per
-// request class with latency percentiles for perfcheck.
+// request class with latency percentiles.
 func TestServerWritesClassLedgerRows(t *testing.T) {
 	ledger := t.TempDir() + "/ledger.jsonl"
 	s := startServer(t, Config{BatchWindow: -1, Ledger: ledger})

@@ -116,8 +116,7 @@ func (s *Server) Close() error {
 }
 
 // appendClassLedger writes one summary row per request class that saw
-// traffic: request count, error count, and latency percentiles, for
-// cmd/perfcheck's served-query gates.
+// traffic: request count, error count, and latency percentiles.
 func (s *Server) appendClassLedger() {
 	if s.cfg.Ledger == "" {
 		return
