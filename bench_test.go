@@ -261,8 +261,9 @@ func BenchmarkMachineCycle(b *testing.B) {
 // execution kernels on contrasting workloads: idle-heavy (2000-cycle
 // compute bursts, long quiescent spans the event kernel can skip) and
 // comm-heavy (the default 20-cycle grain, traffic nearly always in
-// flight). Reported metrics: simulated P-cycles per wall-clock second
-// and the window's skip ratio. The event kernel's idle-heavy
+// flight). Reported metrics: simulated P-cycles per wall-clock second,
+// the window's skip ratio, and allocations per P-cycle (allocs/op: an
+// op is one P-cycle). The event kernel's idle-heavy
 // cycles/s should be well over 2× the tick kernel's; on comm-heavy
 // workloads the two converge, since a busy fabric makes every cycle
 // an event.
@@ -278,6 +279,7 @@ func BenchmarkMachineRun(b *testing.B) {
 	for _, wl := range workloads {
 		for _, mode := range []sim.KernelKind{sim.KernelTick, sim.KernelEvent} {
 			b.Run(wl.name+"/kernel="+mode.String(), func(b *testing.B) {
+				b.ReportAllocs()
 				cfg := machine.DefaultConfig(tor, mapping.Random(tor, 1), 2)
 				cfg.ReadCompute, cfg.WriteCompute = wl.compute, wl.compute
 				cfg.Kernel = mode

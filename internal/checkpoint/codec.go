@@ -26,7 +26,7 @@ import (
 //	  state or an in-flight message payload, deduplicated and sorted by
 //	  ID; all other sites reference transactions by ID (0 = nil)
 //	per-node processor states
-//	protocol state (caches, directories, MSHRs, event heap, counters)
+//	protocol state (caches, directories, MSHRs, pending events, counters)
 //	network state (message table, routers, queues, counters)
 //	link-fault and loss-coin states (presence-flagged)
 //	slicer state (presence-flagged)
@@ -408,14 +408,19 @@ func (s *sections) proto(p *cohsim.CheckpointState) {
 		s.node(i, &p.Nodes[i])
 		prev = i
 	}
+	// Every pending event's sequence number was drawn from the protocol
+	// sequence, so none may exceed it: a later event would reuse a
+	// number a pending one holds, and their order would be ambiguous.
+	var maxSeq int64
 	wire.Slice(c, &p.Events, 0, maxEvents, "event count", func(i int, e *cohsim.EventState) {
 		wire.Varint(c, &e.Due, math.MinInt64, math.MaxInt64, "event due time")
 		wire.Uvarint(c, &e.Seq, maxTime, "event sequence")
 		if i > 0 {
 			if prev := &p.Events[i-1]; e.Due < prev.Due || e.Due == prev.Due && e.Seq <= prev.Seq {
-				c.Failf("event heap not strictly ascending at entry %d", i)
+				c.Failf("events not strictly ascending in (due, seq) at entry %d", i)
 			}
 		}
+		maxSeq = max(maxSeq, e.Seq)
 		a := &e.Act
 		wire.Byte(c, &a.Kind, math.MaxUint8, "action kind")
 		wire.Varint(c, &a.Node, -1, s.nodes-1, "action node")
@@ -429,6 +434,9 @@ func (s *sections) proto(p *cohsim.CheckpointState) {
 		wire.Uvarint(c, &a.Size, maxQueue, "action size")
 	})
 	wire.Uvarint(c, &p.Seq, maxTime, "protocol sequence")
+	if maxSeq > p.Seq {
+		c.Failf("event sequence %d exceeds the protocol sequence %d", maxSeq, p.Seq)
+	}
 	wire.Uvarint(c, &p.TxnSeq, maxTime, "transaction sequence")
 	wire.Varint(c, &p.Now, math.MinInt64, math.MaxInt64, "protocol clock")
 	wire.Slice(c, &p.NextSend, s.nodes, s.nodes, "send slot count", func(_ int, v *int64) {

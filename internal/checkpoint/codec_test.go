@@ -328,6 +328,7 @@ func TestWriteRejectsWhatReadRejects(t *testing.T) {
 		{"event order", mutate(func(c *Checkpoint) {
 			c.Proto.Events[0], c.Proto.Events[1] = c.Proto.Events[1], c.Proto.Events[0]
 		})},
+		{"event sequence past protocol sequence", mutate(func(c *Checkpoint) { c.Proto.Seq = 0 })},
 		{"action epoch", mutate(func(c *Checkpoint) { c.Proto.Events[0].Act.Epoch = -1 })},
 		{"action node", mutate(func(c *Checkpoint) { c.Proto.Events[0].Act.Node = 4 })},
 		{"virtual channel class", mutate(func(c *Checkpoint) { c.Net.Messages[0].VCClass = 2 })},

@@ -10,7 +10,7 @@ import (
 
 // This file serializes the protocol engine. Transactions are shared by
 // pointer across the MSHRs, directory entries, queued requests, the
-// event heap, and in-flight network message payloads; the in-memory
+// event queue, and in-flight network message payloads; the in-memory
 // state structs therefore carry *Transaction references, and the
 // checkpoint codec flattens them into one ID-keyed table so a restore
 // rebuilds exactly one Transaction per ID with the original sharing.
@@ -82,7 +82,7 @@ type ActionState struct {
 	Size    int
 }
 
-// EventState is one pending heap entry.
+// EventState is one pending event.
 type EventState struct {
 	Due, Seq int64
 	Act      ActionState
@@ -151,7 +151,6 @@ type CheckpointState struct {
 func (p *Protocol) Checkpoint() CheckpointState {
 	s := CheckpointState{
 		Nodes:        make([]NodeState, len(p.nodes)),
-		Events:       make([]EventState, len(p.events)),
 		Seq:          p.seq,
 		TxnSeq:       p.txnSeq,
 		Now:          p.now,
@@ -202,13 +201,15 @@ func (p *Protocol) Checkpoint() CheckpointState {
 			})
 		}
 		sort.Slice(ns.Dir, func(a, b int) bool { return ns.Dir[a].Addr < ns.Dir[b].Addr })
-		for addr, out := range n.mshr {
-			ns.MSHR = append(ns.MSHR, MSHRState{Addr: addr, Txn: out.txn})
+		for addr, txn := range n.mshr {
+			ns.MSHR = append(ns.MSHR, MSHRState{Addr: addr, Txn: txn})
 		}
 		sort.Slice(ns.MSHR, func(a, b int) bool { return ns.MSHR[a].Addr < ns.MSHR[b].Addr })
 		s.Nodes[i] = ns
 	}
-	for i, e := range p.events {
+	events := p.events.events()
+	s.Events = make([]EventState, len(events))
+	for i, e := range events {
 		s.Events[i] = EventState{Due: e.due, Seq: e.seq, Act: ActionState{
 			Kind:    uint8(e.act.kind),
 			Node:    e.act.node,
@@ -222,12 +223,6 @@ func (p *Protocol) Checkpoint() CheckpointState {
 			Size:    e.act.size,
 		}}
 	}
-	sort.Slice(s.Events, func(a, b int) bool {
-		if s.Events[a].Due != s.Events[b].Due {
-			return s.Events[a].Due < s.Events[b].Due
-		}
-		return s.Events[a].Seq < s.Events[b].Seq
-	})
 	return s
 }
 
@@ -281,7 +276,15 @@ func (p *Protocol) Restore(s CheckpointState) error {
 			}
 		}
 	}
-	for _, e := range s.Events {
+	for i, e := range s.Events {
+		if i > 0 {
+			if prev := s.Events[i-1]; e.Due < prev.Due || e.Due == prev.Due && e.Seq <= prev.Seq {
+				return fmt.Errorf("cohsim: checkpoint events not strictly ascending in (due, seq) at entry %d", i)
+			}
+		}
+		if e.Seq > s.Seq {
+			return fmt.Errorf("cohsim: checkpoint event sequence %d exceeds the protocol sequence %d", e.Seq, s.Seq)
+		}
 		a := e.Act
 		if a.Kind > uint8(actGrantFill) {
 			return fmt.Errorf("cohsim: event action kind %d invalid", a.Kind)
@@ -334,20 +337,18 @@ func (p *Protocol) Restore(s CheckpointState) error {
 		}
 		n.mshr = nil
 		if len(ns.MSHR) > 0 {
-			n.mshr = make(map[uint64]*outstanding, len(ns.MSHR))
+			n.mshr = make(map[uint64]*Transaction, len(ns.MSHR))
 		}
 		for _, ms := range ns.MSHR {
 			if ms.Txn == nil {
 				return fmt.Errorf("cohsim: MSHR entry %#x at node %d has no transaction", ms.Addr, i)
 			}
-			n.mshr[ms.Addr] = &outstanding{txn: ms.Txn}
+			n.mshr[ms.Addr] = ms.Txn
 		}
 	}
-	// The events arrive sorted by (due, seq), which is already a valid
-	// binary min-heap layout for the heap's ordering.
-	p.events = make(eventHeap, len(s.Events))
+	events := make([]event, len(s.Events))
 	for i, e := range s.Events {
-		p.events[i] = event{due: e.Due, seq: e.Seq, act: action{
+		events[i] = event{due: e.Due, seq: e.Seq, act: action{
 			kind:    actKind(e.Act.Kind),
 			node:    e.Act.Node,
 			peer:    e.Act.Peer,
@@ -360,6 +361,7 @@ func (p *Protocol) Restore(s CheckpointState) error {
 			size:    e.Act.Size,
 		}}
 	}
+	p.events.reset(events)
 	p.seq = s.Seq
 	p.txnSeq = s.TxnSeq
 	p.now = s.Now

@@ -14,11 +14,9 @@
 package cohsim
 
 import (
-	"container/heap"
 	"fmt"
 
 	"locality/internal/cachesim"
-	"locality/internal/sim"
 	"locality/internal/stats"
 )
 
@@ -315,20 +313,16 @@ func (e *dirEntry) addSharer(n int) {
 	}
 }
 
-// outstanding tracks a node's in-flight transaction on a line (MSHR).
-type outstanding struct {
-	txn *Transaction
-}
-
-// node is the per-node protocol state.
+// node is the per-node protocol state. mshr maps a line to the node's
+// in-flight transaction on it.
 type node struct {
 	cache *cachesim.Cache
 	dir   map[uint64]*dirEntry
-	mshr  map[uint64]*outstanding
+	mshr  map[uint64]*Transaction
 }
 
 // actKind discriminates the scheduled protocol steps. Events hold
-// plain action records rather than closures so the pending heap can be
+// plain action records rather than closures so the pending queue can be
 // serialized into a checkpoint and rebuilt exactly on restore.
 type actKind uint8
 
@@ -379,32 +373,12 @@ type action struct {
 	size    int
 }
 
-// event is a scheduled protocol action.
-type event struct {
-	due int64
-	seq int64
-	act action
-}
-
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].due != h[j].due {
-		return h[i].due < h[j].due
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-
 // Protocol is the machine-wide coherence engine.
 type Protocol struct {
 	cfg       Config
 	nodes     []node
 	transport Transport
-	events    eventHeap
+	events    eventQueue
 	seq       int64
 	txnSeq    int64
 	now       int64
@@ -458,13 +432,13 @@ func (p *Protocol) node(i int) *node {
 	return n
 }
 
-// setMSHR inserts an outstanding-transaction slot, creating the map on
-// first use.
-func (n *node) setMSHR(line uint64, out *outstanding) {
+// setMSHR records txn as the node's in-flight transaction on line,
+// creating the map on first use.
+func (n *node) setMSHR(line uint64, txn *Transaction) {
 	if n.mshr == nil {
-		n.mshr = make(map[uint64]*outstanding)
+		n.mshr = make(map[uint64]*Transaction)
 	}
-	n.mshr[line] = out
+	n.mshr[line] = txn
 }
 
 // SetTransport attaches the message transport.
@@ -483,15 +457,14 @@ func (p *Protocol) Cache(nodeID int) *cachesim.Cache { return p.node(nodeID).cac
 // schedule queues an action to run at now+delay processor cycles.
 func (p *Protocol) schedule(delay int, a action) {
 	p.seq++
-	heap.Push(&p.events, event{due: p.now + int64(delay), seq: p.seq, act: a})
+	p.events.push(p.now+int64(delay), p.seq, a)
 }
 
 // Tick advances protocol time to nowP, executing all due actions.
 func (p *Protocol) Tick(nowP int64) {
 	p.now = nowP
-	for len(p.events) > 0 && p.events[0].due <= nowP {
-		e := heap.Pop(&p.events).(event)
-		p.fire(e.act, nowP)
+	for p.events.due() <= nowP {
+		p.fire(p.events.pop(), nowP)
 	}
 }
 
@@ -511,8 +484,7 @@ func (p *Protocol) fire(a action, now int64) {
 		if txn.done || txn.epoch != a.epoch {
 			return
 		}
-		out, ok := p.nodes[txn.Node].mshr[txn.Addr]
-		if !ok || out.txn != txn {
+		if p.nodes[txn.Node].mshr[txn.Addr] != txn {
 			return
 		}
 		p.retries.Inc()
@@ -586,8 +558,7 @@ func (p *Protocol) fire(a action, now int64) {
 			// Retransmitted requests can draw duplicate grants; only the
 			// grant matching the live transaction in its current phase
 			// may complete it.
-			out, ok := n.mshr[a.addr]
-			if !ok || out.txn != txn || txn.done {
+			if n.mshr[a.addr] != txn || txn.done {
 				return
 			}
 			wantWrite := a.msgKind == MsgWGrant || a.msgKind == MsgWGrantData
@@ -617,16 +588,11 @@ func (p *Protocol) fire(a action, now int64) {
 
 // NextEvent implements sim.Component: the due cycle of the earliest
 // pending scheduled action — protocol hops, controller occupancy
-// slots, and armed retry timers all live on the one event heap — or
-// sim.Never when the heap is empty. Message deliveries arriving from
-// the transport enqueue onto the heap with delay ≥ 1, so the heap min
+// slots, and armed retry timers all live on the one event queue — or
+// sim.Never when the queue is empty. Message deliveries arriving from
+// the transport enqueue onto the queue with delay ≥ 1, so its minimum
 // is always a complete account of the protocol's future work.
-func (p *Protocol) NextEvent() int64 {
-	if len(p.events) == 0 {
-		return sim.Never
-	}
-	return p.events[0].due
-}
+func (p *Protocol) NextEvent() int64 { return p.events.due() }
 
 // send transmits a protocol message, attributing fabric messages to
 // txn. Outgoing messages serialize through the node's controller: each
@@ -691,10 +657,10 @@ func (p *Protocol) Access(nodeID, thread int, addr uint64, write bool, now int64
 		}
 	}
 	// Coalesce with an outstanding transaction on the same line.
-	if out, ok := n.mshr[line]; ok {
-		out.txn.waiters = append(out.txn.waiters, thread)
-		if write && !out.txn.Write {
-			out.txn.pendingWrite = true
+	if txn, ok := n.mshr[line]; ok {
+		txn.waiters = append(txn.waiters, thread)
+		if write && !txn.Write {
+			txn.pendingWrite = true
 		}
 		return false
 	}
@@ -739,9 +705,9 @@ func (p *Protocol) WriteBehind(nodeID int, addr uint64, now int64) bool {
 	if n.cache.Lookup(line) == cachesim.Modified {
 		return false
 	}
-	if out, ok := n.mshr[line]; ok {
-		if !out.txn.Write && !out.txn.pendingWrite {
-			out.txn.pendingWrite = true
+	if txn, ok := n.mshr[line]; ok {
+		if !txn.Write && !txn.pendingWrite {
+			txn.pendingWrite = true
 			return true
 		}
 		return false
@@ -765,18 +731,18 @@ func (p *Protocol) Outstanding(nodeID int, addr uint64) bool {
 func (p *Protocol) Join(nodeID, thread int, addr uint64, now int64) bool {
 	p.now = now
 	n := p.node(nodeID)
-	out, ok := n.mshr[n.cache.LineAddr(addr)]
+	txn, ok := n.mshr[n.cache.LineAddr(addr)]
 	if !ok {
 		return false
 	}
-	out.txn.waiters = append(out.txn.waiters, thread)
+	txn.waiters = append(txn.waiters, thread)
 	return true
 }
 
 // start records a new transaction in the node's MSHR, assigns its
 // machine-wide ID, counts the miss, and issues its request.
 func (p *Protocol) start(n *node, txn *Transaction) {
-	n.setMSHR(txn.Addr, &outstanding{txn: txn})
+	n.setMSHR(txn.Addr, txn)
 	p.txnSeq++
 	txn.ID = p.txnSeq
 	if txn.Write {
@@ -947,13 +913,13 @@ func (p *Protocol) homeAction(home int, e *dirEntry, kind MsgKind, from int, txn
 		case dirShared:
 			// Invalidate every other sharer, then grant.
 			requesterHolds := e.hasSharer(from)
-			var targets []int
+			e.pendingInv = e.pendingInv[:0]
 			for _, s := range e.sharers {
 				if s != from {
-					targets = append(targets, s)
+					e.pendingInv = append(e.pendingInv, s)
 				}
 			}
-			if len(targets) == 0 {
+			if len(e.pendingInv) == 0 {
 				e.state = dirModified
 				e.sharers = e.sharers[:0]
 				e.owner = from
@@ -965,10 +931,9 @@ func (p *Protocol) homeAction(home int, e *dirEntry, kind MsgKind, from int, txn
 				return
 			}
 			p.beginOp(home, e, busyInvalidations)
-			e.pendingInv = append(e.pendingInv[:0], targets...)
 			e.requester = from
 			e.txn = txn
-			for _, s := range targets {
+			for _, s := range e.pendingInv {
 				p.sendSeq(home, s, MsgInv, e.addr, txn, e.opSeq)
 			}
 		case dirModified:
@@ -1101,7 +1066,10 @@ func (p *Protocol) homeReply(home int, e *dirEntry, delay, dst int, kind MsgKind
 func (p *Protocol) drainQueue(home int, e *dirEntry) {
 	for e.busy == busyNone && len(e.queue) > 0 {
 		q := e.queue[0]
-		e.queue = e.queue[1:]
+		// Shift down in place so the queue's array is reused.
+		n := copy(e.queue, e.queue[1:])
+		e.queue[n] = queuedReq{}
+		e.queue = e.queue[:n]
 		p.homeAction(home, e, q.kind, q.from, q.txn)
 	}
 }
@@ -1219,8 +1187,7 @@ func (p *Protocol) Snapshot() Stats {
 func (p *Protocol) OldestTxn() *Transaction {
 	var oldest *Transaction
 	for i := range p.nodes {
-		for _, out := range p.nodes[i].mshr {
-			t := out.txn
+		for _, t := range p.nodes[i].mshr {
 			if oldest == nil || t.Started < oldest.Started ||
 				(t.Started == oldest.Started && t.ID < oldest.ID) {
 				oldest = t
@@ -1260,7 +1227,7 @@ func (p *Protocol) Directory(addr uint64) DirectoryInfo {
 // Idle reports whether no protocol activity is pending (no scheduled
 // events, no outstanding transactions, no busy directory entries).
 func (p *Protocol) Idle() bool {
-	if len(p.events) > 0 {
+	if p.events.len() > 0 {
 		return false
 	}
 	for i := range p.nodes {

@@ -3,9 +3,9 @@ package cohsim
 import "locality/internal/telemetry"
 
 // PendingEvents returns the number of entries in the protocol's event
-// heap: deliveries, controller occupancy releases, and retry deadlines
+// queue: deliveries, controller occupancy releases, and retry deadlines
 // not yet due. A queue-depth signal for time-sliced sampling.
-func (p *Protocol) PendingEvents() int { return len(p.events) }
+func (p *Protocol) PendingEvents() int { return p.events.len() }
 
 // OutstandingTxns returns the number of coherence transactions
 // currently in flight across all nodes.

@@ -7,7 +7,9 @@ import (
 	"path/filepath"
 
 	"locality/internal/checkpoint"
+	"locality/internal/cohsim"
 	"locality/internal/faults"
+	"locality/internal/netsim"
 	"locality/internal/procsim"
 )
 
@@ -108,7 +110,9 @@ func (m *Machine) Fingerprint() checkpoint.Fingerprint { return m.fingerprint() 
 // far into the current RunChecked call the machine is; a restored run
 // uses it to re-align chunk boundaries with the interrupted call.
 // Telemetry histograms and trace sinks are observational and are not
-// captured; a restored run re-attaches fresh ones.
+// captured; a restored run re-attaches fresh ones. The snapshot shares
+// no mutable state with the machine (see detach), so it stays valid
+// while the machine runs on.
 func (m *Machine) BuildCheckpoint(chunkDone int64) *checkpoint.Checkpoint {
 	ck := &checkpoint.Checkpoint{
 		FP:          m.fingerprint(),
@@ -124,6 +128,7 @@ func (m *Machine) BuildCheckpoint(chunkDone int64) *checkpoint.Checkpoint {
 	for i, p := range m.procs {
 		ck.Procs[i] = p.Checkpoint()
 	}
+	detach(ck)
 	if m.linkFaults != nil {
 		s := m.linkFaults.Checkpoint()
 		ck.LinkFaults = &s
@@ -140,6 +145,50 @@ func (m *Machine) BuildCheckpoint(chunkDone int64) *checkpoint.Checkpoint {
 		}
 	}
 	return ck
+}
+
+// detach rewrites the freshly built protocol and network states of ck
+// so they share nothing the machine will change: each in-flight
+// message's payload becomes its cohsim.Msg value instead of the packet
+// delivery recycles, and each transaction becomes a private copy, one
+// per transaction, so references that shared a transaction share its
+// copy.
+func detach(ck *checkpoint.Checkpoint) {
+	copies := make(map[*cohsim.Transaction]*cohsim.Transaction)
+	own := func(t **cohsim.Transaction) {
+		if *t == nil {
+			return
+		}
+		c, ok := copies[*t]
+		if !ok {
+			c = cohsim.NewTransactionFromState((*t).State())
+			copies[*t] = c
+		}
+		*t = c
+	}
+	p := &ck.Proto
+	for i := range p.Nodes {
+		n := &p.Nodes[i]
+		for j := range n.Dir {
+			de := &n.Dir[j]
+			own(&de.Txn)
+			for k := range de.Queue {
+				own(&de.Queue[k].Txn)
+			}
+		}
+		for j := range n.MSHR {
+			own(&n.MSHR[j].Txn)
+		}
+	}
+	for i := range p.Events {
+		own(&p.Events[i].Act.Txn)
+	}
+	for i := range ck.Net.Messages {
+		ms := &ck.Net.Messages[i]
+		msg := ms.Payload.(*packet).msg
+		own(&msg.Txn)
+		ms.Payload = msg
+	}
 }
 
 // WriteCheckpoint writes a snapshot to path atomically (temp file plus
@@ -212,7 +261,9 @@ func (m *Machine) LastCheckpoint() string { return m.lastCkpt }
 // restored run's trace naturally only contains events from the
 // checkpoint cycle onward. Capture is the exception and is rejected:
 // operations fetched before the checkpoint are not replayed, so a
-// restored capture would be incomplete.
+// restored capture would be incomplete. The restored machine takes
+// over the transactions ck names, so an in-memory snapshot restores
+// once; restore it again from its encoded form.
 func RestoreFrom(cfg Config, ck *checkpoint.Checkpoint) (*Machine, error) {
 	if cfg.Capture != nil {
 		return nil, fmt.Errorf("machine: cannot restore into a capturing run (operations before the checkpoint were never recorded)")
@@ -235,7 +286,21 @@ func RestoreFrom(cfg Config, ck *checkpoint.Checkpoint) (*Machine, error) {
 	if err := m.proto.Restore(ck.Proto); err != nil {
 		return nil, err
 	}
-	if err := m.net.Restore(ck.Net); err != nil {
+	// Each in-flight message's payload travels in a packet, as in a
+	// running machine; the network rebuilds its own Message for it, so
+	// only the payload half of the packet is used until delivery
+	// recycles it. ck itself is left as it was.
+	net := ck.Net
+	net.Messages = make([]netsim.MessageState, len(ck.Net.Messages))
+	for i, ms := range ck.Net.Messages {
+		msg, ok := ms.Payload.(cohsim.Msg)
+		if !ok {
+			return nil, fmt.Errorf("machine: checkpoint message %d payload is %T, want cohsim.Msg", i, ms.Payload)
+		}
+		ms.Payload = m.newPacket(msg)
+		net.Messages[i] = ms
+	}
+	if err := m.net.Restore(net); err != nil {
 		return nil, err
 	}
 	// The fingerprint pins the fault spec, so machine and checkpoint

@@ -450,7 +450,69 @@ func TestRestoreRejectsMismatchedConfig(t *testing.T) {
 	}
 
 	right := DefaultConfig(tor, mapping.Identity(tor), 2)
+	badSeq := *ck
+	badSeq.Proto.Seq = 0
+	if _, err := RestoreFrom(right, &badSeq); err == nil {
+		t.Error("restore accepted pending events numbered past the protocol sequence")
+	}
+
 	if _, err := RestoreFrom(right, ck); err != nil {
 		t.Errorf("restore rejected the matching configuration: %v", err)
+	}
+}
+
+// TestHeldSnapshotOutlivesItsSource holds an in-memory BuildCheckpoint
+// snapshot while its source machine runs on. By the end the source has
+// delivered every fabric message the snapshot names, recycling their
+// packets for later sends, and has moved every transaction it names
+// on; restoring the held snapshot must still reproduce the source's
+// run exactly.
+func TestHeldSnapshotOutlivesItsSource(t *testing.T) {
+	const snapAt, warmup, window = 300, 500, 2000
+	cells := []parityCell{
+		{name: "random/p4", mapName: "random", contexts: 4},
+		{name: "random/p2/faults", mapName: "random", contexts: 2, localDelay: 9,
+			spec: &faults.Spec{Seed: 7, LossRate: 0.01, LinkMTTF: 3000, StallMin: 8, StallMax: 64}},
+	}
+	ctx := context.Background()
+	spec := RunSpec{Warmup: warmup, Window: window, ResumeFrom: true}
+	for _, kc := range ckptKernels {
+		for _, c := range cells {
+			t.Run(kc.label+"/"+c.name, func(t *testing.T) {
+				trSrc := trace.New(1 << 14)
+				src := buildParityMachine(t, c, kc.mode, trSrc)
+				if _, err := src.Execute(ctx, RunSpec{Cycles: snapAt}); err != nil {
+					t.Fatal(err)
+				}
+				ck := src.BuildCheckpoint(0)
+				if len(ck.Net.Messages) == 0 {
+					t.Fatal("no fabric message in flight at the snapshot")
+				}
+				res, err := src.Execute(ctx, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, ms := range src.Network().Checkpoint().Messages {
+					if ms.EnqueuedAt < ck.Net.Now {
+						t.Fatalf("a message sent at N-cycle %d, before the snapshot, is still in flight", ms.EnqueuedAt)
+					}
+				}
+				want := ckptCollect(src, res.Metrics, trSrc, c.spec != nil)
+				want.events = eventsFrom(want.events, ck.PNow)
+
+				cfg := src.cfg
+				trRes := trace.New(1 << 14)
+				cfg.Trace = trRes
+				restored, err := RestoreFrom(cfg, ck)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err = restored.Execute(ctx, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				compareCkptResults(t, "held snapshot", want, ckptCollect(restored, res.Metrics, trRes, c.spec != nil))
+			})
+		}
 	}
 }

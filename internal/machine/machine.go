@@ -233,6 +233,44 @@ type Machine struct {
 	// tracks periodic snapshots for Keep-based pruning.
 	lastCkpt    string
 	ckptHistory []string
+
+	// free holds delivered packets for later sends to reuse. It keeps
+	// at most one packet per node: enough for the steady state, while
+	// the surplus of a burst such as a cold start goes to the collector
+	// instead of being held for the machine's life.
+	free []*packet
+}
+
+// packet is a fabric message together with its protocol payload. The
+// message's Payload points back at the packet, so a send needs one
+// object, which delivery recycles.
+type packet struct {
+	netsim.Message
+	msg cohsim.Msg
+}
+
+// newPacket returns a packet carrying msg, reusing a delivered one when
+// there is one.
+func (m *Machine) newPacket(msg cohsim.Msg) *packet {
+	var pk *packet
+	if n := len(m.free); n > 0 {
+		pk = m.free[n-1]
+		m.free = m.free[:n-1]
+	} else {
+		pk = new(packet)
+	}
+	pk.msg = msg
+	pk.Payload = pk
+	return pk
+}
+
+// recycle returns a delivered packet to the free list, cleared so it
+// keeps no transaction reachable.
+func (m *Machine) recycle(pk *packet) {
+	*pk = packet{}
+	if len(m.free) < m.cfg.Topo.Nodes() {
+		m.free = append(m.free, pk)
+	}
 }
 
 // transport adapts netsim to the protocol's Transport interface.
@@ -243,8 +281,9 @@ func (t transport) Send(src, dst, sizeFlits int, msg cohsim.Msg) {
 		Cycle: t.m.pnow, Kind: trace.KindMsgSend,
 		Node: src, Peer: dst, Addr: msg.Addr, Info: int64(msg.Kind),
 	})
-	err := t.m.net.Send(&netsim.Message{Src: src, Dst: dst, Size: sizeFlits, Payload: msg})
-	if err != nil {
+	pk := t.m.newPacket(msg)
+	pk.Src, pk.Dst, pk.Size = src, dst, sizeFlits
+	if err := t.m.net.Send(&pk.Message); err != nil {
 		panic(fmt.Sprintf("machine: transport send failed: %v", err))
 	}
 }
@@ -336,15 +375,19 @@ func New(cfg Config) (*Machine, error) {
 	m.proto = proto
 	proto.SetTransport(transport{m})
 	net.SetDelivery(func(nowN int64, msg *netsim.Message) {
-		cm := msg.Payload.(cohsim.Msg)
+		pk := msg.Payload.(*packet)
 		m.cfg.Trace.Emit(trace.Event{
 			Cycle: m.pnow, Kind: trace.KindMsgDeliver,
-			Node: msg.Dst, Peer: msg.Src, Addr: cm.Addr, Info: msg.Latency(),
+			Node: msg.Dst, Peer: msg.Src, Addr: pk.msg.Addr, Info: msg.Latency(),
 		})
 		if m.msgLat != nil {
 			m.msgLat.Observe(msg.Hops, msg.Latency())
 		}
-		proto.Deliver(msg.Dst, cm, m.pnow)
+		// The network holds no reference to a delivered message, and
+		// sends made while the protocol handles this one draw other
+		// packets, so pk is free once Deliver returns.
+		proto.Deliver(msg.Dst, pk.msg, m.pnow)
+		m.recycle(pk)
 	})
 
 	m.procs = make([]*procsim.Processor, cfg.Topo.Nodes())

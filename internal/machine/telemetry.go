@@ -62,7 +62,7 @@ func (m *Machine) Telemetry() *telemetry.Registry { return m.cfg.Telemetry }
 // enabled (attribution costs a NextEvent sweep per executed cycle in
 // tick mode).
 type Attribution struct {
-	Protocol   int64 // coherence engine's event heap
+	Protocol   int64 // coherence engine's event queue
 	Processors int64 // compute-burst and context-switch completions, all nodes
 	Network    int64 // fabric busy (traffic in flight or fault accounting)
 	Sampler    int64 // telemetry slice boundaries

@@ -245,7 +245,8 @@ type Network struct {
 	// moves is the decide/commit scratch buffer, reused across cycles.
 	moves []move
 
-	// injectQ[v] holds messages waiting to enter the fabric at node v.
+	// injectQ[v] holds messages waiting to enter the fabric at node v,
+	// the one being injected first.
 	injectQ [][]*Message
 	// queued counts messages across all injection queues (partially
 	// injected included), kept so Quiesced is O(1).
@@ -568,10 +569,12 @@ func (nw *Network) stepInjection() {
 		nw.lastProgress = nw.now
 		msg.remaining--
 		if msg.remaining == 0 {
-			// Nil the drained slot so the backing array does not keep
-			// the delivered message reachable for the rest of the run.
-			q[0] = nil
-			nw.injectQ[v] = q[1:]
+			// Shift the queue down in place, so its backing array is
+			// reused by later sends, and nil the vacated last slot so the
+			// array does not keep the message reachable.
+			copy(q, q[1:])
+			q[len(q)-1] = nil
+			nw.injectQ[v] = q[:len(q)-1]
 			nw.queued--
 		}
 	}

@@ -3,10 +3,9 @@ package procsim
 import "fmt"
 
 // ContextState is one hardware context's serialized state. Pending and
-// Look are stored by value (their identity never matters, only their
-// contents); Fetched records how many operations the context has drawn
-// from its program, so a restore can fast-forward a fresh program to
-// the same position.
+// Look hold values only when HasPending and HasLook are set; Fetched
+// records how many operations the context has drawn from its program,
+// so a restore can fast-forward a fresh program to the same position.
 type ContextState struct {
 	State      uint8
 	HasPending bool
@@ -53,11 +52,11 @@ func (p *Processor) Checkpoint() CheckpointState {
 			WBPending: append([]uint64(nil), c.wbPending...),
 			Fetched:   c.fetched,
 		}
-		if c.pending != nil {
-			cs.HasPending, cs.Pending = true, *c.pending
+		if c.hasPending {
+			cs.HasPending, cs.Pending = true, c.pending
 		}
-		if c.look != nil {
-			cs.HasLook, cs.Look = true, *c.look
+		if c.hasLook {
+			cs.HasLook, cs.Look = true, c.look
 		}
 		s.Ctxs[i] = cs
 	}
@@ -97,15 +96,8 @@ func (p *Processor) Restore(s CheckpointState) error {
 			c.prog.Next()
 		}
 		c.state = ctxState(cs.State)
-		c.pending, c.look = nil, nil
-		if cs.HasPending {
-			op := cs.Pending
-			c.pending = &op
-		}
-		if cs.HasLook {
-			op := cs.Look
-			c.look = &op
-		}
+		c.pending, c.hasPending = cs.Pending, cs.HasPending
+		c.look, c.hasLook = cs.Look, cs.HasLook
 		c.remaining = cs.Remaining
 		c.wbPending = append(c.wbPending[:0], cs.WBPending...)
 		c.fetched = cs.Fetched

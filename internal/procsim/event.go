@@ -59,13 +59,13 @@ const maxMergeOps = 64
 // and a restored machine, which resumes from the checkpointed state
 // without the polling history of the run that wrote it.
 func (p *Processor) mergeBursts(c *context) {
-	if c.pending != nil || c.look != nil {
+	if c.hasPending || c.hasLook {
 		return
 	}
 	for i := 0; i < maxMergeOps; i++ {
 		op := p.fetch(c, p.cur)
 		if op.Kind != OpCompute {
-			c.look = op
+			c.look, c.hasLook = op, true
 			return
 		}
 		cy := op.Cycles
@@ -76,7 +76,7 @@ func (p *Processor) mergeBursts(c *context) {
 	}
 	// Cap reached: park the next op — compute or not — so further polls
 	// cannot fold deeper.
-	c.look = p.fetch(c, p.cur)
+	c.look, c.hasLook = p.fetch(c, p.cur), true
 }
 
 // Advance implements sim.Advancer: applies cycles (lastTick, to] in

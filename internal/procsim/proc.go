@@ -112,14 +112,18 @@ const (
 )
 
 type context struct {
-	prog    Program
-	state   ctxState
-	pending *Op // memory op awaiting retry, if any
+	prog  Program
+	state ctxState
+	// pending is a memory op awaiting retry, valid when hasPending.
+	pending    Op
+	hasPending bool
 	// look holds an op fetched ahead of time by the burst-merging
-	// lookahead in NextEvent (always a non-compute op; merged compute
-	// bursts fold into remaining instead). Tick consumes it before
-	// asking the program for more.
-	look *Op
+	// lookahead in NextEvent, valid when hasLook (a non-compute op, or
+	// any op parked by a capped fold; merged compute bursts fold into
+	// remaining instead). Tick consumes it before asking the program
+	// for more.
+	look    Op
+	hasLook bool
 	// remaining cycles of the current compute burst or hit access
 	remaining int
 	// wbPending holds addresses with write-behind operations not yet
@@ -213,12 +217,12 @@ func (p *Processor) Tick(now int64) {
 	}
 	// Fetch or retry an operation.
 	op := c.pending
-	if op == nil {
+	if !c.hasPending {
 		op = p.fetch(c, p.cur)
 	}
 	switch op.Kind {
 	case OpCompute:
-		c.pending = nil
+		c.hasPending = false
 		if op.Cycles <= 0 {
 			// Zero-length burst: consume this cycle fetching.
 			p.busy.Inc()
@@ -230,7 +234,7 @@ func (p *Processor) Tick(now int64) {
 		p.accesses.Inc()
 		hit := p.mem.Access(p.nodeID, p.cur, op.Addr, op.Kind == OpWrite, now)
 		if hit {
-			c.pending = nil
+			c.hasPending = false
 			c.remaining = p.cfg.HitLatency - 1
 			p.busy.Inc()
 			return
@@ -238,19 +242,19 @@ func (p *Processor) Tick(now int64) {
 		// Miss: block this context (the access retries on wakeup) and
 		// switch away if another context is ready.
 		p.misses.Inc()
-		c.pending = op
+		c.pending, c.hasPending = op, true
 		c.state = ctxBlocked
 		p.busy.Inc() // the issuing cycle itself is useful work
 		if next, ok := p.nextReady(); ok {
 			p.beginSwitch(next)
 		}
 	case OpPrefetch:
-		c.pending = nil
+		c.hasPending = false
 		p.prefetches.Inc()
 		p.mem.Prefetch(p.nodeID, op.Addr, now)
 		p.busy.Inc() // issuing the prefetch costs one cycle
 	case OpWriteBehind:
-		c.pending = nil
+		c.hasPending = false
 		p.writeBehinds.Inc()
 		p.mem.WriteBehind(p.nodeID, op.Addr, now)
 		c.wbPending = append(c.wbPending, op.Addr)
@@ -260,7 +264,7 @@ func (p *Processor) Tick(now int64) {
 		// in flight and re-enter the fence after wakeup.
 		for len(c.wbPending) > 0 {
 			if p.mem.Join(p.nodeID, p.cur, c.wbPending[0], now) {
-				c.pending = op
+				c.pending, c.hasPending = op, true
 				c.state = ctxBlocked
 				p.busy.Inc()
 				if next, ok := p.nextReady(); ok {
@@ -270,10 +274,10 @@ func (p *Processor) Tick(now int64) {
 			}
 			c.wbPending = c.wbPending[1:]
 		}
-		c.pending = nil
+		c.hasPending = false
 		p.busy.Inc()
 	case OpHalt:
-		c.pending = nil
+		c.hasPending = false
 		c.state = ctxHalted
 		if next, ok := p.nextReady(); ok {
 			p.beginSwitch(next)
@@ -286,17 +290,17 @@ func (p *Processor) Tick(now int64) {
 // fetch returns the context's next operation: the lookahead slot if
 // the event path filled it, the program otherwise. Every operation
 // passes through here exactly once, so this is where OnOp fires.
-func (p *Processor) fetch(c *context, ctxIdx int) *Op {
-	if op := c.look; op != nil {
-		c.look = nil
-		return op
+func (p *Processor) fetch(c *context, ctxIdx int) Op {
+	if c.hasLook {
+		c.hasLook = false
+		return c.look
 	}
 	next := c.prog.Next()
 	c.fetched++
 	if p.cfg.OnOp != nil {
 		p.cfg.OnOp(p.nodeID, ctxIdx, next)
 	}
-	return &next
+	return next
 }
 
 // nextReady finds the next runnable context in round-robin order after
