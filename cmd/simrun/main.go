@@ -58,6 +58,7 @@ import (
 	"locality/internal/faults"
 	"locality/internal/machine"
 	"locality/internal/mapsel"
+	"locality/internal/netsim"
 	"locality/internal/obs"
 	"locality/internal/report"
 	"locality/internal/sim"
@@ -73,7 +74,7 @@ func fatal(err error) {
 
 func main() {
 	k := flag.Int("k", 8, "torus radix")
-	n := flag.Int("n", 2, "torus dimensions")
+	n := flag.Int("n", 2, fmt.Sprintf("torus dimensions, 1 to %d", netsim.MaxDims))
 	contexts := flag.Int("contexts", 1, "hardware contexts per processor")
 	mapSel := flag.String("mapping", "identity", "thread-to-processor mapping selector")
 	warmup := flag.Int64("warmup", 5000, "warmup P-cycles (excluded from measurement)")

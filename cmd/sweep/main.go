@@ -78,6 +78,7 @@ import (
 	"locality/internal/engine"
 	"locality/internal/faults"
 	"locality/internal/machine"
+	"locality/internal/netsim"
 	"locality/internal/obs"
 	"locality/internal/replay"
 	"locality/internal/sweepgrid"
@@ -266,7 +267,7 @@ func usableResumeRow(row, prefix []string, width int) bool {
 
 func main() {
 	k := flag.Int("k", 8, "torus radix")
-	n := flag.Int("n", 2, "torus dimensions")
+	n := flag.Int("n", 2, fmt.Sprintf("torus dimensions, 1 to %d", netsim.MaxDims))
 	contextsFlag := flag.String("contexts", "1", "comma-separated context counts")
 	mappingsFlag := flag.String("mappings", "suite", "comma-separated mapping selectors (see internal/mapsel)")
 	warmup := flag.Int64("warmup", 4000, "warmup P-cycles")

@@ -37,6 +37,7 @@ import (
 	"locality/internal/machine"
 	"locality/internal/mapping"
 	"locality/internal/mapsel"
+	"locality/internal/netsim"
 	"locality/internal/replay"
 	"locality/internal/report"
 	"locality/internal/sim"
@@ -98,7 +99,7 @@ func printMetrics(met machine.Metrics) {
 func runCapture(ctx context.Context, args []string) {
 	fs := flag.NewFlagSet("tracetool capture", flag.ExitOnError)
 	k := fs.Int("k", 8, "torus radix")
-	n := fs.Int("n", 2, "torus dimensions")
+	n := fs.Int("n", 2, fmt.Sprintf("torus dimensions, 1 to %d", netsim.MaxDims))
 	contexts := fs.Int("contexts", 1, "hardware contexts per processor")
 	mapSel := fs.String("mapping", "identity", "thread-to-processor mapping selector")
 	warmup := fs.Int64("warmup", 5000, "warmup P-cycles (excluded from measurement)")

@@ -461,6 +461,41 @@ func TestRestoreRejectsMismatchedConfig(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsUndrainableFabric: a snapshot whose fabric no run
+// can reach is refused, not resumed into a stall. Clearing every
+// output's owner leaves body flits fronting inputs that feed nothing,
+// which the fabric would never move.
+func TestRestoreRejectsUndrainableFabric(t *testing.T) {
+	dir := t.TempDir()
+	c := parityCell{name: "random/p2", mapName: "random", contexts: 2}
+	mach := buildCkptMachine(t, c, sim.KernelEvent, nil, CheckpointSpec{Every: 250, Dir: dir})
+	if _, err := mach.Execute(context.Background(), RunSpec{Cycles: 500}); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := checkpoint.ReadFile(mach.LastCheckpoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := 0
+	for _, rs := range ck.Net.Routers {
+		for key, owner := range rs.Owner {
+			if owner != -1 && len(rs.Inputs[rs.OwnerInput[key]]) > 0 {
+				held++
+			}
+			rs.Owner[key], rs.OwnerInput[key] = -1, 0
+		}
+	}
+	if held == 0 {
+		t.Fatal("snapshot holds no worm with buffered body flits")
+	}
+	tor, m := parityTopoMapping(c)
+	if _, err := RestoreFrom(DefaultConfig(tor, m, c.contexts), ck); err == nil {
+		t.Fatal("restore accepted a fabric with body flits fronting inputs that feed nothing")
+	} else {
+		t.Log(err)
+	}
+}
+
 // TestHeldSnapshotOutlivesItsSource holds an in-memory BuildCheckpoint
 // snapshot while its source machine runs on. By the end the source has
 // delivered every fabric message the snapshot names, recycling their

@@ -257,8 +257,8 @@ func TestRingsReleaseDeliveredMessages(t *testing.T) {
 
 // TestCheckCatchesActiveSetDrift corrupts one piece of the derived
 // per-router state of a 4×4 fabric in mid-traffic — the active bitmap,
-// its summary level, or the held-output mask — and requires Check to
-// report it.
+// its summary level, the held-output or feeding-input mask, or a routed
+// head's output key — and requires Check to report it.
 func TestCheckCatchesActiveSetDrift(t *testing.T) {
 	// find returns the first router (and key) satisfying pred, failing
 	// the test when the traffic produced none.
@@ -273,7 +273,8 @@ func TestCheckCatchesActiveSetDrift(t *testing.T) {
 		t.Fatal("mid-traffic fabric has no router in the wanted state")
 		return 0, 0
 	}
-	occupied := func(nw *Network, v int) bool { return nw.routerFlits[v] > 0 || len(nw.injectQ[v]) > 0 }
+	occupied := func(nw *Network, v int) bool { return nw.occ[v] != 0 || len(nw.injectQ[v]) > 0 }
+	fed := func(nw *Network, v, key int) bool { return nw.feed[v]>>key&1 != 0 }
 	mutations := []struct {
 		name   string
 		mutate func(t *testing.T, nw *Network)
@@ -294,11 +295,27 @@ func TestCheckCatchesActiveSetDrift(t *testing.T) {
 		}},
 		{"held bit set without an owner", func(t *testing.T, nw *Network) {
 			v, key := find(t, nw, func(v, key int) bool { return nw.owner[v*nw.nin+key] == nil })
-			setBit(&nw.held[v], key)
+			nw.held[v] |= 1 << key
 		}},
 		{"held bit cleared while an owner exists", func(t *testing.T, nw *Network) {
 			v, key := find(t, nw, func(v, key int) bool { return nw.owner[v*nw.nin+key] != nil })
-			clrBit(&nw.held[v], key)
+			nw.held[v] &^= 1 << key
+		}},
+		{"feed bit set on an input feeding nothing", func(t *testing.T, nw *Network) {
+			v, input := find(t, nw, func(v, input int) bool { return !fed(nw, v, input) })
+			nw.feed[v] |= 1 << input
+		}},
+		{"feed bit cleared while the input feeds a held output", func(t *testing.T, nw *Network) {
+			v, input := find(t, nw, func(v, input int) bool { return fed(nw, v, input) })
+			nw.feed[v] &^= 1 << input
+		}},
+		{"fed input's key pointed at another output", func(t *testing.T, nw *Network) {
+			v, input := find(t, nw, func(v, input int) bool { return fed(nw, v, input) })
+			nw.reqKey[v*nw.nin+input] ^= 1
+		}},
+		{"waiting head's key pointed at another output", func(t *testing.T, nw *Network) {
+			v, input := find(t, nw, func(v, input int) bool { return nw.occ[v]>>input&1 != 0 && !fed(nw, v, input) })
+			nw.reqKey[v*nw.nin+input] ^= 1
 		}},
 	}
 	for _, tc := range mutations {

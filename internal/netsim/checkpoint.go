@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"locality/internal/stats"
 )
@@ -94,7 +95,7 @@ type CheckpointState struct {
 // no buffered flits, no held virtual outputs, and all arbitration
 // rotors at their initial values.
 func (nw *Network) routerZero(v int) bool {
-	if nw.routerFlits[v] != 0 {
+	if nw.occ[v] != 0 {
 		return false
 	}
 	base := v * nw.nin
@@ -206,8 +207,12 @@ func (nw *Network) Checkpoint() CheckpointState {
 // Restore overwrites the network with a previously captured state. The
 // network must have been built with the same configuration; the
 // delivery callback and fault model stay as wired. Every router and
-// queue absent from the sparse state is reset to zero, and the active
-// set is rebuilt from the restored occupancy.
+// queue absent from the sparse state is reset to zero, the active set
+// and masks are rebuilt from the restored occupancy, and each head at
+// the front of an unfed input is routed. The final Check rejects a
+// state the fabric could not have reached, such as a body flit
+// fronting an input that feeds no held output, which decide would
+// otherwise move wrongly or never.
 func (nw *Network) Restore(s CheckpointState) error {
 	nodes := nw.nodes
 	for i, ms := range s.Messages {
@@ -320,9 +325,10 @@ func (nw *Network) Restore(s CheckpointState) error {
 	for i := range nw.lastVC {
 		nw.lastVC[i] = 0
 	}
+	clear(nw.occ)
+	clear(nw.held)
+	clear(nw.feed)
 	for v := 0; v < nodes; v++ {
-		nw.routerFlits[v] = 0
-		nw.occ[v], nw.held[v] = [2]uint64{}, [2]uint64{}
 		nw.injectQ[v] = nil
 	}
 	clear(nw.active)
@@ -341,17 +347,23 @@ func (nw *Network) Restore(s CheckpointState) error {
 				in.buf[n] = flit{msg: msgs[f.Msg], seq: f.Seq, arrivedAt: f.ArrivedAt}
 			}
 			if len(flits) > 0 {
-				setBit(&nw.occ[v], i)
+				nw.occ[v] |= 1 << i
 			}
-			nw.routerFlits[v] += int32(len(flits))
 		}
-		for i, owner := range rs.Owner {
+		for key, owner := range rs.Owner {
 			if owner != -1 {
-				nw.owner[base+i] = msgs[owner]
-				nw.ownerInput[base+i] = int32(rs.OwnerInput[i])
-				setBit(&nw.held[v], i)
+				input := rs.OwnerInput[key]
+				nw.owner[base+key] = msgs[owner]
+				nw.ownerInput[base+key] = int32(input)
+				nw.held[v] |= 1 << key
+				nw.feed[v] |= 1 << input
+				nw.reqKey[base+input] = int8(key)
 			}
-			nw.lastGranted[base+i] = int32(rs.LastGranted[i])
+			nw.lastGranted[base+key] = int32(rs.LastGranted[key])
+		}
+		for m := nw.occ[v] &^ nw.feed[v]; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			nw.reqKey[base+i] = nw.requestKey(v, nw.in[base+i].peek().msg)
 		}
 		for o, vc := range rs.LastVC {
 			nw.lastVC[v*nw.ports+o] = uint8(vc)
@@ -367,7 +379,7 @@ func (nw *Network) Restore(s CheckpointState) error {
 		nw.queued += len(queue)
 	}
 	for v := 0; v < nodes; v++ {
-		if nw.routerFlits[v] > 0 || len(nw.injectQ[v]) > 0 {
+		if nw.occ[v] != 0 || len(nw.injectQ[v]) > 0 {
 			nw.activate(v)
 		}
 	}

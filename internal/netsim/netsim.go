@@ -27,9 +27,13 @@
 // per cycle and an untouched switch costs no resident memory (large
 // zeroed slices are backed by untouched pages). Listing the active
 // routers needs no sort, and moving a flit reads a per-port neighbor
-// table and per-router held-output masks instead of dividing out
-// coordinates or scanning owners. All of this is behavior-preserving:
-// see DESIGN.md §5i for the parity argument.
+// table instead of dividing out coordinates. Each head is routed once
+// per hop, when it becomes the front of its input, and a router's
+// decide works from three one-word masks (occupied inputs, held
+// outputs, inputs feeding a held output) to arbitrate only the outputs
+// that can move a flit, so a router has at most 64 inputs and a torus
+// at most 15 dimensions. All of this is behavior-preserving: see
+// DESIGN.md §5i for the parity argument.
 package netsim
 
 import (
@@ -163,7 +167,7 @@ type DeliveryFunc func(now int64, msg *Message)
 // front flit of router's input buffer leaves through virtual output
 // outKey, and acquire marks a head flit granted that output this cycle.
 // commit derives everything else from the popped flit and nbr. A byte
-// holds any input or key (nin ≤ 125, see Network.occ).
+// holds any input or key (nin ≤ 61, see MaxDims).
 type move struct {
 	router        int32
 	input, outKey uint8
@@ -206,21 +210,25 @@ type Network struct {
 	// nbr[v·ports+o] is the router across directional port o of v.
 	nbr []int32
 
-	// routerFlits[v] counts flits buffered across all of router v's
-	// inputs, for O(1) occupancy checks.
-	routerFlits []int32
 	// occ[v] is a bitmask over router v's input buffers: bit idx is set
-	// iff in[v·nin+idx] is non-empty. Two words cover every legal
-	// topology (nin = 4n+1 ≤ 125 for n ≤ 31). decide consults it so a
-	// router's cost tracks its occupied inputs, not nin².
-	occ [][2]uint64
+	// iff in[v·nin+idx] is non-empty, so occ[v] == 0 iff the router
+	// holds no flits. One word covers every legal topology (nin = 4n+1
+	// ≤ 61 for n ≤ MaxDims).
+	occ []uint64
 	// held[v] mirrors owner the same way: bit key is set iff router v's
 	// virtual output key has an owner.
-	held [][2]uint64
-	// headReq is decide's per-router scratch: headReq[idx] is the
-	// virtual output key requested by the arrived head flit at input
-	// idx, or -1. Filled from occ at the top of each router's decide.
-	headReq []int16
+	held []uint64
+	// feed[v] marks the inputs feeding a held output: bit ownerInput[key]
+	// for every held key. By wormhole order an occupied fed input fronts
+	// a body flit of the worm holding that output, and every other
+	// occupied input fronts a head.
+	feed []uint64
+	// reqKey[v·nin+idx] is the virtual output key input idx's worm uses
+	// at router v: for an occupied unfed input, the key its front head
+	// requests, and for a fed input, the held key it feeds. It is
+	// written once per hop, when a head becomes the front of an unfed
+	// input, so a waiting head is not re-routed every cycle.
+	reqKey []int8
 
 	// Active set: router v is active iff it holds buffered flits or
 	// queued injections. Bit v&63 of active[v>>6] marks it, and bit w&63
@@ -285,10 +293,17 @@ type localEntry struct {
 	due int64
 }
 
+// MaxDims is the most torus dimensions a network accepts: a router's
+// nin = 4n+1 inputs (and virtual output keys) must fit one 64-bit mask.
+const MaxDims = 15
+
 // New validates the configuration and builds an idle network.
 func New(cfg Config) (*Network, error) {
 	if cfg.Topo == nil {
 		return nil, fmt.Errorf("netsim: nil topology")
+	}
+	if n := cfg.Topo.N(); n > MaxDims {
+		return nil, fmt.Errorf("netsim: %d-dimensional torus, at most %d dimensions (a router's 4n+1 inputs must fit a 64-bit mask)", n, MaxDims)
 	}
 	if cfg.BufferDepth < 1 {
 		return nil, fmt.Errorf("netsim: buffer depth %d, must be ≥ 1", cfg.BufferDepth)
@@ -316,15 +331,14 @@ func New(cfg Config) (*Network, error) {
 		ownerInput:  make([]int32, n*nin),
 		lastGranted: make([]int32, n*nin),
 		lastVC:      make([]uint8, n*ports),
-		routerFlits: make([]int32, n),
 		nbr:         make([]int32, n*ports),
-		headReq:     make([]int16, nin),
+		reqKey:      make([]int8, n*nin),
 		injectQ:     make([][]*Message, n),
 	}
-	// occ and held share one allocation, as do the two bitmap levels:
+	// The three masks share one allocation, as do the two bitmap levels:
 	// every allocation counts in the set-up of a small machine.
-	masks := make([][2]uint64, 2*n)
-	nw.occ, nw.held = masks[:n:n], masks[n:]
+	masks := make([]uint64, 3*n)
+	nw.occ, nw.held, nw.feed = masks[:n:n], masks[n:2*n:2*n], masks[2*n:]
 	words := (n + 63) >> 6
 	bitmap := make([]uint64, words+(n+4095)>>12)
 	nw.active, nw.activeSum = bitmap[:words:words], bitmap[words:]
@@ -367,11 +381,6 @@ func (nw *Network) ejectKey() int { return 2 * nw.ports }
 
 // injectIn is the input buffer index of the injection port.
 func (nw *Network) injectIn() int { return 2 * nw.ports }
-
-// setBit and clrBit set and clear bit i of a router's two-word mask
-// (occ or held).
-func setBit(m *[2]uint64, i int) { m[i>>6] |= 1 << (i & 63) }
-func clrBit(m *[2]uint64, i int) { m[i>>6] &^= 1 << (i & 63) }
 
 // activate adds router v to the active set.
 func (nw *Network) activate(v int) {
@@ -506,7 +515,6 @@ func (nw *Network) Step() {
 	if nw.cfg.Faults != nil {
 		nw.sweepFaults()
 	}
-	nw.stepInjection()
 	nw.decide()
 	nw.commit()
 	nw.compactActive()
@@ -541,178 +549,153 @@ func (nw *Network) sweepFaults() {
 	}
 }
 
-// stepInjection streams flits of queued messages into each node's
-// injection buffer, one flit per cycle per node. Only active routers
-// can hold queued messages (Send activates the source).
-func (nw *Network) stepInjection() {
-	for _, v32 := range nw.worklist {
-		v := int(v32)
-		q := nw.injectQ[v]
-		if len(q) == 0 {
-			continue
+// stepInjection streams the next flit of router v's queued messages
+// into its injection buffer, at most one flit per cycle. decide calls
+// it for each active router (Send activates the source) after reading
+// the router's occupancy, so a flit that enters an empty buffer cannot
+// move before the next cycle. Injection at v changes nothing another
+// router's decide reads, so interleaving the two per router yields the
+// moves of injecting everywhere first.
+func (nw *Network) stepInjection(v int) {
+	q := nw.injectQ[v]
+	in := &nw.in[v*nw.nin+nw.injectIn()]
+	if in.full(nw.cfg.BufferDepth) {
+		return
+	}
+	msg := q[0]
+	seq := msg.Size - msg.remaining
+	if seq == 0 {
+		msg.InjectedAt = nw.now
+		nw.injected.Inc()
+		nw.sizes.Add(float64(msg.Size))
+		if in.empty() {
+			nw.reqKey[v*nw.nin+nw.injectIn()] = nw.requestKey(v, msg)
 		}
-		in := &nw.in[v*nw.nin+nw.injectIn()]
-		if in.full(nw.cfg.BufferDepth) {
-			continue
-		}
-		msg := q[0]
-		seq := msg.Size - msg.remaining
-		if seq == 0 {
-			msg.InjectedAt = nw.now
-			nw.injected.Inc()
-			nw.sizes.Add(float64(msg.Size))
-		}
-		in.push(flit{msg: msg, seq: seq, arrivedAt: nw.now}, nw.cfg.BufferDepth)
-		setBit(&nw.occ[v], nw.injectIn())
-		nw.routerFlits[v]++
-		nw.flitsIn++
-		nw.lastProgress = nw.now
-		msg.remaining--
-		if msg.remaining == 0 {
-			// Shift the queue down in place, so its backing array is
-			// reused by later sends, and nil the vacated last slot so the
-			// array does not keep the message reachable.
-			copy(q, q[1:])
-			q[len(q)-1] = nil
-			nw.injectQ[v] = q[:len(q)-1]
-			nw.queued--
-		}
+	}
+	in.push(flit{msg: msg, seq: seq, arrivedAt: nw.now}, nw.cfg.BufferDepth)
+	nw.occ[v] |= 1 << nw.injectIn()
+	nw.flitsIn++
+	nw.lastProgress = nw.now
+	msg.remaining--
+	if msg.remaining == 0 {
+		// Shift the queue down in place, so its backing array is
+		// reused by later sends, and nil the vacated last slot so the
+		// array does not keep the message reachable.
+		copy(q, q[1:])
+		q[len(q)-1] = nil
+		nw.injectQ[v] = q[:len(q)-1]
+		nw.queued--
 	}
 }
 
-// decide computes at most one flit transfer per physical channel (and
-// per ejection port) based on cycle-start state, appending to the
-// reusable moves scratch buffer. Routers with no buffered flits can
-// produce no transfer and mutate no arbitration state, so iterating
-// the ascending worklist yields exactly the moves of a dense sweep, in
-// the same order.
+// decide injects at each active router and computes at most one flit
+// transfer per physical channel (and per ejection port) based on
+// cycle-start state, appending to the reusable moves scratch buffer.
+// Routers with no buffered flits can produce no transfer and mutate no
+// arbitration state, so iterating the ascending worklist yields exactly
+// the moves of a dense sweep, in the same order.
+//
+// Each router first works out, from its masks alone, the virtual
+// outputs that can move a flit this cycle: held outputs whose feeding
+// input is ready, and free outputs some ready head requests. It then
+// walks only those, in ascending port order with the VC rotation and
+// round-robin rotors, so every output it skips is one that could not
+// have granted a transfer, and a skipped output mutates nothing.
 func (nw *Network) decide() {
 	nw.moves = nw.moves[:0]
+	nin, ports, depth := nw.nin, nw.ports, nw.cfg.BufferDepth
+	ek := nw.ejectKey()
 	for _, v32 := range nw.worklist {
 		v := int(v32)
-		if nw.routerFlits[v] == 0 {
+		// A flit cannot move in the cycle it arrives. Commit's arrivals
+		// come after decide, so only this cycle's injection could be so
+		// new, and only as the front of a buffer that was empty: the
+		// occupancy read before injecting leaves it out.
+		ready := nw.occ[v]
+		if len(nw.injectQ[v]) != 0 {
+			nw.stepInjection(v)
+		}
+		if ready == 0 {
 			continue
 		}
-		base := v * nw.nin
-		// Gather phase: peek each occupied input once, recording which
-		// virtual output key its arrived head flit requests. A key can
-		// grant a transfer this cycle only if some head requests it or
-		// a worm already owns it, so the arbitration below skips every
-		// other key without consulting any buffer — skipped keys would
-		// have decided nothing and mutated nothing.
-		for i := range nw.headReq {
-			nw.headReq[i] = -1
+		base := v * nin
+		keys := nw.reqKey[base : base+nin : base+nin]
+		held, heads := nw.held[v], ready&^nw.feed[v]
+		// A ready fed input moves a body flit through the output it
+		// feeds; a ready head can take its requested output only if no
+		// other worm holds it.
+		var moving, wanted uint64
+		for m := ready &^ heads; m != 0; m &= m - 1 {
+			moving |= 1 << (keys[bits.TrailingZeros64(m)] & 63)
 		}
-		avail := nw.held[v]
-		for w := 0; w < 2; w++ {
-			m := nw.occ[v][w]
-			for m != 0 {
-				idx := w<<6 + bits.TrailingZeros64(m)
-				m &= m - 1
-				f := nw.in[base+idx].peek()
-				if !f.isHead() || f.arrivedAt >= nw.now {
-					continue
-				}
-				key := nw.requestKey(v, f.msg)
-				nw.headReq[idx] = int16(key)
-				setBit(&avail, key)
-			}
+		for m := heads; m != 0; m &= m - 1 {
+			wanted |= 1 << (keys[bits.TrailingZeros64(m)] & 63)
 		}
-		// Directional physical channels: arbitrate between the two VCs.
-		for o := 0; o < nw.ports; o++ {
-			if avail[(o*2)>>6]&(3<<((o*2)&63)) == 0 {
-				// Neither VC of this port can grant. The two keys o·2
-				// and o·2+1 share a mask word: o·2 is even, so its bit
-				// position within the word is at most 62.
-				continue
-			}
-			if nw.cfg.Faults != nil && nw.downAt[v*nw.ports+o] == nw.now+1 {
+		cand := moving | wanted&^held
+		// Directional physical channels in ascending port order: the two
+		// keys o·2 and o·2+1 of port o share the mask, and a port grants
+		// its first VC in rotation that is a candidate with room
+		// downstream.
+		for c := cand &^ (1 << ek); c != 0; {
+			o := bits.TrailingZeros64(c) >> 1
+			c &^= 3 << (2 * o)
+			p := v*ports + o
+			if nw.cfg.Faults != nil && nw.downAt[p] == nw.now+1 {
 				// The channel is faulted this cycle: neither VC may
 				// transfer a flit; worms stall in place.
 				continue
 			}
-			firstVC := 1 - int(nw.lastVC[v*nw.ports+o])
+			next := int(nw.nbr[p]) * nin
+			firstVC := 1 - int(nw.lastVC[p])
 			for attempt := 0; attempt < 2; attempt++ {
 				vc := firstVC ^ attempt
 				key := o*2 + vc
-				if avail[key>>6]&(1<<(key&63)) != 0 && nw.decideVirtualOutput(v, key) {
-					nw.lastVC[v*nw.ports+o] = uint8(vc)
+				if cand>>key&1 != 0 && !nw.in[next+key].full(depth) {
+					nw.grant(v, key, held, heads)
+					nw.lastVC[p] = uint8(vc)
 					break
 				}
 			}
 		}
-		// Ejection port.
-		ek := nw.ejectKey()
-		if avail[ek>>6]&(1<<(ek&63)) != 0 {
-			nw.decideVirtualOutput(v, ek)
+		// The node sinks one flit per cycle unconditionally.
+		if cand>>ek&1 != 0 {
+			nw.grant(v, ek, held, heads)
 		}
 	}
 }
 
-// decideVirtualOutput appends the transfer (if any) through virtual
-// output key at router v this cycle and reports whether there is one.
-func (nw *Network) decideVirtualOutput(v, key int) bool {
+// grant appends the transfer through candidate output key of router v.
+// A held key moves its worm's next flit from the input feeding it. A
+// free key goes round-robin to the first head requesting it after the
+// input granted it last.
+func (nw *Network) grant(v, key int, held, heads uint64) {
 	base := v * nw.nin
-	mv := move{router: int32(v), outKey: uint8(key)}
-	if owner := nw.owner[base+key]; owner != nil {
-		input := int(nw.ownerInput[base+key])
-		in := &nw.in[base+input]
-		if in.empty() {
-			return false
-		}
-		if f := in.peek(); f.msg != owner || f.arrivedAt >= nw.now {
-			return false
-		}
-		mv.input = uint8(input)
-	} else {
-		// Arbitrate round-robin among input buffers whose head flit
-		// requests this key, consulting the gather phase's per-input
-		// request table instead of re-peeking every buffer.
-		idx := int(nw.lastGranted[base+key])
-		for i := 0; ; i++ {
-			if i == nw.nin {
-				return false
-			}
-			if idx++; idx == nw.nin {
-				idx = 0
-			}
-			if nw.headReq[idx] == int16(key) {
-				break
-			}
-		}
-		mv.input, mv.acquire = uint8(idx), true
+	if held>>key&1 != 0 {
+		nw.moves = append(nw.moves, move{router: int32(v), input: uint8(nw.ownerInput[base+key]), outKey: uint8(key)})
+		return
 	}
-	if !nw.hasRoom(v, key) {
-		// The downstream buffer is full; no input can use this key
-		// this cycle.
-		return false
+	var req uint64
+	for m := heads; m != 0; m &= m - 1 {
+		if i := bits.TrailingZeros64(m); int(nw.reqKey[base+i]) == key {
+			req |= 1 << i
+		}
 	}
-	if mv.acquire {
-		nw.lastGranted[base+key] = int32(mv.input)
+	input := bits.TrailingZeros64(req)
+	if later := req &^ (2<<nw.lastGranted[base+key] - 1); later != 0 {
+		input = bits.TrailingZeros64(later)
 	}
-	nw.moves = append(nw.moves, mv)
-	return true
+	nw.lastGranted[base+key] = int32(input)
+	nw.moves = append(nw.moves, move{router: int32(v), input: uint8(input), outKey: uint8(key), acquire: true})
 }
 
 // requestKey returns the virtual output key the message's head flit
 // requests at router v.
-func (nw *Network) requestKey(v int, msg *Message) int {
+func (nw *Network) requestKey(v int, msg *Message) int8 {
 	o, eject := nw.outputPortFor(v, msg.Dst)
 	if eject {
-		return nw.ejectKey()
+		return int8(nw.ejectKey())
 	}
-	return o*2 + vcFor(msg, o)
-}
-
-// hasRoom reports whether virtual output key of router v can take a
-// flit: the node sinks one flit per cycle unconditionally, and a
-// channel needs space in the downstream buffer of the same key.
-func (nw *Network) hasRoom(v, key int) bool {
-	if key == nw.ejectKey() {
-		return true
-	}
-	next := int(nw.nbr[v*nw.ports+key>>1])
-	return !nw.in[next*nw.nin+key].full(nw.cfg.BufferDepth)
+	return int8(o*2 + vcFor(msg, o))
 }
 
 // commit applies the decided transfers. A tail flit releases its
@@ -728,18 +711,24 @@ func (nw *Network) commit() {
 		base := v * nw.nin
 		in := &nw.in[base+input]
 		f := in.pop()
-		if in.empty() {
-			clrBit(&nw.occ[v], input)
-		}
-		nw.routerFlits[v]--
 		if mv.acquire {
 			nw.owner[base+key] = f.msg
 			nw.ownerInput[base+key] = int32(input)
-			setBit(&nw.held[v], key)
+			nw.held[v] |= 1 << key
+			nw.feed[v] |= 1 << input
 		}
 		if f.isTail() {
 			nw.owner[base+key] = nil
-			clrBit(&nw.held[v], key)
+			nw.held[v] &^= 1 << key
+			nw.feed[v] &^= 1 << input
+			// The input no longer feeds anything: its next flit, if any,
+			// is the head of the next worm. Route it now, once.
+			if !in.empty() {
+				nw.reqKey[base+input] = nw.requestKey(v, in.peek().msg)
+			}
+		}
+		if in.empty() {
+			nw.occ[v] &^= 1 << input
 		}
 		if key == ek {
 			nw.flitsOut++
@@ -766,11 +755,17 @@ func (nw *Network) commit() {
 		}
 		nw.flitHops.Inc()
 		f.arrivedAt = nw.now
-		nw.in[dest*nw.nin+key].push(f, nw.cfg.BufferDepth)
-		setBit(&nw.occ[dest], key)
-		nw.routerFlits[dest]++
+		out := &nw.in[dest*nw.nin+key]
+		if out.empty() && f.isHead() {
+			// The head fronts an unfed input (a fed one awaits its own
+			// worm's body flits), and the worm's dateline state is final
+			// for this hop: route it now, once.
+			nw.reqKey[dest*nw.nin+key] = nw.requestKey(dest, f.msg)
+		}
+		out.push(f, nw.cfg.BufferDepth)
+		nw.occ[dest] |= 1 << key
 		// A flit arriving this cycle cannot move before the next one
-		// (the arrivedAt >= now guard), so activating the destination
+		// (decide runs before commit), so activating the destination
 		// now — for the next cycle's worklist — is timing-exact.
 		nw.activate(dest)
 	}
@@ -789,7 +784,7 @@ func (nw *Network) compactActive() {
 		return
 	}
 	for _, v32 := range nw.worklist {
-		if v := int(v32); nw.routerFlits[v] == 0 && len(nw.injectQ[v]) == 0 {
+		if v := int(v32); nw.occ[v] == 0 && len(nw.injectQ[v]) == 0 {
 			nw.deactivate(v)
 		}
 	}
@@ -909,31 +904,48 @@ func (nw *Network) inFlightFlits() int { return int(nw.flitsIn - nw.flitsOut) }
 
 // Check verifies the fabric's structural invariants: flit conservation
 // (every flit ever accepted has either been ejected or is buffered in
-// a switch), the queued-message counter, the per-router flit counts,
-// input-occupancy and held-output masks, and the active set — exactly
-// the routers with buffered flits or queued injections (every such
-// router, no drained ones), with each summary bit set iff its word is
-// non-zero and the count equal to the bits set. Watchdog, fault, and
+// a switch), the queued-message counter, the input-occupancy, held-
+// output and feeding-input masks, and the active set — exactly the
+// routers with buffered flits or queued injections (every such router,
+// no drained ones), with each summary bit set iff its word is non-zero
+// and the count equal to the bits set. It also verifies what decide
+// relies on instead of re-checking each cycle: every buffered flit
+// arrived before Now, no input feeds two held outputs, a fed input's
+// front flit is a body flit of the worm holding the output it feeds,
+// every other occupied input fronts a head, and each input's reqKey is
+// the output it feeds or its front head requests. Watchdog, fault, and
 // restore code call this so no code path can silently leak flits or
-// corrupt the active set. O(N·nin), so not for per-cycle hot paths.
+// corrupt the active set. O(N·nin + buffered flits), so not for
+// per-cycle hot paths.
 func (nw *Network) Check() error {
 	var inFlight int64
 	q := 0
 	for v := 0; v < nw.nodes; v++ {
-		sum := int32(0)
-		var occ, held [2]uint64
+		base := v * nw.nin
+		var occ, held, feed uint64
 		for key := 0; key < nw.nin; key++ {
-			if c := nw.in[v*nw.nin+key].count; c > 0 {
-				sum += c
-				setBit(&occ, key)
+			in := &nw.in[base+key]
+			if in.count > 0 {
+				occ |= 1 << key
+				inFlight += int64(in.count)
+				for n, j := 0, int(in.head); n < int(in.count); n++ {
+					if at := in.buf[j].arrivedAt; at >= nw.now {
+						return fmt.Errorf("netsim: router %d input %d buffers a flit that arrived at cycle %d, not before cycle %d", v, key, at, nw.now)
+					}
+					if j++; j == len(in.buf) {
+						j = 0
+					}
+				}
 			}
-			if nw.owner[v*nw.nin+key] != nil {
-				setBit(&held, key)
+			if nw.owner[base+key] == nil {
+				continue
 			}
-		}
-		if sum != nw.routerFlits[v] {
-			return fmt.Errorf("netsim: router %d flit count drifted at cycle %d: counter %d, buffers hold %d",
-				v, nw.now, nw.routerFlits[v], sum)
+			held |= 1 << key
+			i := int(nw.ownerInput[base+key])
+			if feed>>i&1 != 0 {
+				return fmt.Errorf("netsim: router %d input %d feeds two held outputs at cycle %d", v, i, nw.now)
+			}
+			feed |= 1 << i
 		}
 		if occ != nw.occ[v] {
 			return fmt.Errorf("netsim: router %d input-occupancy mask drifted at cycle %d: mask %x, buffers %x",
@@ -943,7 +955,37 @@ func (nw *Network) Check() error {
 			return fmt.Errorf("netsim: router %d held-output mask drifted at cycle %d: mask %x, owners %x",
 				v, nw.now, nw.held[v], held)
 		}
-		occupied := sum > 0 || len(nw.injectQ[v]) > 0
+		if feed != nw.feed[v] {
+			return fmt.Errorf("netsim: router %d feeding-input mask drifted at cycle %d: mask %x, owners %x",
+				v, nw.now, nw.feed[v], feed)
+		}
+		for m := held; m != 0; m &= m - 1 {
+			key := bits.TrailingZeros64(m)
+			if i := nw.ownerInput[base+key]; int(nw.reqKey[base+int(i)]) != key {
+				return fmt.Errorf("netsim: router %d input %d feeds output %d but its key reads %d at cycle %d",
+					v, i, key, nw.reqKey[base+int(i)], nw.now)
+			}
+		}
+		for m := occ; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			f := nw.in[base+i].peek()
+			if feed>>i&1 != 0 {
+				if key := int(nw.reqKey[base+i]); f.msg != nw.owner[base+key] || f.isHead() {
+					return fmt.Errorf("netsim: router %d input %d feeds output %d but fronts flit %d of message %d→%d at cycle %d",
+						v, i, key, f.seq, f.msg.Src, f.msg.Dst, nw.now)
+				}
+				continue
+			}
+			if !f.isHead() {
+				return fmt.Errorf("netsim: router %d input %d fronts body flit %d of message %d→%d but feeds no output at cycle %d",
+					v, i, f.seq, f.msg.Src, f.msg.Dst, nw.now)
+			}
+			if want := nw.requestKey(v, f.msg); nw.reqKey[base+i] != want {
+				return fmt.Errorf("netsim: router %d input %d head requests output %d but its key reads %d at cycle %d",
+					v, i, want, nw.reqKey[base+i], nw.now)
+			}
+		}
+		occupied := occ != 0 || len(nw.injectQ[v]) > 0
 		isActive := nw.active[v>>6]&(1<<(v&63)) != 0
 		if occupied && !isActive {
 			return fmt.Errorf("netsim: router %d holds traffic at cycle %d but is missing from the active set", v, nw.now)
@@ -951,7 +993,6 @@ func (nw *Network) Check() error {
 		if !occupied && isActive && !nw.forceDense {
 			return fmt.Errorf("netsim: drained router %d left in the active set at cycle %d", v, nw.now)
 		}
-		inFlight += int64(sum)
 		q += len(nw.injectQ[v])
 	}
 	if nw.flitsIn != nw.flitsOut+inFlight {
@@ -1000,7 +1041,7 @@ func (nw *Network) DiagSnapshot() string {
 		nw.now, nw.inFlightFlits(), nw.lastProgress)
 	var busyRouters []int
 	for _, v32 := range nw.appendActive(nil) {
-		if v := int(v32); nw.routerFlits[v] > 0 || len(nw.injectQ[v]) > 0 {
+		if v := int(v32); nw.occ[v] != 0 || len(nw.injectQ[v]) > 0 {
 			busyRouters = append(busyRouters, v)
 		}
 	}

@@ -3,6 +3,7 @@ package netsim
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"locality/internal/topology"
@@ -40,6 +41,10 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Topo: topology.MustNew(4, 2), BufferDepth: 4, LocalDelay: -1}); err == nil {
 		t.Error("negative local delay should error")
+	}
+	// A router's 4n+1 inputs fit one 64-bit mask up to n = 15.
+	if _, err := New(Config{Topo: topology.MustNew(2, 16), BufferDepth: 4}); err == nil || !strings.Contains(err.Error(), "at most 15 dimensions") {
+		t.Errorf("a 16-dimensional torus: error %v, want one naming the 15-dimension limit", err)
 	}
 }
 
