@@ -6,15 +6,14 @@
 //	simrun -k 8 -n 2 -contexts 2 -mapping random:1
 //	simrun -mapping diag:3 -window 40000
 //	simrun -mapping antilocal -contexts 4 -ratio 1
-//	simrun -mapping random:1 -fault-rate 0.01 -link-mttf 5000
+//	simrun -mapping random:1 -watchdog 20000
 //	simrun -mapping random:1 -telemetry
 //	simrun -mapping random:1 -trace-out trace.json -slice 1000 -slice-out slices.csv
 //	simrun -window 2000000 -checkpoint-every 100000 -checkpoint-dir ckpts -checkpoint-keep 4
 //	simrun -window 2000000 -restore ckpts/ckpt-1500000.lckp
 //
-// With fault injection enabled the run additionally reports loss and
-// retry accounting; a run that stops making progress aborts with a
-// diagnostic stall report and exit status 2.
+// With -watchdog set, a run that stops making progress for that many
+// P-cycles aborts with a diagnostic stall report and exit status 2.
 //
 // Crash recovery: -checkpoint-every writes a deterministic snapshot of
 // the complete machine state every N P-cycles (atomic .lckp files in
@@ -34,8 +33,8 @@
 // metrics) to a JSONL ledger; -trace-out writes a Chrome trace-event
 // JSON (load it in Perfetto or chrome://tracing) of message flows,
 // transactions, and kernel-skip spans; -slice streams time-sliced
-// interval samples (utilization, queue depths, skip ratio, fault
-// state) to -slice-out as CSV or JSONL. None of these change the
+// interval samples (utilization, queue depths, skip ratio) to
+// -slice-out as CSV or JSONL. None of these change the
 // simulated results; without them the output is byte-identical to an
 // uninstrumented run.
 //
@@ -55,7 +54,6 @@ import (
 	"time"
 
 	"locality/internal/checkpoint"
-	"locality/internal/faults"
 	"locality/internal/machine"
 	"locality/internal/mapsel"
 	"locality/internal/netsim"
@@ -82,10 +80,7 @@ func main() {
 	ratio := flag.Int("ratio", 2, "network cycles per processor cycle")
 	buffers := flag.Int("buffers", 8, "switch buffer depth per virtual channel (flits)")
 	pointers := flag.Int("pointers", 0, "directory hardware sharer pointers (0 = full map)")
-	faultRate := flag.Float64("fault-rate", 0, "protocol message loss probability (0 disables)")
-	faultSeed := flag.Int64("fault-seed", 1, "fault-injection seed")
-	linkMTTF := flag.Float64("link-mttf", 0, "mean N-cycles between transient faults per link (0 disables)")
-	watchdog := flag.Int64("watchdog", 0, "abort after this many P-cycles without progress (0 = auto when faults enabled)")
+	watchdog := flag.Int64("watchdog", 0, "abort after this many P-cycles without progress (0 disables)")
 	kernelFlag := flag.String("kernel", "event", "execution kernel: event (skip quiescent cycles) or tick (naive reference loop); results are bit-identical")
 	telemetry_ := flag.Bool("telemetry", false, "enable the metrics registry and cycle attribution; dump both after the run")
 	analyze := flag.Bool("analyze", false, "append the ranked bottleneck report after the run (implies -telemetry)")
@@ -110,10 +105,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	spec := faults.Spec{Seed: *faultSeed, LossRate: *faultRate, LinkMTTF: *linkMTTF}
-	if err := spec.Validate(); err != nil {
-		fatal(err)
-	}
 	kernel, err := sim.ParseKernel(*kernelFlag)
 	if err != nil {
 		fatal(err)
@@ -123,13 +114,7 @@ func main() {
 	cfg.ClockRatio = *ratio
 	cfg.BufferDepth = *buffers
 	cfg.HWPointers = *pointers
-	if spec.Enabled() {
-		cfg.Faults = &spec
-	}
-	cfg.Watchdog = faults.Watchdog{StallCycles: *watchdog}
-	if *watchdog == 0 && spec.Enabled() {
-		cfg.Watchdog.StallCycles = 20 * (*warmup + *window)
-	}
+	cfg.Watchdog = machine.Watchdog{StallCycles: *watchdog}
 	if *traceOut != "" {
 		cfg.Trace = trace.New(*traceCap)
 	}
@@ -227,7 +212,7 @@ func main() {
 			bridge.Fail("machine", err)
 		}
 		writeLedger(nil, err, time.Since(t0))
-		var rep *faults.StallReport
+		var rep *machine.StallReport
 		if errors.As(err, &rep) {
 			fmt.Fprintf(os.Stderr, "simrun: %v\ndiagnostic snapshot:\n%s\n", rep, rep.Snapshot)
 			if rep.Checkpoint != "" {
@@ -261,12 +246,6 @@ func main() {
 		kernel, met.CyclesTicked, met.CyclesSkipped, 100*met.SkipRatio())
 	if met.SWTraps > 0 {
 		fmt.Printf("LimitLESS traps          %d\n", met.SWTraps)
-	}
-	if spec.Enabled() {
-		fmt.Printf("fault spec               %s\n", spec.String())
-		fmt.Printf("messages dropped         %d\n", met.DroppedMsgs)
-		fmt.Printf("request retries          %d (+%d home-side)\n", met.Retries, met.HomeRetries)
-		fmt.Printf("link fault cycles        %d channel·N-cycles\n", met.LinkFaultCycles)
 	}
 	mach.FlushSlices()
 	if cfg.SliceWriter != nil {

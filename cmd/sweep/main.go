@@ -5,13 +5,10 @@
 //	sweep -mappings suite -contexts 1,2,4
 //	sweep -k 4 -mappings identity,random:1,antilocal -contexts 1 -ratio 1
 //	sweep -mappings random:1 -contexts 1 -prefetch -out results.csv
-//	sweep -mappings suite -fault-rate 0.01 -link-mttf 5000 -fault-seed 7
 //	sweep -mappings suite -contexts 1,2,4 -workers 8 -progress
 //
 // Columns: mapping, d, contexts, prefetch, B, g, tm, rm, Tm, Tt, tt,
-// rt, utilization. With fault injection enabled (-fault-rate or
-// -link-mttf), four accounting columns are appended: retries,
-// home_retries, dropped, fault_cycles.
+// rt, utilization.
 //
 // The grid definition, cell configuration, and row formatting live in
 // internal/sweepgrid, shared with the model-serving /v1/sweep endpoint
@@ -21,7 +18,7 @@
 // Cells run on -workers goroutines (default GOMAXPROCS) through the
 // experiment engine; rows are still emitted in grid order, so the CSV
 // is byte-identical at any worker count. A cell that fails
-// (stall-report abort, configuration error, or panic) emits its row
+// (watchdog stall report, configuration error, or panic) emits its row
 // with error=<message> in the first measurement column; the rest of
 // the grid still runs and sweep exits nonzero at the end.
 //
@@ -76,7 +73,6 @@ import (
 	"time"
 
 	"locality/internal/engine"
-	"locality/internal/faults"
 	"locality/internal/machine"
 	"locality/internal/netsim"
 	"locality/internal/obs"
@@ -211,8 +207,9 @@ func rowKey(mappingName, contexts string) string {
 // different kernel are refused outright rather than silently mixed
 // (files from sweeps predating the comment carry no kernel line and
 // are accepted). The CSV header must match the current invocation's
-// exactly (a mismatch means the old sweep ran with different fault
-// flags and its rows are not comparable). A row cut off mid-write by
+// exactly: a mismatch means the old rows have other columns, such as
+// the fault-accounting columns earlier builds wrote, and are not
+// comparable. A row cut off mid-write by
 // the interruption — or anything after it — is dropped; completed rows
 // are returned keyed by rowKey, later duplicates winning.
 func resumeRows(r io.Reader, g *sweepgrid.Grid) (map[string][]string, error) {
@@ -236,7 +233,7 @@ func resumeRows(r io.Reader, g *sweepgrid.Grid) (map[string][]string, error) {
 		return nil, fmt.Errorf("reading resume header: %w", err)
 	}
 	if !slices.Equal(first, g.Header()) {
-		return nil, fmt.Errorf("resume file header %q does not match this sweep's %q (different fault flags?)",
+		return nil, fmt.Errorf("resume file header %q does not match this sweep's %q",
 			strings.Join(first, ","), strings.Join(g.Header(), ","))
 	}
 	rows := make(map[string][]string)
@@ -275,11 +272,7 @@ func main() {
 	ratio := flag.Int("ratio", 2, "network cycles per processor cycle")
 	prefetch := flag.Bool("prefetch", false, "enable neighbor prefetching in the workload")
 	out := flag.String("out", "", "output CSV path (default stdout)")
-	faultRate := flag.Float64("fault-rate", 0, "protocol message loss probability (0 disables)")
-	faultSeed := flag.Int64("fault-seed", 1, "fault-injection seed")
-	linkMTTF := flag.Float64("link-mttf", 0, "mean N-cycles between transient faults per link (0 disables)")
-	linkStall := flag.String("link-stall", "", "link stall duration bounds, lo..hi N-cycles (default 16..256)")
-	watchdog := flag.Int64("watchdog", 0, "abort a cell after this many P-cycles without progress (0 = auto when faults enabled)")
+	watchdog := flag.Int64("watchdog", 0, "abort a cell after this many P-cycles without progress (0 disables)")
 	workers := flag.Int("workers", 0, "parallel simulation workers (0 = GOMAXPROCS)")
 	progress := flag.Bool("progress", false, "stream per-cell progress to stderr")
 	kernelFlag := flag.String("kernel", "event", "execution kernel: event (skip quiescent cycles) or tick (naive reference loop); rows are bit-identical either way")
@@ -339,15 +332,7 @@ func main() {
 	spec := sweepgrid.Spec{
 		Radix: *k, Dims: *n, Contexts: contexts, Mappings: *mappingsFlag,
 		Warmup: *warmup, Window: *window, Ratio: *ratio, Prefetch: *prefetch, Kernel: *kernelFlag,
-		FaultRate: *faultRate, FaultSeed: *faultSeed, LinkMTTF: *linkMTTF,
 		Watchdog: *watchdog,
-	}
-	if *linkStall != "" {
-		stall, err := faults.ParseSpec("stall=" + *linkStall)
-		if err != nil {
-			fatal(err)
-		}
-		spec.StallMin, spec.StallMax = stall.StallMin, stall.StallMax
 	}
 	g, err := sweepgrid.New(spec)
 	if err != nil {

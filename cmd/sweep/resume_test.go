@@ -7,7 +7,7 @@ import (
 	"locality/internal/sweepgrid"
 )
 
-// testGrid builds a minimal fault-free grid under the named kernel, so
+// testGrid builds a minimal grid under the named kernel, so
 // resume parsing can be exercised against real Header/KernelComment
 // values.
 func testGrid(t *testing.T, kernel string) *sweepgrid.Grid {
@@ -76,7 +76,7 @@ func TestResumeRowsDropsTrailingGarbage(t *testing.T) {
 func TestResumeRowsRejectsHeaderMismatch(t *testing.T) {
 	faultHeader := strings.Join(append(append([]string{}, testHeader...), "retries", "home_retries", "dropped", "fault_cycles"), ",")
 	if _, err := resumeRows(strings.NewReader(faultHeader+"\n"), testGrid(t, "event")); err == nil {
-		t.Error("fault-sweep output accepted for a fault-free resume")
+		t.Error("output with the retired fault-accounting columns accepted for resume")
 	}
 	if _, err := resumeRows(strings.NewReader(""), testGrid(t, "event")); err == nil {
 		t.Error("empty resume file accepted")

@@ -8,7 +8,7 @@
 // with an error, never a panic or an unbounded allocation.
 //
 // The checkpoint captures component state through the per-package
-// Checkpoint/Restore pairs (procsim, cohsim, netsim, faults, sim) plus
+// Checkpoint/Restore pairs (procsim, cohsim, netsim, sim) plus
 // the machine-level clocks and resume bookkeeping. Transactions and
 // in-flight network messages are shared by pointer across components;
 // the codec flattens each into an ID- or index-keyed table so a restore
@@ -21,7 +21,6 @@ import (
 	"fmt"
 
 	"locality/internal/cohsim"
-	"locality/internal/faults"
 	"locality/internal/netsim"
 	"locality/internal/procsim"
 	"locality/internal/sim"
@@ -35,6 +34,9 @@ const Magic = "LCKP"
 // netsim router/injection-queue sections and the protocol node section
 // sparse (zero-state entries omitted, index-tagged, strictly
 // ascending) so snapshots of mostly-idle large machines stay small.
+// Removing fault injection kept the version: its slots stay on the
+// wire as zero bytes (see retired), so every fault-free file still
+// reads and re-encodes byte-identically.
 const Version = 2
 
 // Hardening caps: upper bounds a hostile file cannot talk us past.
@@ -51,7 +53,6 @@ const (
 	maxMessages = 1 << 24
 	maxQueue    = 1 << 16
 	maxCounters = 1 << 10
-	maxChannels = 1 << 24
 	maxPorts    = 256
 	maxTime     = int64(1) << 62
 )
@@ -84,15 +85,10 @@ type Fingerprint struct {
 	WriteCompute int
 	Workload     string
 
-	// Protocol latencies and the effective retry deadline.
+	// Protocol latencies.
 	ReqLatency, DirLatency, MemLatency int
 	CacheRespLatency, FillLatency      int
 	SWTrapLatency                      int
-	RetryTimeout                       int
-
-	// FaultSpec is the canonical rendering of the fault-injection
-	// configuration (faults.Spec.String(); "" when disabled).
-	FaultSpec string
 
 	// Execution-loop selection; affects only kernel accounting, which
 	// the checkpoint also carries.
@@ -140,8 +136,6 @@ func (f *Fingerprint) Equal(g *Fingerprint) bool {
 		f.ReqLatency == g.ReqLatency && f.DirLatency == g.DirLatency &&
 		f.MemLatency == g.MemLatency && f.CacheRespLatency == g.CacheRespLatency &&
 		f.FillLatency == g.FillLatency && f.SWTrapLatency == g.SWTrapLatency &&
-		f.RetryTimeout == g.RetryTimeout &&
-		f.FaultSpec == g.FaultSpec &&
 		f.Kernel == g.Kernel && f.SliceEvery == g.SliceEvery
 }
 
@@ -168,7 +162,7 @@ func (f *Fingerprint) validate() (int, error) {
 	if f.Contexts < 1 || f.Contexts > maxContexts {
 		return 0, fmt.Errorf("checkpoint: contexts %d outside [1,%d]", f.Contexts, maxContexts)
 	}
-	if len(f.MappingName) > maxNameLen || len(f.FaultSpec) > maxNameLen || len(f.Workload) > maxNameLen {
+	if len(f.MappingName) > maxNameLen || len(f.Workload) > maxNameLen {
 		return 0, fmt.Errorf("checkpoint: fingerprint string exceeds %d bytes", maxNameLen)
 	}
 	if len(f.Place) != nodes {
@@ -191,7 +185,7 @@ func (f *Fingerprint) validate() (int, error) {
 		return 0, fmt.Errorf("checkpoint: negative compute burst in fingerprint")
 	}
 	if f.ReqLatency < 0 || f.DirLatency < 0 || f.MemLatency < 0 ||
-		f.CacheRespLatency < 0 || f.FillLatency < 0 || f.SWTrapLatency < 0 || f.RetryTimeout < 0 {
+		f.CacheRespLatency < 0 || f.FillLatency < 0 || f.SWTrapLatency < 0 {
 		return 0, fmt.Errorf("checkpoint: negative protocol latency in fingerprint")
 	}
 	if f.Kernel > 1 {
@@ -200,19 +194,16 @@ func (f *Fingerprint) validate() (int, error) {
 	if f.SliceEvery < 0 {
 		return 0, fmt.Errorf("checkpoint: negative slice interval %d", f.SliceEvery)
 	}
-	if _, err := faults.ParseSpec(f.FaultSpec); err != nil {
-		return 0, err
-	}
 	return nodes, nil
 }
 
 // SlicerState is the time-slice sampler's restorable state: the next
 // boundary and the cumulative-counter origin its deltas are computed
-// against (cycle, busy, ticked, skipped, injected, delivered, dropped,
-// down-cycles — in that order).
+// against (cycle, busy, ticked, skipped, injected, delivered — in that
+// order).
 type SlicerState struct {
 	Next int64
-	Prev [8]int64
+	Prev [6]int64
 }
 
 // Checkpoint is one complete machine snapshot at a processor-cycle
@@ -240,11 +231,6 @@ type Checkpoint struct {
 	Procs  []procsim.CheckpointState
 	Proto  cohsim.CheckpointState
 	Net    netsim.CheckpointState
-
-	// Fault-model states; nil when the corresponding model is disabled
-	// (which the fingerprint's FaultSpec implies).
-	LinkFaults *faults.LinkFaultsState
-	LossCoin   *faults.CoinState
 
 	// Slicer is the sampler state; nil unless SliceEvery > 0.
 	Slicer *SlicerState
@@ -308,16 +294,6 @@ func (c *Checkpoint) Validate() error {
 		if len(q.Msgs) == 0 {
 			return fmt.Errorf("checkpoint: empty injection queue entry for node %d", q.Node)
 		}
-	}
-	spec, err := faults.ParseSpec(c.FP.FaultSpec)
-	if err != nil {
-		return err
-	}
-	if c.LinkFaults != nil && spec.LinkMTTF <= 0 {
-		return fmt.Errorf("checkpoint: link-fault state present but fingerprint injects no link faults")
-	}
-	if c.LossCoin != nil && spec.LossRate <= 0 {
-		return fmt.Errorf("checkpoint: loss-coin state present but fingerprint injects no message loss")
 	}
 	if (c.Slicer != nil) != (c.FP.SliceEvery > 0) {
 		return fmt.Errorf("checkpoint: slicer state and fingerprint slice interval disagree")

@@ -9,7 +9,6 @@ import (
 
 	"locality/internal/cachesim"
 	"locality/internal/cohsim"
-	"locality/internal/faults"
 	"locality/internal/netsim"
 	"locality/internal/procsim"
 	"locality/internal/sim"
@@ -28,12 +27,12 @@ import (
 //	per-node processor states
 //	protocol state (caches, directories, MSHRs, pending events, counters)
 //	network state (message table, routers, queues, counters)
-//	link-fault and loss-coin states (presence-flagged)
+//	two retired presence flags, always zero
 //	slicer state (presence-flagged)
 //
 // Unsigned quantities are uvarints, possibly-negative ones zigzag
-// varints, floats 8-byte little-endian IEEE 754 bit patterns, RNG
-// states fixed 8-byte little-endian words. Collections ordered by the
+// varints, floats 8-byte little-endian IEEE 754 bit patterns, and each
+// retired slot one zero byte. Collections ordered by the
 // producing Checkpoint methods (ascending address / (due, seq) /
 // message discovery order) make the encoding canonical: re-encoding a
 // decoded checkpoint is byte-identical.
@@ -115,27 +114,30 @@ func (s *sections) checkpoint(ck *Checkpoint) {
 	wire.Slice(c, &ck.Procs, s.nodes, s.nodes, "processor count", s.proc)
 	s.proto(&ck.Proto)
 	s.net(&ck.Net)
-	optional(c, &ck.LinkFaults, "link-fault presence", func(lf *faults.LinkFaultsState) {
-		wire.Slice(c, &lf.Links, 0, maxChannels, "link count", func(_ int, l *faults.LinkState) {
-			c.Word(&l.RNG, "link RNG state")
-			wire.Varint(c, &l.Start, math.MinInt64, math.MaxInt64, "fault start")
-			wire.Varint(c, &l.End, math.MinInt64, math.MaxInt64, "fault end")
-			c.Bool(&l.Init, "link initialized")
-		})
-		wire.Uvarint(c, &lf.DownCycles, maxTime, "down cycles")
-		wire.Uvarint(c, &lf.FaultCount, maxTime, "fault count")
-	})
-	optional(c, &ck.LossCoin, "loss-coin presence", func(co *faults.CoinState) {
-		c.Word(&co.RNG, "coin RNG state")
-		wire.Uvarint(c, &co.Heads, maxTime, "coin heads")
-		wire.Uvarint(c, &co.Total, maxTime, "coin total")
-	})
+	retired(c, "link-fault presence")
+	retired(c, "loss-coin presence")
 	optional(c, &ck.Slicer, "slicer presence", func(sl *SlicerState) {
 		wire.Varint(c, &sl.Next, math.MinInt64, math.MaxInt64, "slice boundary")
 		for i := range sl.Prev {
 			wire.Varint(c, &sl.Prev[i], math.MinInt64, math.MaxInt64, "slice origin")
 		}
+		retired(c, "dropped-message slice origin")
+		retired(c, "link-down slice origin")
 	})
+}
+
+// retired codes a slot that fault injection used to fill. A fault-free
+// run always left it zero, which every old slot type — varint, string
+// length or presence flag — encodes as one 0x00 byte, so the slot
+// stays on the wire as that byte and the layout keeps its Version.
+// Any other value comes from a faulted run, which this build cannot
+// resume.
+func retired(c *wire.Codec, what string) {
+	var b uint8
+	wire.Byte(c, &b, math.MaxUint8, what)
+	if b != 0 {
+		c.Failf("%s is set: the file was written with fault injection, which was removed", what)
+	}
 }
 
 // optional codes a presence flag for *p and, when it is set, the value
@@ -196,8 +198,8 @@ func (s *sections) fingerprint(f *Fingerprint) {
 	wire.Uvarint(c, &f.CacheRespLatency, maxEntries, "cache response latency")
 	wire.Uvarint(c, &f.FillLatency, maxEntries, "fill latency")
 	wire.Uvarint(c, &f.SWTrapLatency, maxEntries, "software trap latency")
-	wire.Uvarint(c, &f.RetryTimeout, maxEntries, "retry timeout")
-	c.String(&f.FaultSpec, maxNameLen, "fault spec")
+	retired(c, "retry timeout")
+	retired(c, "fault spec")
 	wire.Byte(c, &f.Kernel, 1, "kernel mode")
 	wire.Uvarint(c, &f.SliceEvery, maxTime, "slice interval")
 }
@@ -246,13 +248,13 @@ func (s *sections) txnTable(ck *Checkpoint) {
 		wire.Varint(c, &t.Started, math.MinInt64, math.MaxInt64, "transaction start")
 		wire.Varint(c, &t.Completed, math.MinInt64, math.MaxInt64, "transaction completion")
 		wire.Uvarint(c, &t.NetMessages, maxMessages, "transaction message count")
-		wire.Uvarint(c, &t.Retries, maxEvents, "transaction retries")
+		retired(c, "transaction retries")
 		c.Bool(&t.Done, "transaction done")
 		wire.Slice(c, &t.Waiters, 0, s.contexts, "waiter count", func(_ int, w *int) {
 			wire.Uvarint(c, w, s.contexts-1, "waiter thread")
 		})
 		c.Bool(&t.PendingWrite, "transaction pending write")
-		wire.Varint(c, &t.Epoch, 0, math.MaxInt32, "transaction epoch")
+		retired(c, "transaction epoch")
 	})
 	if c.Decoding() {
 		s.txns = make(map[int64]*cohsim.Transaction, len(table))
@@ -429,8 +431,8 @@ func (s *sections) proto(p *cohsim.CheckpointState) {
 		wire.Uvarint(c, &a.Addr, math.MaxUint64, "action address")
 		s.ref(&a.Txn, "action transaction")
 		wire.Varint(c, &a.Seq, math.MinInt64, math.MaxInt64, "action sequence")
-		wire.Varint(c, &a.Epoch, 0, math.MaxInt32, "action epoch")
-		wire.Uvarint(c, &a.Attempt, maxEvents, "action attempt")
+		retired(c, "action epoch")
+		retired(c, "action attempt")
 		wire.Uvarint(c, &a.Size, maxQueue, "action size")
 	})
 	wire.Uvarint(c, &p.Seq, maxTime, "protocol sequence")
@@ -452,9 +454,9 @@ func (s *sections) proto(p *cohsim.CheckpointState) {
 	wire.Uvarint(c, &p.SWTraps, maxTime, "software traps")
 	wire.Uvarint(c, &p.ReadMisses, maxTime, "read misses")
 	wire.Uvarint(c, &p.WriteMisses, maxTime, "write misses")
-	wire.Uvarint(c, &p.Retries, maxTime, "retries")
-	wire.Uvarint(c, &p.HomeRetries, maxTime, "home retries")
-	wire.Uvarint(c, &p.Dropped, maxTime, "dropped messages")
+	retired(c, "protocol retries")
+	retired(c, "protocol home retries")
+	retired(c, "protocol dropped messages")
 }
 
 // node codes protocol node i: its cache lines by ascending frame, its
@@ -580,7 +582,7 @@ func (s *sections) net(n *netsim.CheckpointState) {
 	wire.Uvarint(c, &n.Injected, maxTime, "injected count")
 	wire.Uvarint(c, &n.Delivered, maxTime, "delivered count")
 	wire.Uvarint(c, &n.FlitHops, maxTime, "flit hops")
-	wire.Uvarint(c, &n.FaultStalls, maxTime, "fault stalls")
+	retired(c, "network fault stalls")
 	s.mean(&n.Latency, "latency")
 	s.mean(&n.NetLatency, "network latency")
 	s.mean(&n.Hops, "hop distance")

@@ -11,7 +11,6 @@ import (
 
 	"locality/internal/cachesim"
 	"locality/internal/cohsim"
-	"locality/internal/faults"
 	"locality/internal/netsim"
 	"locality/internal/procsim"
 	"locality/internal/sim"
@@ -22,14 +21,17 @@ import (
 // wire-format feature: shared transactions (one referenced from a
 // directory entry, an MSHR slot, and the event heap; one riding only in
 // protocol structures and a network payload), buffered flits, local
-// deliveries, fault-model state, and window bookkeeping.
+// deliveries, and window bookkeeping. Its directory operation and
+// message sequence numbers are nonzero and its second event is of kind
+// 6, so a codec that dropped the sequences or renumbered the action
+// kinds would fail the golden fixture.
 func testCheckpoint() *Checkpoint {
 	t1 := cohsim.NewTransactionFromState(cohsim.TxnState{
-		ID: 1, Node: 0, Addr: 0x40, Started: 950, Waiters: []int{1}, Epoch: 1,
+		ID: 1, Node: 0, Addr: 0x40, Started: 950, Waiters: []int{1},
 	})
 	t2 := cohsim.NewTransactionFromState(cohsim.TxnState{
 		ID: 2, Node: 2, Addr: 0x80, Write: true, Started: 970,
-		NetMessages: 2, Retries: 1, PendingWrite: true, Epoch: 2,
+		NetMessages: 2, PendingWrite: true,
 	})
 
 	// Node 3 carries no state at all: it must vanish from the wire and
@@ -61,7 +63,7 @@ func testCheckpoint() *Checkpoint {
 		}},
 		Local: []netsim.LocalState{{Msg: 0, Due: 2007}},
 		Now:   2002, LastProgress: 2001, FlitsIn: 280, FlitsOut: 277,
-		StatsSince: 1000, Injected: 93, Delivered: 91, FlitHops: 240, FaultStalls: 3,
+		StatsSince: 1000, Injected: 93, Delivered: 91, FlitHops: 240,
 		Latency:    stats.MeanState{N: 91, Mean: 14.25, M2: 33, Min: 4, Max: 40},
 		NetLatency: stats.MeanState{N: 91, Mean: 9.5, M2: 20, Min: 2, Max: 31},
 		Hops:       stats.MeanState{N: 93, Mean: 1.5, M2: 8, Min: 0, Max: 3},
@@ -114,8 +116,6 @@ func testCheckpoint() *Checkpoint {
 			SwitchTime: 11, HitLatency: 1, ClockRatio: 2, BufferDepth: 8,
 			CacheLines: 16, LineSize: 16,
 			ReadCompute: 20, WriteCompute: 20,
-			RetryTimeout: 500,
-			FaultSpec:    "seed=7,loss=0.01,mttf=3000,stall=8..64",
 		},
 		PNow: 1000, WindowStart: 500,
 		KSWindow:  sim.Stats{Ticked: 420, Skipped: 80},
@@ -129,10 +129,10 @@ func testCheckpoint() *Checkpoint {
 			Events: []cohsim.EventState{
 				{Due: 1003, Seq: 40, Act: cohsim.ActionState{
 					Kind: 1, Node: 0, Peer: 2, MsgKind: 3, Addr: 0x40,
-					Txn: t1, Seq: 4, Epoch: 1, Size: 2,
+					Txn: t1, Seq: 4, Size: 2,
 				}},
 				{Due: 1010, Seq: 41, Act: cohsim.ActionState{
-					Kind: 2, Txn: t2, Epoch: 2, Attempt: 1,
+					Kind: 6, Node: 2, Peer: 0, MsgKind: 7, Addr: 0x80, Txn: t2, Seq: 4,
 				}},
 			},
 			Seq: 42, TxnSeq: 2, Now: 1000,
@@ -143,17 +143,8 @@ func testCheckpoint() *Checkpoint {
 			NetMessages:  93,
 			KindCounts:   []int64{10, 8, 0, 9, 1, 0, 2, 0, 1, 0},
 			SWTraps:      1, ReadMisses: 20, WriteMisses: 17,
-			Retries: 1, HomeRetries: 1, Dropped: 2,
 		},
 		Net: net,
-		LinkFaults: &faults.LinkFaultsState{
-			Links: []faults.LinkState{
-				{RNG: 0x0123456789abcdef, Start: 500, End: 540, Init: true},
-				{},
-			},
-			DownCycles: 40, FaultCount: 1,
-		},
-		LossCoin: &faults.CoinState{RNG: 0xfedcba9876543210, Heads: 1, Total: 93},
 	}
 }
 
@@ -164,7 +155,7 @@ func attributedCheckpoint() *Checkpoint {
 	c.FP.SliceEvery = 500
 	c.Kernel.Attr = []int64{400, 120, 0, 95, 3, 0}
 	c.Kernel.AttrNone = 282
-	c.Slicer = &SlicerState{Next: 1500, Prev: [8]int64{1000, 700, 900, 100, 93, 91, 2, 40}}
+	c.Slicer = &SlicerState{Next: 1500, Prev: [6]int64{1000, 700, 900, 100, 93, 91}}
 	return c
 }
 
@@ -173,7 +164,7 @@ func attributedCheckpoint() *Checkpoint {
 func hostileCheckpoint() []byte {
 	b := []byte(Magic + "\x02")
 	b = append(b, 0x80, 0x08, 2, 1, 0, 0)    // radix 1024, dims 2, contexts 1, no name, no placement
-	b = append(b, make([]byte, 10+1+7+3)...) // machine, workload, protocol fields; fault spec, kernel, slicing
+	b = append(b, make([]byte, 10+1+7+3)...) // machine, workload, protocol fields (retry slot last); fault-spec slot, kernel, slicing
 	b = append(b, 0, 0, 0, 0, 0)             // clocks and window accounting
 	b = append(b, 0, 0, 0, 1, 0)             // kernel: now, ticked, skipped, pending -1, no attribution
 	return append(b, 0, 0, 0)                // no transactions, processors or protocol nodes
@@ -252,11 +243,18 @@ func TestGoldenFixture(t *testing.T) {
 
 func TestReadRejects(t *testing.T) {
 	valid := encode(t, testCheckpoint())
+	// A checkpoint written with fault injection on, by the build that
+	// had it: its retired slots are nonzero.
+	faulted, err := os.ReadFile(filepath.Join("testdata", "golden-faulted.lckp"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		data []byte
 		want string
 	}{
+		{"faulted", faulted, "fault injection, which was removed"},
 		{"empty", nil, "magic"},
 		{"bad magic", []byte("NOPE"), "magic"},
 		{"bad version", append([]byte(Magic), 99), "version"},
@@ -291,9 +289,7 @@ func TestValidateRejects(t *testing.T) {
 		{"missing processor", mutate(func(c *Checkpoint) { c.Procs = c.Procs[:3] })},
 		{"wrong contexts", mutate(func(c *Checkpoint) { c.Procs[1].Ctxs = c.Procs[1].Ctxs[:1] })},
 		{"bad placement", mutate(func(c *Checkpoint) { c.FP.Place[0] = 1 })},
-		{"bad fault spec", mutate(func(c *Checkpoint) { c.FP.FaultSpec = "loss=2" })},
 		{"orphan slicer", mutate(func(c *Checkpoint) { c.Slicer = &SlicerState{} })},
-		{"orphan link faults", mutate(func(c *Checkpoint) { c.FP.FaultSpec = "loss=0.01" })},
 		{"unknown kernel", mutate(func(c *Checkpoint) { c.FP.Kernel = 2 })},
 	}
 	for _, tc := range cases {
@@ -329,7 +325,6 @@ func TestWriteRejectsWhatReadRejects(t *testing.T) {
 			c.Proto.Events[0], c.Proto.Events[1] = c.Proto.Events[1], c.Proto.Events[0]
 		})},
 		{"event sequence past protocol sequence", mutate(func(c *Checkpoint) { c.Proto.Seq = 0 })},
-		{"action epoch", mutate(func(c *Checkpoint) { c.Proto.Events[0].Act.Epoch = -1 })},
 		{"action node", mutate(func(c *Checkpoint) { c.Proto.Events[0].Act.Node = 4 })},
 		{"virtual channel class", mutate(func(c *Checkpoint) { c.Net.Messages[0].VCClass = 2 })},
 		{"pending op kind", mutate(func(c *Checkpoint) { c.Procs[0].Ctxs[1].Pending.Kind = 200 })},
@@ -376,7 +371,7 @@ func TestReadAllocatesWithInput(t *testing.T) {
 // would silently rename every recorded machine.
 func TestFingerprintDigest(t *testing.T) {
 	fp := testCheckpoint().FP
-	if got, want := fp.Digest(), "55edc61300fbb4dc759ac513"; got != want {
+	if got, want := fp.Digest(), "b320633872e8f34dee129b0e"; got != want {
 		t.Errorf("Digest() = %s, want %s", got, want)
 	}
 }
@@ -392,8 +387,8 @@ func TestFingerprintEqual(t *testing.T) {
 		t.Error("fingerprints with different placements compare equal")
 	}
 	c := testCheckpoint().FP
-	c.RetryTimeout++
+	c.SWTrapLatency++
 	if a.Equal(&c) {
-		t.Error("fingerprints with different retry deadlines compare equal")
+		t.Error("fingerprints with different trap latencies compare equal")
 	}
 }

@@ -2,6 +2,8 @@ package checkpoint
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -24,7 +26,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:len(valid)-1])
 	// Flip a byte in each region of the file: fingerprint, clocks,
-	// transaction table, component states, fault state.
+	// transaction table, component states, retired slots.
 	for _, i := range []int{4, 5, 8, 24, 64, len(valid) / 3, len(valid) / 2, len(valid) - 2} {
 		mut := append([]byte{}, valid...)
 		mut[i] ^= 0xff
@@ -42,6 +44,11 @@ func FuzzReadCheckpoint(f *testing.F) {
 	}
 	f.Add(attributed.Bytes())
 	f.Add(hostileCheckpoint())
+	faulted, err := os.ReadFile(filepath.Join("testdata", "golden-faulted.lckp"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(faulted)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := Read(bytes.NewReader(data))

@@ -23,15 +23,13 @@ type TxnState struct {
 	Write              bool
 	Started, Completed int64
 	NetMessages        int
-	Retries            int
 	Done               bool
 	Waiters            []int
 	PendingWrite       bool
-	Epoch              int32
 }
 
 // State captures the transaction's complete state, including the
-// unexported completion/retry bookkeeping.
+// unexported completion bookkeeping.
 func (t *Transaction) State() TxnState {
 	return TxnState{
 		ID:           t.ID,
@@ -41,11 +39,9 @@ func (t *Transaction) State() TxnState {
 		Started:      t.Started,
 		Completed:    t.Completed,
 		NetMessages:  t.NetMessages,
-		Retries:      t.Retries,
 		Done:         t.done,
 		Waiters:      append([]int(nil), t.waiters...),
 		PendingWrite: t.pendingWrite,
-		Epoch:        t.epoch,
 	}
 }
 
@@ -60,11 +56,9 @@ func NewTransactionFromState(s TxnState) *Transaction {
 		Started:      s.Started,
 		Completed:    s.Completed,
 		NetMessages:  s.NetMessages,
-		Retries:      s.Retries,
 		done:         s.Done,
 		waiters:      append([]int(nil), s.Waiters...),
 		pendingWrite: s.PendingWrite,
-		epoch:        s.Epoch,
 	}
 }
 
@@ -77,8 +71,6 @@ type ActionState struct {
 	Addr    uint64
 	Txn     *Transaction
 	Seq     int64
-	Epoch   int32
-	Attempt int
 	Size    int
 }
 
@@ -142,9 +134,6 @@ type CheckpointState struct {
 	SWTraps      int64
 	ReadMisses   int64
 	WriteMisses  int64
-	Retries      int64
-	HomeRetries  int64
-	Dropped      int64
 }
 
 // Checkpoint captures the engine's current state.
@@ -163,9 +152,6 @@ func (p *Protocol) Checkpoint() CheckpointState {
 		SWTraps:      p.swTraps.Value(),
 		ReadMisses:   p.readMiss.Value(),
 		WriteMisses:  p.writeMiss.Value(),
-		Retries:      p.retries.Value(),
-		HomeRetries:  p.homeRetries.Value(),
-		Dropped:      p.dropped.Value(),
 	}
 	for i := range p.kindCounts {
 		s.KindCounts[i] = p.kindCounts[i].Value()
@@ -218,8 +204,6 @@ func (p *Protocol) Checkpoint() CheckpointState {
 			Addr:    e.act.addr,
 			Txn:     e.act.txn,
 			Seq:     e.act.seq,
-			Epoch:   e.act.epoch,
-			Attempt: e.act.attempt,
 			Size:    e.act.size,
 		}}
 	}
@@ -286,16 +270,14 @@ func (p *Protocol) Restore(s CheckpointState) error {
 			return fmt.Errorf("cohsim: checkpoint event sequence %d exceeds the protocol sequence %d", e.Seq, s.Seq)
 		}
 		a := e.Act
-		if a.Kind > uint8(actGrantFill) {
+		if kind := actKind(a.Kind); kind > actGrantFill || kind > actIssue && kind < actHomeAction {
 			return fmt.Errorf("cohsim: event action kind %d invalid", a.Kind)
 		}
 		if a.MsgKind > uint8(MsgWB) {
 			return fmt.Errorf("cohsim: event message kind %d invalid", a.MsgKind)
 		}
-		if a.Kind != uint8(actRetry) {
-			if err := checkNode("event", a.Node); err != nil {
-				return err
-			}
+		if err := checkNode("event", a.Node); err != nil {
+			return err
 		}
 	}
 	for i, ns := range s.Nodes {
@@ -356,8 +338,6 @@ func (p *Protocol) Restore(s CheckpointState) error {
 			addr:    e.Act.Addr,
 			txn:     e.Act.Txn,
 			seq:     e.Act.Seq,
-			epoch:   e.Act.Epoch,
-			attempt: e.Act.Attempt,
 			size:    e.Act.Size,
 		}}
 	}
@@ -376,9 +356,6 @@ func (p *Protocol) Restore(s CheckpointState) error {
 	p.swTraps.SetValue(s.SWTraps)
 	p.readMiss.SetValue(s.ReadMisses)
 	p.writeMiss.SetValue(s.WriteMisses)
-	p.retries.SetValue(s.Retries)
-	p.homeRetries.SetValue(s.HomeRetries)
-	p.dropped.SetValue(s.Dropped)
 	p.completed = nil
 	return nil
 }

@@ -84,10 +84,11 @@ type Msg struct {
 	Txn *Transaction
 	// Seq identifies the home-side directory operation a message
 	// belongs to. Home-initiated messages (Inv, Fetch, FetchInv) carry
-	// the entry's operation sequence number and responses echo it, so
-	// that with the retry layer active the home can discard stale
-	// duplicates from retransmitted sub-operations. Zero on messages
-	// outside a home operation (requests, grants, victim writebacks).
+	// the entry's operation sequence number and responses echo it; zero
+	// on messages outside a home operation (requests, grants, victim
+	// writebacks). No protocol decision reads it: it stays because
+	// checkpoints carry it, and dropping it would change the .lckp
+	// layout.
 	Seq int64
 }
 
@@ -112,18 +113,11 @@ type Transaction struct {
 	// this transaction, including invalidations, fetches and evictions
 	// it triggered.
 	NetMessages int
-	// Retries counts requester-side retransmissions of this
-	// transaction's request (retry layer only).
-	Retries int
-	done    bool
-	waiters []int // threads at Node blocked on this transaction
+	done        bool
+	waiters     []int // threads at Node blocked on this transaction
 	// pendingWrite is set when a write access coalesced onto an
 	// outstanding read: the write transaction auto-issues on completion.
 	pendingWrite bool
-	// epoch increments each time the transaction's request is (re)issued
-	// through issue; pending retry timers from earlier epochs cancel
-	// themselves when they observe a newer epoch.
-	epoch int32
 }
 
 // Config parameterizes the protocol engine.
@@ -160,39 +154,6 @@ type Config struct {
 	OnReady func(node, thread int, now int64)
 	// OnComplete, if set, observes every completed transaction.
 	OnComplete func(txn *Transaction)
-
-	// Retry configures the loss-recovery layer. The zero value disables
-	// it, leaving the engine behaviorally identical to the pre-retry
-	// protocol (no timers are scheduled, no duplicate tolerance).
-	Retry RetryConfig
-	// Loss, when non-nil, is consulted for every fabric message (src ≠
-	// dst) as it is handed to the transport; returning true drops the
-	// message. Dropped messages still count as sent in the measured
-	// quantities (they consumed controller occupancy and bandwidth at
-	// the source) and are tallied separately in Stats.Dropped. Running
-	// with Loss set but the retry layer disabled will hang transactions
-	// — that configuration exists for watchdog tests.
-	Loss func(src, dst int, m Msg) bool
-}
-
-// RetryConfig parameterizes the protocol's timeout/retransmit layer.
-// With it enabled, every outstanding transaction carries a deadline:
-// if the transaction has not completed when the deadline fires, the
-// requester retransmits its request with exponential backoff. Home
-// directory operations (invalidation fans, fetches) likewise retransmit
-// their outstanding sub-operation messages. Duplicate-tolerance logic
-// (idempotent re-grants, operation sequence numbers, writeback-buffer
-// responses) keeps retransmission safe.
-type RetryConfig struct {
-	// Timeout is the base retransmission deadline in P-cycles. Zero
-	// disables the retry layer entirely.
-	Timeout int
-	// BackoffMax caps the exponential backoff multiplier (default 16:
-	// deadlines grow 1×, 2×, 4×, 8×, 16×, 16×, …).
-	BackoffMax int
-	// HomeTimeout is the deadline for home-initiated sub-operations;
-	// defaults to Timeout.
-	HomeTimeout int
 }
 
 func (c *Config) applyDefaults() {
@@ -223,14 +184,6 @@ func (c *Config) applyDefaults() {
 	if c.SendOccupancy == 0 {
 		c.SendOccupancy = 4
 	}
-	if c.Retry.Timeout > 0 {
-		if c.Retry.BackoffMax == 0 {
-			c.Retry.BackoffMax = 16
-		}
-		if c.Retry.HomeTimeout == 0 {
-			c.Retry.HomeTimeout = c.Retry.Timeout
-		}
-	}
 }
 
 // Validate checks the configuration.
@@ -243,9 +196,6 @@ func (c Config) Validate() error {
 	}
 	if c.HWPointers < 0 {
 		return fmt.Errorf("cohsim: negative hardware pointer count %d", c.HWPointers)
-	}
-	if c.Retry.Timeout < 0 || c.Retry.BackoffMax < 0 || c.Retry.HomeTimeout < 0 {
-		return fmt.Errorf("cohsim: negative retry parameter %+v", c.Retry)
 	}
 	if _, err := cachesim.New(c.Cache); err != nil {
 		return err
@@ -289,8 +239,7 @@ type dirEntry struct {
 	// outstanding for the current busyInvalidations operation.
 	pendingInv []int
 	// opSeq numbers this entry's home-side operations; messages the
-	// operation sends carry it and responses echo it so the retry layer
-	// can discard stale duplicates.
+	// operation sends carry it and responses echo it (see Msg.Seq).
 	opSeq int64
 	// requester and txn identify the operation being served.
 	requester int
@@ -334,12 +283,11 @@ const (
 	// actIssue sends a transaction's initial (or chained) request after
 	// the miss-handling latency. node/peer are requester/home.
 	actIssue
-	// actRetry is a requester-side retransmission deadline for txn's
-	// current epoch/attempt.
-	actRetry
-	// actHomeRetry is a home-side sub-operation deadline; node is the
-	// home, addr the entry, seq the operation it guards.
-	actHomeRetry
+	// Kinds 2 and 3 were the retired retry layer's deadlines.
+	// Checkpoints store kinds by number, so the two stay reserved and
+	// Restore rejects them.
+	_
+	_
 	// actHomeAction performs the directory transition for a request
 	// after the directory (and any software-trap) latency. node/peer
 	// are home/requester.
@@ -367,9 +315,7 @@ type action struct {
 	msgKind MsgKind
 	addr    uint64
 	txn     *Transaction
-	seq     int64
-	epoch   int32
-	attempt int
+	seq     int64 // the home operation a message belongs to (see Msg.Seq)
 	size    int
 }
 
@@ -387,23 +333,17 @@ type Protocol struct {
 	nextSend []int64
 
 	// Statistics.
-	txnCount    stats.Counter
-	txnLatency  stats.Mean
-	txnMsgs     stats.Mean
-	netMsgs     stats.Counter
-	kindCounts  [MsgWB + 1]stats.Counter // fabric messages by kind
-	swTraps     stats.Counter
-	readMiss    stats.Counter
-	writeMiss   stats.Counter
-	retries     stats.Counter // requester-side retransmissions
-	homeRetries stats.Counter // home-side sub-operation retransmissions
-	dropped     stats.Counter // fabric messages dropped by Loss
-	completed   []*Transaction
-	keepTxns    bool
+	txnCount   stats.Counter
+	txnLatency stats.Mean
+	txnMsgs    stats.Mean
+	netMsgs    stats.Counter
+	kindCounts [MsgWB + 1]stats.Counter // fabric messages by kind
+	swTraps    stats.Counter
+	readMiss   stats.Counter
+	writeMiss  stats.Counter
+	completed  []*Transaction
+	keepTxns   bool
 }
-
-// resilient reports whether the timeout/retransmit layer is active.
-func (p *Protocol) resilient() bool { return p.cfg.Retry.Timeout > 0 }
 
 // New builds the protocol engine. The transport is attached separately
 // with SetTransport so the machine can wire circular references.
@@ -479,43 +419,6 @@ func (p *Protocol) fire(a action, now int64) {
 			Msg{Kind: a.msgKind, Addr: a.addr, From: a.node, Txn: a.txn, Seq: a.seq})
 	case actIssue:
 		p.send(a.node, a.peer, a.msgKind, a.addr, a.txn)
-	case actRetry:
-		txn := a.txn
-		if txn.done || txn.epoch != a.epoch {
-			return
-		}
-		if p.nodes[txn.Node].mshr[txn.Addr] != txn {
-			return
-		}
-		p.retries.Inc()
-		txn.Retries++
-		kind := MsgRReq
-		if txn.Write {
-			kind = MsgWReq
-		}
-		p.send(txn.Node, p.cfg.Home(txn.Addr), kind, txn.Addr, txn)
-		p.armRetry(txn, a.epoch, a.attempt+1)
-	case actHomeRetry:
-		e := p.entry(a.node, a.addr)
-		if e.opSeq != a.seq {
-			return
-		}
-		switch e.busy {
-		case busyInvalidations:
-			for _, s := range e.pendingInv {
-				p.sendSeq(a.node, s, MsgInv, e.addr, e.txn, a.seq)
-			}
-		case busyFetchRead:
-			p.sendSeq(a.node, e.owner, MsgFetch, e.addr, e.txn, a.seq)
-		case busyFetchWrite:
-			p.sendSeq(a.node, e.owner, MsgFetchInv, e.addr, e.txn, a.seq)
-		default:
-			// The operation completed (or moved to reply composition);
-			// nothing to retransmit.
-			return
-		}
-		p.homeRetries.Inc()
-		p.armHomeRetry(a.node, e, a.seq, a.attempt+1)
 	case actHomeAction:
 		p.homeAction(a.node, p.entry(a.node, a.addr), a.msgKind, a.peer, a.txn)
 	case actSharerInv:
@@ -531,19 +434,8 @@ func (p *Protocol) fire(a action, now int64) {
 				cache.Invalidate(a.addr)
 			}
 		default:
-			if !p.resilient() {
-				// Eviction writeback crossed the fetch; nothing to do.
-				return
-			}
-			// Resilient mode models a writeback buffer: the node can
-			// always reproduce the data the home is fetching, whether the
-			// line was evicted (its victim writeback may have been lost)
-			// or a previous fetch response was lost after the line was
-			// already demoted. Responding is idempotent at the home
-			// because the response echoes the operation sequence number.
-			if a.msgKind == MsgFetchInv {
-				cache.Invalidate(a.addr)
-			}
+			// Eviction writeback crossed the fetch; nothing to do.
+			return
 		}
 		p.sendSeq(a.node, a.peer, MsgWBData, a.addr, a.txn, a.seq)
 	case actHomeReply:
@@ -554,18 +446,6 @@ func (p *Protocol) fire(a action, now int64) {
 	case actGrantFill:
 		n := p.node(a.node)
 		txn := a.txn
-		if p.resilient() {
-			// Retransmitted requests can draw duplicate grants; only the
-			// grant matching the live transaction in its current phase
-			// may complete it.
-			if n.mshr[a.addr] != txn || txn.done {
-				return
-			}
-			wantWrite := a.msgKind == MsgWGrant || a.msgKind == MsgWGrantData
-			if txn.Write != wantWrite {
-				return // grant from the read phase of a chained read→write
-			}
-		}
 		switch a.msgKind {
 		case MsgRData:
 			p.installLine(a.node, a.addr, cachesim.Shared, txn)
@@ -587,8 +467,8 @@ func (p *Protocol) fire(a action, now int64) {
 }
 
 // NextEvent implements sim.Component: the due cycle of the earliest
-// pending scheduled action — protocol hops, controller occupancy
-// slots, and armed retry timers all live on the one event queue — or
+// pending scheduled action — protocol hops and controller occupancy
+// slots both live on the one event queue — or
 // sim.Never when the queue is empty. Message deliveries arriving from
 // the transport enqueue onto the queue with delay ≥ 1, so its minimum
 // is always a complete account of the protocol's future work.
@@ -603,25 +483,17 @@ func (p *Protocol) send(src, dst int, kind MsgKind, addr uint64, txn *Transactio
 }
 
 // sendSeq is send with an explicit home-operation sequence number (see
-// Msg.Seq). Fabric messages consult the Loss hook: a dropped message is
-// fully accounted (controller occupancy, message counters) but never
-// reaches the transport.
+// Msg.Seq).
 func (p *Protocol) sendSeq(src, dst int, kind MsgKind, addr uint64, txn *Transaction, seq int64) {
 	size := p.cfg.ControlFlits
 	if kind.IsData() {
 		size = p.cfg.DataFlits
 	}
-	m := Msg{Kind: kind, Addr: addr, From: src, Txn: txn, Seq: seq}
-	drop := false
 	if src != dst {
 		p.netMsgs.Inc()
 		p.kindCounts[kind].Inc()
 		if txn != nil {
 			txn.NetMessages++
-		}
-		if p.cfg.Loss != nil && p.cfg.Loss(src, dst, m) {
-			p.dropped.Inc()
-			drop = true
 		}
 	}
 	when := p.now
@@ -629,11 +501,8 @@ func (p *Protocol) sendSeq(src, dst int, kind MsgKind, addr uint64, txn *Transac
 		when = p.nextSend[src]
 	}
 	p.nextSend[src] = when + int64(p.cfg.SendOccupancy)
-	if drop {
-		return
-	}
 	if when <= p.now {
-		p.transport.Send(src, dst, size, m)
+		p.transport.Send(src, dst, size, Msg{Kind: kind, Addr: addr, From: src, Txn: txn, Seq: seq})
 		return
 	}
 	p.schedule(int(when-p.now), action{kind: actTransportSend, node: src, peer: dst, msgKind: kind, addr: addr, txn: txn, seq: seq, size: size})
@@ -754,8 +623,7 @@ func (p *Protocol) start(n *node, txn *Transaction) {
 }
 
 // issue sends the transaction's initial request after the miss-handling
-// latency and, with the retry layer active, arms its retransmission
-// deadline.
+// latency.
 func (p *Protocol) issue(txn *Transaction) {
 	home := p.cfg.Home(txn.Addr)
 	kind := MsgRReq
@@ -763,52 +631,12 @@ func (p *Protocol) issue(txn *Transaction) {
 		kind = MsgWReq
 	}
 	p.schedule(p.cfg.ReqLatency, action{kind: actIssue, node: txn.Node, peer: home, msgKind: kind, addr: txn.Addr, txn: txn})
-	if p.resilient() {
-		txn.epoch++
-		p.armRetry(txn, txn.epoch, 0)
-	}
 }
 
-// backoffMult returns the capped exponential backoff multiplier for
-// the given attempt number.
-func (p *Protocol) backoffMult(attempt int) int {
-	mult := 1
-	for i := 0; i < attempt && mult < p.cfg.Retry.BackoffMax; i++ {
-		mult *= 2
-	}
-	if mult > p.cfg.Retry.BackoffMax {
-		mult = p.cfg.Retry.BackoffMax
-	}
-	return mult
-}
-
-// armRetry schedules the transaction's next retransmission deadline.
-// When it fires, a transaction that is still outstanding in the same
-// phase (epoch) retransmits its request and backs off exponentially;
-// deadlines from superseded phases cancel themselves.
-func (p *Protocol) armRetry(txn *Transaction, epoch int32, attempt int) {
-	delay := p.cfg.ReqLatency + p.cfg.Retry.Timeout*p.backoffMult(attempt)
-	p.schedule(delay, action{kind: actRetry, txn: txn, epoch: epoch, attempt: attempt})
-}
-
-// beginOp marks a directory entry busy with a new home-side operation
-// and, with the retry layer active, arms the operation's
-// retransmission deadline.
-func (p *Protocol) beginOp(home int, e *dirEntry, kind busyKind) {
+// beginOp marks a directory entry busy with a new home-side operation.
+func (p *Protocol) beginOp(e *dirEntry, kind busyKind) {
 	e.busy = kind
 	e.opSeq++
-	if p.resilient() {
-		p.armHomeRetry(home, e, e.opSeq, 0)
-	}
-}
-
-// armHomeRetry schedules a deadline for the entry's current home-side
-// operation: if the operation is still waiting when it fires, the home
-// retransmits the operation's outstanding messages (the un-acked
-// invalidations, or the fetch) with exponential backoff.
-func (p *Protocol) armHomeRetry(home int, e *dirEntry, seq int64, attempt int) {
-	delay := p.cfg.Retry.HomeTimeout * p.backoffMult(attempt)
-	p.schedule(delay, action{kind: actHomeRetry, node: home, addr: e.addr, seq: seq, attempt: attempt})
 }
 
 // Deliver hands an arriving protocol message to its destination node.
@@ -886,20 +714,7 @@ func (p *Protocol) homeAction(home int, e *dirEntry, kind MsgKind, from int, txn
 			e.addSharer(from)
 			p.homeReply(home, e, p.cfg.MemLatency, from, MsgRData, txn)
 		case dirModified:
-			if p.resilient() && e.owner == from {
-				// The recorded owner is read-requesting the line, which
-				// can only mean its victim writeback was lost (per-pair
-				// FIFO ordering rules out a stale duplicate here: any
-				// old RReq would have arrived before the WReq that made
-				// it owner). Memory still has a serviceable copy; demote
-				// to Shared and re-grant.
-				e.state = dirShared
-				e.sharers = append(e.sharers[:0], from)
-				e.owner = -1
-				p.homeReply(home, e, p.cfg.MemLatency, from, MsgRData, txn)
-				return
-			}
-			p.beginOp(home, e, busyFetchRead)
+			p.beginOp(e, busyFetchRead)
 			e.requester = from
 			e.txn = txn
 			p.sendSeq(home, e.owner, MsgFetch, e.addr, txn, e.opSeq)
@@ -930,22 +745,14 @@ func (p *Protocol) homeAction(home int, e *dirEntry, kind MsgKind, from int, txn
 				p.homeReply(home, e, p.cfg.MemLatency, from, grant, txn)
 				return
 			}
-			p.beginOp(home, e, busyInvalidations)
+			p.beginOp(e, busyInvalidations)
 			e.requester = from
 			e.txn = txn
 			for _, s := range e.pendingInv {
 				p.sendSeq(home, s, MsgInv, e.addr, txn, e.opSeq)
 			}
 		case dirModified:
-			if p.resilient() && e.owner == from {
-				// Either the previous grant was lost (the requester is
-				// retrying) or this is a late duplicate of a request
-				// already served; re-granting is correct and idempotent
-				// in both cases.
-				p.homeReply(home, e, p.cfg.MemLatency, from, MsgWGrantData, txn)
-				return
-			}
-			p.beginOp(home, e, busyFetchWrite)
+			p.beginOp(e, busyFetchWrite)
 			e.requester = from
 			e.txn = txn
 			p.sendSeq(home, e.owner, MsgFetchInv, e.addr, txn, e.opSeq)
@@ -966,15 +773,7 @@ func (p *Protocol) sharerInvalidate(nodeID int, m Msg) {
 func (p *Protocol) homeInvAck(home int, m Msg) {
 	e := p.entry(home, m.Addr)
 	if e.busy != busyInvalidations {
-		if p.resilient() {
-			// Late ack for an invalidation round that already completed
-			// (the sharer acked a retransmitted Inv as well).
-			return
-		}
 		panic(fmt.Sprintf("cohsim: unexpected InvAck at home %d addr %#x (busy=%d)", home, m.Addr, e.busy))
-	}
-	if p.resilient() && m.Seq != e.opSeq {
-		return // ack from a superseded invalidation round
 	}
 	found := false
 	for i, s := range e.pendingInv {
@@ -985,9 +784,6 @@ func (p *Protocol) homeInvAck(home int, m Msg) {
 		}
 	}
 	if !found {
-		if p.resilient() {
-			return // duplicate ack within the current round
-		}
 		panic(fmt.Sprintf("cohsim: InvAck from non-pending node %d at home %d addr %#x", m.From, home, m.Addr))
 	}
 	if len(e.pendingInv) > 0 {
@@ -1018,28 +814,16 @@ func (p *Protocol) homeWriteback(home int, m Msg) {
 	e := p.entry(home, m.Addr)
 	switch e.busy {
 	case busyFetchRead:
-		if p.resilient() && m.Seq != e.opSeq {
-			return // stale response (or a crossing victim WB); the fetch response will follow
-		}
 		e.state = dirShared
 		e.sharers = append(e.sharers[:0], e.owner, e.requester)
 		e.owner = -1
 		p.homeReply(home, e, p.cfg.MemLatency, e.requester, MsgRData, e.txn)
 	case busyFetchWrite:
-		if p.resilient() && m.Seq != e.opSeq {
-			return
-		}
 		e.state = dirModified
 		e.sharers = e.sharers[:0]
 		e.owner = e.requester
 		p.homeReply(home, e, p.cfg.MemLatency, e.requester, MsgWGrantData, e.txn)
 	default:
-		if p.resilient() && m.Seq != 0 {
-			// Duplicate fetch response for an operation that already
-			// completed (the owner answered both the original fetch and a
-			// retransmission).
-			return
-		}
 		// Victim writeback with no operation outstanding.
 		if e.state == dirModified && e.owner == m.From {
 			e.state = dirIdle
@@ -1139,9 +923,6 @@ func (p *Protocol) ResetStats() {
 	p.swTraps = stats.Counter{}
 	p.readMiss = stats.Counter{}
 	p.writeMiss = stats.Counter{}
-	p.retries = stats.Counter{}
-	p.homeRetries = stats.Counter{}
-	p.dropped = stats.Counter{}
 	p.completed = nil
 }
 
@@ -1154,9 +935,6 @@ type Stats struct {
 	AvgTxnMsgs    float64 // fabric messages per transaction (g)
 	NetMessages   int64
 	SWTraps       int64
-	Retries       int64 // requester-side request retransmissions
-	HomeRetries   int64 // home-side sub-operation retransmissions
-	Dropped       int64 // fabric messages lost to injected faults
 }
 
 // KindCount returns how many fabric messages of the given kind have
@@ -1175,9 +953,6 @@ func (p *Protocol) Snapshot() Stats {
 		AvgTxnMsgs:    p.txnMsgs.Mean(),
 		NetMessages:   p.netMsgs.Value(),
 		SWTraps:       p.swTraps.Value(),
-		Retries:       p.retries.Value(),
-		HomeRetries:   p.homeRetries.Value(),
-		Dropped:       p.dropped.Value(),
 	}
 }
 

@@ -83,7 +83,7 @@ func TestCheckpointRestoresEventOrder(t *testing.T) {
 	for step := 0; p.events.len() > 0 || step < 200; step++ {
 		if step < 200 && rng.Intn(2) == 0 {
 			delay := rng.Intn(4)
-			a := action{kind: actRetry, attempt: step}
+			a := action{kind: actTransportSend, size: step}
 			p.schedule(delay, a)
 			fresh.schedule(delay, a)
 			continue
@@ -103,8 +103,9 @@ func TestCheckpointRestoresEventOrder(t *testing.T) {
 }
 
 // TestRestoreRejectsBadEvents: restore must refuse events out of (due,
-// seq) order and events whose sequence number the protocol sequence
-// has not reached, since a later event would reuse it.
+// seq) order, events whose sequence number the protocol sequence has
+// not reached, since a later event would reuse it, and the reserved
+// action kinds 2 and 3, which no engine schedules.
 func TestRestoreRejectsBadEvents(t *testing.T) {
 	p, _ := newTestProtocol(t, 4, func(int, int, int64) {})
 	p.Access(0, 0, lineFor(1), false, 0)
@@ -124,6 +125,8 @@ func TestRestoreRejectsBadEvents(t *testing.T) {
 		{"swapped", mutate(func(s *CheckpointState) { s.Events[0], s.Events[1] = s.Events[1], s.Events[0] })},
 		{"duplicate", mutate(func(s *CheckpointState) { s.Events[1] = s.Events[0] })},
 		{"sequence beyond protocol", mutate(func(s *CheckpointState) { s.Seq = 0 })},
+		{"reserved kind 2", mutate(func(s *CheckpointState) { s.Events[0].Act.Kind = 2 })},
+		{"reserved kind 3", mutate(func(s *CheckpointState) { s.Events[0].Act.Kind = 3 })},
 	}
 	for _, tc := range cases {
 		fresh, _ := newTestProtocol(t, 4, func(int, int, int64) {})

@@ -3,8 +3,7 @@ package cohsim
 import "locality/internal/telemetry"
 
 // PendingEvents returns the number of entries in the protocol's event
-// queue: deliveries, controller occupancy releases, and retry deadlines
-// not yet due. A queue-depth signal for time-sliced sampling.
+// queue: deliveries and controller occupancy releases not yet due. A queue-depth signal for time-sliced sampling.
 func (p *Protocol) PendingEvents() int { return p.events.len() }
 
 // OutstandingTxns returns the number of coherence transactions
@@ -29,9 +28,6 @@ func (p *Protocol) PublishTelemetry(reg *telemetry.Registry) {
 	reg.GaugeFunc("proto/read_misses", func() float64 { return float64(p.readMiss.Value()) })
 	reg.GaugeFunc("proto/write_misses", func() float64 { return float64(p.writeMiss.Value()) })
 	reg.GaugeFunc("proto/sw_traps", func() float64 { return float64(p.swTraps.Value()) })
-	reg.GaugeFunc("proto/retries", func() float64 { return float64(p.retries.Value()) })
-	reg.GaugeFunc("proto/home_retries", func() float64 { return float64(p.homeRetries.Value()) })
-	reg.GaugeFunc("proto/dropped", func() float64 { return float64(p.dropped.Value()) })
 	reg.GaugeFunc("proto/pending_events", func() float64 { return float64(p.PendingEvents()) })
 	reg.GaugeFunc("proto/outstanding_txns", func() float64 { return float64(p.OutstandingTxns()) })
 }

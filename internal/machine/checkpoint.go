@@ -8,7 +8,6 @@ import (
 
 	"locality/internal/checkpoint"
 	"locality/internal/cohsim"
-	"locality/internal/faults"
 	"locality/internal/netsim"
 	"locality/internal/procsim"
 )
@@ -54,14 +53,6 @@ func (s CheckpointSpec) Validate() error {
 // matching fingerprint reproduces the original run exactly.
 func (m *Machine) fingerprint() checkpoint.Fingerprint {
 	cfg := &m.cfg
-	var spec faults.Spec
-	if cfg.Faults != nil {
-		spec = *cfg.Faults
-	}
-	retry := cfg.RetryTimeout
-	if retry == 0 && spec.LossRate > 0 {
-		retry = DefaultRetryTimeout
-	}
 	wid := ""
 	if cfg.Workload != nil {
 		if f, ok := cfg.Workload.(interface{ FingerprintID() string }); ok {
@@ -93,8 +84,6 @@ func (m *Machine) fingerprint() checkpoint.Fingerprint {
 		CacheRespLatency: cfg.CacheRespLatency,
 		FillLatency:      cfg.FillLatency,
 		SWTrapLatency:    cfg.SWTrapLatency,
-		RetryTimeout:     retry,
-		FaultSpec:        spec.String(),
 		Kernel:           uint8(cfg.Kernel),
 		SliceEvery:       cfg.SliceEvery,
 	}
@@ -129,19 +118,11 @@ func (m *Machine) BuildCheckpoint(chunkDone int64) *checkpoint.Checkpoint {
 		ck.Procs[i] = p.Checkpoint()
 	}
 	detach(ck)
-	if m.linkFaults != nil {
-		s := m.linkFaults.Checkpoint()
-		ck.LinkFaults = &s
-	}
-	if m.lossCoin != nil {
-		s := m.lossCoin.Checkpoint()
-		ck.LossCoin = &s
-	}
 	if m.slicer != nil {
 		p := m.slicer.prev
 		ck.Slicer = &checkpoint.SlicerState{
 			Next: m.slicer.next,
-			Prev: [8]int64{p.cycle, p.busy, p.ticked, p.skipped, p.injected, p.delivered, p.dropped, p.downCyc},
+			Prev: [6]int64{p.cycle, p.busy, p.ticked, p.skipped, p.injected, p.delivered},
 		}
 	}
 	return ck
@@ -237,7 +218,7 @@ func (m *Machine) prunePeriodic(path string) {
 // be dissected — or resumed with a longer stall bound — instead of
 // rerun from scratch.
 func (m *Machine) stallCheckpoint(err error, chunkDone int64) {
-	var rep *faults.StallReport
+	var rep *StallReport
 	if !errors.As(err, &rep) || m.cfg.Checkpoint.Dir == "" {
 		return
 	}
@@ -254,8 +235,8 @@ func (m *Machine) LastCheckpoint() string { return m.lastCkpt }
 // RestoreFrom builds a machine from cfg and overwrites its simulation
 // state with a previously captured checkpoint, resuming mid-stream.
 // cfg must describe the same machine the checkpoint was taken on —
-// topology, mapping, workload, latencies, fault schedule, kernel mode
-// — which is enforced by fingerprint comparison. Observational
+// topology, mapping, workload, latencies, kernel mode — which is
+// enforced by fingerprint comparison. Observational
 // attachments (Trace, Telemetry, SliceWriter, Checkpoint spec,
 // Watchdog) may differ: they do not alter simulated behavior, though a
 // restored run's trace naturally only contains events from the
@@ -303,16 +284,6 @@ func RestoreFrom(cfg Config, ck *checkpoint.Checkpoint) (*Machine, error) {
 	if err := m.net.Restore(net); err != nil {
 		return nil, err
 	}
-	// The fingerprint pins the fault spec, so machine and checkpoint
-	// agree on which fault streams exist.
-	if m.linkFaults != nil {
-		if err := m.linkFaults.Restore(*ck.LinkFaults); err != nil {
-			return nil, err
-		}
-	}
-	if m.lossCoin != nil {
-		m.lossCoin.Restore(*ck.LossCoin)
-	}
 	if err := m.kernel.Restore(ck.Kernel); err != nil {
 		return nil, err
 	}
@@ -324,7 +295,7 @@ func RestoreFrom(cfg Config, ck *checkpoint.Checkpoint) (*Machine, error) {
 		m.slicer.next = s.Next
 		m.slicer.prev = sliceBase{
 			cycle: s.Prev[0], busy: s.Prev[1], ticked: s.Prev[2], skipped: s.Prev[3],
-			injected: s.Prev[4], delivered: s.Prev[5], dropped: s.Prev[6], downCyc: s.Prev[7],
+			injected: s.Prev[4], delivered: s.Prev[5],
 		}
 	}
 	m.resumePhase = ck.ChunkDone

@@ -28,10 +28,9 @@ func (c protoComp) Tick(now int64) {
 func (c protoComp) NextEvent() int64 { return c.m.proto.NextEvent() }
 
 // netComp drives the fabric at ClockRatio network cycles per P-cycle.
-// While fabric traffic is in flight (or the fault model cannot be
-// advanced in bulk) it claims the very next P-cycle, making the
-// machine unskippable; drained, it reports Never and lets SkipTo jump
-// the network clock, replaying fault accounting in bulk. A fabric
+// While fabric traffic is in flight it claims the very next P-cycle,
+// making the machine unskippable; drained, it reports Never and lets
+// SkipTo jump the network clock. A fabric
 // whose only pending work is local-bypass deliveries is still
 // skippable — their due times were fixed at Send — so netComp
 // announces the P-cycle containing the earliest due time instead of

@@ -17,7 +17,6 @@ import (
 
 	"locality/internal/cachesim"
 	"locality/internal/cohsim"
-	"locality/internal/faults"
 	"locality/internal/mapping"
 	"locality/internal/netsim"
 	"locality/internal/procsim"
@@ -76,20 +75,9 @@ type Config struct {
 	// Protocol latencies; zero values take cohsim defaults.
 	ReqLatency, DirLatency, MemLatency, CacheRespLatency, FillLatency, SWTrapLatency int
 
-	// Faults, when non-nil and enabled, injects deterministic hardware
-	// faults drawn from its seed: transient link stalls (LinkMTTF) in
-	// the network and protocol-message loss (LossRate) in the fabric.
-	// A nil or zero spec leaves the machine behaviorally identical to a
-	// fault-free build.
-	Faults *faults.Spec
-	// Watchdog, when enabled, makes Execute abort with a
-	// faults.StallReport if the machine stops making forward progress.
-	Watchdog faults.Watchdog
-	// RetryTimeout is the protocol's retransmission deadline in
-	// P-cycles. Zero enables the retry layer with DefaultRetryTimeout
-	// when message loss is injected and disables it otherwise; set it
-	// explicitly to force either way.
-	RetryTimeout int
+	// Watchdog, when enabled, makes Execute abort with a StallReport
+	// if the machine stops making forward progress.
+	Watchdog Watchdog
 
 	// Checkpoint configures crash-recovery snapshots: periodic .lckp
 	// files every Every P-cycles, plus a final snapshot when the run is
@@ -112,7 +100,7 @@ type Config struct {
 	Telemetry *telemetry.Registry
 	// SliceEvery enables time-sliced sampling: every SliceEvery
 	// P-cycles one interval snapshot (utilization, queue depths, skip
-	// ratio, fault state) is written to SliceWriter. Requires Telemetry
+	// ratio) is written to SliceWriter. Requires Telemetry
 	// and SliceWriter. Slice boundaries are executed cycles, so slicing
 	// reduces the event kernel's skip ratio but never changes simulated
 	// behavior.
@@ -130,16 +118,6 @@ type Config struct {
 	// the run byte-identical to an unobserved one.
 	Observer func(*Machine)
 }
-
-// DefaultRetryTimeout is the protocol retransmission deadline used when
-// message loss is enabled without an explicit RetryTimeout. It is
-// chosen well above the worst-case loss-free transaction latency so a
-// fault-free transaction never retransmits spuriously.
-const DefaultRetryTimeout = 500
-
-// lossStream separates the message-loss coin from the link-fault
-// streams derived from the same user seed.
-const lossStream = 0x10c4_10ad
 
 // DefaultConfig returns the reference-architecture configuration for a
 // given torus, mapping and context count: 11-cycle switches, 2× network
@@ -194,6 +172,9 @@ func (c Config) Validate() error {
 	if c.SliceEvery > 0 && (c.Telemetry == nil || c.SliceWriter == nil) {
 		return fmt.Errorf("machine: time-sliced sampling requires both Telemetry and SliceWriter")
 	}
+	if err := c.Watchdog.validate(); err != nil {
+		return err
+	}
 	if err := c.Checkpoint.Validate(); err != nil {
 		return err
 	}
@@ -215,15 +196,11 @@ type Machine struct {
 	ksWindow sim.Stats
 
 	// Telemetry state; all nil/zero when cfg.Telemetry is nil.
-	linkFaults *faults.LinkFaults
-	msgLat     *telemetry.HistogramVec // delivery latency by hops traversed
-	txnLat     *telemetry.HistogramVec // txn round-trip by requester→home distance
-	home       func(addr uint64) int
-	slicer     *slicer
+	msgLat *telemetry.HistogramVec // delivery latency by hops traversed
+	txnLat *telemetry.HistogramVec // txn round-trip by requester→home distance
+	home   func(addr uint64) int
+	slicer *slicer
 
-	// lossCoin is the message-loss stream (nil when loss is disabled);
-	// held here so checkpoints can capture and restore its position.
-	lossCoin *faults.Coin
 	// resumePhase is the chunk offset a restored run re-enters the run
 	// loop at, so chunk boundaries — and the kernel's Run-call
 	// accounting — land on the same cycles as the uninterrupted run.
@@ -312,34 +289,11 @@ func New(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 
-	var spec faults.Spec
-	if cfg.Faults != nil {
-		spec = *cfg.Faults
-		if err := spec.Validate(); err != nil {
-			return nil, err
-		}
-	}
-
-	netCfg := netsim.Config{Topo: cfg.Topo, BufferDepth: cfg.BufferDepth, LocalDelay: cfg.LocalDelay}
-	if lf := faults.NewLinkFaults(spec, cfg.Topo.ChannelCount()); lf != nil {
-		netCfg.Faults = lf
-		m.linkFaults = lf
-	}
-	net, err := netsim.New(netCfg)
+	net, err := netsim.New(netsim.Config{Topo: cfg.Topo, BufferDepth: cfg.BufferDepth, LocalDelay: cfg.LocalDelay})
 	if err != nil {
 		return nil, err
 	}
 	m.net = net
-
-	retry := cohsim.RetryConfig{Timeout: cfg.RetryTimeout}
-	if retry.Timeout == 0 && spec.LossRate > 0 {
-		retry.Timeout = DefaultRetryTimeout
-	}
-	var loss func(src, dst int, msg cohsim.Msg) bool
-	if coin := faults.NewCoin(spec.Seed, lossStream, spec.LossRate); coin != nil {
-		m.lossCoin = coin
-		loss = func(src, dst int, msg cohsim.Msg) bool { return coin.Next() }
-	}
 
 	proto, err := cohsim.New(cohsim.Config{
 		Nodes:            cfg.Topo.Nodes(),
@@ -352,8 +306,6 @@ func New(cfg Config) (*Machine, error) {
 		CacheRespLatency: cfg.CacheRespLatency,
 		FillLatency:      cfg.FillLatency,
 		SWTrapLatency:    cfg.SWTrapLatency,
-		Retry:            retry,
-		Loss:             loss,
 		OnReady: func(node, thread int, now int64) {
 			m.kernel.Touch(1 + node) // processors are kernel sleepers
 			m.procs[node].Ready(thread, now)
@@ -421,7 +373,7 @@ const ctxPollInterval = 4096
 // runChecked is the run loop backing Execute: it advances the machine
 // by pCycles processor cycles under the configured watchdog — every
 // check interval it verifies flit conservation and forward progress,
-// returning a *faults.StallReport (wrapping faults.ErrStalled) if the
+// returning a *StallReport (wrapping ErrStalled) if the
 // machine has livelocked or deadlocked. Canceling ctx stops the run at
 // the next poll point with the context's error, which is how the
 // experiment engine (and Ctrl-C in the cmds) interrupts in-flight
@@ -501,11 +453,11 @@ func (m *Machine) runChecked(ctx context.Context, pCycles int64) error {
 // the busy-without-progress bound — are skipped for chunks the event
 // kernel skipped through entirely (executed ≤ 1 covers the mandatory
 // first cycle of each Run call): skipping proves the fabric was
-// drained, so those checks cannot fire, and on heavily-skipping fault
-// sweeps they were the dominant watchdog cost. The transaction-age
-// bound always runs: a lost message with no retry layer leaves a
-// transaction outstanding in an otherwise silent — fully skippable —
-// machine, and only this check catches it. The executed-cycle count
+// drained, so those checks cannot fire, and on heavily-skipping runs
+// they would dominate the watchdog's cost. The transaction-age bound
+// always runs: a transaction the protocol never completes stays
+// outstanding in an otherwise silent — fully skippable — machine, and
+// only this check catches it. The executed-cycle count
 // differs between kernel modes, but the gated checks pass vacuously
 // whenever the gate closes, so stall reports stay identical.
 func (m *Machine) checkProgress(executed int64) error {
@@ -517,7 +469,7 @@ func (m *Machine) checkProgress(executed int64) error {
 		if m.net.Busy() {
 			// Network ages are in N-cycles; the bound is given in P-cycles.
 			if age := m.net.Now() - m.net.LastProgress(); age >= stall*int64(m.cfg.ClockRatio) {
-				return &faults.StallReport{
+				return &StallReport{
 					Component:  "network",
 					Cycle:      m.pnow,
 					StalledFor: age / int64(m.cfg.ClockRatio),
@@ -530,12 +482,12 @@ func (m *Machine) checkProgress(executed int64) error {
 	if txn := m.proto.OldestTxn(); txn != nil {
 		if age := m.pnow - txn.Started; age >= stall {
 			d := m.proto.Directory(txn.Addr)
-			return &faults.StallReport{
+			return &StallReport{
 				Component:  "protocol",
 				Cycle:      m.pnow,
 				StalledFor: age,
-				Detail: fmt.Sprintf("transaction %d (node %d, line %#x, write=%v, retries=%d) outstanding for %d P-cycles; directory: state=%s owner=%d sharers=%v busy=%v queued=%d",
-					txn.ID, txn.Node, txn.Addr, txn.Write, txn.Retries, age,
+				Detail: fmt.Sprintf("transaction %d (node %d, line %#x, write=%v) outstanding for %d P-cycles; directory: state=%s owner=%d sharers=%v busy=%v queued=%d",
+					txn.ID, txn.Node, txn.Addr, txn.Write, age,
 					d.State, d.Owner, d.Sharers, d.Busy, d.Queued),
 				Snapshot: m.DiagSnapshot(),
 			}
@@ -605,12 +557,6 @@ type Metrics struct {
 	// SWTraps counts LimitLESS software-extension invocations.
 	SWTraps int64
 
-	// Fault-injection accounting; all zero on a fault-free run.
-	Retries         int64 // requester-side request retransmissions
-	HomeRetries     int64 // home-side sub-operation retransmissions
-	DroppedMsgs     int64 // fabric messages lost to injected faults
-	LinkFaultCycles int64 // channel·N-cycles spent faulted
-
 	// Kernel execution accounting for the window — a property of how
 	// the simulator ran, not of the modeled machine. CyclesTicked +
 	// CyclesSkipped == PCycles; CyclesSkipped is always 0 in tick
@@ -645,10 +591,6 @@ func (m *Machine) Measure() Metrics {
 		TxnLatency:         ps.AvgTxnLatency,
 		ChannelUtilization: ns.ChannelUtilization,
 		SWTraps:            ps.SWTraps,
-		Retries:            ps.Retries,
-		HomeRetries:        ps.HomeRetries,
-		DroppedMsgs:        ps.Dropped,
-		LinkFaultCycles:    ns.FaultedChannelCycles,
 		CyclesTicked:       ks.Ticked,
 		CyclesSkipped:      ks.Skipped,
 	}

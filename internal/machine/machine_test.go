@@ -38,12 +38,17 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.ClockRatio = 0 },
 		func(c *Config) { c.Mapping = mapping.Identity(topology.MustNew(8, 2)) },
 		func(c *Config) { c.CacheLines = 16; c.Contexts = 4 }, // words exceed cache
+		func(c *Config) { c.Watchdog.StallCycles = -5 },       // a negative bound would disable it
+		func(c *Config) { c.Watchdog = Watchdog{StallCycles: 10, CheckEvery: -1} },
 	}
 	for i, mutate := range cases {
 		cfg := DefaultConfig(tor, mapping.Identity(tor), 2)
 		mutate(&cfg)
 		if cfg.Validate() == nil {
 			t.Errorf("case %d should fail validation", i)
+		}
+		if _, err := New(cfg); err == nil {
+			t.Errorf("case %d: New accepted the configuration", i)
 		}
 	}
 }

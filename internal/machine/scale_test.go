@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"locality/internal/faults"
 	"locality/internal/mapping"
 	"locality/internal/sim"
 	"locality/internal/topology"
@@ -73,8 +72,7 @@ func TestLargeMachineSmoke(t *testing.T) {
 }
 
 // TestWorklistInvariantBothKernels drives a randomized, zero-locality
-// workload — with transient link faults, so fault stalls churn the
-// active set too — under both the event and tick kernels, and
+// workload under both the event and tick kernels, and
 // verifies the fabric's structural invariants (flit conservation,
 // occupancy masks, worklist exactness) after every execution chunk.
 // This is the machine-level counterpart of netsim's whitebox worklist
@@ -104,7 +102,6 @@ func TestWorklistInvariantBothKernels(t *testing.T) {
 				ReadsPerIteration: 4,
 				Seed:              11,
 			}
-			cfg.Faults = &faults.Spec{Seed: 5, LinkMTTF: 2000}
 			if k.mutate != nil {
 				k.mutate(&cfg)
 			}

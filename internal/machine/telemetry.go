@@ -64,7 +64,7 @@ func (m *Machine) Telemetry() *telemetry.Registry { return m.cfg.Telemetry }
 type Attribution struct {
 	Protocol   int64 // coherence engine's event queue
 	Processors int64 // compute-burst and context-switch completions, all nodes
-	Network    int64 // fabric busy (traffic in flight or fault accounting)
+	Network    int64 // fabric busy (traffic in flight)
 	Sampler    int64 // telemetry slice boundaries
 	Unforced   int64
 }
@@ -110,8 +110,6 @@ type sliceBase struct {
 	skipped   int64
 	injected  int64
 	delivered int64
-	dropped   int64
-	downCyc   int64
 }
 
 // slicer is a kernel component that emits one interval sample every
@@ -149,7 +147,6 @@ func (s *slicer) rebase() { s.prev = s.m.baseNow() }
 func (m *Machine) baseNow() sliceBase {
 	m.kernel.Sync()
 	ns := m.net.Snapshot()
-	ps := m.proto.Snapshot()
 	ks := m.kernel.Stats()
 	b := sliceBase{
 		cycle:     m.pnow,
@@ -157,13 +154,9 @@ func (m *Machine) baseNow() sliceBase {
 		skipped:   ks.Skipped,
 		injected:  ns.Injected,
 		delivered: ns.Delivered,
-		dropped:   ps.Dropped,
 	}
 	for _, p := range m.procs {
 		b.busy += p.Snapshot().Busy
-	}
-	if m.linkFaults != nil {
-		b.downCyc = m.linkFaults.DownCycles()
 	}
 	return b
 }
@@ -194,8 +187,6 @@ func (s *slicer) emit(through int64) {
 		telemetry.Value{Name: "in_flight_flits", Value: float64(m.net.InFlightFlits())},
 		telemetry.Value{Name: "pending_events", Value: float64(m.proto.PendingEvents())},
 		telemetry.Value{Name: "outstanding_txns", Value: float64(m.proto.OutstandingTxns())},
-		telemetry.Value{Name: "msgs_dropped", Value: float64(cur.dropped - s.prev.dropped)},
-		telemetry.Value{Name: "link_down_cycles", Value: float64(cur.downCyc - s.prev.downCyc)},
 	)
 	m.cfg.SliceWriter.Write(through-1, s.fields)
 	s.prev = cur

@@ -7,23 +7,15 @@ import (
 	"testing"
 	"time"
 
-	"locality/internal/faults"
 	"locality/internal/topology"
 )
 
 // twinNets builds two identical networks, one driven by the active
-// worklist and one forced to the dense reference sweep, with fresh
-// fault models when spec is non-nil (each twin needs its own RNG
-// state).
-func twinNets(t *testing.T, k, n, depth int, spec *faults.Spec) (active, dense *Network) {
+// worklist and one forced to the dense reference sweep.
+func twinNets(t *testing.T, k, n, depth int) (active, dense *Network) {
 	t.Helper()
 	build := func() *Network {
-		tor := topology.MustNew(k, n)
-		var fm LinkFaultModel
-		if spec != nil {
-			fm = faults.NewLinkFaults(*spec, tor.ChannelCount())
-		}
-		nw, err := New(Config{Topo: tor, BufferDepth: depth, Faults: fm})
+		nw, err := New(Config{Topo: topology.MustNew(k, n), BufferDepth: depth})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,124 +42,105 @@ func sendRandom(t *testing.T, rng *rand.Rand, nets ...*Network) {
 // TestActiveSetMatchesDenseSweep is the worklist's core differential
 // guarantee: stepping via the active worklist and stepping via the
 // dense all-routers sweep produce identical deliveries, statistics,
-// and serialized fabric state, cycle for cycle, with and without link
-// faults.
+// and serialized fabric state, cycle for cycle.
 func TestActiveSetMatchesDenseSweep(t *testing.T) {
-	specs := map[string]*faults.Spec{
-		"clean":  nil,
-		"faults": {Seed: 11, LinkMTTF: 400, StallMin: 5, StallMax: 40},
-	}
-	for name, spec := range specs {
-		t.Run(name, func(t *testing.T) {
-			active, dense := twinNets(t, 4, 2, 2, spec)
-			var aDel, dDel []string
-			active.SetDelivery(func(now int64, m *Message) {
-				aDel = append(aDel, fmt.Sprintf("%d:%d→%d@%d", now, m.Src, m.Dst, m.DeliveredAt))
-			})
-			dense.SetDelivery(func(now int64, m *Message) {
-				dDel = append(dDel, fmt.Sprintf("%d:%d→%d@%d", now, m.Src, m.Dst, m.DeliveredAt))
-			})
-			rng := rand.New(rand.NewSource(99))
-			for cycle := 0; cycle < 2500; cycle++ {
-				if rng.Intn(4) == 0 {
-					sendRandom(t, rng, active, dense)
-				}
-				active.Step()
-				dense.Step()
-				if !reflect.DeepEqual(aDel, dDel) {
-					t.Fatalf("cycle %d: deliveries diverged\n active: %v\n dense:  %v", cycle, aDel, dDel)
-				}
-				if a, d := active.Snapshot(), dense.Snapshot(); a != d {
-					t.Fatalf("cycle %d: stats diverged\n active: %+v\n dense:  %+v", cycle, a, d)
-				}
-				if cycle%50 == 0 {
-					a, d := active.Checkpoint(), dense.Checkpoint()
-					if !reflect.DeepEqual(a, d) {
-						t.Fatalf("cycle %d: serialized fabric state diverged", cycle)
-					}
-					if err := active.Check(); err != nil {
-						t.Fatalf("cycle %d: %v", cycle, err)
-					}
-					if err := dense.Check(); err != nil {
-						t.Fatalf("cycle %d (dense): %v", cycle, err)
-					}
-				}
+	t.Run("clean", func(t *testing.T) {
+		active, dense := twinNets(t, 4, 2, 2)
+		var aDel, dDel []string
+		active.SetDelivery(func(now int64, m *Message) {
+			aDel = append(aDel, fmt.Sprintf("%d:%d→%d@%d", now, m.Src, m.Dst, m.DeliveredAt))
+		})
+		dense.SetDelivery(func(now int64, m *Message) {
+			dDel = append(dDel, fmt.Sprintf("%d:%d→%d@%d", now, m.Src, m.Dst, m.DeliveredAt))
+		})
+		rng := rand.New(rand.NewSource(99))
+		for cycle := 0; cycle < 2500; cycle++ {
+			if rng.Intn(4) == 0 {
+				sendRandom(t, rng, active, dense)
 			}
-			for budget := 0; budget < 200000 && (active.Busy() || dense.Busy()); budget++ {
-				active.Step()
-				dense.Step()
-			}
-			if active.Busy() || dense.Busy() {
-				t.Fatal("networks did not drain")
-			}
+			active.Step()
+			dense.Step()
 			if !reflect.DeepEqual(aDel, dDel) {
-				t.Fatal("final deliveries differ")
+				t.Fatalf("cycle %d: deliveries diverged\n active: %v\n dense:  %v", cycle, aDel, dDel)
 			}
 			if a, d := active.Snapshot(), dense.Snapshot(); a != d {
-				t.Fatalf("final stats differ:\n active: %+v\n dense:  %+v", a, d)
+				t.Fatalf("cycle %d: stats diverged\n active: %+v\n dense:  %+v", cycle, a, d)
 			}
-			if active.ActiveRouters() != 0 {
-				t.Errorf("drained fabric still lists %d active routers", active.ActiveRouters())
+			if cycle%50 == 0 {
+				a, d := active.Checkpoint(), dense.Checkpoint()
+				if !reflect.DeepEqual(a, d) {
+					t.Fatalf("cycle %d: serialized fabric state diverged", cycle)
+				}
+				if err := active.Check(); err != nil {
+					t.Fatalf("cycle %d: %v", cycle, err)
+				}
+				if err := dense.Check(); err != nil {
+					t.Fatalf("cycle %d (dense): %v", cycle, err)
+				}
 			}
-		})
-	}
+		}
+		for budget := 0; budget < 200000 && (active.Busy() || dense.Busy()); budget++ {
+			active.Step()
+			dense.Step()
+		}
+		if active.Busy() || dense.Busy() {
+			t.Fatal("networks did not drain")
+		}
+		if !reflect.DeepEqual(aDel, dDel) {
+			t.Fatal("final deliveries differ")
+		}
+		if a, d := active.Snapshot(), dense.Snapshot(); a != d {
+			t.Fatalf("final stats differ:\n active: %+v\n dense:  %+v", a, d)
+		}
+		if active.ActiveRouters() != 0 {
+			t.Errorf("drained fabric still lists %d active routers", active.ActiveRouters())
+		}
+	})
 }
 
 // TestWorklistInvariantUnderRandomWorkload asserts after every cycle
 // that the worklist equals exactly the set of routers with non-empty
 // input buffers or injection queues — the Check invariant — across a
-// randomized workload, with and without faults, and across Step and
-// SkipTo interleavings.
+// randomized workload, across Step and SkipTo interleavings.
 func TestWorklistInvariantUnderRandomWorkload(t *testing.T) {
-	specs := map[string]*faults.Spec{
-		"clean":  nil,
-		"faults": {Seed: 3, LossRate: 0, LinkMTTF: 250, StallMin: 4, StallMax: 24},
-	}
-	for name, spec := range specs {
-		t.Run(name, func(t *testing.T) {
-			tor := topology.MustNew(4, 2)
-			var fm LinkFaultModel
-			if spec != nil {
-				fm = faults.NewLinkFaults(*spec, tor.ChannelCount())
-			}
-			nw, err := New(Config{Topo: tor, BufferDepth: 4, Faults: fm, LocalDelay: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			nw.SetDelivery(func(now int64, m *Message) {})
-			rng := rand.New(rand.NewSource(17))
-			for cycle := 0; cycle < 3000; cycle++ {
-				if rng.Intn(3) == 0 {
-					src, dst := rng.Intn(16), rng.Intn(16)
-					// src == dst exercises the local bypass alongside
-					// fabric traffic.
-					if err := nw.Send(&Message{Src: src, Dst: dst, Size: 1 + rng.Intn(8)}); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if nw.Skippable() && rng.Intn(20) == 0 {
-					// A quiescent fabric may bulk-skip; the worklist must
-					// survive the jump (it is empty by the invariant).
-					skip := nw.now + int64(1+rng.Intn(5))
-					if due, ok := nw.NextLocalDue(); ok && due < skip {
-						skip = due
-					}
-					nw.SkipTo(skip)
-				}
-				nw.Step()
-				if err := nw.Check(); err != nil {
-					t.Fatalf("cycle %d: %v", cycle, err)
+	t.Run("clean", func(t *testing.T) {
+		nw, err := New(Config{Topo: topology.MustNew(4, 2), BufferDepth: 4, LocalDelay: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nw.SetDelivery(func(now int64, m *Message) {})
+		rng := rand.New(rand.NewSource(17))
+		for cycle := 0; cycle < 3000; cycle++ {
+			if rng.Intn(3) == 0 {
+				src, dst := rng.Intn(16), rng.Intn(16)
+				// src == dst exercises the local bypass alongside
+				// fabric traffic.
+				if err := nw.Send(&Message{Src: src, Dst: dst, Size: 1 + rng.Intn(8)}); err != nil {
+					t.Fatal(err)
 				}
 			}
-			drain(t, nw, 200000)
+			if nw.Skippable() && rng.Intn(20) == 0 {
+				// A quiescent fabric may bulk-skip; the worklist must
+				// survive the jump (it is empty by the invariant).
+				skip := nw.now + int64(1+rng.Intn(5))
+				if due, ok := nw.NextLocalDue(); ok && due < skip {
+					skip = due
+				}
+				nw.SkipTo(skip)
+			}
+			nw.Step()
 			if err := nw.Check(); err != nil {
-				t.Fatal(err)
+				t.Fatalf("cycle %d: %v", cycle, err)
 			}
-			if nw.ActiveRouters() != 0 {
-				t.Errorf("quiescent fabric lists %d active routers", nw.ActiveRouters())
-			}
-		})
-	}
+		}
+		drain(t, nw, 200000)
+		if err := nw.Check(); err != nil {
+			t.Fatal(err)
+		}
+		if nw.ActiveRouters() != 0 {
+			t.Errorf("quiescent fabric lists %d active routers", nw.ActiveRouters())
+		}
+	})
 }
 
 // TestStepSteadyStateDoesNotAllocate covers the decide() scratch-buffer

@@ -80,15 +80,14 @@ type CheckpointState struct {
 	FlitsIn      int64
 	FlitsOut     int64
 
-	StatsSince  int64
-	Injected    int64
-	Delivered   int64
-	FlitHops    int64
-	FaultStalls int64
-	Latency     stats.MeanState
-	NetLatency  stats.MeanState
-	Hops        stats.MeanState
-	Sizes       stats.MeanState
+	StatsSince int64
+	Injected   int64
+	Delivered  int64
+	FlitHops   int64
+	Latency    stats.MeanState
+	NetLatency stats.MeanState
+	Hops       stats.MeanState
+	Sizes      stats.MeanState
 }
 
 // routerZero reports whether router v carries no serializable state:
@@ -144,7 +143,6 @@ func (nw *Network) Checkpoint() CheckpointState {
 		Injected:     nw.injected.Value(),
 		Delivered:    nw.deliveredCount.Value(),
 		FlitHops:     nw.flitHops.Value(),
-		FaultStalls:  nw.faultStalls.Value(),
 		Latency:      nw.latency.State(),
 		NetLatency:   nw.netLatency.State(),
 		Hops:         nw.hops.State(),
@@ -206,7 +204,7 @@ func (nw *Network) Checkpoint() CheckpointState {
 
 // Restore overwrites the network with a previously captured state. The
 // network must have been built with the same configuration; the
-// delivery callback and fault model stay as wired. Every router and
+// delivery callback stays as wired. Every router and
 // queue absent from the sparse state is reset to zero, the active set
 // and masks are rebuilt from the restored occupancy, and each head at
 // the front of an unfed input is routed. The final Check rejects a
@@ -398,7 +396,6 @@ func (nw *Network) Restore(s CheckpointState) error {
 	nw.injected.SetValue(s.Injected)
 	nw.deliveredCount.SetValue(s.Delivered)
 	nw.flitHops.SetValue(s.FlitHops)
-	nw.faultStalls.SetValue(s.FaultStalls)
 	nw.latency.SetState(s.Latency)
 	nw.netLatency.SetState(s.NetLatency)
 	nw.hops.SetState(s.Hops)

@@ -135,16 +135,6 @@ func (q *fifo) pop() flit {
 	return f
 }
 
-// LinkFaultModel decides whether a directional physical channel is
-// faulted at a given cycle. A faulted channel transfers no flits: the
-// worm holding it stalls in place and ordinary wormhole backpressure
-// propagates upstream, so no traffic is lost. Channels are identified
-// as router·2n + port (see the port indexing above); queries are
-// monotone in time per channel. A nil model means a fault-free fabric.
-type LinkFaultModel interface {
-	Down(channel int, now int64) bool
-}
-
 // Config parameterizes the network.
 type Config struct {
 	Topo *topology.Torus
@@ -154,10 +144,6 @@ type Config struct {
 	// LocalDelay is the delivery latency for src == dst messages,
 	// which bypass the fabric (N-cycles). Defaults to 1 when zero.
 	LocalDelay int
-	// Faults, when non-nil, injects transient link faults (stalled
-	// channels). Nil leaves the fabric behaviorally identical to a
-	// fault-free build.
-	Faults LinkFaultModel
 }
 
 // DeliveryFunc receives each message when its tail flit arrives.
@@ -245,11 +231,6 @@ type Network struct {
 	// differential tests and benchmarks use it as the reference.
 	forceDense bool
 
-	// downAt[ch] is now+1 for every channel observed down by this
-	// cycle's fault sweep (the +1 makes the zero value "never"). Only
-	// allocated when a fault model is installed.
-	downAt []int64
-
 	// moves is the decide/commit scratch buffer, reused across cycles.
 	moves []move
 
@@ -281,7 +262,6 @@ type Network struct {
 	injected       stats.Counter
 	deliveredCount stats.Counter
 	flitHops       stats.Counter // flit-channel traversals (fabric only)
-	faultStalls    stats.Counter // channel-cycles lost to link faults
 	latency        stats.Mean    // end-to-end incl. source queueing
 	netLatency     stats.Mean    // fabric-only latency
 	hops           stats.Mean
@@ -363,9 +343,6 @@ func New(cfg Config) (*Network, error) {
 				}
 			}
 		}
-	}
-	if cfg.Faults != nil {
-		nw.downAt = make([]int64, n*ports)
 	}
 	return nw, nil
 }
@@ -512,9 +489,6 @@ func vcFor(msg *Message, o int) int {
 // Step advances the network one cycle.
 func (nw *Network) Step() {
 	nw.worklist = nw.appendActive(nw.worklist[:0])
-	if nw.cfg.Faults != nil {
-		nw.sweepFaults()
-	}
 	nw.decide()
 	nw.commit()
 	nw.compactActive()
@@ -526,26 +500,6 @@ func (nw *Network) Step() {
 func (nw *Network) Run(cycles int64) {
 	for i := int64(0); i < cycles; i++ {
 		nw.Step()
-	}
-}
-
-// sweepFaults queries every channel's fault state for this cycle,
-// charging faultStalls for each down channel and stamping downAt so
-// decide can consult fault state without re-querying the model. The
-// sweep is deliberately dense — over all channels in ascending order,
-// exactly like the pre-worklist decide loop — because fault accounting
-// (FaultedChannelCycles) and the model's per-channel RNG advancement
-// are defined over every channel-cycle, occupied or not. With faults
-// enabled a cycle therefore costs O(channels); a fault-free fabric
-// (the large-machine configuration) skips this entirely.
-func (nw *Network) sweepFaults() {
-	stamp := nw.now + 1 // +1 so the zero value of downAt means "never"
-	channels := nw.nodes * nw.ports
-	for ch := 0; ch < channels; ch++ {
-		if nw.cfg.Faults.Down(ch, nw.now) {
-			nw.faultStalls.Inc()
-			nw.downAt[ch] = stamp
-		}
 	}
 }
 
@@ -640,11 +594,6 @@ func (nw *Network) decide() {
 			o := bits.TrailingZeros64(c) >> 1
 			c &^= 3 << (2 * o)
 			p := v*ports + o
-			if nw.cfg.Faults != nil && nw.downAt[p] == nw.now+1 {
-				// The channel is faulted this cycle: neither VC may
-				// transfer a flit; worms stall in place.
-				continue
-			}
 			next := int(nw.nbr[p]) * nin
 			firstVC := 1 - int(nw.lastVC[p])
 			for attempt := 0; attempt < 2; attempt++ {
@@ -852,9 +801,6 @@ type Stats struct {
 	// ChannelUtilization is the mean fraction of directional channels
 	// busy per cycle so far.
 	ChannelUtilization float64
-	// FaultedChannelCycles counts channel-cycles lost to injected link
-	// faults (zero in a fault-free run).
-	FaultedChannelCycles int64
 	// Cycles is the number of simulated cycles.
 	Cycles int64
 }
@@ -863,15 +809,14 @@ type Stats struct {
 // ResetStats (or construction).
 func (nw *Network) Snapshot() Stats {
 	s := Stats{
-		Injected:             nw.injected.Value(),
-		Delivered:            nw.deliveredCount.Value(),
-		FlitHops:             nw.flitHops.Value(),
-		AvgLatency:           nw.latency.Mean(),
-		AvgNetLatency:        nw.netLatency.Mean(),
-		AvgHops:              nw.hops.Mean(),
-		AvgSize:              nw.sizes.Mean(),
-		FaultedChannelCycles: nw.faultStalls.Value(),
-		Cycles:               nw.now - nw.statsSince,
+		Injected:      nw.injected.Value(),
+		Delivered:     nw.deliveredCount.Value(),
+		FlitHops:      nw.flitHops.Value(),
+		AvgLatency:    nw.latency.Mean(),
+		AvgNetLatency: nw.netLatency.Mean(),
+		AvgHops:       nw.hops.Mean(),
+		AvgSize:       nw.sizes.Mean(),
+		Cycles:        nw.now - nw.statsSince,
 	}
 	if s.Cycles > 0 {
 		channels := float64(nw.topo.ChannelCount())
@@ -889,7 +834,6 @@ func (nw *Network) ResetStats() {
 	nw.injected = stats.Counter{}
 	nw.deliveredCount = stats.Counter{}
 	nw.flitHops = stats.Counter{}
-	nw.faultStalls = stats.Counter{}
 	nw.latency = stats.Mean{}
 	nw.netLatency = stats.Mean{}
 	nw.hops = stats.Mean{}
@@ -913,7 +857,7 @@ func (nw *Network) inFlightFlits() int { return int(nw.flitsIn - nw.flitsOut) }
 // arrived before Now, no input feeds two held outputs, a fed input's
 // front flit is a body flit of the worm holding the output it feeds,
 // every other occupied input fronts a head, and each input's reqKey is
-// the output it feeds or its front head requests. Watchdog, fault, and
+// the output it feeds or its front head requests. Watchdog and
 // restore code call this so no code path can silently leak flits or
 // corrupt the active set. O(N·nin + buffered flits), so not for
 // per-cycle hot paths.
@@ -1026,7 +970,7 @@ func (nw *Network) Busy() bool { return !nw.Quiesced() }
 
 // LastProgress returns the most recent cycle on which a flit entered,
 // moved within, or left the fabric. A busy network whose LastProgress
-// stays fixed is deadlocked (or fully fault-blocked).
+// stays fixed is deadlocked.
 func (nw *Network) LastProgress() int64 { return nw.lastProgress }
 
 // DiagSnapshot renders a structured diagnostic of the fabric's current

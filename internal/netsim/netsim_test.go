@@ -396,3 +396,25 @@ func TestFIFOPanics(t *testing.T) {
 		q.push(flit{}, 1)
 	}()
 }
+
+func TestCheckPassesOnCleanTraffic(t *testing.T) {
+	nw := newNet(t, 8, 2, 4)
+	for i := 0; i < 40; i++ {
+		if err := nw.Send(&Message{Src: i % 64, Dst: (i*7 + 3) % 64, Size: 8}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		nw.Step()
+		if err := nw.Check(); err != nil {
+			t.Fatalf("mid-flight cycle %d: %v", i, err)
+		}
+	}
+	drain(t, nw, 100000)
+	if err := nw.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if nw.flitsIn == 0 || nw.flitsIn != nw.flitsOut {
+		t.Errorf("after drain flitsIn=%d flitsOut=%d, want equal and nonzero", nw.flitsIn, nw.flitsOut)
+	}
+}

@@ -3,15 +3,14 @@ package netsim
 import (
 	"testing"
 
-	"locality/internal/faults"
 	"locality/internal/topology"
 )
 
 func TestSkippableGating(t *testing.T) {
-	// Fault-free and drained: skippable.
-	nw := newFaultyNet(t, 4, 2, 4, nil)
+	// Drained: skippable.
+	nw := newNet(t, 4, 2, 4)
 	if !nw.Skippable() {
-		t.Error("drained fault-free fabric should be skippable")
+		t.Error("drained fabric should be skippable")
 	}
 	// Traffic in flight: not skippable.
 	if err := nw.Send(&Message{Src: 0, Dst: 3, Size: 4}); err != nil {
@@ -28,18 +27,6 @@ func TestSkippableGating(t *testing.T) {
 	}
 	if !nw.Skippable() {
 		t.Error("fabric should be skippable again after draining")
-	}
-	// A fault model without bulk counting support: never skippable,
-	// even when drained — correctness degrades to the tick path.
-	plain := newFaultyNet(t, 4, 2, 4, oneDown{ch: 0})
-	if plain.Skippable() {
-		t.Error("fabric with a non-bulk fault model must not be skippable")
-	}
-	// faults.LinkFaults supports bulk counting: skippable when drained.
-	lf := faults.NewLinkFaults(faults.Spec{Seed: 1, LinkMTTF: 100}, topology.MustNew(4, 2).ChannelCount())
-	withLF := newFaultyNet(t, 4, 2, 4, lf)
-	if !withLF.Skippable() {
-		t.Error("drained fabric with LinkFaults should be skippable")
 	}
 }
 
@@ -123,7 +110,7 @@ func TestSkipToPanicsPastLocalDue(t *testing.T) {
 }
 
 func TestSkipToAdvancesClockAndPanicsWhenBusy(t *testing.T) {
-	nw := newFaultyNet(t, 4, 2, 4, nil)
+	nw := newNet(t, 4, 2, 4)
 	nw.SkipTo(500)
 	if nw.Now() != 500 {
 		t.Errorf("Now = %d, want 500", nw.Now())
@@ -141,66 +128,4 @@ func TestSkipToAdvancesClockAndPanicsWhenBusy(t *testing.T) {
 		}
 	}()
 	nw.SkipTo(1000)
-}
-
-// TestSkipToMatchesSteppedFaultAccounting compares a fabric that idles
-// through a faulty span cycle by cycle against one that skips it:
-// fault-stall accounting and the downstream fault schedule must be
-// identical, so traffic after the span sees the same stalls.
-func TestSkipToMatchesSteppedFaultAccounting(t *testing.T) {
-	const k, n, idleSpan = 4, 2, 5000
-	spec := faults.Spec{Seed: 11, LinkMTTF: 400, StallMin: 8, StallMax: 60}
-	tor := topology.MustNew(k, n)
-	channels := tor.ChannelCount()
-
-	build := func() (*Network, *faults.LinkFaults) {
-		lf := faults.NewLinkFaults(spec, channels)
-		return newFaultyNet(t, k, n, 4, lf), lf
-	}
-	stepped, steppedLF := build()
-	for i := 0; i < idleSpan; i++ {
-		stepped.Step()
-	}
-	skipped, skippedLF := build()
-	skipped.SkipTo(idleSpan)
-
-	if stepped.Now() != skipped.Now() {
-		t.Fatalf("clocks differ: %d vs %d", stepped.Now(), skipped.Now())
-	}
-	ss, ks := stepped.Snapshot(), skipped.Snapshot()
-	if ss.FaultedChannelCycles != ks.FaultedChannelCycles {
-		t.Errorf("FaultedChannelCycles %d stepped vs %d skipped", ss.FaultedChannelCycles, ks.FaultedChannelCycles)
-	}
-	if ss.FaultedChannelCycles == 0 {
-		t.Error("span saw no faulted channel-cycles; test is vacuous")
-	}
-	if steppedLF.DownCycles() != skippedLF.DownCycles() {
-		t.Errorf("DownCycles %d stepped vs %d skipped", steppedLF.DownCycles(), skippedLF.DownCycles())
-	}
-
-	// Identical traffic after the span must behave identically: the
-	// skip left every channel's fault schedule where stepping did.
-	inject := func(nw *Network) (delivered int64, lastAt int64) {
-		nw.SetDelivery(func(now int64, m *Message) { delivered++; lastAt = now })
-		for src := 0; src < tor.Nodes(); src += 3 {
-			if err := nw.Send(&Message{Src: src, Dst: (src + 5) % tor.Nodes(), Size: 6}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := 0; i < 20000 && nw.Busy(); i++ {
-			nw.Step()
-		}
-		if nw.Busy() {
-			t.Fatal("post-skip traffic did not drain")
-		}
-		if err := nw.Check(); err != nil {
-			t.Fatal(err)
-		}
-		return delivered, lastAt
-	}
-	sd, sa := inject(stepped)
-	kd, ka := inject(skipped)
-	if sd != kd || sa != ka {
-		t.Errorf("post-span traffic diverged: stepped %d msgs last at %d, skipped %d msgs last at %d", sd, sa, kd, ka)
-	}
 }

@@ -28,12 +28,4 @@ func (nw *Network) PublishTelemetry(reg *telemetry.Registry) {
 	reg.GaugeFunc("net/latency_mean", func() float64 { return nw.latency.Mean() })
 	reg.GaugeFunc("net/net_latency_mean", func() float64 { return nw.netLatency.Mean() })
 	reg.GaugeFunc("net/hops_mean", func() float64 { return nw.hops.Mean() })
-	reg.GaugeFunc("net/fault_stall_cycles", func() float64 { return float64(nw.faultStalls.Value()) })
-	// The fault model is an interface; publish through it when the
-	// concrete model (faults.LinkFaults) supports telemetry.
-	if pub, ok := nw.cfg.Faults.(interface {
-		PublishTelemetry(*telemetry.Registry)
-	}); ok {
-		pub.PublishTelemetry(reg)
-	}
 }

@@ -41,8 +41,8 @@ type BottleneckReport struct {
 	Attributed float64 `json:"attributed_cycles"`
 	// Items is ranked by Share, largest first.
 	Items []Bottleneck `json:"items"`
-	// Notes are auxiliary observations (skip ratio, fault downtime)
-	// that contextualize the ranking.
+	// Notes are auxiliary observations (the kernel's skip ratio) that
+	// contextualize the ranking.
 	Notes []string `json:"notes,omitempty"`
 }
 
@@ -153,12 +153,6 @@ func AnalyzeBottlenecks(metrics []telemetry.Metric) *BottleneckReport {
 
 	if v, ok := idx.value("kernel/skip_ratio"); ok {
 		rep.Notes = append(rep.Notes, fmt.Sprintf("event kernel skipped %.0f%% of machine cycles", v*100))
-	}
-	if v, ok := idx.value("faults/link_down_cycles"); ok && v > 0 {
-		rep.Notes = append(rep.Notes, fmt.Sprintf("links spent %.3g cycle-units down to injected faults", v))
-	}
-	if v, ok := idx.value("proto/retries"); ok && v > 0 {
-		rep.Notes = append(rep.Notes, fmt.Sprintf("%.0f protocol retries (loss recovery in the critical path)", v))
 	}
 	return rep
 }

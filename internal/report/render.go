@@ -209,28 +209,6 @@ func RenderUCLvsNUCL(w io.Writer, rows []experiments.UCLvsNUCLRow) {
 	t.Render(w)
 }
 
-// RenderDegradation prints the degradation table. Failed cells keep
-// their row with the error in the last column.
-func RenderDegradation(w io.Writer, rows []experiments.DegradationRow) {
-	t := Table{
-		Title:  "== Graceful degradation under injected faults (message loss + retry recovery)",
-		Header: []string{"loss rate", "Tm", "Tt", "tt", "util", "retries", "home retries", "dropped", "fault cycles", "rel perf", "error"},
-	}
-	for _, r := range rows {
-		if r.Err != "" {
-			t.Rows = append(t.Rows, row(fmt.Sprintf("%.3g", r.Rate), "-", "-", "-", "-", "-", "-", "-", "-", "-", r.Err))
-			continue
-		}
-		t.Rows = append(t.Rows, row(
-			fmt.Sprintf("%.3g", r.Rate), fmt.Sprintf("%.1f", r.Tm), fmt.Sprintf("%.1f", r.Tt),
-			fmt.Sprintf("%.1f", r.InterTxnTime), fmt.Sprintf("%.3f", r.Utilization),
-			fmt.Sprintf("%d", r.Retries), fmt.Sprintf("%d", r.HomeRetries),
-			fmt.Sprintf("%d", r.Dropped), fmt.Sprintf("%d", r.LinkFaultCycles),
-			fmt.Sprintf("%.3f", r.RelPerf), ""))
-	}
-	t.Render(w)
-}
-
 // RenderReplayFit prints the trace-replay fitting study: the trace
 // provenance, the recovered application parameters, and the replayed
 // mapping sweep with the model's predictions at each point.

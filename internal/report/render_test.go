@@ -153,19 +153,6 @@ func TestRenderGainSim(t *testing.T) {
 	}
 }
 
-func TestRenderDegradation(t *testing.T) {
-	rows := []experiments.DegradationRow{
-		{Rate: 0, Tm: 30, Tt: 60, InterTxnTime: 50, RelPerf: 1},
-		{Rate: 0.5, Err: "machine stalled"},
-	}
-	var buf bytes.Buffer
-	RenderDegradation(&buf, rows)
-	out := buf.String()
-	if !strings.Contains(out, "Graceful degradation") || !strings.Contains(out, "machine stalled") {
-		t.Errorf("rendering incomplete:\n%s", out)
-	}
-}
-
 func TestRenderReplayFit(t *testing.T) {
 	var buf bytes.Buffer
 	RenderReplayFit(&buf, fakeReplayFit())

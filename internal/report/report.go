@@ -117,26 +117,6 @@ func WriteTable1CSV(w io.Writer, rows []experiments.Table1Row) error {
 	return writeAll(w, out)
 }
 
-// WriteDegradationCSV exports the fault-injection degradation sweep.
-// Failed cells keep their row with the error in the last column.
-func WriteDegradationCSV(w io.Writer, rows []experiments.DegradationRow) error {
-	out := [][]string{{
-		"rate", "spec", "Tm", "Tt", "tt", "utilization", "transactions",
-		"retries", "home_retries", "dropped", "link_fault_cycles", "rel_perf", "error",
-	}}
-	for _, r := range rows {
-		out = append(out, []string{
-			format(r.Rate), r.Spec, format(r.Tm), format(r.Tt),
-			format(r.InterTxnTime), format(r.Utilization),
-			strconv.FormatInt(r.Transactions, 10),
-			strconv.FormatInt(r.Retries, 10), strconv.FormatInt(r.HomeRetries, 10),
-			strconv.FormatInt(r.Dropped, 10), strconv.FormatInt(r.LinkFaultCycles, 10),
-			format(r.RelPerf), r.Err,
-		})
-	}
-	return writeAll(w, out)
-}
-
 // WriteUCLvsNUCLCSV exports the organization comparison.
 func WriteUCLvsNUCLCSV(w io.Writer, rows []experiments.UCLvsNUCLRow) error {
 	out := [][]string{{"N", "Tm_torus_ideal", "Tm_torus_random", "Tm_indirect", "rel_random", "rel_indirect"}}

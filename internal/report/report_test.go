@@ -145,37 +145,6 @@ func TestWriteUCLvsNUCLCSV(t *testing.T) {
 	}
 }
 
-func TestWriteDegradationCSV(t *testing.T) {
-	rows := []experiments.DegradationRow{
-		{Rate: 0, Spec: "", Tm: 30.5, Tt: 62, InterTxnTime: 51, Utilization: 0.1,
-			Transactions: 900, RelPerf: 1},
-		{Rate: 0.05, Spec: "seed=1,loss=0.05,mttf=1000", Tm: 44, Tt: 80, InterTxnTime: 60,
-			Utilization: 0.12, Transactions: 760, Retries: 31, HomeRetries: 4,
-			Dropped: 120, LinkFaultCycles: 5000, RelPerf: 0.85},
-		{Rate: 1, Spec: "seed=1,loss=1", Err: "faults: protocol stalled at cycle 9000"},
-	}
-	var buf bytes.Buffer
-	if err := WriteDegradationCSV(&buf, rows); err != nil {
-		t.Fatal(err)
-	}
-	parsed := parseCSV(t, &buf)
-	if len(parsed) != len(rows)+1 {
-		t.Fatalf("degradation csv rows = %d, want %d", len(parsed), len(rows)+1)
-	}
-	header := parsed[0]
-	if header[0] != "rate" || header[len(header)-1] != "error" {
-		t.Errorf("unexpected header %v", header)
-	}
-	for i, rec := range parsed[1:] {
-		if len(rec) != len(header) {
-			t.Errorf("row %d has %d fields, header has %d", i, len(rec), len(header))
-		}
-	}
-	if parsed[3][len(header)-1] == "" {
-		t.Error("failed cell lost its error message")
-	}
-}
-
 func fakeReplayFit() *experiments.ReplayFit {
 	return &experiments.ReplayFit{
 		Header: replay.Header{Radix: 4, Dims: 2, Contexts: 2, LineSize: 16,

@@ -78,25 +78,33 @@ func TestSolveEndpointMatchesDirectSolve(t *testing.T) {
 
 func TestSolveEndpointRejectsBadRequests(t *testing.T) {
 	s := startServer(t, Config{})
-	url := "http://" + s.Addr() + "/v1/solve"
+	base := "http://" + s.Addr()
 	preset := func(n int) string { return `{"preset":"` + strings.Repeat("x", n) + `"}` }
 	for _, c := range []struct {
-		name, method, body string
-		status             int
-		errHas             string
+		name, method, path, body string
+		status                   int
+		errHas                   string
 	}{
-		{"unknown preset", http.MethodPost, `{"preset":"cm5"}`, http.StatusBadRequest, "preset"},
-		{"negative contexts", http.MethodPost, `{"contexts":-3}`, http.StatusBadRequest, "contexts"},
-		{"GET", http.MethodGet, "", http.StatusMethodNotAllowed, "POST"},
+		{"unknown preset", http.MethodPost, "/v1/solve", `{"preset":"cm5"}`, http.StatusBadRequest, "preset"},
+		{"negative contexts", http.MethodPost, "/v1/solve", `{"contexts":-3}`, http.StatusBadRequest, "contexts"},
+		{"GET", http.MethodGet, "/v1/solve", "", http.StatusMethodNotAllowed, "POST"},
 		// Just over the cap, so the client finishes writing before the
 		// server closes the connection.
-		{"oversized body", http.MethodPost, preset(maxBodyBytes), http.StatusRequestEntityTooLarge, "too large"},
-		{"trailing data", http.MethodPost, `{"contexts":2} trailing garbage`, http.StatusBadRequest, "trailing"},
-		{"second value", http.MethodPost, `{"contexts":2} {}`, http.StatusBadRequest, "trailing"},
-		{"long unknown preset", http.MethodPost, preset(100_000), http.StatusBadRequest, "preset"},
+		{"oversized body", http.MethodPost, "/v1/solve", preset(maxBodyBytes), http.StatusRequestEntityTooLarge, "too large"},
+		{"trailing data", http.MethodPost, "/v1/solve", `{"contexts":2} trailing garbage`, http.StatusBadRequest, "trailing"},
+		{"second value", http.MethodPost, "/v1/solve", `{"contexts":2} {}`, http.StatusBadRequest, "trailing"},
+		{"long unknown preset", http.MethodPost, "/v1/solve", preset(100_000), http.StatusBadRequest, "preset"},
+		// A misspelt field would otherwise be ignored and the query
+		// solved at the default distance.
+		{"unknown field", http.MethodPost, "/v1/solve", `{"contexts":4,"dd":2.5}`, http.StatusBadRequest, `unknown field "dd"`},
+		// A sweep asking for the retired fault injection is refused
+		// rather than run fault-free.
+		{"retired sweep field", http.MethodPost, "/v1/sweep",
+			`{"k":4,"n":2,"contexts":[1],"mappings":"identity","window":100,"fault_rate":0.01}`,
+			http.StatusBadRequest, `unknown field "fault_rate"`},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			req, err := http.NewRequest(c.method, url, strings.NewReader(c.body))
+			req, err := http.NewRequest(c.method, base+c.path, strings.NewReader(c.body))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -160,15 +160,18 @@ func writeError(w http.ResponseWriter, status int, err error) {
 const maxBodyBytes = 1 << 20
 
 // decodePost enforces POST + a single JSON value of at most
-// maxBodyBytes as the body on the /v1 endpoints: 405 for another
-// method, 413 for a longer body, 400 for a malformed one or trailing
-// data after the value.
+// maxBodyBytes as the body on the /v1 endpoints and the worker's /run:
+// 405 for another method, 413 for a longer body, 400 for a malformed
+// one, a field v does not have, or trailing data after the value. A
+// misspelt or retired field would otherwise be ignored silently and
+// the request answered with defaults.
 func decodePost(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST with a JSON body"))
 		return false
 	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
 	err := dec.Decode(v)
 	if err == nil {
 		if _, err = dec.Token(); err == io.EOF {

@@ -152,7 +152,7 @@ func (w *Worker) heartbeatLoop(ctx context.Context, advertise string) {
 }
 
 // grid parses a chunk's spec, memoizing per distinct spec so a sweep's
-// many chunks share one parsed grid (topology, mappings, fault spec).
+// many chunks share one parsed grid (topology, mappings, kernel).
 func (w *Worker) grid(spec sweepgrid.Spec) (*sweepgrid.Grid, error) {
 	key, err := json.Marshal(spec)
 	if err != nil {

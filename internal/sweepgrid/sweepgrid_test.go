@@ -35,20 +35,6 @@ func TestGridOrderIsContextsMajor(t *testing.T) {
 	}
 }
 
-func TestGridHeaderTracksFaultColumns(t *testing.T) {
-	plain := mustGrid(t, Spec{Radix: 4, Dims: 2, Contexts: []int{1}, Mappings: "identity", Warmup: 1, Window: 1, Ratio: 2})
-	if got := strings.Join(plain.Header(), ","); strings.Contains(got, "retries") {
-		t.Errorf("fault-free header contains fault columns: %s", got)
-	}
-	faulty := mustGrid(t, Spec{
-		Radix: 4, Dims: 2, Contexts: []int{1}, Mappings: "identity",
-		Warmup: 1, Window: 1, Ratio: 2, FaultRate: 0.01,
-	})
-	if got := strings.Join(faulty.Header(), ","); !strings.HasSuffix(got, "retries,home_retries,dropped,fault_cycles") {
-		t.Errorf("fault header missing accounting columns: %s", got)
-	}
-}
-
 func TestGridRunRowDeterministic(t *testing.T) {
 	spec := Spec{
 		Radix: 4, Dims: 2, Contexts: []int{1}, Mappings: "identity",
@@ -96,6 +82,7 @@ func TestGridSpecValidation(t *testing.T) {
 		{Radix: 4, Dims: 2, Contexts: []int{1}, Mappings: "identity"},                            // no window
 		{Radix: 4, Dims: 2, Contexts: []int{1}, Mappings: "nosuch", Window: 1},                   // bad selector
 		{Radix: 4, Dims: 2, Contexts: []int{1}, Mappings: "identity", Window: 1, Kernel: "warp"}, // bad kernel
+		{Radix: 4, Dims: 2, Contexts: []int{1}, Mappings: "identity", Window: 1, Watchdog: -5},   // negative watchdog
 	}
 	for i, spec := range bad {
 		if _, err := New(spec); err == nil {

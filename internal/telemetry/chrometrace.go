@@ -21,9 +21,9 @@ import (
 //     transaction-complete spans reconstructed from their recorded
 //     latency, and instant markers for context switches and evictions.
 //
-// Sends whose delivery fell outside the retained ring (or was lost to
-// an injected fault) render as instant markers rather than spans, so a
-// truncated or lossy trace still loads.
+// Sends whose delivery fell outside the retained ring (or after the
+// run ended) render as instant markers rather than spans, so a
+// truncated trace still loads.
 
 // chromeEvent is one Trace Event Format entry.
 type chromeEvent struct {
@@ -125,8 +125,8 @@ func WriteChromeTrace(w io.Writer, events []trace.Event) error {
 			})
 		}
 	}
-	// Sends never matched (delivery outside the ring, or dropped by an
-	// injected fault) become instants so they are still visible.
+	// Sends never matched (delivery outside the ring, or still in
+	// flight at the end) become instants so they are still visible.
 	// Collected and sorted so the export is deterministic despite the
 	// map-keyed matching state.
 	var leftovers []trace.Event

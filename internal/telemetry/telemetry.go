@@ -1,6 +1,6 @@
 // Package telemetry is the simulator's observability layer: a metrics
 // registry the simulation substrates (machine, procsim, cohsim,
-// netsim, faults) publish into, time-sliced interval sampling, and a
+// netsim) publish into, time-sliced interval sampling, and a
 // Chrome trace-event exporter.
 //
 // The registry is built for a single-threaded simulation hot path:
