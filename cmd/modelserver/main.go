@@ -1,10 +1,10 @@
 // Command modelserver serves the analytic combined model over
 // HTTP/JSON: point queries (/v1/solve, /v1/gain, /v1/sensitivity)
 // answered inline, /v1/solve through a coalescing batcher and a bounded
-// solve cache, and grid queries (/v1/sweep) fanned out one cell at a
-// time to registered modelworker processes — or run locally when none
-// are registered. Observability rides along on /metrics (Prometheus),
-// /statusz, and /healthz.
+// solve cache, and grid queries (/v1/sweep) run in-process on
+// GOMAXPROCS experiment-engine workers, as cmd/sweep runs them, with
+// the CSV streamed back. Observability rides along on /metrics
+// (Prometheus), /statusz, and /healthz.
 //
 //	modelserver -addr :8090 -ledger runs.jsonl
 //
@@ -14,7 +14,8 @@
 //	    "mappings":"identity,random:1","warmup":500,"window":1000}'
 //
 // The process runs until SIGINT/SIGTERM, then flushes one latency row
-// per request class (count, p50, p99) to the ledger.
+// per request class (count, p50, p99) to the ledger. It exits 1 if any
+// ledger append failed.
 package main
 
 import (
@@ -32,16 +33,12 @@ func main() {
 	addr := flag.String("addr", ":8090", "listen address")
 	ledger := flag.String("ledger", "", "append per-class latency rows to this JSONL run ledger on shutdown")
 	window := flag.Duration("batch-window", 2*time.Millisecond, "point-query micro-batch window (0 disables)")
-	stale := flag.Duration("stale-after", 10*time.Second, "mark workers dead after this heartbeat silence")
-	localWorkers := flag.Int("local-workers", 1, "goroutines for sweeps when no workers are registered")
 	flag.Parse()
 
 	cfg := serve.Config{
-		Addr:         *addr,
-		Ledger:       *ledger,
-		BatchWindow:  *window,
-		StaleAfter:   *stale,
-		LocalWorkers: *localWorkers,
+		Addr:        *addr,
+		Ledger:      *ledger,
+		BatchWindow: *window,
 	}
 	if *window == 0 {
 		cfg.BatchWindow = -1 // serve.Config uses negative for "disabled"
@@ -58,7 +55,7 @@ func main() {
 	<-sig
 	fmt.Println("modelserver: shutting down")
 	if err := s.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(os.Stderr, "modelserver:", err)
 		os.Exit(1)
 	}
 }

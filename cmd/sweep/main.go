@@ -11,9 +11,9 @@
 // rt, utilization.
 //
 // The grid definition, cell configuration, and row formatting live in
-// internal/sweepgrid, shared with the model-serving /v1/sweep endpoint
-// and its remote workers — the same grid produces byte-identical rows
-// from any of them.
+// internal/sweepgrid, shared with the model-serving /v1/sweep endpoint,
+// which runs the cells on the same engine — the same grid produces
+// byte-identical rows from either.
 //
 // Cells run on -workers goroutines (default GOMAXPROCS) through the
 // experiment engine; rows are still emitted in grid order, so the CSV
@@ -57,6 +57,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/csv"
 	"errors"
@@ -209,11 +210,17 @@ func rowKey(mappingName, contexts string) string {
 // are accepted). The CSV header must match the current invocation's
 // exactly: a mismatch means the old rows have other columns, such as
 // the fault-accounting columns earlier builds wrote, and are not
-// comparable. A row cut off mid-write by
-// the interruption — or anything after it — is dropped; completed rows
-// are returned keyed by rowKey, later duplicates winning.
+// comparable. Only lines ended by a newline count: a row the
+// interruption cut off, even inside its last field, is dropped, as is
+// anything after a malformed row. Completed rows are returned keyed by
+// rowKey, later duplicates winning.
 func resumeRows(r io.Reader, g *sweepgrid.Grid) (map[string][]string, error) {
-	br := bufio.NewReader(r)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("reading resume file: %w", err)
+	}
+	data = data[:bytes.LastIndexByte(data, '\n')+1]
+	br := bufio.NewReader(bytes.NewReader(data))
 	if peek, _ := br.Peek(1); len(peek) == 1 && peek[0] == '#' {
 		line, err := br.ReadString('\n')
 		if err != nil && !errors.Is(err, io.EOF) {

@@ -56,20 +56,25 @@ func TestResumeRowsParsesPartialOutput(t *testing.T) {
 }
 
 func TestResumeRowsDropsTrailingGarbage(t *testing.T) {
-	// A crash can leave a final line with an unterminated quote; rows
-	// before it must survive, the garbage must not.
-	csv := strings.Join(testHeader, ",") + "\n" +
-		"identity,1,1,false,11.9,3.2,21.4,0.046,12.8,34.4,35.1,0.0285,0.138\n" +
-		`random:1,2.5,1,false,"11.9`
-	rows, err := resumeRows(strings.NewReader(csv), testGrid(t, "event"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := rows[rowKey("identity", "1")]; !ok {
-		t.Error("row before the torn tail was dropped")
-	}
-	if _, ok := rows[rowKey("random:1", "1")]; ok {
-		t.Error("torn trailing row was indexed")
+	// A crash can leave a final line with an unterminated quote, or cut
+	// a row inside its last field so that it still has full width; rows
+	// before it must survive, the torn tail must not.
+	for _, tail := range []string{
+		`random:1,2.5,1,false,"11.9`,
+		"random:1,2.5,1,false,11.9,3.2,21.4,0.046,12.8,34.4,35.1,0.0285,0.",
+	} {
+		csv := strings.Join(testHeader, ",") + "\n" +
+			"identity,1,1,false,11.9,3.2,21.4,0.046,12.8,34.4,35.1,0.0285,0.138\n" + tail
+		rows, err := resumeRows(strings.NewReader(csv), testGrid(t, "event"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := rows[rowKey("identity", "1")]; !ok {
+			t.Errorf("tail %q: row before the torn tail was dropped", tail)
+		}
+		if _, ok := rows[rowKey("random:1", "1")]; ok {
+			t.Errorf("tail %q: torn trailing row was indexed", tail)
+		}
 	}
 }
 

@@ -2,11 +2,10 @@
 // HTTP/JSON front end over the analytic combined model. Point queries
 // (/v1/solve, /v1/gain, /v1/sensitivity) are answered inline, /v1/solve
 // through a request-coalescing batcher over a bounded core.SolveCache;
-// grid queries (/v1/sweep) fan out one cell at a time to registered
-// modelworker processes, with a local-goroutine fallback so a lone
-// modelserver still answers everything. The server exposes the obs endpoints (/metrics,
-// /statusz, /healthz) and appends per-request-class rows to the JSONL
-// run ledger.
+// grid queries (/v1/sweep) run their cells on the experiment engine,
+// as cmd/sweep does, and stream the CSV back. The server exposes the
+// obs endpoints (/metrics, /statusz, /healthz) and appends
+// per-request-class rows to the JSONL run ledger.
 package serve
 
 import (
@@ -137,28 +136,6 @@ type SensitivityResponse struct {
 // grid order — byte-identical to cmd/sweep run on the same grid.
 type SweepRequest struct {
 	sweepgrid.Spec
-}
-
-// workerRegistration is the /v1/workers/register and heartbeat body.
-type workerRegistration struct {
-	ID string `json:"id"`
-	// Addr is the worker's reachable base URL ("http://host:port"),
-	// required on register, ignored on heartbeat.
-	Addr string `json:"addr,omitempty"`
-}
-
-// runChunkRequest is what the server POSTs to a worker's /run: the
-// full grid spec and the half-open cell range [Start, Start+Count) to
-// execute.
-type runChunkRequest struct {
-	Spec  sweepgrid.Spec `json:"spec"`
-	Start int            `json:"start"`
-	Count int            `json:"count"`
-}
-
-// runChunkResponse carries the chunk's CSV rows in cell order.
-type runChunkResponse struct {
-	Rows [][]string `json:"rows"`
 }
 
 // errorResponse is every endpoint's failure body.

@@ -77,8 +77,7 @@ func (c *classMetrics) histStat() telemetry.HistStat {
 }
 
 // renderMetrics assembles the server's full metric export — request
-// classes, solve cache, batcher, sweep dispatcher, worker registry —
-// as a sorted []telemetry.Metric for the Prometheus exposition. The
+// classes, solve cache, batcher, sweeps — as a sorted []telemetry.Metric for the Prometheus exposition. The
 // bridge publishes this snapshot on every /metrics scrape.
 func (s *Server) renderMetrics() []telemetry.Metric {
 	var ms []telemetry.Metric
@@ -112,15 +111,8 @@ func (s *Server) renderMetrics() []telemetry.Metric {
 	counter("serve/batches", s.batcher.batches.Load())
 	counter("serve/batch_coalesced", s.batcher.coalesced.Load())
 
-	counter("serve/sweeps", s.sweepStats.sweeps.Load())
-	counter("serve/sweep_rows", s.sweepStats.rows.Load())
-	counter("serve/sweep_chunks", s.sweepStats.chunks.Load())
-	counter("serve/sweep_requeues", s.sweepStats.requeues.Load())
-	counter("serve/sweep_worker_deaths", s.sweepStats.workerDeaths.Load())
-
-	all, stale := s.workers.snapshot()
-	gauge("serve/workers_registered", float64(len(all)))
-	gauge("serve/workers_stale", float64(len(stale)))
+	counter("serve/sweeps", s.sweeps.Load())
+	counter("serve/sweep_rows", s.sweepRows.Load())
 
 	sort.Slice(ms, func(i, j int) bool { return ms[i].Name < ms[j].Name })
 	return ms

@@ -1,15 +1,16 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -102,6 +103,10 @@ func TestSolveEndpointRejectsBadRequests(t *testing.T) {
 		{"retired sweep field", http.MethodPost, "/v1/sweep",
 			`{"k":4,"n":2,"contexts":[1],"mappings":"identity","window":100,"fault_rate":0.01}`,
 			http.StatusBadRequest, `unknown field "fault_rate"`},
+		// Refused up front, not run as one error row per cell.
+		{"negative sweep ratio", http.MethodPost, "/v1/sweep",
+			`{"k":4,"n":2,"contexts":[1],"mappings":"identity","window":100,"ratio":-1}`,
+			http.StatusBadRequest, "clock ratio -1"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			req, err := http.NewRequest(c.method, base+c.path, strings.NewReader(c.body))
@@ -239,11 +244,11 @@ func localCSV(t *testing.T, spec sweepgrid.Spec) string {
 	b.WriteString(strings.Join(g.Header(), ","))
 	b.WriteString("\n")
 	for i := 0; i < g.Len(); i++ {
-		row, err := g.RunRow(context.Background(), i)
+		met, err := g.Run(context.Background(), i)
 		if err != nil {
-			t.Fatalf("RunRow(%d): %v", i, err)
+			t.Fatalf("Run(%d): %v", i, err)
 		}
-		b.WriteString(strings.Join(row, ","))
+		b.WriteString(strings.Join(g.FormatRow(i, met), ","))
 		b.WriteString("\n")
 	}
 	return b.String()
@@ -267,313 +272,67 @@ func postSweep(t *testing.T, base string, req SweepRequest) (string, int) {
 	return string(body), resp.StatusCode
 }
 
-// TestSweepLocalFallbackMatchesDirectRun: no workers registered, so the
-// sweep runs on the local fallback and must stream byte-identical CSV
-// whether one goroutine runs every cell or four race for them.
-func TestSweepLocalFallbackMatchesDirectRun(t *testing.T) {
-	want := localCSV(t, testSweepSpec())
-	for _, workers := range []int{1, 4} {
-		s := startServer(t, Config{LocalWorkers: workers})
-		got, status := postSweep(t, "http://"+s.Addr(), SweepRequest{Spec: testSweepSpec()})
-		if status != http.StatusOK {
-			t.Fatalf("%d local workers: status = %d: %s", workers, status, got)
-		}
-		if got != want {
-			t.Errorf("%d local workers: served sweep differs from direct run\nserved:\n%s\ndirect:\n%s", workers, got, want)
-		}
-	}
-}
-
-// startWorkers spins up n in-process workers registered with s.
-func startWorkers(t *testing.T, s *Server, n int) []*Worker {
-	t.Helper()
-	workers := make([]*Worker, n)
-	for i := range workers {
-		w := NewWorker(fmt.Sprintf("w%d", i), "http://"+s.Addr())
-		w.HeartbeatEvery = 100 * time.Millisecond
-		if err := w.Start("127.0.0.1:0", ""); err != nil {
-			t.Fatalf("worker %d start: %v", i, err)
-		}
-		t.Cleanup(func() { w.Close() })
-		workers[i] = w
-	}
-	return workers
-}
-
-// TestSweepDistributedMatchesDirectRun: two remote workers must stream
-// the exact bytes a local cmd/sweep-style run produces.
-func TestSweepDistributedMatchesDirectRun(t *testing.T) {
+// TestSweepMatchesDirectRun: the served sweep streams the bytes a
+// direct run of the same grid produces.
+func TestSweepMatchesDirectRun(t *testing.T) {
 	s := startServer(t, Config{})
-	startWorkers(t, s, 2)
-	want := localCSV(t, testSweepSpec())
 	got, status := postSweep(t, "http://"+s.Addr(), SweepRequest{Spec: testSweepSpec()})
 	if status != http.StatusOK {
 		t.Fatalf("status = %d: %s", status, got)
 	}
-	if got != want {
-		t.Errorf("distributed sweep differs from direct run\nserved:\n%s\ndirect:\n%s", got, want)
-	}
-	if st := s.sweepStats.chunks.Load(); st == 0 {
-		t.Fatalf("no chunks dispatched through remote workers")
+	if want := localCSV(t, testSweepSpec()); got != want {
+		t.Errorf("served sweep differs from direct run\nserved:\n%s\ndirect:\n%s", got, want)
 	}
 }
 
-// deadRunner fails every chunk, standing in for a worker killed
-// mid-sweep. It closes gate (when set) on its first run call so a test
-// can hold other runners back until the death has provably happened.
-type deadRunner struct {
-	name string
-	gate chan struct{}
-	once sync.Once
-}
-
-func (d *deadRunner) id() string { return d.name }
-func (d *deadRunner) run(context.Context, sweepgrid.Spec, int) ([]string, error) {
-	if d.gate != nil {
-		d.once.Do(func() { close(d.gate) })
-	}
-	return nil, fmt.Errorf("worker %s: connection refused", d.name)
-}
-
-// gatedRunner delegates to inner only once gate closes. On a
-// single-CPU host one runner could otherwise drain the whole grid
-// before another ever runs, which would make a worker-death test
-// vacuous.
-type gatedRunner struct {
-	inner cellRunner
-	gate  chan struct{}
-}
-
-func (r *gatedRunner) id() string { return r.inner.id() }
-func (r *gatedRunner) run(ctx context.Context, spec sweepgrid.Spec, cell int) ([]string, error) {
-	select {
-	case <-r.gate:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	return r.inner.run(ctx, spec, cell)
-}
-
-// TestSweepSurvivesWorkerDeath: one healthy runner plus one that dies
-// on its first cell — the dead runner's cell requeues and the sweep
-// still completes byte-identically.
-func TestSweepSurvivesWorkerDeath(t *testing.T) {
+// TestSweepClientDisconnectEndsSweep: a client that reads the first row
+// and hangs up ends the sweep. The handler cancels the cells still
+// running, returns and records a failed sweep request long before the
+// grid could have finished.
+func TestSweepClientDisconnectEndsSweep(t *testing.T) {
 	s := startServer(t, Config{})
 	spec := testSweepSpec()
-	g, err := sweepgrid.New(spec)
+	spec.Mappings = "identity"
+	spec.Contexts = make([]int, 400)
+	for i := range spec.Contexts {
+		spec.Contexts[i] = 1
+	}
+	spec.Warmup, spec.Window = 0, 20000
+	body, err := json.Marshal(SweepRequest{Spec: spec})
 	if err != nil {
-		t.Fatalf("sweepgrid.New: %v", err)
+		t.Fatal(err)
 	}
-	gate := make(chan struct{})
-	runners := []cellRunner{
-		&deadRunner{name: "doomed", gate: gate},
-		&gatedRunner{inner: &localRunner{wid: "healthy", g: g}, gate: gate},
-	}
-	var got bytes.Buffer
-	emit := func(row []string) error {
-		got.WriteString(strings.Join(row, ","))
-		got.WriteString("\n")
-		return nil
-	}
-	failed, err := s.dispatch(context.Background(), g, runners, emit)
+
+	t0 := time.Now()
+	resp, err := http.Post("http://"+s.Addr()+"/v1/sweep", "application/json", bytes.NewReader(body))
 	if err != nil {
-		t.Fatalf("dispatch: %v", err)
+		t.Fatalf("POST /v1/sweep: %v", err)
 	}
-	if failed != 0 {
-		t.Fatalf("failed rows = %d", failed)
-	}
-	var want strings.Builder
-	for i := 0; i < g.Len(); i++ {
-		row, err := g.RunRow(context.Background(), i)
-		if err != nil {
-			t.Fatalf("RunRow(%d): %v", i, err)
+	br := bufio.NewReader(resp.Body)
+	for _, what := range []string{"kernel comment", "header", "first row"} {
+		if _, err := br.ReadString('\n'); err != nil {
+			resp.Body.Close()
+			t.Fatalf("reading the %s: %v", what, err)
 		}
-		want.WriteString(strings.Join(row, ","))
-		want.WriteString("\n")
 	}
-	if got.String() != want.String() {
-		t.Fatalf("rows after worker death differ\ngot:\n%s\nwant:\n%s", got.String(), want.String())
-	}
-	if s.sweepStats.workerDeaths.Load() == 0 || s.sweepStats.requeues.Load() == 0 {
-		t.Fatalf("death/requeue counters not advanced: deaths=%d requeues=%d",
-			s.sweepStats.workerDeaths.Load(), s.sweepStats.requeues.Load())
-	}
-}
+	firstRow := time.Since(t0)
+	// Closing an unread body closes the connection.
+	resp.Body.Close()
+	left := time.Now()
 
-// TestSweepAllWorkersDeadRescuesLocally: every runner dies; the
-// dispatcher must spawn the local rescue and finish.
-func TestSweepAllWorkersDeadRescuesLocally(t *testing.T) {
-	s := startServer(t, Config{})
-	spec := testSweepSpec()
-	g, err := sweepgrid.New(spec)
-	if err != nil {
-		t.Fatalf("sweepgrid.New: %v", err)
-	}
-	runners := []cellRunner{&deadRunner{name: "d0"}, &deadRunner{name: "d1"}}
-	rows := 0
-	failed, err := s.dispatch(context.Background(), g, runners, func([]string) error {
-		rows++
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("dispatch: %v", err)
-	}
-	if failed != 0 || rows != g.Len() {
-		t.Fatalf("rows = %d (failed %d), want %d clean rows", rows, failed, g.Len())
-	}
-}
-
-func TestSweepCursorPartitionsExactly(t *testing.T) {
-	// However many runners race for cells, every cell of [0, total) is
-	// handed out exactly once and the cursor finishes.
-	for _, total := range []int{0, 1, 7, 27, 100} {
-		for _, workers := range []int{1, 2, 4} {
-			c := &cursor{total: total}
-			taken := make([]atomic.Int32, total)
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						cell, ok := c.take()
-						if !ok {
-							return
-						}
-						if cell < 0 || cell >= total {
-							t.Errorf("N=%d P=%d: cell %d out of range", total, workers, cell)
-							return
-						}
-						taken[cell].Add(1)
-						c.record()
-					}
-				}()
-			}
-			wg.Wait()
-			for i := range taken {
-				if n := taken[i].Load(); n != 1 {
-					t.Errorf("N=%d P=%d: cell %d taken %d times", total, workers, i, n)
-				}
-			}
-			if !c.finished() {
-				t.Errorf("N=%d P=%d: not finished after a full drain", total, workers)
-			}
+	// The first row took at least one cell time, and the grid needs
+	// len(Contexts)/GOMAXPROCS of them; allow a tenth of that.
+	budget := firstRow * time.Duration(len(spec.Contexts)/runtime.GOMAXPROCS(0)) / 10
+	deadline := time.Now().Add(budget)
+	sweeps := s.classes["sweep"]
+	for sweeps.errors.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no failed sweep recorded %v after the client left (first row took %v, %d sweep requests recorded)",
+				budget, firstRow, sweeps.requests.Load())
 		}
+		time.Sleep(time.Millisecond)
 	}
-}
-
-func TestSweepCursorRequeueServesFirst(t *testing.T) {
-	c := &cursor{total: 10}
-	lost, _ := c.take() // taken by a runner that then dies
-	fresh, _ := c.take()
-	c.requeue(lost)
-	back, ok := c.take()
-	if !ok || back != lost {
-		t.Fatalf("requeued cell not served first: got %d ok=%v, want %d", back, ok, lost)
-	}
-	if back == fresh {
-		t.Fatal("requeued cell collided with a fresh one")
-	}
-	if next, _ := c.take(); next != fresh+1 {
-		t.Fatalf("fresh cells resumed at %d, want %d", next, fresh+1)
-	}
-}
-
-func TestSweepCursorReassemblyDeterminism(t *testing.T) {
-	// However the cells interleave across racing runners — one runner
-	// or four, with or without a runner that dies holding a cell —
-	// results reassembled by index are byte-identical.
-	render := func(workers int, withDeath bool) []byte {
-		const total = 500
-		c := &cursor{total: total}
-		out := make([]int, total)
-		deadline := time.Now().Add(10 * time.Second)
-		var wg sync.WaitGroup
-		runner := func(dies bool) {
-			defer wg.Done()
-			for {
-				cell, ok := c.take()
-				if !ok {
-					if c.finished() || time.Now().After(deadline) {
-						return
-					}
-					// A dying runner may still hand its cell back.
-					time.Sleep(time.Millisecond)
-					continue
-				}
-				if dies {
-					c.requeue(cell)
-					return
-				}
-				out[cell] = cell * cell
-				c.record()
-			}
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go runner(false)
-		}
-		if withDeath {
-			wg.Add(1)
-			go runner(true)
-		}
-		wg.Wait()
-		if !c.finished() {
-			t.Fatalf("P=%d death=%v: drain did not complete", workers, withDeath)
-		}
-		var buf bytes.Buffer
-		for i, v := range out {
-			fmt.Fprintf(&buf, "%d,%d\n", i, v)
-		}
-		return buf.Bytes()
-	}
-
-	want := render(1, false)
-	for _, workers := range []int{1, 2, 4} {
-		for _, withDeath := range []bool{false, true} {
-			if got := render(workers, withDeath); !bytes.Equal(got, want) {
-				t.Errorf("%d runners (death=%v) produced different bytes", workers, withDeath)
-			}
-		}
-	}
-}
-
-func TestSweepCursorFinishedOnlyAfterEveryRecord(t *testing.T) {
-	const total = 5
-	c := &cursor{total: total}
-	var cells []int
-	for {
-		cell, ok := c.take()
-		if !ok {
-			break
-		}
-		cells = append(cells, cell)
-	}
-	if len(cells) != total {
-		t.Fatalf("took %d cells, want %d", len(cells), total)
-	}
-	if c.finished() {
-		t.Fatal("finished with every cell taken but none recorded")
-	}
-	// A dead runner's cell must be taken and recorded again before the
-	// sweep counts as finished.
-	c.requeue(cells[0])
-	for range cells[1:] {
-		c.record()
-	}
-	if c.finished() {
-		t.Fatal("finished with a requeued cell outstanding")
-	}
-	if cell, ok := c.take(); !ok || cell != cells[0] {
-		t.Fatalf("retake = %d ok=%v, want the requeued cell %d", cell, ok, cells[0])
-	}
-	if c.finished() {
-		t.Fatal("finished before the retaken cell was recorded")
-	}
-	c.record()
-	if !c.finished() {
-		t.Fatal("not finished after every cell was recorded")
-	}
+	t.Logf("first row after %v; sweep ended %v after the client left (budget %v)", firstRow, time.Since(left), budget)
 }
 
 // TestClassLatencyHistogramsResolveTheirRange feeds each request class
@@ -651,61 +410,6 @@ func TestMetricsEndpointIsValidExposition(t *testing.T) {
 	}
 }
 
-// TestHealthzDegradesOnStaleWorker: a worker that registers and then
-// never heartbeats must flip /healthz to 503 once the staleness window
-// passes, and its removal restores 200.
-func TestHealthzDegradesOnStaleWorker(t *testing.T) {
-	s := startServer(t, Config{StaleAfter: 50 * time.Millisecond})
-	base := "http://" + s.Addr()
-
-	get := func() (int, obs.Health) {
-		resp, err := http.Get(base + "/healthz")
-		if err != nil {
-			t.Fatalf("GET /healthz: %v", err)
-		}
-		defer resp.Body.Close()
-		var h obs.Health
-		json.NewDecoder(resp.Body).Decode(&h)
-		return resp.StatusCode, h
-	}
-
-	if status, h := get(); status != http.StatusOK || !h.Healthy() {
-		t.Fatalf("empty registry: healthz = %d %+v, want 200 ok", status, h)
-	}
-	postJSON(t, base+"/v1/workers/register", workerRegistration{ID: "zombie", Addr: "http://127.0.0.1:1"}, nil)
-	if status, _ := get(); status != http.StatusOK {
-		t.Fatalf("fresh worker: healthz = %d, want 200", status)
-	}
-	time.Sleep(80 * time.Millisecond)
-	status, h := get()
-	if status != http.StatusServiceUnavailable {
-		t.Fatalf("stale worker: healthz = %d %+v, want 503", status, h)
-	}
-	if !strings.Contains(h.Reason, "zombie") {
-		t.Fatalf("healthz reason = %q, want the stale worker named", h.Reason)
-	}
-	s.workers.remove("zombie")
-	if status, _ := get(); status != http.StatusOK {
-		t.Fatalf("after removal: healthz = %d, want 200", status)
-	}
-}
-
-// TestHeartbeatKeepsWorkerFresh: a real worker's loop keeps it out of
-// the stale set well past the staleness window.
-func TestHeartbeatKeepsWorkerFresh(t *testing.T) {
-	s := startServer(t, Config{StaleAfter: 300 * time.Millisecond})
-	w := NewWorker("beater", "http://"+s.Addr())
-	w.HeartbeatEvery = 50 * time.Millisecond
-	if err := w.Start("127.0.0.1:0", ""); err != nil {
-		t.Fatalf("worker start: %v", err)
-	}
-	defer w.Close()
-	time.Sleep(600 * time.Millisecond)
-	if _, stale := s.workers.snapshot(); len(stale) != 0 {
-		t.Fatalf("heartbeating worker went stale: %v", stale)
-	}
-}
-
 func TestStatuszReportsState(t *testing.T) {
 	s := startServer(t, Config{BatchWindow: -1})
 	base := "http://" + s.Addr()
@@ -728,6 +432,14 @@ func TestStatuszReportsState(t *testing.T) {
 	}
 	if !st.Health.Healthy() {
 		t.Fatalf("statusz health = %+v", st.Health)
+	}
+	hz, err := http.Get(base + "/healthz")
+	if err != nil {
+		t.Fatalf("GET /healthz: %v", err)
+	}
+	hz.Body.Close()
+	if hz.StatusCode != http.StatusOK {
+		t.Fatalf("healthz = %d, want 200", hz.StatusCode)
 	}
 }
 
@@ -764,5 +476,17 @@ func TestServerWritesClassLedgerRows(t *testing.T) {
 	}
 	if _, ok := byLabel["class:sweep"]; ok {
 		t.Fatalf("class:sweep row written with zero sweep requests")
+	}
+}
+
+// TestCloseReportsLedgerErrors: a ledger that cannot be written fails
+// Close, naming the path, rather than losing its rows silently.
+func TestCloseReportsLedgerErrors(t *testing.T) {
+	ledger := t.TempDir() + "/missing/ledger.jsonl"
+	s := startServer(t, Config{BatchWindow: -1, Ledger: ledger})
+	postJSON(t, "http://"+s.Addr()+"/v1/solve", SolveRequest{ConfigSpec: ConfigSpec{Contexts: 2}}, nil)
+	err := s.Close()
+	if err == nil || !strings.Contains(err.Error(), ledger) {
+		t.Fatalf("Close = %v, want an error naming %s", err, ledger)
 	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/csv"
 	"encoding/json"
 	"errors"
@@ -10,9 +11,13 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"locality/internal/core"
+	"locality/internal/engine"
+	"locality/internal/machine"
 	"locality/internal/obs"
 	"locality/internal/sweepgrid"
 )
@@ -23,19 +28,12 @@ type Config struct {
 	// Addr is the listen address (":8090", "localhost:0", ...).
 	Addr string
 	// Ledger, when set, is the JSONL run-ledger path; the server
-	// appends one row per request class on Close and one row per
-	// completed sweep.
+	// appends one row per sweep and one row per request class on
+	// Close.
 	Ledger string
 	// BatchWindow bounds the point-query micro-batch window (default
 	// 2ms; negative disables batching delay).
 	BatchWindow time.Duration
-	// StaleAfter is how long a worker may go without a heartbeat
-	// before /healthz degrades and sweeps stop using it (default 10s).
-	StaleAfter time.Duration
-	// LocalWorkers is the goroutine count for the local sweep fallback
-	// when no remote workers are registered (default 1; sweeps are
-	// CPU-bound simulations, so more only helps on multicore hosts).
-	LocalWorkers int
 }
 
 // Server is the model-serving HTTP front end. Build with New, stop
@@ -44,12 +42,14 @@ type Server struct {
 	cfg     Config
 	cache   core.SolveCache // per server, so tests get isolated counters
 	batcher *batcher
-	workers *registry
 	classes map[string]*classMetrics
 	bridge  *obs.Bridge
 	start   time.Time
 
-	sweepStats sweepCounters
+	sweeps, sweepRows atomic.Int64
+
+	ledgerMu   sync.Mutex
+	ledgerErrs []error // failed ledger appends, returned by Close
 
 	ln  net.Listener
 	srv *http.Server
@@ -64,15 +64,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.BatchWindow < 0 {
 		cfg.BatchWindow = 0
 	}
-	if cfg.StaleAfter <= 0 {
-		cfg.StaleAfter = 10 * time.Second
-	}
-	if cfg.LocalWorkers <= 0 {
-		cfg.LocalWorkers = 1
-	}
 	s := &Server{
 		cfg:     cfg,
-		workers: newRegistry(cfg.StaleAfter),
 		classes: make(map[string]*classMetrics, len(requestClasses)),
 		bridge:  obs.NewBridge(),
 		start:   time.Now(),
@@ -92,8 +85,6 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("/v1/gain", s.handleGain)
 	mux.HandleFunc("/v1/sensitivity", s.handleSensitivity)
 	mux.HandleFunc("/v1/sweep", s.handleSweep)
-	mux.HandleFunc("/v1/workers/register", s.handleRegister)
-	mux.HandleFunc("/v1/workers/heartbeat", s.handleHeartbeat)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/statusz", s.handleStatusz)
 	mux.HandleFunc("/healthz", s.handleHealthz)
@@ -107,12 +98,25 @@ func New(cfg Config) (*Server, error) {
 // Addr returns the bound address ("127.0.0.1:43817").
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Close stops the server and flushes the per-request-class ledger
-// rows.
+// Close stops the server and appends the per-request-class ledger
+// rows. It returns the listener's error joined with every ledger
+// append that failed since New.
 func (s *Server) Close() error {
 	err := s.srv.Close()
 	s.appendClassLedger()
-	return err
+	s.ledgerMu.Lock()
+	defer s.ledgerMu.Unlock()
+	return errors.Join(append([]error{err}, s.ledgerErrs...)...)
+}
+
+// appendLedger appends rec to the run ledger. A failed append never
+// fails a request; Close reports it.
+func (s *Server) appendLedger(rec obs.RunRecord) {
+	if err := obs.AppendLedger(s.cfg.Ledger, rec); err != nil {
+		s.ledgerMu.Lock()
+		s.ledgerErrs = append(s.ledgerErrs, err)
+		s.ledgerMu.Unlock()
+	}
 }
 
 // appendClassLedger writes one summary row per request class that saw
@@ -137,11 +141,7 @@ func (s *Server) appendClassLedger() {
 		if e := cm.errors.Load(); e > 0 {
 			rec.Error = fmt.Sprintf("%d of %d requests failed", e, n)
 		}
-		if err := obs.AppendLedger(s.cfg.Ledger, rec); err != nil {
-			// Ledger writes are observability, never request-path
-			// failures; nothing useful to do but drop it.
-			_ = err
-		}
+		s.appendLedger(rec)
 	}
 }
 
@@ -160,7 +160,7 @@ func writeError(w http.ResponseWriter, status int, err error) {
 const maxBodyBytes = 1 << 20
 
 // decodePost enforces POST + a single JSON value of at most
-// maxBodyBytes as the body on the /v1 endpoints and the worker's /run:
+// maxBodyBytes as the body on the /v1 endpoints:
 // 405 for another method, 413 for a longer body, 400 for a malformed
 // one, a field v does not have, or trailing data after the value. A
 // misspelt or retired field would otherwise be ignored silently and
@@ -269,36 +269,36 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-
-	// Runner selection: every live registered worker, or the local
-	// goroutine pool when none are registered.
-	var runners []cellRunner
-	for _, ws := range s.workers.live() {
-		runners = append(runners, &httpRunner{wid: ws.ID, addr: ws.Addr, client: http.DefaultClient})
-	}
-	if len(runners) == 0 {
-		for i := 0; i < s.cfg.LocalWorkers; i++ {
-			runners = append(runners, &localRunner{wid: fmt.Sprintf("local-%d", i), g: g})
-		}
-	}
-
-	// Stream the CSV exactly as cmd/sweep writes it: kernel comment,
-	// header, rows in grid order. Flush after every row so clients see
-	// in-order progress while later cells still run.
+	s.sweeps.Add(1)
 	w.Header().Set("Content-Type", "text/csv; charset=utf-8")
+	failedRows, stats, err := s.streamSweep(r.Context(), w, g)
+	s.classes["sweep"].observe(time.Since(t0), err != nil || failedRows > 0)
+	if s.cfg.Ledger != "" {
+		rec := obs.NewRunRecord("modelserver")
+		rec.Label = fmt.Sprintf("sweep %s k=%d n=%d (%d cells, %d workers)",
+			g.Spec.Mappings, g.Spec.Radix, g.Spec.Dims, g.Len(), stats.Workers)
+		rec.Radix, rec.Dims, rec.Nodes, rec.Mapping = g.Spec.Radix, g.Spec.Dims, g.Tor.Nodes(), g.Spec.Mappings
+		rec.Kernel = g.Kernel.String()
+		rec.FillOutcome(time.Since(t0), int64(g.Len())*(g.Spec.Warmup+g.Spec.Window))
+		if err != nil {
+			rec.Error = err.Error()
+		} else if failedRows > 0 {
+			rec.Error = fmt.Sprintf("%d of %d cells failed", failedRows, g.Len())
+		}
+		s.appendLedger(rec)
+	}
+}
+
+// streamSweep runs g's cells on the experiment engine, as cmd/sweep
+// does, and writes the CSV cmd/sweep writes: kernel comment, header,
+// then one row per cell in grid order, each flushed as soon as the
+// completed prefix reaches it. It returns the number of error rows.
+// A write error means the client is gone: the cells still running are
+// canceled and the error returned.
+func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, g *sweepgrid.Grid) (failed int, stats engine.Stats, err error) {
 	flusher, _ := w.(http.Flusher)
-	if _, err := fmt.Fprintln(w, g.KernelComment()); err != nil {
-		return
-	}
 	cw := csv.NewWriter(w)
-	if err := cw.Write(g.Header()); err != nil {
-		return
-	}
-	cw.Flush()
-	if flusher != nil {
-		flusher.Flush()
-	}
-	emit := func(row []string) error {
+	write := func(row []string) error {
 		if err := cw.Write(row); err != nil {
 			return err
 		}
@@ -311,55 +311,47 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		return nil
 	}
-	failedRows, err := s.dispatch(r.Context(), g, runners, emit)
-	s.classes["sweep"].observe(time.Since(t0), err != nil || failedRows > 0)
-	if s.cfg.Ledger != "" {
-		rec := obs.NewRunRecord("modelserver")
-		rec.Label = fmt.Sprintf("sweep %s k=%d n=%d (%d cells, %d workers)",
-			g.Spec.Mappings, g.Spec.Radix, g.Spec.Dims, g.Len(), len(runners))
-		rec.Radix, rec.Dims, rec.Nodes, rec.Mapping = g.Spec.Radix, g.Spec.Dims, g.Tor.Nodes(), g.Spec.Mappings
-		rec.Kernel = g.Kernel.String()
-		rec.FillOutcome(time.Since(t0), int64(g.Len())*(g.Spec.Warmup+g.Spec.Window))
-		if err != nil {
-			rec.Error = err.Error()
-		} else if failedRows > 0 {
-			rec.Error = fmt.Sprintf("%d of %d cells failed", failedRows, g.Len())
-		}
-		if lerr := obs.AppendLedger(s.cfg.Ledger, rec); lerr != nil {
-			_ = lerr
-		}
+	if _, err := fmt.Fprintln(w, g.KernelComment()); err != nil {
+		return 0, stats, err
 	}
-}
+	if err := write(g.Header()); err != nil {
+		return 0, stats, err
+	}
 
-func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	var reg workerRegistration
-	if !decodePost(w, r, &reg) {
-		return
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	cells := make([]engine.Cell[machine.Metrics], g.Len())
+	for i := range cells {
+		cells[i] = engine.Cell[machine.Metrics]{Key: g.Key(i), Run: func(ctx context.Context) (machine.Metrics, error) {
+			return g.Run(ctx, i)
+		}}
 	}
-	if reg.ID == "" || reg.Addr == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("register needs id and addr"))
-		return
+	// OnResult runs on the engine's workers one call at a time, and the
+	// last call returns before engine.Grid does, so w is never written
+	// concurrently or after this function returns.
+	_, stats = engine.Grid(ctx, cells, engine.Options[machine.Metrics]{
+		OnResult: func(res engine.Result[machine.Metrics]) {
+			if err != nil {
+				return
+			}
+			var row []string
+			if res.Err != nil {
+				failed++
+				row = g.ErrorRow(res.Index, res.Err)
+			} else {
+				row = g.FormatRow(res.Index, res.Row)
+			}
+			if err = write(row); err != nil {
+				cancel()
+				return
+			}
+			s.sweepRows.Add(1)
+		},
+	})
+	if err == nil {
+		err = ctx.Err()
 	}
-	if !strings.HasPrefix(reg.Addr, "http://") && !strings.HasPrefix(reg.Addr, "https://") {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("addr %q must be a base URL", reg.Addr))
-		return
-	}
-	s.workers.upsert(reg.ID, reg.Addr)
-	writeJSON(w, http.StatusOK, map[string]string{"status": "registered"})
-}
-
-func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var reg workerRegistration
-	if !decodePost(w, r, &reg) {
-		return
-	}
-	if !s.workers.heartbeat(reg.ID) {
-		// Unknown worker: tell it to re-register (server restarts wipe
-		// the registry).
-		writeError(w, http.StatusNotFound, fmt.Errorf("worker %q not registered", reg.ID))
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	return failed, stats, err
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -370,20 +362,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	obs.WriteExposition(w, s.bridge)
 }
 
-func (s *Server) health() obs.Health {
-	if _, stale := s.workers.snapshot(); len(stale) > 0 {
-		return obs.Health{Status: "degraded", Reason: fmt.Sprintf("workers stale: %s", strings.Join(stale, ", "))}
-	}
-	return obs.Health{Status: "ok"}
-}
+// healthy is the server's only health state: a server that answers
+// is ready for every endpoint.
+var healthy = obs.Health{Status: "ok"}
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	h := s.health()
-	status := http.StatusOK
-	if !h.Healthy() {
-		status = http.StatusServiceUnavailable
-	}
-	writeJSON(w, status, h)
+	writeJSON(w, http.StatusOK, healthy)
 }
 
 // serverStatus is the /statusz?format=json document.
@@ -393,22 +377,19 @@ type serverStatus struct {
 	Requests  map[string]int64 `json:"requests"`
 	Errors    map[string]int64 `json:"errors,omitempty"`
 	Cache     core.CacheStats  `json:"cache"`
-	Workers   []workerState    `json:"workers,omitempty"`
 	Sweeps    int64            `json:"sweeps"`
 	SweepRows int64            `json:"sweep_rows"`
-	Requeues  int64            `json:"sweep_requeues"`
 }
 
 func (s *Server) buildStatus() serverStatus {
 	st := serverStatus{
-		Health:    s.health(),
+		Health:    healthy,
 		UptimeSec: time.Since(s.start).Seconds(),
 		Requests:  make(map[string]int64, len(requestClasses)),
 		Errors:    make(map[string]int64),
 		Cache:     s.cache.Stats(),
-		Sweeps:    s.sweepStats.sweeps.Load(),
-		SweepRows: s.sweepStats.rows.Load(),
-		Requeues:  s.sweepStats.requeues.Load(),
+		Sweeps:    s.sweeps.Load(),
+		SweepRows: s.sweepRows.Load(),
 	}
 	for _, class := range requestClasses {
 		st.Requests[class] = s.classes[class].requests.Load()
@@ -416,7 +397,6 @@ func (s *Server) buildStatus() serverStatus {
 			st.Errors[class] = e
 		}
 	}
-	st.Workers, _ = s.workers.snapshot()
 	return st
 }
 
@@ -432,25 +412,12 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	var b strings.Builder
 	b.WriteString("<html><head><title>modelserver statusz</title></head><body style=\"font-family:monospace\">")
-	fmt.Fprintf(&b, "<h3>modelserver status</h3><p>health: <b>%s</b>", st.Health.Status)
-	if st.Health.Reason != "" {
-		fmt.Fprintf(&b, " (%s)", st.Health.Reason)
-	}
-	fmt.Fprintf(&b, " — uptime %.0fs</p>", st.UptimeSec)
+	fmt.Fprintf(&b, "<h3>modelserver status</h3><p>health: <b>%s</b> — uptime %.0fs</p>", st.Health.Status, st.UptimeSec)
 	fmt.Fprintf(&b, "<p>requests: solve %d, gain %d, sensitivity %d, sweep %d</p>",
 		st.Requests["solve"], st.Requests["gain"], st.Requests["sensitivity"], st.Requests["sweep"])
 	fmt.Fprintf(&b, "<p>cache: %d/%d entries, %d hits, %d misses, %d evictions</p>",
 		st.Cache.Entries, st.Cache.Capacity, st.Cache.Hits, st.Cache.Misses, st.Cache.Evictions)
-	if len(st.Workers) > 0 {
-		b.WriteString("<p>workers:</p><ul>")
-		for _, wk := range st.Workers {
-			fmt.Fprintf(&b, "<li>%s @ %s (beat %.1fs ago)</li>", wk.ID, wk.Addr, time.Since(wk.LastBeat).Seconds())
-		}
-		b.WriteString("</ul>")
-	} else {
-		b.WriteString("<p>no workers registered (sweeps run locally)</p>")
-	}
-	fmt.Fprintf(&b, "<p>sweeps: %d (%d rows, %d requeues)</p>", st.Sweeps, st.SweepRows, st.Requeues)
+	fmt.Fprintf(&b, "<p>sweeps: %d (%d rows)</p>", st.Sweeps, st.SweepRows)
 	b.WriteString("<p><a href=\"/metrics\">metrics</a> · <a href=\"/statusz?format=json\">json</a> · <a href=\"/healthz\">healthz</a></p></body></html>")
 	fmt.Fprint(w, b.String())
 }

@@ -1,10 +1,10 @@
 // Package sweepgrid is the single definition of a sweep grid: how a
 // (mappings × context counts) specification expands into cells, how a
 // cell becomes a machine configuration, and how its measurements
-// become a CSV row. cmd/sweep, the model-serving /v1/sweep endpoint,
-// and the remote sweep workers all run cells through this package, so
-// a grid produces byte-identical rows no matter which process ran it —
-// the property the serving layer's parity tests pin.
+// become a CSV row. cmd/sweep and the model-serving /v1/sweep endpoint
+// both run these cells on the experiment engine, so a grid produces
+// byte-identical rows from either — the property the serving layer's
+// parity test pins.
 package sweepgrid
 
 import (
@@ -61,6 +61,9 @@ func New(spec Spec) (*Grid, error) {
 	}
 	if spec.Warmup < 0 || spec.Window <= 0 {
 		return nil, fmt.Errorf("sweepgrid: need warmup >= 0 and window > 0, have %d/%d", spec.Warmup, spec.Window)
+	}
+	if spec.Ratio < 0 {
+		return nil, fmt.Errorf("sweepgrid: clock ratio %d, must be ≥ 0 (0 selects 2)", spec.Ratio)
 	}
 	if spec.Ratio == 0 {
 		spec.Ratio = 2 // cmd/sweep's -ratio default
@@ -170,28 +173,9 @@ func (g *Grid) ErrorRow(i int, err error) []string {
 	return row
 }
 
-// RunRow builds, runs, and formats cell i with no observability
-// attachments — the path the serving workers take. Failures come back
-// as the same error= row cmd/sweep writes, plus the error itself for
-// callers that count failures.
-func (g *Grid) RunRow(ctx context.Context, i int) ([]string, error) {
-	met, err := g.runCell(ctx, i)
-	if err != nil {
-		return g.ErrorRow(i, err), err
-	}
-	return g.FormatRow(i, met), nil
-}
-
-func (g *Grid) runCell(ctx context.Context, i int) (met machine.Metrics, err error) {
-	// Panics from deep inside the simulator surface as error rows, like
-	// the experiment engine's recovery in cmd/sweep.
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("panic: %v", r)
-		}
-	}()
-	cfg := g.Config(i)
-	mach, err := machine.New(cfg)
+// Run builds and measures cell i with no observability attached.
+func (g *Grid) Run(ctx context.Context, i int) (machine.Metrics, error) {
+	mach, err := machine.New(g.Config(i))
 	if err != nil {
 		return machine.Metrics{}, err
 	}

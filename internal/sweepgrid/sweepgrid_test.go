@@ -40,14 +40,15 @@ func TestGridRunRowDeterministic(t *testing.T) {
 		Radix: 4, Dims: 2, Contexts: []int{1}, Mappings: "identity",
 		Warmup: 200, Window: 600, Ratio: 2,
 	}
-	a, err := mustGrid(t, spec).RunRow(context.Background(), 0)
-	if err != nil {
-		t.Fatal(err)
+	row := func() []string {
+		g := mustGrid(t, spec)
+		met, err := g.Run(context.Background(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g.FormatRow(0, met)
 	}
-	b, err := mustGrid(t, spec).RunRow(context.Background(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := row(), row()
 	if strings.Join(a, ",") != strings.Join(b, ",") {
 		t.Errorf("same cell produced different rows:\n%v\n%v", a, b)
 	}
@@ -83,6 +84,7 @@ func TestGridSpecValidation(t *testing.T) {
 		{Radix: 4, Dims: 2, Contexts: []int{1}, Mappings: "nosuch", Window: 1},                   // bad selector
 		{Radix: 4, Dims: 2, Contexts: []int{1}, Mappings: "identity", Window: 1, Kernel: "warp"}, // bad kernel
 		{Radix: 4, Dims: 2, Contexts: []int{1}, Mappings: "identity", Window: 1, Watchdog: -5},   // negative watchdog
+		{Radix: 4, Dims: 2, Contexts: []int{1}, Mappings: "identity", Window: 1, Ratio: -1},      // negative clock ratio
 	}
 	for i, spec := range bad {
 		if _, err := New(spec); err == nil {
