@@ -8,7 +8,7 @@
 //	simrun -mapping antilocal -contexts 4 -ratio 1
 //	simrun -mapping random:1 -watchdog 20000
 //	simrun -mapping random:1 -telemetry
-//	simrun -mapping random:1 -trace-out trace.json -slice 1000 -slice-out slices.csv
+//	simrun -mapping random:1 -trace-out trace.json
 //	simrun -window 2000000 -checkpoint-every 100000 -checkpoint-dir ckpts -checkpoint-keep 4
 //	simrun -window 2000000 -restore ckpts/ckpt-1500000.lckp
 //
@@ -32,9 +32,7 @@
 // one structured run record (wall time, cycles/sec, heap, final
 // metrics) to a JSONL ledger; -trace-out writes a Chrome trace-event
 // JSON (load it in Perfetto or chrome://tracing) of message flows,
-// transactions, and kernel-skip spans; -slice streams time-sliced
-// interval samples (utilization, queue depths, skip ratio) to
-// -slice-out as CSV or JSONL. None of these change the
+// transactions, and kernel-skip spans. None of these change the
 // simulated results; without them the output is byte-identical to an
 // uninstrumented run.
 //
@@ -88,9 +86,6 @@ func main() {
 	ledger := flag.String("ledger", "", "append a structured run record to this JSONL ledger (e.g. ledger.jsonl)")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON of the run to this path (implies tracing)")
 	traceCap := flag.Int("trace-cap", 1<<16, "trace ring-buffer capacity in events")
-	slice := flag.Int64("slice", 0, "emit one time-sliced sample every N P-cycles (0 disables; implies -telemetry)")
-	sliceOut := flag.String("slice-out", "", "time-slice output path (default stderr)")
-	sliceFormat := flag.String("slice-format", "csv", "time-slice format: csv or jsonl")
 	ckptEvery := flag.Int64("checkpoint-every", 0, "write a state snapshot every N P-cycles (0 disables)")
 	ckptDir := flag.String("checkpoint-dir", "", "snapshot directory (default \".\" when -checkpoint-every is set); also enables snapshots on interrupt and stall")
 	ckptKeep := flag.Int("checkpoint-keep", 0, "retain only the newest N periodic snapshots (0 keeps all)")
@@ -117,24 +112,6 @@ func main() {
 	cfg.Watchdog = machine.Watchdog{StallCycles: *watchdog}
 	if *traceOut != "" {
 		cfg.Trace = trace.New(*traceCap)
-	}
-	if *slice > 0 {
-		*telemetry_ = true
-		sw := os.Stderr
-		if *sliceOut != "" {
-			f, err := os.Create(*sliceOut)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			sw = f
-		}
-		writer, err := telemetry.NewSliceWriter(sw, *sliceFormat)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.SliceEvery = *slice
-		cfg.SliceWriter = writer
 	}
 	if *analyze {
 		*telemetry_ = true
@@ -246,12 +223,6 @@ func main() {
 		kernel, met.CyclesTicked, met.CyclesSkipped, 100*met.SkipRatio())
 	if met.SWTraps > 0 {
 		fmt.Printf("LimitLESS traps          %d\n", met.SWTraps)
-	}
-	mach.FlushSlices()
-	if cfg.SliceWriter != nil {
-		if err := cfg.SliceWriter.Err(); err != nil {
-			fatal(err)
-		}
 	}
 	if *telemetry_ {
 		attr := mach.Attribution()

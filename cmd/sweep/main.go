@@ -40,9 +40,8 @@
 //
 // Observability on long sweeps: -telemetry gives every cell its own
 // metrics registry and cycle attribution (the CSV stays byte-identical
-// — telemetry never touches simulated results); -slice N with
-// -slice-dir writes one time-sliced sample file per cell; -trace-dir
-// writes one Perfetto-loadable Chrome trace JSON per cell; -heartbeat
+// — telemetry never touches simulated results); -trace-dir writes one
+// Perfetto-loadable Chrome trace JSON per cell; -heartbeat
 // prints periodic completed/total + ETA lines to stderr; -obs serves
 // the live observability endpoints (/metrics Prometheus exposition,
 // /statusz run status with per-cell progress and ETA, /healthz, and
@@ -108,13 +107,10 @@ func parseContexts(s string) ([]int, error) {
 }
 
 // cellExtras is the per-cell observability configuration layered on
-// top of the sweepgrid cell: telemetry, time slices, traces, capture,
-// and the live bridge. None of it changes the simulated results.
+// top of the sweepgrid cell: telemetry, traces, capture, and the live
+// bridge. None of it changes the simulated results.
 type cellExtras struct {
 	telemetry  bool
-	slice      int64
-	sliceDir   string
-	sliceFmt   string
 	traceDir   string
 	traceCap   int
 	captureDir string
@@ -129,19 +125,6 @@ func runCell(ctx context.Context, g *sweepgrid.Grid, i int, x cellExtras) (machi
 	stem := g.FileStem(i)
 	if x.telemetry {
 		cfg.Telemetry = telemetry.New()
-	}
-	if x.slice > 0 {
-		f, err := os.Create(filepath.Join(x.sliceDir, stem+".slices."+x.sliceFmt))
-		if err != nil {
-			return machine.Metrics{}, err
-		}
-		defer f.Close()
-		writer, err := telemetry.NewSliceWriter(f, x.sliceFmt)
-		if err != nil {
-			return machine.Metrics{}, err
-		}
-		cfg.SliceEvery = x.slice
-		cfg.SliceWriter = writer
 	}
 	if x.traceDir != "" {
 		cfg.Trace = trace.New(x.traceCap)
@@ -166,12 +149,6 @@ func runCell(ctx context.Context, g *sweepgrid.Grid, i int, x cellExtras) (machi
 		return machine.Metrics{}, err
 	}
 	met := res.Metrics
-	mach.FlushSlices()
-	if cfg.SliceWriter != nil {
-		if err := cfg.SliceWriter.Err(); err != nil {
-			return machine.Metrics{}, err
-		}
-	}
 	if x.traceDir != "" {
 		f, err := os.Create(filepath.Join(x.traceDir, stem+".trace.json"))
 		if err != nil {
@@ -284,9 +261,6 @@ func main() {
 	progress := flag.Bool("progress", false, "stream per-cell progress to stderr")
 	kernelFlag := flag.String("kernel", "event", "execution kernel: event (skip quiescent cycles) or tick (naive reference loop); rows are bit-identical either way")
 	telemetry_ := flag.Bool("telemetry", false, "per-cell metrics registry + cycle attribution (CSV output unchanged)")
-	slice := flag.Int64("slice", 0, "per-cell time-sliced sampling every N P-cycles (0 disables; needs -slice-dir)")
-	sliceDir := flag.String("slice-dir", "", "directory for per-cell time-slice files (implies -telemetry)")
-	sliceFormat := flag.String("slice-format", "csv", "time-slice format: csv or jsonl")
 	traceDir := flag.String("trace-dir", "", "directory for per-cell Chrome trace-event JSON files")
 	traceCap := flag.Int("trace-cap", 1<<16, "per-cell trace ring-buffer capacity in events")
 	captureDir := flag.String("capture-dir", "", "directory for per-cell replayable reference traces (.lref)")
@@ -308,18 +282,6 @@ func main() {
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "sweep: observability at http://%s/\n", srv.Addr())
-	}
-	if *slice > 0 && *sliceDir == "" {
-		fatal(fmt.Errorf("-slice requires -slice-dir"))
-	}
-	if *sliceDir != "" {
-		if *slice <= 0 {
-			fatal(fmt.Errorf("-slice-dir requires -slice > 0"))
-		}
-		*telemetry_ = true
-		if err := os.MkdirAll(*sliceDir, 0o755); err != nil {
-			fatal(err)
-		}
 	}
 	if *traceDir != "" {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
@@ -387,8 +349,8 @@ func main() {
 	// with their position in the full grid remembered, so the merged
 	// output streams in grid order.
 	extras := cellExtras{
-		telemetry: *telemetry_, slice: *slice, sliceDir: *sliceDir, sliceFmt: *sliceFormat,
-		traceDir: *traceDir, traceCap: *traceCap, captureDir: *captureDir, bridge: bridge,
+		telemetry: *telemetry_, traceDir: *traceDir, traceCap: *traceCap,
+		captureDir: *captureDir, bridge: bridge,
 	}
 	var fullIndex []int // submitted cell -> full-grid position
 	rows := make([][]string, g.Len())

@@ -216,10 +216,6 @@ func (c *Cache) Lines() int { return c.cfg.Lines }
 // LineSize returns the configured line size in bytes.
 func (c *Cache) LineSize() int { return c.cfg.LineSize }
 
-// Occupied returns the number of frames currently holding a line; the
-// cache's resident footprint is proportional to this, not to Lines.
-func (c *Cache) Occupied() int { return len(c.lines) }
-
 // StateCensus returns how many lines are currently in each state;
 // used by protocol invariant checks.
 func (c *Cache) StateCensus() (shared, modified int) {

@@ -34,9 +34,10 @@ const Magic = "LCKP"
 // netsim router/injection-queue sections and the protocol node section
 // sparse (zero-state entries omitted, index-tagged, strictly
 // ascending) so snapshots of mostly-idle large machines stay small.
-// Removing fault injection kept the version: its slots stay on the
-// wire as zero bytes (see retired), so every fault-free file still
-// reads and re-encodes byte-identically.
+// Removing fault injection and time-sliced sampling kept the version:
+// their slots stay on the wire as zero bytes (see retired), so every
+// file written without them still reads and re-encodes
+// byte-identically.
 const Version = 2
 
 // Hardening caps: upper bounds a hostile file cannot talk us past.
@@ -92,8 +93,7 @@ type Fingerprint struct {
 
 	// Execution-loop selection; affects only kernel accounting, which
 	// the checkpoint also carries.
-	Kernel     uint8
-	SliceEvery int64
+	Kernel uint8
 }
 
 // Nodes returns Radix^Dims, or an error if it overflows the cap.
@@ -136,7 +136,7 @@ func (f *Fingerprint) Equal(g *Fingerprint) bool {
 		f.ReqLatency == g.ReqLatency && f.DirLatency == g.DirLatency &&
 		f.MemLatency == g.MemLatency && f.CacheRespLatency == g.CacheRespLatency &&
 		f.FillLatency == g.FillLatency && f.SWTrapLatency == g.SWTrapLatency &&
-		f.Kernel == g.Kernel && f.SliceEvery == g.SliceEvery
+		f.Kernel == g.Kernel
 }
 
 // Digest returns a short stable hex digest of the fingerprint's
@@ -191,19 +191,7 @@ func (f *Fingerprint) validate() (int, error) {
 	if f.Kernel > 1 {
 		return 0, fmt.Errorf("checkpoint: unknown kernel mode %d", f.Kernel)
 	}
-	if f.SliceEvery < 0 {
-		return 0, fmt.Errorf("checkpoint: negative slice interval %d", f.SliceEvery)
-	}
 	return nodes, nil
-}
-
-// SlicerState is the time-slice sampler's restorable state: the next
-// boundary and the cumulative-counter origin its deltas are computed
-// against (cycle, busy, ticked, skipped, injected, delivered — in that
-// order).
-type SlicerState struct {
-	Next int64
-	Prev [6]int64
 }
 
 // Checkpoint is one complete machine snapshot at a processor-cycle
@@ -231,9 +219,6 @@ type Checkpoint struct {
 	Procs  []procsim.CheckpointState
 	Proto  cohsim.CheckpointState
 	Net    netsim.CheckpointState
-
-	// Slicer is the sampler state; nil unless SliceEvery > 0.
-	Slicer *SlicerState
 }
 
 // Validate checks the checkpoint's structural invariants: geometry
@@ -294,9 +279,6 @@ func (c *Checkpoint) Validate() error {
 		if len(q.Msgs) == 0 {
 			return fmt.Errorf("checkpoint: empty injection queue entry for node %d", q.Node)
 		}
-	}
-	if (c.Slicer != nil) != (c.FP.SliceEvery > 0) {
-		return fmt.Errorf("checkpoint: slicer state and fingerprint slice interval disagree")
 	}
 	return nil
 }

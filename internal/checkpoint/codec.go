@@ -27,8 +27,7 @@ import (
 //	per-node processor states
 //	protocol state (caches, directories, MSHRs, pending events, counters)
 //	network state (message table, routers, queues, counters)
-//	two retired presence flags, always zero
-//	slicer state (presence-flagged)
+//	three retired presence flags, always zero
 //
 // Unsigned quantities are uvarints, possibly-negative ones zigzag
 // varints, floats 8-byte little-endian IEEE 754 bit patterns, and each
@@ -114,42 +113,28 @@ func (s *sections) checkpoint(ck *Checkpoint) {
 	wire.Slice(c, &ck.Procs, s.nodes, s.nodes, "processor count", s.proc)
 	s.proto(&ck.Proto)
 	s.net(&ck.Net)
-	retired(c, "link-fault presence")
-	retired(c, "loss-coin presence")
-	optional(c, &ck.Slicer, "slicer presence", func(sl *SlicerState) {
-		wire.Varint(c, &sl.Next, math.MinInt64, math.MaxInt64, "slice boundary")
-		for i := range sl.Prev {
-			wire.Varint(c, &sl.Prev[i], math.MinInt64, math.MaxInt64, "slice origin")
-		}
-		retired(c, "dropped-message slice origin")
-		retired(c, "link-down slice origin")
-	})
+	retired(c, "link-fault presence", faults)
+	retired(c, "loss-coin presence", faults)
+	retired(c, "slicer presence", slicing)
 }
 
-// retired codes a slot that fault injection used to fill. A fault-free
-// run always left it zero, which every old slot type — varint, string
-// length or presence flag — encodes as one 0x00 byte, so the slot
-// stays on the wire as that byte and the layout keeps its Version.
-// Any other value comes from a faulted run, which this build cannot
-// resume.
-func retired(c *wire.Codec, what string) {
+// The removed features whose slots stay on the wire.
+const (
+	faults  = "fault injection"
+	slicing = "time-sliced sampling"
+)
+
+// retired codes a slot that a removed feature used to fill. A run
+// without the feature always left it zero, which every old slot type —
+// varint, string length or presence flag — encodes as one 0x00 byte,
+// so the slot stays on the wire as that byte and the layout keeps its
+// Version. Any other value comes from a run with the feature on,
+// which this build cannot resume.
+func retired(c *wire.Codec, what, feature string) {
 	var b uint8
 	wire.Byte(c, &b, math.MaxUint8, what)
 	if b != 0 {
-		c.Failf("%s is set: the file was written with fault injection, which was removed", what)
-	}
-}
-
-// optional codes a presence flag for *p and, when it is set, the value
-// through body; decoding allocates the value.
-func optional[T any](c *wire.Codec, p **T, what string, body func(*T)) {
-	present := *p != nil
-	c.Bool(&present, what)
-	if present && c.Err() == nil {
-		if c.Decoding() {
-			*p = new(T)
-		}
-		body(*p)
+		c.Failf("%s is set: the file was written with %s, which was removed", what, feature)
 	}
 }
 
@@ -198,10 +183,10 @@ func (s *sections) fingerprint(f *Fingerprint) {
 	wire.Uvarint(c, &f.CacheRespLatency, maxEntries, "cache response latency")
 	wire.Uvarint(c, &f.FillLatency, maxEntries, "fill latency")
 	wire.Uvarint(c, &f.SWTrapLatency, maxEntries, "software trap latency")
-	retired(c, "retry timeout")
-	retired(c, "fault spec")
+	retired(c, "retry timeout", faults)
+	retired(c, "fault spec", faults)
 	wire.Byte(c, &f.Kernel, 1, "kernel mode")
-	wire.Uvarint(c, &f.SliceEvery, maxTime, "slice interval")
+	retired(c, "slice interval", slicing)
 }
 
 func (s *sections) kernel(k *sim.KernelState) {
@@ -248,13 +233,13 @@ func (s *sections) txnTable(ck *Checkpoint) {
 		wire.Varint(c, &t.Started, math.MinInt64, math.MaxInt64, "transaction start")
 		wire.Varint(c, &t.Completed, math.MinInt64, math.MaxInt64, "transaction completion")
 		wire.Uvarint(c, &t.NetMessages, maxMessages, "transaction message count")
-		retired(c, "transaction retries")
+		retired(c, "transaction retries", faults)
 		c.Bool(&t.Done, "transaction done")
 		wire.Slice(c, &t.Waiters, 0, s.contexts, "waiter count", func(_ int, w *int) {
 			wire.Uvarint(c, w, s.contexts-1, "waiter thread")
 		})
 		c.Bool(&t.PendingWrite, "transaction pending write")
-		retired(c, "transaction epoch")
+		retired(c, "transaction epoch", faults)
 	})
 	if c.Decoding() {
 		s.txns = make(map[int64]*cohsim.Transaction, len(table))
@@ -431,8 +416,8 @@ func (s *sections) proto(p *cohsim.CheckpointState) {
 		wire.Uvarint(c, &a.Addr, math.MaxUint64, "action address")
 		s.ref(&a.Txn, "action transaction")
 		wire.Varint(c, &a.Seq, math.MinInt64, math.MaxInt64, "action sequence")
-		retired(c, "action epoch")
-		retired(c, "action attempt")
+		retired(c, "action epoch", faults)
+		retired(c, "action attempt", faults)
 		wire.Uvarint(c, &a.Size, maxQueue, "action size")
 	})
 	wire.Uvarint(c, &p.Seq, maxTime, "protocol sequence")
@@ -454,9 +439,9 @@ func (s *sections) proto(p *cohsim.CheckpointState) {
 	wire.Uvarint(c, &p.SWTraps, maxTime, "software traps")
 	wire.Uvarint(c, &p.ReadMisses, maxTime, "read misses")
 	wire.Uvarint(c, &p.WriteMisses, maxTime, "write misses")
-	retired(c, "protocol retries")
-	retired(c, "protocol home retries")
-	retired(c, "protocol dropped messages")
+	retired(c, "protocol retries", faults)
+	retired(c, "protocol home retries", faults)
+	retired(c, "protocol dropped messages", faults)
 }
 
 // node codes protocol node i: its cache lines by ascending frame, its
@@ -582,7 +567,7 @@ func (s *sections) net(n *netsim.CheckpointState) {
 	wire.Uvarint(c, &n.Injected, maxTime, "injected count")
 	wire.Uvarint(c, &n.Delivered, maxTime, "delivered count")
 	wire.Uvarint(c, &n.FlitHops, maxTime, "flit hops")
-	retired(c, "network fault stalls")
+	retired(c, "network fault stalls", faults)
 	s.mean(&n.Latency, "latency")
 	s.mean(&n.NetLatency, "network latency")
 	s.mean(&n.Hops, "hop distance")

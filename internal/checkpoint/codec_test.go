@@ -148,14 +148,13 @@ func testCheckpoint() *Checkpoint {
 	}
 }
 
-// attributedCheckpoint extends testCheckpoint with the two sections it
-// leaves out: the kernel's attribution array and the slicer state.
+// attributedCheckpoint extends testCheckpoint with the section it
+// leaves out: the kernel's attribution array, one charge per component
+// (protocol, four processors, network).
 func attributedCheckpoint() *Checkpoint {
 	c := testCheckpoint()
-	c.FP.SliceEvery = 500
 	c.Kernel.Attr = []int64{400, 120, 0, 95, 3, 0}
 	c.Kernel.AttrNone = 282
-	c.Slicer = &SlicerState{Next: 1500, Prev: [6]int64{1000, 700, 900, 100, 93, 91}}
 	return c
 }
 
@@ -164,7 +163,7 @@ func attributedCheckpoint() *Checkpoint {
 func hostileCheckpoint() []byte {
 	b := []byte(Magic + "\x02")
 	b = append(b, 0x80, 0x08, 2, 1, 0, 0)    // radix 1024, dims 2, contexts 1, no name, no placement
-	b = append(b, make([]byte, 10+1+7+3)...) // machine, workload, protocol fields (retry slot last); fault-spec slot, kernel, slicing
+	b = append(b, make([]byte, 10+1+7+3)...) // machine, workload, protocol fields (retry slot last); fault-spec slot, kernel, slice-interval slot
 	b = append(b, 0, 0, 0, 0, 0)             // clocks and window accounting
 	b = append(b, 0, 0, 0, 1, 0)             // kernel: now, ticked, skipped, pending -1, no attribution
 	return append(b, 0, 0, 0)                // no transactions, processors or protocol nodes
@@ -243,18 +242,22 @@ func TestGoldenFixture(t *testing.T) {
 
 func TestReadRejects(t *testing.T) {
 	valid := encode(t, testCheckpoint())
-	// A checkpoint written with fault injection on, by the build that
-	// had it: its retired slots are nonzero.
-	faulted, err := os.ReadFile(filepath.Join("testdata", "golden-faulted.lckp"))
-	if err != nil {
-		t.Fatal(err)
+	// Checkpoints written with fault injection or time-sliced sampling
+	// on, by the builds that had them: their retired slots are nonzero.
+	fixture := func(name string) []byte {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
 	}
 	cases := []struct {
 		name string
 		data []byte
 		want string
 	}{
-		{"faulted", faulted, "fault injection, which was removed"},
+		{"faulted", fixture("golden-faulted.lckp"), "fault injection, which was removed"},
+		{"sliced", fixture("golden-sliced.lckp"), "slice interval is set: the file was written with time-sliced sampling, which was removed"},
 		{"empty", nil, "magic"},
 		{"bad magic", []byte("NOPE"), "magic"},
 		{"bad version", append([]byte(Magic), 99), "version"},
@@ -289,7 +292,6 @@ func TestValidateRejects(t *testing.T) {
 		{"missing processor", mutate(func(c *Checkpoint) { c.Procs = c.Procs[:3] })},
 		{"wrong contexts", mutate(func(c *Checkpoint) { c.Procs[1].Ctxs = c.Procs[1].Ctxs[:1] })},
 		{"bad placement", mutate(func(c *Checkpoint) { c.FP.Place[0] = 1 })},
-		{"orphan slicer", mutate(func(c *Checkpoint) { c.Slicer = &SlicerState{} })},
 		{"unknown kernel", mutate(func(c *Checkpoint) { c.FP.Kernel = 2 })},
 	}
 	for _, tc := range cases {

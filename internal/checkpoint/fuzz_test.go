@@ -36,19 +36,23 @@ func FuzzReadCheckpoint(f *testing.F) {
 	huge := append([]byte{}, valid[:16]...)
 	huge = append(huge, 0xff, 0xff, 0xff, 0xff, 0x7f)
 	f.Add(huge)
-	// The attribution and slicer sections, and a huge machine declared
-	// with an empty placement.
+	// The attribution section, and a huge machine declared with an
+	// empty placement.
 	var attributed bytes.Buffer
 	if err := Write(&attributed, attributedCheckpoint()); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(attributed.Bytes())
 	f.Add(hostileCheckpoint())
-	faulted, err := os.ReadFile(filepath.Join("testdata", "golden-faulted.lckp"))
-	if err != nil {
-		f.Fatal(err)
+	// Files from the builds that had fault injection and time-sliced
+	// sampling: their retired slots are nonzero.
+	for _, name := range []string{"golden-faulted.lckp", "golden-sliced.lckp"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
 	}
-	f.Add(faulted)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := Read(bytes.NewReader(data))

@@ -3,7 +3,7 @@ package cohsim
 import "locality/internal/telemetry"
 
 // PendingEvents returns the number of entries in the protocol's event
-// queue: deliveries and controller occupancy releases not yet due. A queue-depth signal for time-sliced sampling.
+// queue: deliveries and controller occupancy releases not yet due.
 func (p *Protocol) PendingEvents() int { return p.events.len() }
 
 // OutstandingTxns returns the number of coherence transactions

@@ -85,7 +85,6 @@ func (m *Machine) fingerprint() checkpoint.Fingerprint {
 		FillLatency:      cfg.FillLatency,
 		SWTrapLatency:    cfg.SWTrapLatency,
 		Kernel:           uint8(cfg.Kernel),
-		SliceEvery:       cfg.SliceEvery,
 	}
 }
 
@@ -118,13 +117,6 @@ func (m *Machine) BuildCheckpoint(chunkDone int64) *checkpoint.Checkpoint {
 		ck.Procs[i] = p.Checkpoint()
 	}
 	detach(ck)
-	if m.slicer != nil {
-		p := m.slicer.prev
-		ck.Slicer = &checkpoint.SlicerState{
-			Next: m.slicer.next,
-			Prev: [6]int64{p.cycle, p.busy, p.ticked, p.skipped, p.injected, p.delivered},
-		}
-	}
 	return ck
 }
 
@@ -236,11 +228,11 @@ func (m *Machine) LastCheckpoint() string { return m.lastCkpt }
 // state with a previously captured checkpoint, resuming mid-stream.
 // cfg must describe the same machine the checkpoint was taken on —
 // topology, mapping, workload, latencies, kernel mode — which is
-// enforced by fingerprint comparison. Observational
-// attachments (Trace, Telemetry, SliceWriter, Checkpoint spec,
-// Watchdog) may differ: they do not alter simulated behavior, though a
-// restored run's trace naturally only contains events from the
-// checkpoint cycle onward. Capture is the exception and is rejected:
+// enforced by fingerprint comparison. Observational attachments
+// (Trace, Telemetry, Checkpoint spec, Watchdog) may differ: they do
+// not alter simulated behavior, though a restored run's trace
+// naturally only contains events from the checkpoint cycle onward.
+// Capture is the exception and is rejected:
 // operations fetched before the checkpoint are not replayed, so a
 // restored capture would be incomplete. The restored machine takes
 // over the transactions ck names, so an in-memory snapshot restores
@@ -290,14 +282,6 @@ func RestoreFrom(cfg Config, ck *checkpoint.Checkpoint) (*Machine, error) {
 	m.pnow = ck.PNow
 	m.windowStart = ck.WindowStart
 	m.ksWindow = ck.KSWindow
-	if m.slicer != nil {
-		s := ck.Slicer // non-nil: fingerprint match pins SliceEvery
-		m.slicer.next = s.Next
-		m.slicer.prev = sliceBase{
-			cycle: s.Prev[0], busy: s.Prev[1], ticked: s.Prev[2], skipped: s.Prev[3],
-			injected: s.Prev[4], delivered: s.Prev[5],
-		}
-	}
 	m.resumePhase = ck.ChunkDone
 	return m, nil
 }

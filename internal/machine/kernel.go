@@ -61,10 +61,7 @@ func (c netComp) Advance(to int64) {
 	c.m.net.SkipTo((to + 1) * int64(c.m.cfg.ClockRatio))
 }
 
-// buildKernel assembles the sim kernel in historical tick order. The
-// telemetry sampler, when enabled, registers last: it observes each
-// executed cycle after every substrate has ticked it, and appending it
-// keeps the attribution indices of the historical components stable.
+// buildKernel assembles the sim kernel in historical tick order.
 //
 // The processors are sleepers: the event kernel ticks only those due
 // at an executed cycle, so its per-cycle cost tracks the busy
@@ -75,15 +72,12 @@ func (c netComp) Advance(to int64) {
 // (1+node), so attribution charges and checkpointed pending indices
 // are the dense kernel's.
 func (m *Machine) buildKernel() {
-	comps := make([]sim.Component, 0, len(m.procs)+3)
+	comps := make([]sim.Component, 0, len(m.procs)+2)
 	comps = append(comps, protoComp{m})
 	for _, p := range m.procs {
 		comps = append(comps, p)
 	}
 	comps = append(comps, netComp{m})
-	if m.slicer != nil {
-		comps = append(comps, m.slicer)
-	}
 	m.kernel = sim.New(comps...)
 	m.kernel.SetSleepers(1, 1+len(m.procs))
 	if m.cfg.Telemetry != nil {

@@ -98,15 +98,6 @@ type Config struct {
 	// cycle attribution. nil (the default) leaves every simulated
 	// quantity byte-identical to an uninstrumented machine.
 	Telemetry *telemetry.Registry
-	// SliceEvery enables time-sliced sampling: every SliceEvery
-	// P-cycles one interval snapshot (utilization, queue depths, skip
-	// ratio) is written to SliceWriter. Requires Telemetry
-	// and SliceWriter. Slice boundaries are executed cycles, so slicing
-	// reduces the event kernel's skip ratio but never changes simulated
-	// behavior.
-	SliceEvery int64
-	// SliceWriter receives one sample per slice (CSV or JSONL).
-	SliceWriter *telemetry.SliceWriter
 
 	// Observer, when non-nil, is invoked with the machine at every
 	// run-loop chunk boundary (every ctxPollInterval P-cycles, or the
@@ -163,14 +154,8 @@ func (c Config) Validate() error {
 	if c.Workload == nil && c.Contexts*c.Topo.Nodes() > c.CacheLines {
 		return fmt.Errorf("machine: %d state words exceed %d cache lines (workload assumes conflict-free caching)", c.Contexts*c.Topo.Nodes(), c.CacheLines)
 	}
-	if c.SliceEvery < 0 {
-		return fmt.Errorf("machine: slice interval %d, must be ≥ 0", c.SliceEvery)
-	}
 	if c.LocalDelay < 0 {
 		return fmt.Errorf("machine: negative local delay %d", c.LocalDelay)
-	}
-	if c.SliceEvery > 0 && (c.Telemetry == nil || c.SliceWriter == nil) {
-		return fmt.Errorf("machine: time-sliced sampling requires both Telemetry and SliceWriter")
 	}
 	if err := c.Watchdog.validate(); err != nil {
 		return err
@@ -199,7 +184,6 @@ type Machine struct {
 	msgLat *telemetry.HistogramVec // delivery latency by hops traversed
 	txnLat *telemetry.HistogramVec // txn round-trip by requester→home distance
 	home   func(addr uint64) int
-	slicer *slicer
 
 	// resumePhase is the chunk offset a restored run re-enters the run
 	// loop at, so chunk boundaries — and the kernel's Run-call
@@ -357,9 +341,6 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m.initTelemetry()
 	m.buildKernel()
-	if m.slicer != nil {
-		m.slicer.rebase() // needs the kernel's stats as a delta origin
-	}
 	return m, nil
 }
 
@@ -505,11 +486,6 @@ func (m *Machine) ResetStats() {
 	m.proto.ResetStats()
 	m.windowStart = m.pnow
 	m.ksWindow = m.kernel.Stats()
-	if m.slicer != nil {
-		// The substrate counters just reset under the sampler; rebase
-		// its delta origin so the next slice doesn't go negative.
-		m.slicer.rebase()
-	}
 }
 
 // Protocol exposes the coherence engine for invariant checks.

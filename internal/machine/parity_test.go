@@ -3,7 +3,6 @@ package machine
 import (
 	"bytes"
 	"context"
-	"encoding/csv"
 	"fmt"
 	"reflect"
 	"strconv"
@@ -239,19 +238,21 @@ func TestEventKernelSkipsWithSlowLocalDelivery(t *testing.T) {
 
 // TestKernelParityObservedMidRun looks at the event kernel's processors
 // from outside while they lag: the kernel ticks a processor only at
-// cycles it is due at and brings it current when the run returns, or
-// when the slicer syncs it mid-cycle. Processor snapshots taken by an
-// Observer at every chunk boundary, the final Metrics, and the slice
-// CSV (minus its kernel-dependent skip_ratio column) must match the
-// tick kernel's, across grains, context counts, staggered starts and
-// slicing.
+// cycles it is due at and brings it current when the run returns.
+// Processor snapshots taken by an Observer at every chunk boundary and
+// the final Metrics must match the tick kernel's, across grains,
+// context counts and staggered starts. With slice N > 0 the Observer
+// also reads the telemetry registry every N P-cycles, as -obs
+// publishes it (the watchdog's check interval sets the chunk
+// boundaries): every value but the kernel's own accounting and cycle
+// attribution must match too.
 func TestKernelParityObservedMidRun(t *testing.T) {
 	tor := topology.MustNew(8, 2)
 	mp := mapping.Random(tor, 5)
 	type observed struct {
-		procs  [][]procsim.Stats
-		met    Metrics
-		slices string
+		procs [][]procsim.Stats
+		regs  [][]telemetry.Value
+		met   Metrics
 	}
 	run := func(t *testing.T, mode sim.KernelKind, grain, contexts int, stagger bool, slice int64) observed {
 		cfg := DefaultConfig(tor, mp, contexts)
@@ -263,13 +264,9 @@ func TestKernelParityObservedMidRun(t *testing.T) {
 				ReadCompute: grain, WriteCompute: grain, Stagger: true,
 			}
 		}
-		var csvOut strings.Builder
 		if slice > 0 {
-			sw, err := telemetry.NewSliceWriter(&csvOut, "csv")
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Telemetry, cfg.SliceEvery, cfg.SliceWriter = telemetry.New(), slice, sw
+			cfg.Telemetry = telemetry.New()
+			cfg.Watchdog = Watchdog{StallCycles: guardWatchdog.StallCycles, CheckEvery: slice}
 		}
 		var obs observed
 		cfg.Observer = func(m *Machine) {
@@ -278,6 +275,13 @@ func TestKernelParityObservedMidRun(t *testing.T) {
 				snap[i] = m.Processor(i).Snapshot()
 			}
 			obs.procs = append(obs.procs, snap)
+			var reg []telemetry.Value
+			for _, v := range m.Telemetry().Snapshot() {
+				if !strings.HasPrefix(v.Name, "kernel/") && !strings.HasPrefix(v.Name, "attr/") {
+					reg = append(reg, v)
+				}
+			}
+			obs.regs = append(obs.regs, reg)
 		}
 		mach, err := New(cfg)
 		if err != nil {
@@ -290,7 +294,6 @@ func TestKernelParityObservedMidRun(t *testing.T) {
 			}
 			obs.met = normalizeKernelStats(res.Metrics)
 		}
-		obs.slices = dropCSVColumn(t, csvOut.String(), "skip_ratio")
 		return obs
 	}
 	for _, grain := range []int{20, 2000} {
@@ -303,22 +306,27 @@ func TestKernelParityObservedMidRun(t *testing.T) {
 						t.Parallel()
 						tick := run(t, sim.KernelTick, grain, contexts, stagger, slice)
 						event := run(t, sim.KernelEvent, grain, contexts, stagger, slice)
-						if len(tick.procs) != 7 || len(event.procs) != 7 {
-							t.Fatalf("observer fired %d (tick) / %d (event) times, want 7", len(tick.procs), len(event.procs))
+						// One chunk per 1001-cycle call, or ⌈1001/slice⌉.
+						want := 7
+						if slice > 0 {
+							want *= int((1001 + slice - 1) / slice)
+						}
+						if len(tick.procs) != want || len(event.procs) != want {
+							t.Fatalf("observer fired %d (tick) / %d (event) times, want %d", len(tick.procs), len(event.procs), want)
 						}
 						for i := range tick.procs {
 							if !reflect.DeepEqual(tick.procs[i], event.procs[i]) {
 								t.Errorf("processor snapshots differ at chunk boundary %d:\n tick:  %+v\n event: %+v", i+1, tick.procs[i], event.procs[i])
 							}
+							if !reflect.DeepEqual(tick.regs[i], event.regs[i]) {
+								t.Errorf("registry readings differ at chunk boundary %d:\n tick:  %v\n event: %v", i+1, tick.regs[i], event.regs[i])
+							}
+						}
+						if slice > 0 && len(event.regs[0]) == 0 {
+							t.Error("observer read an empty registry")
 						}
 						if !reflect.DeepEqual(tick.met, event.met) {
 							t.Errorf("Metrics differ:\n tick:  %+v\n event: %+v", tick.met, event.met)
-						}
-						if tick.slices != event.slices {
-							t.Errorf("slice CSVs differ:\n tick:\n%s\n event:\n%s", tick.slices, event.slices)
-						}
-						if slice > 0 && strings.Count(event.slices, "\n") < 7007/333 {
-							t.Errorf("slice CSV has too few rows:\n%s", event.slices)
 						}
 					})
 				}
@@ -327,38 +335,12 @@ func TestKernelParityObservedMidRun(t *testing.T) {
 	}
 }
 
-// dropCSVColumn returns the CSV text without the named column.
-func dropCSVColumn(t *testing.T, text, name string) string {
-	t.Helper()
-	rows, err := csv.NewReader(strings.NewReader(text)).ReadAll()
-	if err != nil {
-		t.Fatalf("slice stream is not valid CSV: %v", err)
-	}
-	var b strings.Builder
-	col := -1
-	for i, row := range rows {
-		if i == 0 {
-			for j, h := range row {
-				if h == name {
-					col = j
-				}
-			}
-			if col < 0 {
-				t.Fatalf("no %q column in %v", name, row)
-			}
-		}
-		b.WriteString(strings.Join(append(row[:col:col], row[col+1:]...), ","))
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // TestSleepersMatchDenseEventKernel pins the processor calendar to the
 // event kernel it replaced: the same machine run once with its
 // processors registered as sleepers and once with every component
 // ticked on every executed cycle must write byte-identical checkpoints
 // at every chunk boundary (processor lookahead state, kernel
-// accounting, attribution and slicer state included) and report
+// accounting and attribution included) and report
 // identical Metrics, kernel accounting included.
 func TestSleepersMatchDenseEventKernel(t *testing.T) {
 	for _, c := range parityGrid() {
@@ -375,11 +357,7 @@ func TestSleepersMatchDenseEventKernel(t *testing.T) {
 					cfg := DefaultConfig(tor, mp, c.contexts)
 					cfg.LocalDelay, cfg.Watchdog = c.localDelay, c.watchdog
 					if instrument {
-						sw, err := telemetry.NewSliceWriter(&strings.Builder{}, "csv")
-						if err != nil {
-							t.Fatal(err)
-						}
-						cfg.Telemetry, cfg.SliceEvery, cfg.SliceWriter = telemetry.New(), 333, sw
+						cfg.Telemetry = telemetry.New()
 					}
 					mach, err := New(cfg)
 					if err != nil {

@@ -2,10 +2,8 @@ package machine
 
 import (
 	"context"
-	"encoding/csv"
 	"errors"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -137,106 +135,6 @@ func TestLatencyHistogramsMeasureThOfD(t *testing.T) {
 	}
 	if diam := tor.Diameter(); mach.msgLat.Keys() != diam+1 {
 		t.Errorf("msg latency vec has %d keys, want diameter+1 = %d", mach.msgLat.Keys(), diam+1)
-	}
-}
-
-// TestSliceStreamContents: time-sliced sampling emits one CSV row per
-// boundary labeled with the slice's last completed cycle, plus a final
-// partial row from FlushSlices, and the sampled deltas are consistent
-// with the machine's cumulative counters.
-func TestSliceStreamContents(t *testing.T) {
-	var sb strings.Builder
-	sw, err := telemetry.NewSliceWriter(&sb, "csv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tor := topology.MustNew(4, 2)
-	cfg := DefaultConfig(tor, mapping.Identity(tor), 1)
-	cfg.Telemetry = telemetry.New()
-	cfg.SliceEvery = 1000
-	cfg.SliceWriter = sw
-	mach, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	execCycles(t, mach, 3500)
-	mach.FlushSlices()
-	if err := sw.Err(); err != nil {
-		t.Fatal(err)
-	}
-
-	rows, err := csv.NewReader(strings.NewReader(sb.String())).ReadAll()
-	if err != nil {
-		t.Fatalf("slice stream is not valid CSV: %v\n%s", err, sb.String())
-	}
-	// Header + boundary rows labeled with each slice's last completed
-	// cycle (the sampler fires as cycle k·every executes) + the partial
-	// flush row at the run's final cycle.
-	if len(rows) != 5 {
-		t.Fatalf("got %d rows, want header + 4 samples:\n%s", len(rows), sb.String())
-	}
-	if rows[0][0] != "cycle" {
-		t.Errorf("header = %v", rows[0])
-	}
-	wantCycles := []string{"1000", "2000", "3000", "3499"}
-	col := map[string]int{}
-	for i, name := range rows[0] {
-		col[name] = i
-	}
-	var injected float64
-	for i, want := range wantCycles {
-		row := rows[i+1]
-		if row[0] != want {
-			t.Errorf("sample %d cycle = %s, want %s", i, row[0], want)
-		}
-		v, err := strconv.ParseFloat(row[col["msgs_injected"]], 64)
-		if err != nil {
-			t.Fatalf("sample %d msgs_injected = %q: %v", i, row[col["msgs_injected"]], err)
-		}
-		injected += v
-	}
-	// Slice deltas must tile the run: their sum equals the cumulative
-	// injection counter.
-	if total := float64(mach.Network().Snapshot().Injected); injected != total {
-		t.Errorf("slice msgs_injected deltas sum to %g, cumulative counter is %g", injected, total)
-	}
-	for _, want := range []string{"utilization", "skip_ratio", "queued_messages", "outstanding_txns"} {
-		if _, ok := col[want]; !ok {
-			t.Errorf("slice header missing %q: %v", want, rows[0])
-		}
-	}
-}
-
-// TestSlicingDoesNotPerturbResults: the sampler pins slice boundaries
-// (executing cycles the event kernel would have skipped), which must
-// remain behaviorally invisible — identical Metrics with and without
-// slicing, under both kernels.
-func TestSlicingDoesNotPerturbResults(t *testing.T) {
-	for _, mode := range []sim.KernelKind{sim.KernelTick, sim.KernelEvent} {
-		run := func(slice int64) Metrics {
-			tor := topology.MustNew(4, 2)
-			cfg := DefaultConfig(tor, mapping.Random(tor, 1), 2)
-			cfg.Kernel = mode
-			cfg.Telemetry = telemetry.New()
-			if slice > 0 {
-				sw, err := telemetry.NewSliceWriter(&strings.Builder{}, "csv")
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg.SliceEvery = slice
-				cfg.SliceWriter = sw
-			}
-			mach, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return execMeasured(t, mach, 500, 2000)
-		}
-		plain := run(0)
-		sliced := run(333) // deliberately misaligned with the run chunking
-		if !reflect.DeepEqual(normalizeKernelStats(plain), normalizeKernelStats(sliced)) {
-			t.Errorf("%v kernel: slicing perturbed Metrics:\n off: %+v\n on:  %+v", mode, plain, sliced)
-		}
 	}
 }
 

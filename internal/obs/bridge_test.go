@@ -141,25 +141,3 @@ func TestPublishRateAndETA(t *testing.T) {
 		t.Fatalf("label change kept rate %.0f, want 0", s2.CyclesPerSec)
 	}
 }
-
-// TestHealthStaleness covers the bridge-side watchdog: a snapshot that
-// stops refreshing flips health to degraded once past the bound.
-func TestHealthStaleness(t *testing.T) {
-	b := NewBridge()
-	if h := b.Health(); !h.Healthy() {
-		t.Fatalf("empty bridge health = %+v, want ok", h)
-	}
-	b.SetStaleAfter(time.Millisecond)
-	if h := b.Health(); !h.Healthy() {
-		t.Fatalf("pre-publish health = %+v, want ok (machine may still be constructing)", h)
-	}
-	b.Publish(Sample{Label: "x", Cycle: 1})
-	time.Sleep(5 * time.Millisecond)
-	if h := b.Health(); h.Healthy() {
-		t.Fatal("stale snapshot still reports ok")
-	}
-	b.SetStaleAfter(time.Hour)
-	if h := b.Health(); !h.Healthy() {
-		t.Fatalf("fresh-enough snapshot degraded: %+v", h)
-	}
-}

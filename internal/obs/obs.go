@@ -88,12 +88,11 @@ type failure struct {
 // publishers race only on who stored last, and readers only ever see
 // complete snapshots.
 type Bridge struct {
-	seq        atomic.Int64
-	cur        atomic.Pointer[Snapshot]
-	grid       atomic.Pointer[GridProgress]
-	fail       atomic.Pointer[failure]
-	staleAfter atomic.Int64 // ns; 0 disables staleness degradation
-	start      time.Time
+	seq   atomic.Int64
+	cur   atomic.Pointer[Snapshot]
+	grid  atomic.Pointer[GridProgress]
+	fail  atomic.Pointer[failure]
+	start time.Time
 }
 
 // NewBridge returns an empty bridge.
@@ -169,26 +168,12 @@ func (b *Bridge) Fail(component string, err error) {
 	b.fail.CompareAndSwap(nil, &failure{component: component, err: err})
 }
 
-// SetStaleAfter makes Health degrade when no snapshot has been
-// published for longer than d — a watchdog for runs that wedge
-// somewhere the machine's own stall detector cannot see (e.g. outside
-// the run loop). Zero (the default) disables staleness checking.
-func (b *Bridge) SetStaleAfter(d time.Duration) { b.staleAfter.Store(int64(d)) }
-
-// Health derives the /healthz verdict: degraded when a failure has
-// been recorded or when the snapshot stream has gone stale, ok
-// otherwise (including before the first publish, so probes pass while
-// a large machine is still constructing).
+// Health derives the /healthz verdict: degraded once a failure has
+// been recorded, ok otherwise (including before the first publish, so
+// probes pass while a large machine is still constructing).
 func (b *Bridge) Health() Health {
 	if f := b.fail.Load(); f != nil {
 		return Health{Status: "degraded", Reason: fmt.Sprintf("%s: %v", f.component, f.err)}
-	}
-	if sa := time.Duration(b.staleAfter.Load()); sa > 0 {
-		if s := b.cur.Load(); s != nil {
-			if age := time.Since(s.At); age > sa {
-				return Health{Status: "degraded", Reason: fmt.Sprintf("no snapshot for %v (stall?), last at cycle %d", age.Round(time.Second), s.Cycle)}
-			}
-		}
 	}
 	return Health{Status: "ok"}
 }

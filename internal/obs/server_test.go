@@ -120,6 +120,9 @@ func TestHealthzDegradesOnStall(t *testing.T) {
 	if !errors.Is(err, machine.ErrStalled) {
 		t.Fatalf("expected a stall, got %v", err)
 	}
+	if h := b.Health(); !h.Healthy() || b.Snapshot() == nil {
+		t.Fatalf("health before Fail = %+v (snapshot %v), want ok after publishing", h, b.Snapshot())
+	}
 	b.Fail("machine", err)
 
 	code, body := get(t, "http://"+srv.Addr()+"/healthz")

@@ -5,7 +5,7 @@ import "locality/internal/telemetry"
 // PublishTelemetry registers machine-wide processor cycle accounting —
 // summed over the given processors — as pull-based gauges. Per-node
 // breakdowns stay available through Processor.Snapshot; the registry
-// carries the aggregate a time-sliced sampler or dump wants. Safe on a
+// carries the aggregate a dump or a /metrics scrape wants. Safe on a
 // nil registry.
 func PublishTelemetry(reg *telemetry.Registry, procs []*Processor) {
 	if reg == nil {

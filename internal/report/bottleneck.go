@@ -20,7 +20,7 @@ import (
 // Bottleneck is one ranked row of the report.
 type Bottleneck struct {
 	// Component names the substrate ("network", "protocol",
-	// "processors", "sampler", "unforced").
+	// "processors", "unforced").
 	Component string `json:"component"`
 	// Cycles is the executed-cycle count attributed to the component;
 	// Share is its fraction of all attributed cycles.
@@ -121,9 +121,6 @@ func AnalyzeBottlenecks(metrics []telemetry.Metric) *BottleneckReport {
 			}
 			return ""
 		}, "compute-bound: raise the compute grain or accept it — the network is not the limiter"},
-		{"sampler", "attr/sampler", func() string {
-			return ""
-		}, "raise SliceEvery: the time-slice sampler is forcing cycles the workload does not need"},
 		{"unforced", "attr/unforced", func() string {
 			return ""
 		}, "idle ticks: mostly harmless; the event kernel would skip these"},

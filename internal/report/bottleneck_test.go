@@ -15,7 +15,7 @@ func fakeExport() []telemetry.Metric {
 		"attr/network":    610,
 		"attr/protocol":   250,
 		"attr/processors": 120,
-		"attr/sampler":    20,
+		"attr/unforced":   20,
 	}
 	for name, v := range attr {
 		v := v
@@ -42,7 +42,7 @@ func TestAnalyzeBottlenecksRanking(t *testing.T) {
 	if rep.Items[0].Component != "network" || rep.Items[0].Share != 0.61 {
 		t.Fatalf("top item = %+v, want network at 61%%", rep.Items[0])
 	}
-	if rep.Items[1].Component != "protocol" || rep.Items[3].Component != "sampler" {
+	if rep.Items[1].Component != "protocol" || rep.Items[3].Component != "unforced" {
 		t.Fatalf("ranking order wrong: %+v", rep.Items)
 	}
 	if !strings.Contains(rep.Items[0].Evidence, "hops=8") {

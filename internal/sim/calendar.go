@@ -8,7 +8,7 @@ import "fmt"
 // the sleepers due at it, in registration order among the other
 // components. A sleeper's skipped cycles, whether quiescent spans or
 // executed cycles it was not due at, are applied lazily through its
-// Advancer right before it next ticks or when the kernel syncs it.
+// Advancer right before it next ticks or when Run returns.
 //
 // On top of the Component/Advancer contract, a sleeper promises:
 //
@@ -18,7 +18,7 @@ import "fmt"
 //   - Its state changes only inside its own Tick, or in a call made
 //     right after Touch on it. Whoever mutates a sleeper from outside
 //     calls Touch first.
-//   - Nothing reads its state mid-run without calling Sync first.
+//   - Nothing reads its state mid-run.
 //
 // The kernel reads a sleeper's NextEvent only in the sweep after the
 // sleeper ticked or was touched, which is where the dense sweep first
@@ -91,23 +91,6 @@ func (k *Kernel) Touch(i int) {
 	c.dirty = append(c.dirty, s)
 }
 
-// Sync brings every sleeper current, so its state can be read: through
-// the cycle being executed when called from a component after the
-// sleeper's slot, otherwise through the previous cycle. Run syncs
-// before it returns, so between runs every sleeper is already current.
-func (k *Kernel) Sync() {
-	if !k.cal.built {
-		return
-	}
-	for s := range k.cal.last {
-		to := k.now - 1
-		if k.sleepLo+s <= k.cur {
-			to = k.now
-		}
-		k.catchUp(int32(s), to)
-	}
-}
-
 // catchUp applies sleeper s's lagged cycles through cycle to.
 func (k *Kernel) catchUp(s int32, to int64) {
 	if c := &k.cal; c.last[s] < to {
@@ -171,7 +154,9 @@ func (k *Kernel) syncSleepers() {
 		c.schedule(s, k.now)
 	}
 	c.dirty = c.dirty[:0]
-	k.Sync()
+	for s := range c.last {
+		k.catchUp(int32(s), k.now-1)
+	}
 }
 
 // schedule moves sleeper s to cycle at, leaving any older entry stale.

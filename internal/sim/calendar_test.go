@@ -64,25 +64,13 @@ func TestSleeperTouchedAfterItsSlotTicksNextCycle(t *testing.T) {
 
 func TestRunReturnsWithSleepersCurrent(t *testing.T) {
 	sleepers := []*scripted{newScripted(t, 3, 40), newScripted(t, 17), newScripted(t)}
-	// The sampler runs after the sleepers' slots and syncs them, as the
-	// machine's slicer does before reading processor counters.
-	sampler := &hook{scripted: newScripted(t, 9, 33), fn: func(h *hook, now int64) {
-		if !h.events[now] {
-			return
-		}
-		h.k.Sync()
-		for i, s := range sleepers {
-			if s.last != now {
-				t.Errorf("cycle %d: Sync left sleeper %d applied through %d", now, i, s.last)
-			}
-		}
-	}}
+	// Components on both sides of the sleepers force cycles none of
+	// them is due at.
 	comps := []Component{newScripted(t, 25)}
 	for _, s := range sleepers {
 		comps = append(comps, s)
 	}
-	k := New(append(comps, sampler)...)
-	sampler.k = k
+	k := New(append(comps, newScripted(t, 9, 33))...)
 	k.SetSleepers(1, 1+len(sleepers))
 	for _, n := range []int64{7, 1, 30, 12} {
 		k.Run(n)

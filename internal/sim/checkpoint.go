@@ -2,20 +2,6 @@ package sim
 
 import "fmt"
 
-// Checkpointable is implemented by simulation components whose state
-// can be captured into a serializable value and restored exactly. The
-// concrete state types are component-specific; the machine layer wires
-// them into the versioned checkpoint format.
-type Checkpointable interface {
-	// CheckpointState returns a self-contained snapshot of the
-	// component's state at the current cycle boundary.
-	CheckpointState() any
-	// RestoreState overwrites the component with a snapshot previously
-	// returned by CheckpointState on an identically configured
-	// component.
-	RestoreState(state any) error
-}
-
 // KernelState is the kernel's serialized execution state: the clock,
 // the tick/skip accounting, and the attribution charges (nil when
 // attribution is disabled).

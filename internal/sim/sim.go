@@ -14,7 +14,7 @@
 //     the skipped span in bulk. An executed cycle ticks every ordinary
 //     component but only the sleepers (SetSleepers) that are due at
 //     it; a sleeper's other cycles are applied through its Advancer
-//     when it next ticks or is synced (calendar.go).
+//     when it next ticks or when Run returns (calendar.go).
 //
 // Equivalence rests on one contract: a component's NextEvent must be a
 // lower bound on the first future cycle whose Tick is not fully
@@ -288,7 +288,7 @@ func (k *Kernel) Run(cycles int64) {
 			arg = -1 // clamped: nothing forced the cycle at end
 		}
 		// Cycles k.now .. next-1 are quiescent: apply them in bulk
-		// (sleepers catch up when they next tick or sync).
+		// (sleepers catch up when they next tick or when Run returns).
 		lo, hi := k.sleeperSpan()
 		for _, a := range k.advs[:lo] {
 			if a != nil {

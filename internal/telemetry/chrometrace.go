@@ -19,7 +19,7 @@ import (
 //   - one track per node (tid = node+1) carrying message spans —
 //     send→deliver pairs matched FIFO per (src, dst, addr) — plus
 //     transaction-complete spans reconstructed from their recorded
-//     latency, and instant markers for context switches and evictions.
+//     latency.
 //
 // Sends whose delivery fell outside the retained ring (or after the
 // run ended) render as instant markers rather than spans, so a
@@ -117,11 +117,6 @@ func WriteChromeTrace(w io.Writer, events []trace.Event) error {
 				Name: "txn", Cat: "txn", Ph: "X",
 				Ts: ts, Dur: dur, Pid: 0, Tid: track(e.Node),
 				Args: map[string]any{"addr": fmt.Sprintf("%#x", e.Addr)},
-			})
-		case trace.KindCtxSwitch, trace.KindEvict, trace.KindTxnStart:
-			out = append(out, chromeEvent{
-				Name: e.Kind.String(), Cat: "proc", Ph: "i", S: "t",
-				Ts: e.Cycle, Pid: 0, Tid: track(e.Node),
 			})
 		}
 	}

@@ -1,7 +1,6 @@
 // Package telemetry is the simulator's observability layer: a metrics
 // registry the simulation substrates (machine, procsim, cohsim,
-// netsim) publish into, time-sliced interval sampling, and a
-// Chrome trace-event exporter.
+// netsim) publish into and a Chrome trace-event exporter.
 //
 // The registry is built for a single-threaded simulation hot path:
 // registration (which allocates) happens once at machine construction,
@@ -264,8 +263,8 @@ func (r *Registry) Export() []Metric {
 // keys (count, mean, and overflow exactly; p50/p99 as the max across
 // keys — an upper bound, consistent with Percentile's own
 // bucket-granularity upper bound) plus a full <name>[k]/... group per
-// populated key — the per-distance latency signal the time-sliced
-// CSVs and the /metrics endpoint both consume. Nil-safe.
+// populated key — the per-distance latency signal the /metrics
+// endpoint consumes. Nil-safe.
 func (r *Registry) Snapshot() []Value {
 	if r == nil {
 		return nil

@@ -1,6 +1,6 @@
 // Package trace provides lightweight structured event tracing for the
 // simulator: a fixed-capacity ring buffer of typed events with
-// per-kind filtering, counters, and text export. Tracing is designed
+// per-kind counters and text export. Tracing is designed
 // to be cheap enough to leave compiled in: a disabled Tracer is a
 // single branch per event.
 package trace
@@ -18,14 +18,8 @@ const (
 	KindMsgSend Kind = iota
 	// KindMsgDeliver is a message arriving at its destination.
 	KindMsgDeliver
-	// KindTxnStart is a coherence transaction issuing.
-	KindTxnStart
 	// KindTxnComplete is a coherence transaction completing.
 	KindTxnComplete
-	// KindCtxSwitch is a processor context switch.
-	KindCtxSwitch
-	// KindEvict is a cache line eviction.
-	KindEvict
 	// KindKernelSkip is a quiescent span the event kernel advanced
 	// over in bulk: Cycle is the first skipped cycle, Info the span
 	// length, Node/Peer are -1 (machine-wide).
@@ -35,7 +29,7 @@ const (
 
 // String implements fmt.Stringer.
 func (k Kind) String() string {
-	names := [...]string{"msg-send", "msg-deliver", "txn-start", "txn-complete", "ctx-switch", "evict", "kernel-skip"}
+	names := [...]string{"msg-send", "msg-deliver", "txn-complete", "kernel-skip"}
 	if int(k) < len(names) {
 		return names[k]
 	}
@@ -63,41 +57,23 @@ func (e Event) String() string {
 // disabled tracer that drops everything; use New for an enabled one.
 type Tracer struct {
 	enabled  bool
-	mask     [numKinds]bool
 	buf      []Event
 	next     int
 	wrapped  bool
 	counts   [numKinds]int64
-	dropped  int64
 	capacity int
 }
 
-// New returns a tracer holding the most recent capacity events, with
-// every kind enabled.
+// New returns a tracer holding the most recent capacity events.
 func New(capacity int) *Tracer {
 	if capacity < 1 {
 		panic("trace: capacity must be positive")
 	}
-	t := &Tracer{enabled: true, buf: make([]Event, 0, capacity), capacity: capacity}
-	for i := range t.mask {
-		t.mask[i] = true
-	}
-	return t
+	return &Tracer{enabled: true, buf: make([]Event, 0, capacity), capacity: capacity}
 }
 
 // Enabled reports whether the tracer records anything.
 func (t *Tracer) Enabled() bool { return t != nil && t.enabled }
-
-// SetKinds restricts recording to the given kinds (all others are
-// counted as dropped).
-func (t *Tracer) SetKinds(kinds ...Kind) {
-	for i := range t.mask {
-		t.mask[i] = false
-	}
-	for _, k := range kinds {
-		t.mask[k] = true
-	}
-}
 
 // Emit records one event. Safe to call on a nil or zero Tracer.
 func (t *Tracer) Emit(e Event) {
@@ -105,10 +81,6 @@ func (t *Tracer) Emit(e Event) {
 		return
 	}
 	t.counts[e.Kind]++
-	if !t.mask[e.Kind] {
-		t.dropped++
-		return
-	}
 	if len(t.buf) < t.capacity {
 		t.buf = append(t.buf, e)
 		// len%capacity is the next write slot and already wraps to 0
@@ -137,21 +109,13 @@ func (t *Tracer) Events() []Event {
 	return out
 }
 
-// Count returns how many events of kind k were emitted (including
-// filtered ones).
+// Count returns how many events of kind k were emitted, including
+// those the ring has since overwritten.
 func (t *Tracer) Count(k Kind) int64 {
 	if t == nil {
 		return 0
 	}
 	return t.counts[k]
-}
-
-// Dropped returns how many events were filtered out by the kind mask.
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.dropped
 }
 
 // Dump writes the retained events as text, one per line.

@@ -17,7 +17,7 @@ func TestZeroTracerIsSafe(t *testing.T) {
 	}
 	var nilT *Tracer
 	nilT.Emit(Event{Kind: KindMsgSend}) // must not panic
-	if nilT.Enabled() || nilT.Count(KindMsgSend) != 0 || nilT.Dropped() != 0 {
+	if nilT.Enabled() || nilT.Count(KindMsgSend) != 0 {
 		t.Error("nil tracer should report nothing")
 	}
 }
@@ -34,7 +34,7 @@ func TestNewValidatesCapacity(t *testing.T) {
 func TestEmitAndEvents(t *testing.T) {
 	tr := New(10)
 	for i := 0; i < 5; i++ {
-		tr.Emit(Event{Cycle: int64(i), Kind: KindTxnStart, Node: i})
+		tr.Emit(Event{Cycle: int64(i), Kind: KindTxnComplete, Node: i})
 	}
 	evs := tr.Events()
 	if len(evs) != 5 {
@@ -45,8 +45,8 @@ func TestEmitAndEvents(t *testing.T) {
 			t.Errorf("event %d = %+v out of order", i, e)
 		}
 	}
-	if tr.Count(KindTxnStart) != 5 {
-		t.Errorf("count = %d, want 5", tr.Count(KindTxnStart))
+	if tr.Count(KindTxnComplete) != 5 {
+		t.Errorf("count = %d, want 5", tr.Count(KindTxnComplete))
 	}
 }
 
@@ -69,87 +69,30 @@ func TestRingWrapKeepsNewest(t *testing.T) {
 	}
 }
 
-func TestKindFiltering(t *testing.T) {
-	tr := New(10)
-	tr.SetKinds(KindTxnComplete)
-	tr.Emit(Event{Kind: KindMsgSend})
-	tr.Emit(Event{Kind: KindTxnComplete})
-	tr.Emit(Event{Kind: KindCtxSwitch})
-	evs := tr.Events()
-	if len(evs) != 1 || evs[0].Kind != KindTxnComplete {
-		t.Errorf("filtered events = %v", evs)
-	}
-	if tr.Dropped() != 2 {
-		t.Errorf("dropped = %d, want 2", tr.Dropped())
-	}
-	// Counts include filtered kinds.
-	if tr.Count(KindMsgSend) != 1 {
-		t.Errorf("send count = %d, want 1", tr.Count(KindMsgSend))
-	}
-}
-
 func TestDumpAndFilter(t *testing.T) {
 	tr := New(10)
-	tr.Emit(Event{Cycle: 7, Kind: KindEvict, Node: 3, Addr: 0x40})
+	tr.Emit(Event{Cycle: 7, Kind: KindTxnComplete, Node: 3, Addr: 0x40})
 	tr.Emit(Event{Cycle: 9, Kind: KindMsgDeliver, Node: 1, Peer: 3})
 	var buf bytes.Buffer
 	if err := tr.Dump(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "evict") || !strings.Contains(out, "msg-deliver") {
+	if !strings.Contains(out, "txn-complete") || !strings.Contains(out, "msg-deliver") {
 		t.Errorf("dump missing events:\n%s", out)
 	}
 	only := tr.Filter(func(e Event) bool { return e.Node == 3 })
-	if len(only) != 1 || only[0].Kind != KindEvict {
+	if len(only) != 1 || only[0].Kind != KindTxnComplete {
 		t.Errorf("filter result = %v", only)
 	}
 }
 
 func TestKindStrings(t *testing.T) {
-	if KindMsgSend.String() != "msg-send" || KindEvict.String() != "evict" {
+	if KindMsgSend.String() != "msg-send" || KindKernelSkip.String() != "kernel-skip" {
 		t.Error("kind strings wrong")
 	}
 	if Kind(99).String() != "Kind(99)" {
 		t.Error("unknown kind string wrong")
-	}
-}
-
-// TestWrapFilterSetKindsRoundTrip drives the ring through the
-// fill boundary with kind filtering active, checking that dropped
-// events never advance the write cursor and that Filter sees the
-// retained window in order afterwards.
-func TestWrapFilterSetKindsRoundTrip(t *testing.T) {
-	tr := New(4)
-	tr.SetKinds(KindMsgSend, KindTxnComplete)
-	// Interleave retained and filtered kinds across the boundary: the
-	// filtered emits must not consume ring slots.
-	for i := 0; i < 7; i++ {
-		tr.Emit(Event{Cycle: int64(10 + i), Kind: KindMsgSend})
-		tr.Emit(Event{Cycle: int64(10 + i), Kind: KindCtxSwitch}) // filtered
-	}
-	tr.Emit(Event{Cycle: 20, Kind: KindTxnComplete})
-
-	evs := tr.Events()
-	if len(evs) != 4 {
-		t.Fatalf("retained %d events, want capacity 4", len(evs))
-	}
-	wantCycles := []int64{14, 15, 16, 20}
-	for i, e := range evs {
-		if e.Cycle != wantCycles[i] {
-			t.Errorf("event %d cycle = %d, want %d (newest retained, in order)", i, e.Cycle, wantCycles[i])
-		}
-	}
-	if tr.Dropped() != 7 {
-		t.Errorf("dropped = %d, want 7 filtered ctx-switches", tr.Dropped())
-	}
-	sends := tr.Filter(func(e Event) bool { return e.Kind == KindMsgSend })
-	if len(sends) != 3 || sends[0].Cycle != 14 || sends[2].Cycle != 16 {
-		t.Errorf("Filter(sends) = %v, want cycles 14..16", sends)
-	}
-	if tr.Count(KindMsgSend) != 7 || tr.Count(KindCtxSwitch) != 7 {
-		t.Errorf("counts = %d sends, %d switches, want 7 each (counts include filtered and overwritten)",
-			tr.Count(KindMsgSend), tr.Count(KindCtxSwitch))
 	}
 }
 
