@@ -21,8 +21,9 @@
 // checkpoint directory configured, Ctrl-C writes a final snapshot
 // before exiting and a watchdog stall writes an emergency one named in
 // the stall report. -restore resumes a run from a snapshot — the other
-// flags must describe the same machine, which is enforced — and
-// produces output byte-identical to the uninterrupted run.
+// flags must describe the same machine, which is enforced — and, since
+// the -warmup/-window protocol runs on the machine's absolute clock,
+// finishes it with output byte-identical to the uninterrupted run.
 //
 // Observability: -telemetry appends the metrics-registry dump and the
 // per-component cycle-attribution breakdown to the report; -analyze
@@ -182,7 +183,7 @@ func main() {
 	}
 
 	t0 := time.Now()
-	res, err := mach.Execute(ctx, machine.RunSpec{Warmup: *warmup, Window: *window, ResumeFrom: true})
+	res, err := mach.Execute(ctx, machine.RunSpec{Warmup: *warmup, Window: *window})
 	met := res.Metrics
 	if err != nil {
 		if bridge != nil {

@@ -38,12 +38,10 @@
 //	^C
 //	sweep -mappings suite -contexts 1,2,4 -resume results.csv -out results2.csv
 //
-// Observability on long sweeps: -telemetry gives every cell its own
-// metrics registry and cycle attribution (the CSV stays byte-identical
-// — telemetry never touches simulated results); -trace-dir writes one
-// Perfetto-loadable Chrome trace JSON per cell; -heartbeat
-// prints periodic completed/total + ETA lines to stderr; -obs serves
-// the live observability endpoints (/metrics Prometheus exposition,
+// Observability on long sweeps: -trace-dir writes one Perfetto-loadable
+// Chrome trace JSON per cell; -heartbeat prints periodic
+// completed/total + ETA lines to stderr; -obs serves the live
+// observability endpoints (/metrics Prometheus exposition,
 // /statusz run status with per-cell progress and ETA, /healthz, and
 // /debug/pprof) on the given address while the sweep runs; -ledger
 // appends one structured run record per invocation to a JSONL ledger.
@@ -107,10 +105,9 @@ func parseContexts(s string) ([]int, error) {
 }
 
 // cellExtras is the per-cell observability configuration layered on
-// top of the sweepgrid cell: telemetry, traces, capture, and the live
-// bridge. None of it changes the simulated results.
+// top of the sweepgrid cell: traces, capture, and the live bridge.
+// None of it changes the simulated results.
 type cellExtras struct {
-	telemetry  bool
 	traceDir   string
 	traceCap   int
 	captureDir string
@@ -123,9 +120,6 @@ type cellExtras struct {
 func runCell(ctx context.Context, g *sweepgrid.Grid, i int, x cellExtras) (machine.Metrics, error) {
 	cfg := g.Config(i)
 	stem := g.FileStem(i)
-	if x.telemetry {
-		cfg.Telemetry = telemetry.New()
-	}
 	if x.traceDir != "" {
 		cfg.Trace = trace.New(x.traceCap)
 	}
@@ -135,9 +129,7 @@ func runCell(ctx context.Context, g *sweepgrid.Grid, i int, x cellExtras) (machi
 	if x.bridge != nil {
 		// The bridge needs a registry to snapshot; attaching one is
 		// observational, so the CSV stays byte-identical either way.
-		if cfg.Telemetry == nil {
-			cfg.Telemetry = telemetry.New()
-		}
+		cfg.Telemetry = telemetry.New()
 		cfg.Observer = x.bridge.MachineObserver(g.Key(i), g.Spec.Warmup+g.Spec.Window)
 	}
 	mach, err := machine.New(cfg)
@@ -260,7 +252,6 @@ func main() {
 	workers := flag.Int("workers", 0, "parallel simulation workers (0 = GOMAXPROCS)")
 	progress := flag.Bool("progress", false, "stream per-cell progress to stderr")
 	kernelFlag := flag.String("kernel", "event", "execution kernel: event (skip quiescent cycles) or tick (naive reference loop); rows are bit-identical either way")
-	telemetry_ := flag.Bool("telemetry", false, "per-cell metrics registry + cycle attribution (CSV output unchanged)")
 	traceDir := flag.String("trace-dir", "", "directory for per-cell Chrome trace-event JSON files")
 	traceCap := flag.Int("trace-cap", 1<<16, "per-cell trace ring-buffer capacity in events")
 	captureDir := flag.String("capture-dir", "", "directory for per-cell replayable reference traces (.lref)")
@@ -348,10 +339,7 @@ func main() {
 	// are prefilled and never run; the rest are submitted to the engine
 	// with their position in the full grid remembered, so the merged
 	// output streams in grid order.
-	extras := cellExtras{
-		telemetry: *telemetry_, traceDir: *traceDir, traceCap: *traceCap,
-		captureDir: *captureDir, bridge: bridge,
-	}
+	extras := cellExtras{traceDir: *traceDir, traceCap: *traceCap, captureDir: *captureDir, bridge: bridge}
 	var fullIndex []int // submitted cell -> full-grid position
 	rows := make([][]string, g.Len())
 	var cells []engine.Cell[machine.Metrics]

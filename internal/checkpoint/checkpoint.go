@@ -34,10 +34,10 @@ const Magic = "LCKP"
 // netsim router/injection-queue sections and the protocol node section
 // sparse (zero-state entries omitted, index-tagged, strictly
 // ascending) so snapshots of mostly-idle large machines stay small.
-// Removing fault injection and time-sliced sampling kept the version:
-// their slots stay on the wire as zero bytes (see retired), so every
-// file written without them still reads and re-encodes
-// byte-identically.
+// Removing fault injection, time-sliced sampling and the settable
+// protocol latencies kept the version: their slots stay on the wire as
+// zero bytes (see retired), so every file written without them still
+// reads and re-encodes byte-identically.
 const Version = 2
 
 // Hardening caps: upper bounds a hostile file cannot talk us past.
@@ -86,11 +86,6 @@ type Fingerprint struct {
 	WriteCompute int
 	Workload     string
 
-	// Protocol latencies.
-	ReqLatency, DirLatency, MemLatency int
-	CacheRespLatency, FillLatency      int
-	SWTrapLatency                      int
-
 	// Execution-loop selection; affects only kernel accounting, which
 	// the checkpoint also carries.
 	Kernel uint8
@@ -133,9 +128,6 @@ func (f *Fingerprint) Equal(g *Fingerprint) bool {
 		f.HWPointers == g.HWPointers && f.LocalDelay == g.LocalDelay &&
 		f.ReadCompute == g.ReadCompute && f.WriteCompute == g.WriteCompute &&
 		f.Workload == g.Workload &&
-		f.ReqLatency == g.ReqLatency && f.DirLatency == g.DirLatency &&
-		f.MemLatency == g.MemLatency && f.CacheRespLatency == g.CacheRespLatency &&
-		f.FillLatency == g.FillLatency && f.SWTrapLatency == g.SWTrapLatency &&
 		f.Kernel == g.Kernel
 }
 
@@ -183,10 +175,6 @@ func (f *Fingerprint) validate() (int, error) {
 	}
 	if f.ReadCompute < 0 || f.WriteCompute < 0 {
 		return 0, fmt.Errorf("checkpoint: negative compute burst in fingerprint")
-	}
-	if f.ReqLatency < 0 || f.DirLatency < 0 || f.MemLatency < 0 ||
-		f.CacheRespLatency < 0 || f.FillLatency < 0 || f.SWTrapLatency < 0 {
-		return 0, fmt.Errorf("checkpoint: negative protocol latency in fingerprint")
 	}
 	if f.Kernel > 1 {
 		return 0, fmt.Errorf("checkpoint: unknown kernel mode %d", f.Kernel)

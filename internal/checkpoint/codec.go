@@ -120,8 +120,9 @@ func (s *sections) checkpoint(ck *Checkpoint) {
 
 // The removed features whose slots stay on the wire.
 const (
-	faults  = "fault injection"
-	slicing = "time-sliced sampling"
+	faults    = "fault injection"
+	slicing   = "time-sliced sampling"
+	latencies = "settable protocol timing"
 )
 
 // retired codes a slot that a removed feature used to fill. A run
@@ -177,12 +178,12 @@ func (s *sections) fingerprint(f *Fingerprint) {
 	wire.Uvarint(c, &f.ReadCompute, maxEntries, "read compute")
 	wire.Uvarint(c, &f.WriteCompute, maxEntries, "write compute")
 	c.String(&f.Workload, maxNameLen, "workload identity")
-	wire.Uvarint(c, &f.ReqLatency, maxEntries, "request latency")
-	wire.Uvarint(c, &f.DirLatency, maxEntries, "directory latency")
-	wire.Uvarint(c, &f.MemLatency, maxEntries, "memory latency")
-	wire.Uvarint(c, &f.CacheRespLatency, maxEntries, "cache response latency")
-	wire.Uvarint(c, &f.FillLatency, maxEntries, "fill latency")
-	wire.Uvarint(c, &f.SWTrapLatency, maxEntries, "software trap latency")
+	retired(c, "request latency", latencies)
+	retired(c, "directory latency", latencies)
+	retired(c, "memory latency", latencies)
+	retired(c, "cache response latency", latencies)
+	retired(c, "fill latency", latencies)
+	retired(c, "software trap latency", latencies)
 	retired(c, "retry timeout", faults)
 	retired(c, "fault spec", faults)
 	wire.Byte(c, &f.Kernel, 1, "kernel mode")

@@ -242,8 +242,9 @@ func TestGoldenFixture(t *testing.T) {
 
 func TestReadRejects(t *testing.T) {
 	valid := encode(t, testCheckpoint())
-	// Checkpoints written with fault injection or time-sliced sampling
-	// on, by the builds that had them: their retired slots are nonzero.
+	// Checkpoints written with fault injection, time-sliced sampling or
+	// a protocol latency set, by the builds that had them: their
+	// retired slots are nonzero.
 	fixture := func(name string) []byte {
 		data, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
@@ -258,6 +259,7 @@ func TestReadRejects(t *testing.T) {
 	}{
 		{"faulted", fixture("golden-faulted.lckp"), "fault injection, which was removed"},
 		{"sliced", fixture("golden-sliced.lckp"), "slice interval is set: the file was written with time-sliced sampling, which was removed"},
+		{"latency", fixture("golden-latency.lckp"), "request latency is set: the file was written with settable protocol timing, which was removed"},
 		{"empty", nil, "magic"},
 		{"bad magic", []byte("NOPE"), "magic"},
 		{"bad version", append([]byte(Magic), 99), "version"},
@@ -389,8 +391,8 @@ func TestFingerprintEqual(t *testing.T) {
 		t.Error("fingerprints with different placements compare equal")
 	}
 	c := testCheckpoint().FP
-	c.SWTrapLatency++
+	c.HitLatency++
 	if a.Equal(&c) {
-		t.Error("fingerprints with different trap latencies compare equal")
+		t.Error("fingerprints with different hit latencies compare equal")
 	}
 }

@@ -44,9 +44,10 @@ func FuzzReadCheckpoint(f *testing.F) {
 	}
 	f.Add(attributed.Bytes())
 	f.Add(hostileCheckpoint())
-	// Files from the builds that had fault injection and time-sliced
-	// sampling: their retired slots are nonzero.
-	for _, name := range []string{"golden-faulted.lckp", "golden-sliced.lckp"} {
+	// Files from the builds that had fault injection, time-sliced
+	// sampling and settable protocol latencies: their retired slots are
+	// nonzero.
+	for _, name := range []string{"golden-faulted.lckp", "golden-sliced.lckp", "golden-latency.lckp"} {
 		data, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			f.Fatal(err)

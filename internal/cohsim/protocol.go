@@ -120,6 +120,29 @@ type Transaction struct {
 	pendingWrite bool
 }
 
+// Protocol timing and message sizes, calibrated once against the
+// reference architecture so the simulated machine reproduces its
+// measured message size B ≈ 12 flits and g ≈ 3.2 messages per
+// transaction. Latencies are in processor cycles.
+const (
+	controlFlits = 8  // size of a request, grant, invalidation or ack
+	dataFlits    = 24 // size of a message carrying a cache line
+
+	reqLatency       = 2  // miss detection → request injected
+	dirLatency       = 4  // request arrival at home → directory action
+	memLatency       = 6  // extra for replies that read memory
+	cacheRespLatency = 2  // Inv/Fetch arrival → response injected
+	fillLatency      = 2  // data arrival at requester → transaction complete
+	swTrapLatency    = 40 // extra home latency when the sharer set overflows
+
+	// sendOccupancy serializes outgoing messages through each node's
+	// controller: successive sends from one node are spaced at least
+	// this many cycles apart. This is the controller occupancy of the
+	// reference architecture's network interface; it also smooths
+	// invalidation bursts the way a real controller does.
+	sendOccupancy = 4
+)
+
 // Config parameterizes the protocol engine.
 type Config struct {
 	// Nodes is the machine size.
@@ -132,58 +155,11 @@ type Config struct {
 	// directory entry before the software-extension path triggers
 	// (LimitLESS). Zero means a full-map directory (never traps).
 	HWPointers int
-	// ControlFlits and DataFlits are protocol message sizes.
-	ControlFlits, DataFlits int
-
-	// Latencies, in processor cycles.
-	ReqLatency       int // miss detection → request injected
-	DirLatency       int // request arrival at home → directory action
-	MemLatency       int // extra for replies that read memory
-	CacheRespLatency int // Inv/Fetch arrival → response injected
-	FillLatency      int // data arrival at requester → transaction complete
-	SWTrapLatency    int // extra home latency when the sharer set overflows
-	// SendOccupancy serializes outgoing messages through each node's
-	// controller: successive sends from one node are spaced at least
-	// this many P-cycles apart. This is the controller occupancy of
-	// the reference architecture's network interface; it also smooths
-	// invalidation bursts the way a real controller does.
-	SendOccupancy int
-
 	// OnReady is invoked once per blocked thread when its transaction
 	// completes.
 	OnReady func(node, thread int, now int64)
 	// OnComplete, if set, observes every completed transaction.
 	OnComplete func(txn *Transaction)
-}
-
-func (c *Config) applyDefaults() {
-	if c.ControlFlits == 0 {
-		c.ControlFlits = 8
-	}
-	if c.DataFlits == 0 {
-		c.DataFlits = 24
-	}
-	if c.ReqLatency == 0 {
-		c.ReqLatency = 2
-	}
-	if c.DirLatency == 0 {
-		c.DirLatency = 4
-	}
-	if c.MemLatency == 0 {
-		c.MemLatency = 6
-	}
-	if c.CacheRespLatency == 0 {
-		c.CacheRespLatency = 2
-	}
-	if c.FillLatency == 0 {
-		c.FillLatency = 2
-	}
-	if c.SWTrapLatency == 0 {
-		c.SWTrapLatency = 40
-	}
-	if c.SendOccupancy == 0 {
-		c.SendOccupancy = 4
-	}
 }
 
 // Validate checks the configuration.
@@ -351,7 +327,6 @@ func New(cfg Config) (*Protocol, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg.applyDefaults()
 	// Per-node state materializes lazily: the nodes slice holds zero
 	// values (nil cache, nil dir/MSHR maps) until a node is touched, so
 	// construction cost and resident memory track touched nodes, not
@@ -476,7 +451,7 @@ func (p *Protocol) NextEvent() int64 { return p.events.due() }
 
 // send transmits a protocol message, attributing fabric messages to
 // txn. Outgoing messages serialize through the node's controller: each
-// send occupies it for SendOccupancy cycles, so bursts (e.g. a fan of
+// send occupies it for sendOccupancy cycles, so bursts (e.g. a fan of
 // invalidations) are spaced rather than injected back to back.
 func (p *Protocol) send(src, dst int, kind MsgKind, addr uint64, txn *Transaction) {
 	p.sendSeq(src, dst, kind, addr, txn, 0)
@@ -485,9 +460,9 @@ func (p *Protocol) send(src, dst int, kind MsgKind, addr uint64, txn *Transactio
 // sendSeq is send with an explicit home-operation sequence number (see
 // Msg.Seq).
 func (p *Protocol) sendSeq(src, dst int, kind MsgKind, addr uint64, txn *Transaction, seq int64) {
-	size := p.cfg.ControlFlits
+	size := controlFlits
 	if kind.IsData() {
-		size = p.cfg.DataFlits
+		size = dataFlits
 	}
 	if src != dst {
 		p.netMsgs.Inc()
@@ -500,7 +475,7 @@ func (p *Protocol) sendSeq(src, dst int, kind MsgKind, addr uint64, txn *Transac
 	if p.nextSend[src] > when {
 		when = p.nextSend[src]
 	}
-	p.nextSend[src] = when + int64(p.cfg.SendOccupancy)
+	p.nextSend[src] = when + sendOccupancy
 	if when <= p.now {
 		p.transport.Send(src, dst, size, Msg{Kind: kind, Addr: addr, From: src, Txn: txn, Seq: seq})
 		return
@@ -630,7 +605,7 @@ func (p *Protocol) issue(txn *Transaction) {
 	if txn.Write {
 		kind = MsgWReq
 	}
-	p.schedule(p.cfg.ReqLatency, action{kind: actIssue, node: txn.Node, peer: home, msgKind: kind, addr: txn.Addr, txn: txn})
+	p.schedule(reqLatency, action{kind: actIssue, node: txn.Node, peer: home, msgKind: kind, addr: txn.Addr, txn: txn})
 }
 
 // beginOp marks a directory entry busy with a new home-side operation.
@@ -684,9 +659,9 @@ func (p *Protocol) homeRequest(home int, m Msg) {
 		e.queue = append(e.queue, queuedReq{kind: m.Kind, from: m.From, txn: m.Txn})
 		return
 	}
-	delay := p.cfg.DirLatency
+	delay := dirLatency
 	if p.overflowed(e) {
-		delay += p.cfg.SWTrapLatency
+		delay += swTrapLatency
 		p.swTraps.Inc()
 	}
 	p.schedule(delay, action{kind: actHomeAction, node: home, peer: m.From, msgKind: m.Kind, addr: m.Addr, txn: m.Txn})
@@ -712,7 +687,7 @@ func (p *Protocol) homeAction(home int, e *dirEntry, kind MsgKind, from int, txn
 		case dirIdle, dirShared:
 			e.state = dirShared
 			e.addSharer(from)
-			p.homeReply(home, e, p.cfg.MemLatency, from, MsgRData, txn)
+			p.homeReply(home, e, memLatency, from, MsgRData, txn)
 		case dirModified:
 			p.beginOp(e, busyFetchRead)
 			e.requester = from
@@ -724,7 +699,7 @@ func (p *Protocol) homeAction(home int, e *dirEntry, kind MsgKind, from int, txn
 		case dirIdle:
 			e.state = dirModified
 			e.owner = from
-			p.homeReply(home, e, p.cfg.MemLatency, from, MsgWGrantData, txn)
+			p.homeReply(home, e, memLatency, from, MsgWGrantData, txn)
 		case dirShared:
 			// Invalidate every other sharer, then grant.
 			requesterHolds := e.hasSharer(from)
@@ -742,7 +717,7 @@ func (p *Protocol) homeAction(home int, e *dirEntry, kind MsgKind, from int, txn
 				if requesterHolds {
 					grant = MsgWGrant
 				}
-				p.homeReply(home, e, p.cfg.MemLatency, from, grant, txn)
+				p.homeReply(home, e, memLatency, from, grant, txn)
 				return
 			}
 			p.beginOp(e, busyInvalidations)
@@ -765,7 +740,7 @@ func (p *Protocol) homeAction(home int, e *dirEntry, kind MsgKind, from int, txn
 // sharerInvalidate handles MsgInv at a sharer: drop the copy (if still
 // present; it may have been silently evicted) and acknowledge.
 func (p *Protocol) sharerInvalidate(nodeID int, m Msg) {
-	p.schedule(p.cfg.CacheRespLatency, action{kind: actSharerInv, node: nodeID, peer: m.From, addr: m.Addr, txn: m.Txn, seq: m.Seq})
+	p.schedule(cacheRespLatency, action{kind: actSharerInv, node: nodeID, peer: m.From, addr: m.Addr, txn: m.Txn, seq: m.Seq})
 }
 
 // homeInvAck counts invalidation acknowledgments; the last one grants
@@ -805,7 +780,7 @@ func (p *Protocol) homeInvAck(home int, m Msg) {
 // ownerFetch handles Fetch/FetchInv at the (former) owner. If the line
 // was already evicted the writeback in flight will satisfy the home.
 func (p *Protocol) ownerFetch(nodeID int, m Msg) {
-	p.schedule(p.cfg.CacheRespLatency, action{kind: actOwnerFetch, node: nodeID, peer: m.From, msgKind: m.Kind, addr: m.Addr, txn: m.Txn, seq: m.Seq})
+	p.schedule(cacheRespLatency, action{kind: actOwnerFetch, node: nodeID, peer: m.From, msgKind: m.Kind, addr: m.Addr, txn: m.Txn, seq: m.Seq})
 }
 
 // homeWriteback handles WBData (fetch response) and WB (victim
@@ -817,12 +792,12 @@ func (p *Protocol) homeWriteback(home int, m Msg) {
 		e.state = dirShared
 		e.sharers = append(e.sharers[:0], e.owner, e.requester)
 		e.owner = -1
-		p.homeReply(home, e, p.cfg.MemLatency, e.requester, MsgRData, e.txn)
+		p.homeReply(home, e, memLatency, e.requester, MsgRData, e.txn)
 	case busyFetchWrite:
 		e.state = dirModified
 		e.sharers = e.sharers[:0]
 		e.owner = e.requester
-		p.homeReply(home, e, p.cfg.MemLatency, e.requester, MsgWGrantData, e.txn)
+		p.homeReply(home, e, memLatency, e.requester, MsgWGrantData, e.txn)
 	default:
 		// Victim writeback with no operation outstanding.
 		if e.state == dirModified && e.owner == m.From {
@@ -861,7 +836,7 @@ func (p *Protocol) drainQueue(home int, e *dirEntry) {
 // requesterGrant completes a transaction at the requester: install or
 // upgrade the line, wake the blocked threads.
 func (p *Protocol) requesterGrant(nodeID int, m Msg) {
-	p.schedule(p.cfg.FillLatency, action{kind: actGrantFill, node: nodeID, msgKind: m.Kind, addr: m.Addr, txn: m.Txn})
+	p.schedule(fillLatency, action{kind: actGrantFill, node: nodeID, msgKind: m.Kind, addr: m.Addr, txn: m.Txn})
 }
 
 // installLine installs a line, emitting a victim writeback for any

@@ -62,29 +62,23 @@ func (m *Machine) fingerprint() checkpoint.Fingerprint {
 		}
 	}
 	return checkpoint.Fingerprint{
-		Radix:            cfg.Topo.K(),
-		Dims:             cfg.Topo.N(),
-		Contexts:         cfg.Contexts,
-		MappingName:      cfg.Mapping.Name,
-		Place:            append([]int(nil), cfg.Mapping.Place...),
-		SwitchTime:       cfg.SwitchTime,
-		HitLatency:       cfg.HitLatency,
-		ClockRatio:       cfg.ClockRatio,
-		BufferDepth:      cfg.BufferDepth,
-		CacheLines:       cfg.CacheLines,
-		LineSize:         cfg.LineSize,
-		HWPointers:       cfg.HWPointers,
-		LocalDelay:       cfg.LocalDelay,
-		ReadCompute:      cfg.ReadCompute,
-		WriteCompute:     cfg.WriteCompute,
-		Workload:         wid,
-		ReqLatency:       cfg.ReqLatency,
-		DirLatency:       cfg.DirLatency,
-		MemLatency:       cfg.MemLatency,
-		CacheRespLatency: cfg.CacheRespLatency,
-		FillLatency:      cfg.FillLatency,
-		SWTrapLatency:    cfg.SWTrapLatency,
-		Kernel:           uint8(cfg.Kernel),
+		Radix:        cfg.Topo.K(),
+		Dims:         cfg.Topo.N(),
+		Contexts:     cfg.Contexts,
+		MappingName:  cfg.Mapping.Name,
+		Place:        append([]int(nil), cfg.Mapping.Place...),
+		SwitchTime:   switchTime,
+		HitLatency:   hitLatency,
+		ClockRatio:   cfg.ClockRatio,
+		BufferDepth:  cfg.BufferDepth,
+		CacheLines:   cfg.CacheLines,
+		LineSize:     cfg.LineSize,
+		HWPointers:   cfg.HWPointers,
+		LocalDelay:   cfg.LocalDelay,
+		ReadCompute:  cfg.ReadCompute,
+		WriteCompute: cfg.WriteCompute,
+		Workload:     wid,
+		Kernel:       uint8(cfg.Kernel),
 	}
 }
 

@@ -98,7 +98,7 @@ func restoreAndFinish(t *testing.T, c parityCell, mode sim.KernelKind, path stri
 	if mach.Now() != ck.PNow {
 		t.Fatalf("restored clock %d, checkpoint taken at %d", mach.Now(), ck.PNow)
 	}
-	res, err := mach.Execute(context.Background(), RunSpec{Warmup: warmup, Window: window, ResumeFrom: true})
+	res, err := mach.Execute(context.Background(), RunSpec{Warmup: warmup, Window: window})
 	if err != nil {
 		t.Fatalf("resuming from %s: %v", path, err)
 	}
@@ -497,7 +497,7 @@ func TestHeldSnapshotOutlivesItsSource(t *testing.T) {
 		{name: "random/p2/faults", mapName: "random", contexts: 2, watchdog: guardWatchdog, localDelay: 9},
 	}
 	ctx := context.Background()
-	spec := RunSpec{Warmup: warmup, Window: window, ResumeFrom: true}
+	spec := RunSpec{Warmup: warmup, Window: window}
 	for _, kc := range ckptKernels {
 		for _, c := range cells {
 			t.Run(kc.label+"/"+c.name, func(t *testing.T) {

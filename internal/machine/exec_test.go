@@ -48,7 +48,6 @@ func TestRunSpecValidate(t *testing.T) {
 		{Cycles: 5},
 		{Warmup: 2000, Window: 8000},
 		{Window: 8000},
-		{Warmup: 2000, Window: 8000, ResumeFrom: true},
 	}
 	for _, s := range valid {
 		if err := s.validate(); err != nil {
@@ -61,9 +60,6 @@ func TestRunSpecValidate(t *testing.T) {
 		{Window: -1},
 		{Cycles: 5, Warmup: 2000},
 		{Cycles: 5, Window: 8000},
-		{ResumeFrom: true},
-		{Warmup: 2000, ResumeFrom: true}, // no window to resume toward
-		{Cycles: 5, ResumeFrom: true},
 	}
 	for _, s := range invalid {
 		if err := s.validate(); err == nil {
@@ -117,12 +113,19 @@ func TestExecutePhaseSplitIsInvisible(t *testing.T) {
 		t.Errorf("split Execute diverged from measured protocol:\n%+v\n%+v", got, want)
 	}
 
-	// ResumeFrom on a fresh machine degenerates to the fresh protocol.
-	res, err := build().Execute(ctx, RunSpec{Warmup: warmup, Window: window, ResumeFrom: true})
+	// The measured protocol runs on the absolute clock: a machine a
+	// Cycles call already advanced part of the way into its warmup
+	// finishes the warmup, resets at cycle warmup, and measures the
+	// same window as the fresh protocol.
+	ahead := build()
+	if _, err := ahead.Execute(ctx, RunSpec{Cycles: warmup / 3}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := ahead.Execute(ctx, RunSpec{Warmup: warmup, Window: window})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Metrics != want {
-		t.Errorf("fresh ResumeFrom diverged from measured protocol:\n%+v\n%+v", res.Metrics, want)
+		t.Errorf("measured protocol from cycle %d diverged from the fresh one:\n%+v\n%+v", warmup/3, res.Metrics, want)
 	}
 }

@@ -6,23 +6,17 @@ import (
 )
 
 // RunSpec describes one Execute call: either a plain advance of Cycles
-// P-cycles, or the standard experiment protocol (warm up for Warmup
-// cycles, reset statistics, run the Window-cycle measurement window).
+// P-cycles, or the standard experiment protocol (warm up until cycle
+// Warmup, reset statistics, run the Window-cycle measurement window).
 // The two forms are mutually exclusive.
 type RunSpec struct {
 	// Cycles advances the machine by this many P-cycles with no stats
 	// reset. Mutually exclusive with Warmup/Window.
 	Cycles int64
-	// Warmup and Window select the experiment protocol: run Warmup
-	// cycles, reset statistics, run Window cycles, measure.
+	// Warmup and Window select the experiment protocol on the
+	// machine's absolute clock: run to cycle Warmup, reset statistics,
+	// run to cycle Warmup+Window, measure.
 	Warmup, Window int64
-	// ResumeFrom continues the Warmup/Window protocol from wherever
-	// the machine's clock already stands (a machine restored from a
-	// checkpoint): if the clock is at or before the warmup boundary
-	// the stats reset still happens at exactly cycle Warmup, and only
-	// the remainder of the protocol runs. Requires the Warmup/Window
-	// form.
-	ResumeFrom bool
 }
 
 func (s RunSpec) validate() error {
@@ -31,9 +25,6 @@ func (s RunSpec) validate() error {
 	}
 	if s.Cycles > 0 && (s.Warmup > 0 || s.Window > 0) {
 		return fmt.Errorf("machine: RunSpec.Cycles is mutually exclusive with Warmup/Window: %+v", s)
-	}
-	if s.ResumeFrom && (s.Cycles > 0 || s.Window == 0) {
-		return fmt.Errorf("machine: RunSpec.ResumeFrom requires the Warmup/Window form: %+v", s)
 	}
 	return nil
 }
@@ -54,39 +45,31 @@ type Result struct {
 // if ctx is canceled at a poll point. It is the machine's only run
 // entry point:
 //
-//	Execute(ctx, RunSpec{Cycles: n})                              // plain advance
-//	Execute(ctx, RunSpec{Warmup: w, Window: n})                   // measured protocol
-//	Execute(ctx, RunSpec{Warmup: w, Window: n, ResumeFrom: true}) // continue a restored run
+//	Execute(ctx, RunSpec{Cycles: n})            // plain advance
+//	Execute(ctx, RunSpec{Warmup: w, Window: n}) // measured protocol
+//
+// The measured protocol continues from wherever the clock stands, so a
+// machine restored from a checkpoint finishes the run it was taken
+// from: at or before cycle Warmup the statistics reset still lands at
+// exactly cycle Warmup, and past it only the rest of the window runs.
+// On a fresh machine that is the whole protocol.
 //
 // On error the returned Result is the zero value.
 func (m *Machine) Execute(ctx context.Context, spec RunSpec) (Result, error) {
 	if err := spec.validate(); err != nil {
 		return Result{}, err
 	}
-	switch {
-	case spec.ResumeFrom && m.pnow > spec.Warmup:
-		if err := m.runChecked(ctx, spec.Warmup+spec.Window-m.pnow); err != nil {
-			return Result{}, err
+	if spec.measured() {
+		if m.pnow <= spec.Warmup {
+			if err := m.runChecked(ctx, spec.Warmup-m.pnow); err != nil {
+				return Result{}, err
+			}
+			m.ResetStats()
 		}
-	case spec.measured():
-		// From a checkpoint at or before the warmup boundary the reset
-		// below still lands at exactly cycle Warmup, so the resumed
-		// protocol is the fresh protocol with a shorter first leg.
-		warmup := spec.Warmup
-		if spec.ResumeFrom {
-			warmup -= m.pnow
-		}
-		if err := m.runChecked(ctx, warmup); err != nil {
-			return Result{}, err
-		}
-		m.ResetStats()
-		if err := m.runChecked(ctx, spec.Window); err != nil {
-			return Result{}, err
-		}
-	default:
-		if err := m.runChecked(ctx, spec.Cycles); err != nil {
-			return Result{}, err
-		}
+		spec.Cycles = spec.Warmup + spec.Window - m.pnow
+	}
+	if err := m.runChecked(ctx, spec.Cycles); err != nil {
+		return Result{}, err
 	}
 	return Result{Metrics: m.Measure()}, nil
 }

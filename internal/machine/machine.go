@@ -28,6 +28,13 @@ import (
 	"locality/internal/workload"
 )
 
+// The reference architecture's processor timing, in P-cycles: Sparcle's
+// block context switch cost Tc and the cost of a cache hit.
+const (
+	switchTime = 11
+	hitLatency = 1
+)
+
 // Config describes one simulated machine plus workload.
 type Config struct {
 	// Topo is the machine's torus; the workload's communication graph
@@ -38,10 +45,6 @@ type Config struct {
 	// Contexts is the hardware context count p (one application
 	// instance per context).
 	Contexts int
-	// SwitchTime is the context switch cost Tc in P-cycles.
-	SwitchTime int
-	// HitLatency is the cache hit cost in P-cycles.
-	HitLatency int
 	// ClockRatio is the integer number of network cycles per processor
 	// cycle (2 in the reference architecture).
 	ClockRatio int
@@ -72,8 +75,6 @@ type Config struct {
 	// whose source and destination coincide (they bypass the fabric).
 	// Zero takes the netsim default of 1.
 	LocalDelay int
-	// Protocol latencies; zero values take cohsim defaults.
-	ReqLatency, DirLatency, MemLatency, CacheRespLatency, FillLatency, SWTrapLatency int
 
 	// Watchdog, when enabled, makes Execute abort with a StallReport
 	// if the machine stops making forward progress.
@@ -119,8 +120,6 @@ func DefaultConfig(topo *topology.Torus, m *mapping.Mapping, contexts int) Confi
 		Topo:         topo,
 		Mapping:      m,
 		Contexts:     contexts,
-		SwitchTime:   11,
-		HitLatency:   1,
 		ClockRatio:   2,
 		BufferDepth:  8,
 		CacheLines:   4096,
@@ -280,16 +279,10 @@ func New(cfg Config) (*Machine, error) {
 	m.net = net
 
 	proto, err := cohsim.New(cohsim.Config{
-		Nodes:            cfg.Topo.Nodes(),
-		Cache:            cachesim.Config{Lines: cfg.CacheLines, LineSize: cfg.LineSize},
-		Home:             m.wl.HomeFunc(),
-		HWPointers:       cfg.HWPointers,
-		ReqLatency:       cfg.ReqLatency,
-		DirLatency:       cfg.DirLatency,
-		MemLatency:       cfg.MemLatency,
-		CacheRespLatency: cfg.CacheRespLatency,
-		FillLatency:      cfg.FillLatency,
-		SWTrapLatency:    cfg.SWTrapLatency,
+		Nodes:      cfg.Topo.Nodes(),
+		Cache:      cachesim.Config{Lines: cfg.CacheLines, LineSize: cfg.LineSize},
+		Home:       m.wl.HomeFunc(),
+		HWPointers: cfg.HWPointers,
 		OnReady: func(node, thread int, now int64) {
 			m.kernel.Touch(1 + node) // processors are kernel sleepers
 			m.procs[node].Ready(thread, now)
@@ -327,7 +320,7 @@ func New(cfg Config) (*Machine, error) {
 	})
 
 	m.procs = make([]*procsim.Processor, cfg.Topo.Nodes())
-	pcfg := procsim.Config{Contexts: cfg.Contexts, SwitchTime: cfg.SwitchTime, HitLatency: cfg.HitLatency}
+	pcfg := procsim.Config{Contexts: cfg.Contexts, SwitchTime: switchTime, HitLatency: hitLatency}
 	if cfg.Capture != nil {
 		cfg.Capture.Bind(cfg.Topo.Nodes(), cfg.Contexts)
 		pcfg.OnOp = cfg.Capture.Record

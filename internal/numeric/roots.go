@@ -1,8 +1,8 @@
-// Package numeric provides the small set of numerical routines the
-// locality modeling framework depends on: quadratic root extraction,
-// bracketed bisection, damped fixed-point iteration, and monotone root
-// search. All routines are deterministic and allocation-free on the
-// happy path so they are safe to call inside tight parameter sweeps.
+// Package numeric provides the two numerical routines the locality
+// modeling framework depends on: quadratic root extraction and
+// bracketed bisection. Both are deterministic and allocation-free on
+// the happy path so they are safe to call inside tight parameter
+// sweeps.
 package numeric
 
 import (
@@ -14,10 +14,6 @@ import (
 // ErrNoRoot is returned when a root finder can certify that no root
 // exists in the requested region.
 var ErrNoRoot = errors.New("numeric: no root in the requested interval")
-
-// ErrNoConvergence is returned when an iterative method exhausts its
-// iteration budget without meeting its tolerance.
-var ErrNoConvergence = errors.New("numeric: iteration did not converge")
 
 // Quadratic solves a·x² + b·x + c = 0 and returns the real roots in
 // ascending order. It returns 0, 1, or 2 roots. The degenerate linear
@@ -84,57 +80,4 @@ func Bisect(f func(float64) float64, lo, hi, tol float64, maxIter int) (float64,
 		}
 	}
 	return lo + (hi-lo)/2, nil
-}
-
-// BracketUp expands an initial guess upward by repeated doubling until
-// f changes sign, returning a bracketing interval suitable for Bisect.
-// f(lo) must be finite; the search gives up after maxDoublings.
-func BracketUp(f func(float64) float64, lo, step float64, maxDoublings int) (a, b float64, err error) {
-	flo := f(lo)
-	if flo == 0 {
-		return lo, lo, nil
-	}
-	hi := lo + step
-	for i := 0; i < maxDoublings; i++ {
-		fhi := f(hi)
-		if fhi == 0 || (flo > 0) != (fhi > 0) {
-			return lo, hi, nil
-		}
-		lo, flo = hi, fhi
-		step *= 2
-		hi += step
-	}
-	return 0, 0, ErrNoRoot
-}
-
-// FixedPoint iterates x ← (1−damping)·x + damping·g(x) until successive
-// iterates differ by less than tol, starting from x0. A damping factor
-// in (0, 1] trades convergence speed for stability; 1 is undamped.
-func FixedPoint(g func(float64) float64, x0, damping, tol float64, maxIter int) (float64, error) {
-	if damping <= 0 || damping > 1 {
-		return 0, fmt.Errorf("numeric: damping %g outside (0, 1]", damping)
-	}
-	x := x0
-	for i := 0; i < maxIter; i++ {
-		next := (1-damping)*x + damping*g(x)
-		if math.IsNaN(next) || math.IsInf(next, 0) {
-			return 0, fmt.Errorf("numeric: fixed-point iterate diverged at iteration %d", i)
-		}
-		if math.Abs(next-x) < tol {
-			return next, nil
-		}
-		x = next
-	}
-	return 0, ErrNoConvergence
-}
-
-// Clamp restricts v to [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

@@ -109,82 +109,6 @@ func TestBisectSwappedBounds(t *testing.T) {
 	}
 }
 
-func TestBracketUp(t *testing.T) {
-	f := func(x float64) float64 { return x - 1000 }
-	lo, hi, err := BracketUp(f, 0, 1, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f(lo) > 0 || f(hi) < 0 {
-		t.Errorf("bracket [%g, %g] does not straddle the root", lo, hi)
-	}
-	root, err := Bisect(f, lo, hi, 1e-9, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(root, 1000, 1e-6) {
-		t.Errorf("root = %g, want 1000", root)
-	}
-}
-
-func TestBracketUpGivesUp(t *testing.T) {
-	if _, _, err := BracketUp(func(x float64) float64 { return 1 }, 0, 1, 10); err != ErrNoRoot {
-		t.Errorf("err = %v, want ErrNoRoot", err)
-	}
-}
-
-func TestFixedPoint(t *testing.T) {
-	// x = cos(x) has the Dottie number as its fixed point.
-	x, err := FixedPoint(math.Cos, 1, 1, 1e-12, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(x, 0.7390851332151607, 1e-9) {
-		t.Errorf("fixed point = %g, want Dottie number", x)
-	}
-}
-
-func TestFixedPointDamped(t *testing.T) {
-	// g(x) = 4 - x oscillates undamped but converges with damping to 2.
-	g := func(x float64) float64 { return 4 - x }
-	x, err := FixedPoint(g, 0, 0.5, 1e-12, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(x, 2, 1e-9) {
-		t.Errorf("fixed point = %g, want 2", x)
-	}
-}
-
-func TestFixedPointBadDamping(t *testing.T) {
-	if _, err := FixedPoint(math.Cos, 1, 0, 1e-9, 10); err == nil {
-		t.Error("expected error for damping 0")
-	}
-	if _, err := FixedPoint(math.Cos, 1, 1.5, 1e-9, 10); err == nil {
-		t.Error("expected error for damping > 1")
-	}
-}
-
-func TestFixedPointNoConvergence(t *testing.T) {
-	if _, err := FixedPoint(func(x float64) float64 { return x + 1 }, 0, 1, 1e-9, 10); err == nil {
-		t.Error("expected non-convergence error")
-	}
-}
-
-func TestClamp(t *testing.T) {
-	tests := []struct{ v, lo, hi, want float64 }{
-		{5, 0, 10, 5},
-		{-1, 0, 10, 0},
-		{11, 0, 10, 10},
-		{0, 0, 0, 0},
-	}
-	for _, tc := range tests {
-		if got := Clamp(tc.v, tc.lo, tc.hi); got != tc.want {
-			t.Errorf("Clamp(%g,%g,%g) = %g, want %g", tc.v, tc.lo, tc.hi, got, tc.want)
-		}
-	}
-}
-
 func TestBisectAgreesWithQuadratic(t *testing.T) {
 	// The positive root of x² + 3x − 10 = 0 is 2.
 	f := func(x float64) float64 { return x*x + 3*x - 10 }

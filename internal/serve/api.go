@@ -28,10 +28,11 @@ type ConfigSpec struct {
 	// D is the average message distance in hops (default 1, the ideal
 	// mapping).
 	D float64 `json:"d,omitempty"`
-	// GrainFactor scales the preset's run length Tr (>0 to apply).
+	// GrainFactor scales the preset's run length Tr (0 keeps it;
+	// negative is refused).
 	GrainFactor float64 `json:"grain_factor,omitempty"`
-	// NetworkSpeed scales the network clock (>0 to apply; 2 halves
-	// effective network latency contribution).
+	// NetworkSpeed scales the network clock (0 keeps it; negative is
+	// refused; 2 halves effective network latency contribution).
 	NetworkSpeed float64 `json:"network_speed,omitempty"`
 	// Config, when present, bypasses the preset entirely: an explicit
 	// combined-model configuration (core.Config field names). D from
@@ -45,6 +46,12 @@ const maxEchoBytes = 64
 
 // Resolve builds the core configuration the request describes.
 func (cs ConfigSpec) Resolve() (core.Config, error) {
+	switch {
+	case cs.GrainFactor < 0:
+		return core.Config{}, fmt.Errorf("serve: grain_factor = %g, must be >= 0 (0 keeps the preset's)", cs.GrainFactor)
+	case cs.NetworkSpeed < 0:
+		return core.Config{}, fmt.Errorf("serve: network_speed = %g, must be >= 0 (0 keeps the preset's)", cs.NetworkSpeed)
+	}
 	if cs.Config != nil {
 		cfg := *cs.Config
 		if cs.D > 0 {
@@ -114,7 +121,7 @@ type GainResponse struct {
 }
 
 // SensitivityRequest is the /v1/sensitivity body. Zero-valued fields
-// take the Alewife calibration defaults.
+// take the Alewife calibration defaults; negative ones are refused.
 type SensitivityRequest struct {
 	// Contexts is p (default 2).
 	Contexts int `json:"contexts,omitempty"`

@@ -107,6 +107,16 @@ func TestSolveEndpointRejectsBadRequests(t *testing.T) {
 		{"negative sweep ratio", http.MethodPost, "/v1/sweep",
 			`{"k":4,"n":2,"contexts":[1],"mappings":"identity","window":100,"ratio":-1}`,
 			http.StatusBadRequest, "clock ratio -1"},
+		{"sweep machine over the node cap", http.MethodPost, "/v1/sweep",
+			`{"k":1025,"n":2,"contexts":[1],"mappings":"identity","window":100}`,
+			http.StatusBadRequest, "nodes"},
+		// Zero selects the default for these fields. A negative value
+		// would otherwise be served as the default, or by
+		// /v1/sensitivity as a negative sensitivity.
+		{"negative grain factor", http.MethodPost, "/v1/solve", `{"grain_factor":-3}`, http.StatusBadRequest, "grain_factor"},
+		{"negative network speed", http.MethodPost, "/v1/gain", `{"nodes":512,"network_speed":-2}`, http.StatusBadRequest, "network_speed"},
+		{"negative messages per transaction", http.MethodPost, "/v1/sensitivity", `{"messages_per":-3.2}`, http.StatusBadRequest, "messages_per"},
+		{"negative critical path", http.MethodPost, "/v1/sensitivity", `{"critical_path":-1}`, http.StatusBadRequest, "critical_path"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			req, err := http.NewRequest(c.method, base+c.path, strings.NewReader(c.body))

@@ -240,9 +240,18 @@ func (s *Server) handleSensitivity(w http.ResponseWriter, r *http.Request) {
 	if contexts == 0 {
 		contexts = 2
 	}
-	if contexts < 1 {
+	var err error
+	switch {
+	case contexts < 1:
+		err = fmt.Errorf("contexts = %d, must be >= 1", contexts)
+	case req.MessagesPer < 0:
+		err = fmt.Errorf("messages_per = %g, must be >= 0 (0 takes the calibrated g)", req.MessagesPer)
+	case req.CriticalPath < 0:
+		err = fmt.Errorf("critical_path = %g, must be >= 0 (0 takes the calibrated c)", req.CriticalPath)
+	}
+	if err != nil {
 		s.classes["sensitivity"].observe(time.Since(t0), true)
-		writeError(w, http.StatusBadRequest, fmt.Errorf("contexts = %d, must be >= 1", contexts))
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	g := req.MessagesPer

@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mean is a streaming mean/variance accumulator using Welford's
@@ -38,14 +37,6 @@ func (m *Mean) Add(x float64) {
 	m.m2 += delta * (x - m.mean)
 }
 
-// AddN incorporates an observation with integer weight w ≥ 1, as if Add
-// had been called w times with the same value.
-func (m *Mean) AddN(x float64, w int64) {
-	for i := int64(0); i < w; i++ {
-		m.Add(x)
-	}
-}
-
 // N returns the number of observations.
 func (m *Mean) N() int64 { return m.n }
 
@@ -68,30 +59,6 @@ func (m *Mean) Min() float64 { return m.min }
 
 // Max returns the largest observation, or 0 if none were added.
 func (m *Mean) Max() float64 { return m.max }
-
-// Merge folds other into m, as if all of other's observations had been
-// added to m directly.
-func (m *Mean) Merge(other *Mean) {
-	if other.n == 0 {
-		return
-	}
-	if m.n == 0 {
-		*m = *other
-		return
-	}
-	n1, n2 := float64(m.n), float64(other.n)
-	delta := other.mean - m.mean
-	total := n1 + n2
-	m.mean += delta * n2 / total
-	m.m2 += other.m2 + delta*delta*n1*n2/total
-	m.n += other.n
-	if other.min < m.min {
-		m.min = other.min
-	}
-	if other.max > m.max {
-		m.max = other.max
-	}
-}
 
 func (m *Mean) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g", m.n, m.Mean(), m.StdDev(), m.min, m.max)
@@ -188,9 +155,6 @@ func (h *Histogram) Mean() float64 {
 	return float64(h.sum) / float64(h.total)
 }
 
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) int64 { return h.buckets[i] }
-
 // Overflow returns the count of observations above the top bucket.
 func (h *Histogram) Overflow() int64 { return h.over }
 
@@ -261,9 +225,6 @@ func FitLine(xs, ys []float64) (LinearFit, error) {
 	return fit, nil
 }
 
-// Predict evaluates the fitted line at x.
-func (f LinearFit) Predict(x float64) float64 { return f.Slope*x + f.Intercept }
-
 // Series is an ordered collection of (x, y) points, used to carry
 // figure data from the experiment drivers to printers and tests.
 type Series struct {
@@ -280,21 +241,6 @@ func (s *Series) Append(x, y float64) {
 
 // Len returns the number of points.
 func (s *Series) Len() int { return len(s.X) }
-
-// SortByX orders the points by ascending x, keeping pairs together.
-func (s *Series) SortByX() {
-	idx := make([]int, len(s.X))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return s.X[idx[a]] < s.X[idx[b]] })
-	x := make([]float64, len(s.X))
-	y := make([]float64, len(s.Y))
-	for out, in := range idx {
-		x[out], y[out] = s.X[in], s.Y[in]
-	}
-	s.X, s.Y = x, y
-}
 
 // YAt returns the y value for the first point whose x equals the
 // argument exactly, and reports whether one was found.

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestMeanBasics(t *testing.T) {
@@ -30,81 +29,6 @@ func TestMeanEmpty(t *testing.T) {
 	var m Mean
 	if m.Mean() != 0 || m.Var() != 0 || m.StdDev() != 0 || m.N() != 0 {
 		t.Error("zero-value Mean should report zeros")
-	}
-}
-
-func TestMeanAddN(t *testing.T) {
-	var a, b Mean
-	a.AddN(7, 3)
-	for i := 0; i < 3; i++ {
-		b.Add(7)
-	}
-	if a.N() != b.N() || a.Mean() != b.Mean() || a.Var() != b.Var() {
-		t.Errorf("AddN mismatch: %v vs %v", a.String(), b.String())
-	}
-}
-
-func TestMeanMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	var all, left, right Mean
-	for i := 0; i < 1000; i++ {
-		v := rng.NormFloat64()*3 + 10
-		all.Add(v)
-		if i%2 == 0 {
-			left.Add(v)
-		} else {
-			right.Add(v)
-		}
-	}
-	left.Merge(&right)
-	if left.N() != all.N() {
-		t.Fatalf("merged N = %d, want %d", left.N(), all.N())
-	}
-	if math.Abs(left.Mean()-all.Mean()) > 1e-9 {
-		t.Errorf("merged mean = %g, want %g", left.Mean(), all.Mean())
-	}
-	if math.Abs(left.Var()-all.Var()) > 1e-9 {
-		t.Errorf("merged var = %g, want %g", left.Var(), all.Var())
-	}
-	if left.Min() != all.Min() || left.Max() != all.Max() {
-		t.Errorf("merged min/max mismatch")
-	}
-}
-
-func TestMeanMergeEmpty(t *testing.T) {
-	var a, b Mean
-	a.Add(5)
-	a.Merge(&b) // merging empty is a no-op
-	if a.N() != 1 || a.Mean() != 5 {
-		t.Error("merge of empty changed accumulator")
-	}
-	b.Merge(&a) // merging into empty copies
-	if b.N() != 1 || b.Mean() != 5 {
-		t.Error("merge into empty did not copy")
-	}
-}
-
-func TestMeanMergeMatchesSequential(t *testing.T) {
-	f := func(xs []float64) bool {
-		var whole Mean
-		var a, b Mean
-		for i, x := range xs {
-			x = math.Mod(x, 1e6)
-			if math.IsNaN(x) {
-				x = 0
-			}
-			whole.Add(x)
-			if i < len(xs)/2 {
-				a.Add(x)
-			} else {
-				b.Add(x)
-			}
-		}
-		a.Merge(&b)
-		return a.N() == whole.N() && math.Abs(a.Mean()-whole.Mean()) < 1e-6
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -141,9 +65,6 @@ func TestHistogram(t *testing.T) {
 	if h.Count() != 100 {
 		t.Errorf("Count = %d, want 100", h.Count())
 	}
-	if h.Bucket(0) != 5 { // values 0..4
-		t.Errorf("Bucket(0) = %d, want 5", h.Bucket(0))
-	}
 	if h.Overflow() != 50 { // values 50..99
 		t.Errorf("Overflow = %d, want 50", h.Overflow())
 	}
@@ -172,8 +93,8 @@ func TestHistogramPercentile(t *testing.T) {
 func TestHistogramNegativeClamped(t *testing.T) {
 	h := NewHistogram(4, 1)
 	h.Add(-7)
-	if h.Bucket(0) != 1 {
-		t.Error("negative value should land in bucket 0")
+	if p := h.Percentile(100); p != 1 {
+		t.Errorf("P100 = %d, want 1: a negative value lands in bucket 0", p)
 	}
 	if h.Mean() != -7 {
 		t.Errorf("Mean = %g, want -7 (mean keeps true value)", h.Mean())
@@ -208,9 +129,6 @@ func TestFitLineExact(t *testing.T) {
 	}
 	if fit.R2 < 0.999999 {
 		t.Errorf("R2 = %g, want ~1", fit.R2)
-	}
-	if got := fit.Predict(2); math.Abs(got-(-0.5)) > 1e-12 {
-		t.Errorf("Predict(2) = %g, want -0.5", got)
 	}
 }
 
@@ -263,12 +181,6 @@ func TestSeries(t *testing.T) {
 	s.Append(2, 20)
 	if s.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", s.Len())
-	}
-	s.SortByX()
-	for i, want := range []float64{1, 2, 3} {
-		if s.X[i] != want || s.Y[i] != want*10 {
-			t.Errorf("point %d = (%g,%g), want (%g,%g)", i, s.X[i], s.Y[i], want, want*10)
-		}
 	}
 	if y, ok := s.YAt(2); !ok || y != 20 {
 		t.Errorf("YAt(2) = %g,%v", y, ok)

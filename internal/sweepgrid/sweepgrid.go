@@ -16,6 +16,7 @@ import (
 	"locality/internal/machine"
 	"locality/internal/mapping"
 	"locality/internal/mapsel"
+	"locality/internal/netsim"
 	"locality/internal/sim"
 	"locality/internal/topology"
 	"locality/internal/workload"
@@ -49,6 +50,10 @@ type Grid struct {
 	Kernel sim.KernelKind
 }
 
+// maxNodes caps a grid's machine at the size the .lckp and .lref
+// decoders accept, ten times the largest machine the repo simulates.
+const maxNodes = 1 << 20
+
 // New resolves a Spec into a runnable Grid.
 func New(spec Spec) (*Grid, error) {
 	if len(spec.Contexts) == 0 {
@@ -71,6 +76,14 @@ func New(spec Spec) (*Grid, error) {
 	tor, err := topology.New(spec.Radix, spec.Dims)
 	if err != nil {
 		return nil, err
+	}
+	// Refused before the selectors resolve: each mapping is a per-node
+	// placement table, built whether or not a cell could run.
+	if tor.N() > netsim.MaxDims {
+		return nil, fmt.Errorf("sweepgrid: %d dimensions, a network has at most %d", tor.N(), netsim.MaxDims)
+	}
+	if tor.Nodes() > maxNodes {
+		return nil, fmt.Errorf("sweepgrid: %d^%d = %d nodes, more than the %d a checkpoint or trace can hold", spec.Radix, spec.Dims, tor.Nodes(), maxNodes)
 	}
 	sel := spec.Mappings
 	if sel == "" {

@@ -85,6 +85,8 @@ func TestGridSpecValidation(t *testing.T) {
 		{Radix: 4, Dims: 2, Contexts: []int{1}, Mappings: "identity", Window: 1, Kernel: "warp"}, // bad kernel
 		{Radix: 4, Dims: 2, Contexts: []int{1}, Mappings: "identity", Window: 1, Watchdog: -5},   // negative watchdog
 		{Radix: 4, Dims: 2, Contexts: []int{1}, Mappings: "identity", Window: 1, Ratio: -1},      // negative clock ratio
+		{Radix: 2, Dims: 16, Contexts: []int{1}, Mappings: "identity", Window: 1},                // more dimensions than a network has
+		{Radix: 1025, Dims: 2, Contexts: []int{1}, Mappings: "identity", Window: 1},              // more than 2^20 nodes
 	}
 	for i, spec := range bad {
 		if _, err := New(spec); err == nil {
