@@ -3,6 +3,8 @@ package report
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -161,5 +163,60 @@ func TestRenderReplayFit(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered replay fit missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestModelFiguresGolden renders every model-only study at its default
+// configuration, in `figures -fig` order 6, 7, 8, table1, uclnucl,
+// dimensions, contention, and compares the text byte for byte with
+// testdata/model-figures.txt, which holds that command's stdout. CSVs
+// stay out: their full-precision floats may differ in the last bit on
+// another architecture, while the rendered tables round them away.
+func TestModelFiguresGolden(t *testing.T) {
+	ctx := context.Background()
+	var buf bytes.Buffer
+	f6, err := experiments.RunFigure6(ctx, experiments.DefaultFigure6Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	RenderFigure6(&buf, f6)
+	f7, err := experiments.RunFigure7(ctx, experiments.DefaultFigure7Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	RenderFigure7(&buf, f7)
+	f8, err := experiments.RunFigure8(ctx, experiments.DefaultFigure8Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	RenderFigure8(&buf, f8)
+	t1, err := experiments.RunTable1(ctx, experiments.DefaultTable1Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	RenderTable1(&buf, t1)
+	ucl, err := experiments.RunUCLvsNUCL(ctx, experiments.DefaultUCLvsNUCLConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	RenderUCLvsNUCL(&buf, ucl)
+	dc := experiments.DefaultDimensionConfig()
+	dim, err := experiments.RunDimensionStudy(ctx, dc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	RenderDimensionStudy(&buf, dc.Nodes, dim)
+	cont, err := experiments.RunContentionShare(ctx, experiments.DefaultContentionConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	RenderContentionShare(&buf, cont)
+
+	want, err := os.ReadFile(filepath.Join("testdata", "model-figures.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != string(want) {
+		t.Errorf("rendered model figures differ from testdata/model-figures.txt:\n--- got\n%s--- want\n%s", got, want)
 	}
 }
