@@ -103,7 +103,7 @@ func BenchmarkFigure5(b *testing.B) {
 func BenchmarkFigure6(b *testing.B) {
 	sizes := core.LogSizes(10, 1e6, 4)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFigure6(context.Background(), experiments.Figure6Config{Sizes: sizes})
+		res, err := experiments.RunFigure6(experiments.Figure6Config{Sizes: sizes})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func BenchmarkFigure6(b *testing.B) {
 func BenchmarkFigure7(b *testing.B) {
 	sizes := core.LogSizes(10, 1e6, 4)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFigure7(context.Background(), experiments.Figure7Config{Sizes: sizes, Contexts: []int{1, 2, 4}})
+		res, err := experiments.RunFigure7(experiments.Figure7Config{Sizes: sizes, Contexts: []int{1, 2, 4}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func BenchmarkFigure7(b *testing.B) {
 // (paper: about two).
 func BenchmarkFigure8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cases, err := experiments.RunFigure8(context.Background(), experiments.Figure8Config{Nodes: 1000, Contexts: []int{1, 2, 4}})
+		cases, err := experiments.RunFigure8(experiments.Figure8Config{Nodes: 1000, Contexts: []int{1, 2, 4}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func BenchmarkFigure8(b *testing.B) {
 // (paper: roughly 3×).
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunTable1(context.Background(), experiments.DefaultTable1Config())
+		rows, err := experiments.RunTable1(experiments.DefaultTable1Config())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func BenchmarkTable1(b *testing.B) {
 func BenchmarkUCLvsNUCL(b *testing.B) {
 	sizes := core.LogSizes(64, 1e6, 2)
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunUCLvsNUCL(context.Background(), experiments.UCLvsNUCLConfig{Sizes: sizes, Contexts: 1})
+		rows, err := experiments.RunUCLvsNUCL(experiments.UCLvsNUCLConfig{Sizes: sizes, Contexts: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func BenchmarkTolerance(b *testing.B) {
 // Reported metric: locality gain at n=2 relative to n=4.
 func BenchmarkDimensionStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunDimensionStudy(context.Background(), experiments.DimensionConfig{Nodes: 4096, Dims: []int{2, 3, 4}, Contexts: 1})
+		rows, err := experiments.RunDimensionStudy(experiments.DimensionConfig{Nodes: 4096, Dims: []int{2, 3, 4}, Contexts: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -14,10 +14,13 @@
 //	figures -fig all -workers 8 -progress
 //
 // Output is plain text tables with the same rows/series the paper
-// plots. Every study runs its grid of model solves or simulations on
-// -workers goroutines through the experiment engine; results are
-// assembled in grid order, so the output is identical at any worker
-// count.
+// plots. The model-only studies (6, 7, 8, table1, uclnucl, dimensions,
+// contention) solve their points in a plain loop, one or two solves of
+// about a microsecond per point. The simulated ones (validation,
+// tolerance, gainsim) run their machines on -workers goroutines
+// through the experiment engine, and -progress streams their per-cell
+// lines; results are assembled in grid order, so the output is
+// identical at any worker count.
 package main
 
 import (
@@ -39,8 +42,8 @@ func main() {
 	fig := flag.String("fig", "all", "which figure to regenerate: validation (figs 3-5), 6, 7, 8, table1, uclnucl, tolerance, dimensions, contention, gainsim, or all")
 	quick := flag.Bool("quick", false, "use shorter simulation windows (validation figures only)")
 	csvDir := flag.String("csv", "", "also write each figure's data as CSV into this directory")
-	workers := flag.Int("workers", 0, "parallel experiment workers (0 = GOMAXPROCS)")
-	progress := flag.Bool("progress", false, "stream per-cell progress to stderr")
+	workers := flag.Int("workers", 0, "parallel simulation workers for validation, tolerance and gainsim (0 = GOMAXPROCS)")
+	progress := flag.Bool("progress", false, "stream the simulated figures' per-cell progress to stderr")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -117,9 +120,7 @@ func main() {
 	})
 
 	run("6", func() error {
-		cfg := experiments.DefaultFigure6Config()
-		cfg.Exec = exec
-		res, err := experiments.RunFigure6(ctx, cfg)
+		res, err := experiments.RunFigure6(experiments.DefaultFigure6Config())
 		if err != nil {
 			return err
 		}
@@ -128,9 +129,7 @@ func main() {
 	})
 
 	run("7", func() error {
-		cfg := experiments.DefaultFigure7Config()
-		cfg.Exec = exec
-		res, err := experiments.RunFigure7(ctx, cfg)
+		res, err := experiments.RunFigure7(experiments.DefaultFigure7Config())
 		if err != nil {
 			return err
 		}
@@ -139,9 +138,7 @@ func main() {
 	})
 
 	run("8", func() error {
-		cfg := experiments.DefaultFigure8Config()
-		cfg.Exec = exec
-		cases, err := experiments.RunFigure8(ctx, cfg)
+		cases, err := experiments.RunFigure8(experiments.DefaultFigure8Config())
 		if err != nil {
 			return err
 		}
@@ -150,9 +147,7 @@ func main() {
 	})
 
 	run("table1", func() error {
-		cfg := experiments.DefaultTable1Config()
-		cfg.Exec = exec
-		rows, err := experiments.RunTable1(ctx, cfg)
+		rows, err := experiments.RunTable1(experiments.DefaultTable1Config())
 		if err != nil {
 			return err
 		}
@@ -177,8 +172,7 @@ func main() {
 
 	run("dimensions", func() error {
 		cfg := experiments.DefaultDimensionConfig()
-		cfg.Exec = exec
-		rows, err := experiments.RunDimensionStudy(ctx, cfg)
+		rows, err := experiments.RunDimensionStudy(cfg)
 		if err != nil {
 			return err
 		}
@@ -202,9 +196,7 @@ func main() {
 	})
 
 	run("contention", func() error {
-		cfg := experiments.DefaultContentionConfig()
-		cfg.Exec = exec
-		rows, err := experiments.RunContentionShare(ctx, cfg)
+		rows, err := experiments.RunContentionShare(experiments.DefaultContentionConfig())
 		if err != nil {
 			return err
 		}
@@ -213,9 +205,7 @@ func main() {
 	})
 
 	run("uclnucl", func() error {
-		cfg := experiments.DefaultUCLvsNUCLConfig()
-		cfg.Exec = exec
-		rows, err := experiments.RunUCLvsNUCL(ctx, cfg)
+		rows, err := experiments.RunUCLvsNUCL(experiments.DefaultUCLvsNUCLConfig())
 		if err != nil {
 			return err
 		}

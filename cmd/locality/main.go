@@ -11,19 +11,19 @@
 // -fixed, -msgsize, -dims, -speed (network clock relative to the base
 // architecture), -chancont (model node-channel contention), -floor
 // (enforce the Equation 4 issue-time floor).
+//
+// Each machine size costs two model solves of about a microsecond, so
+// sweep evaluates its sizes in order on one goroutine (core.GainSweep)
+// and takes no worker count.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 	"text/tabwriter"
 
 	"locality/internal/core"
-	"locality/internal/engine"
 )
 
 func usage() {
@@ -74,13 +74,10 @@ func main() {
 	from := fs.Float64("from", 10, "sweep start size")
 	to := fs.Float64("to", 1e6, "sweep end size")
 	perDecade := fs.Int("perdecade", 2, "sweep points per decade")
-	workers := fs.Int("workers", 0, "parallel model solves for sweep (0 = GOMAXPROCS)")
 	if err := fs.Parse(args); err != nil {
 		os.Exit(2)
 	}
 	cfg := build()
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	switch sub {
 	case "predict":
@@ -121,21 +118,7 @@ func main() {
 			fmt.Printf("  CPU                %.1f\n", b.CPU)
 		}
 	case "sweep":
-		// One engine cell per machine size; results come back in grid
-		// order, so the table matches the sequential sweep exactly.
-		sizes := core.LogSizes(*from, *to, *perDecade)
-		cells := make([]engine.Cell[core.GainResult], len(sizes))
-		for i, n := range sizes {
-			n := n
-			cells[i] = engine.Cell[core.GainResult]{
-				Key: fmt.Sprintf("gain N=%g", n),
-				Run: func(ctx context.Context) (core.GainResult, error) {
-					return core.ExpectedGain(cfg, n)
-				},
-			}
-		}
-		results, _ := engine.Grid(ctx, cells, engine.Options[core.GainResult]{Exec: engine.Exec{Workers: *workers}})
-		rows, err := engine.Rows(results)
+		rows, err := core.GainSweep(cfg, core.LogSizes(*from, *to, *perDecade))
 		if err != nil {
 			fatal(err)
 		}

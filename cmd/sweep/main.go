@@ -39,12 +39,13 @@
 //	sweep -mappings suite -contexts 1,2,4 -resume results.csv -out results2.csv
 //
 // Observability on long sweeps: -trace-dir writes one Perfetto-loadable
-// Chrome trace JSON per cell; -heartbeat prints periodic
-// completed/total + ETA lines to stderr; -obs serves the live
-// observability endpoints (/metrics Prometheus exposition,
-// /statusz run status with per-cell progress and ETA, /healthz, and
-// /debug/pprof) on the given address while the sweep runs; -ledger
-// appends one structured run record per invocation to a JSONL ledger.
+// Chrome trace JSON per cell; -progress prints a line to stderr as each
+// cell starts and finishes, the finish line carrying the grid's
+// completed/total count and ETA; -obs serves the live observability
+// endpoints (/metrics Prometheus exposition, /statusz run status with
+// per-cell progress and ETA, /healthz, and /debug/pprof) on the given
+// address while the sweep runs; -ledger appends one structured run
+// record per invocation to a JSONL ledger.
 //
 // -capture-dir writes one replayable reference trace (<cell>.lref,
 // package internal/replay) per cell: the recorded streams can be
@@ -250,12 +251,11 @@ func main() {
 	out := flag.String("out", "", "output CSV path (default stdout)")
 	watchdog := flag.Int64("watchdog", 0, "abort a cell after this many P-cycles without progress (0 disables)")
 	workers := flag.Int("workers", 0, "parallel simulation workers (0 = GOMAXPROCS)")
-	progress := flag.Bool("progress", false, "stream per-cell progress to stderr")
+	progress := flag.Bool("progress", false, "stream per-cell progress, with the grid's count and ETA, to stderr")
 	kernelFlag := flag.String("kernel", "event", "execution kernel: event (skip quiescent cycles) or tick (naive reference loop); rows are bit-identical either way")
 	traceDir := flag.String("trace-dir", "", "directory for per-cell Chrome trace-event JSON files")
 	traceCap := flag.Int("trace-cap", 1<<16, "per-cell trace ring-buffer capacity in events")
 	captureDir := flag.String("capture-dir", "", "directory for per-cell replayable reference traces (.lref)")
-	heartbeat := flag.Duration("heartbeat", 0, "periodic progress/ETA line interval on stderr (0 disables)")
 	obsAddr := flag.String("obs", "", "serve live observability (/metrics, /statusz, /healthz, /debug/pprof) on this address, e.g. localhost:9090")
 	ledger := flag.String("ledger", "", "append a structured run record to this JSONL ledger (e.g. ledger.jsonl)")
 	resume := flag.String("resume", "", "partial output CSV from an interrupted sweep: reuse its completed rows, run only missing or errored cells")
@@ -381,7 +381,7 @@ func main() {
 
 	failed := 0
 	var prog io.Writer
-	if *progress || *heartbeat > 0 {
+	if *progress {
 		prog = os.Stderr
 	}
 	var gridObs func(engine.Progress)
@@ -392,7 +392,7 @@ func main() {
 	// first, so rows stream to the CSV exactly as the sequential sweep
 	// emitted them.
 	opts := engine.Options[machine.Metrics]{
-		Exec: engine.Exec{Workers: *workers, Progress: prog, Heartbeat: *heartbeat, Observer: gridObs},
+		Exec: engine.Exec{Workers: *workers, Progress: prog, Observer: gridObs},
 		OnResult: func(r engine.Result[machine.Metrics]) {
 			idx := fullIndex[r.Index]
 			if r.Err != nil {

@@ -1,10 +1,10 @@
 // Package engine executes declarative grids of independent experiment
-// cells on a bounded worker pool. Every headline result in the paper —
-// the validation sweep, the gain curves, the sensitivity tables — is an
-// embarrassingly parallel grid of machine simulations or model solves;
-// this package is the one place that knows how to fan such a grid out
-// across cores while keeping three guarantees the sequential drivers
-// used to provide implicitly:
+// cells on a bounded worker pool. The simulation studies — the
+// validation sweep, replay fits, the simulated gain and tolerance
+// studies, cmd/sweep and the served /v1/sweep — are embarrassingly
+// parallel grids of machine runs; this package is the one place that
+// knows how to fan such a grid out across cores while keeping three
+// guarantees a sequential loop provides implicitly:
 //
 //   - Determinism: results come back in grid order, independent of how
 //     the scheduler interleaves workers. OnResult callbacks fire in
@@ -18,6 +18,9 @@
 //     Run function, so Ctrl-C (or a test deadline) stops in-flight
 //     simulations at the next poll point and marks unstarted cells
 //     with the context's error.
+//
+// The model-only figures do not use it: their points are solves of
+// about a microsecond, which a worker pool only slows down.
 package engine
 
 import (
@@ -65,20 +68,16 @@ type Exec struct {
 	Workers int
 	// Progress, when non-nil, receives one line as each cell starts
 	// and finishes plus a final summary — streamed, unordered, meant
-	// for stderr.
+	// for stderr. Each done or fail line also carries the whole grid's
+	// delivered count and, until the last cell, the estimated time
+	// remaining: "(2/6 cells, ~40s remaining)".
 	Progress io.Writer
-	// Heartbeat, when > 0 and Progress is set, additionally emits a
-	// periodic progress/ETA line: completed/total cells, mean cell
-	// time, and the estimated time remaining at the achieved rate.
-	// Meant for long sweeps where per-cell lines are too chatty or too
-	// sparse.
-	Heartbeat time.Duration
 	// Observer, when non-nil, receives a Progress sample after every
-	// cell completion — the machine-readable twin of the Heartbeat
-	// line, published at exactly the grid's cell boundaries. It is
-	// called under the engine's internal lock and must not block; the
-	// live observability layer stores the sample into an atomic
-	// pointer and returns.
+	// cell completion — the machine-readable twin of the done/fail
+	// lines' count and ETA, published at exactly the grid's cell
+	// boundaries. It is called under the engine's internal lock and
+	// must not block; the live observability layer stores the sample
+	// into an atomic pointer and returns.
 	Observer func(Progress)
 }
 
@@ -149,18 +148,41 @@ func Grid[T any](ctx context.Context, cells []Cell[T], opts Options[T]) ([]Resul
 	done := make([]bool, n)
 	next := 0 // first index not yet delivered to OnResult
 
-	// deliver marks cell i complete and flushes the contiguous
-	// completed prefix through OnResult, preserving grid order.
+	// deliver marks cell i complete, reports it, and flushes the
+	// contiguous completed prefix through OnResult, preserving grid
+	// order. started is the cell's start ordinal, or 0 for a cell the
+	// canceled grid never started, which gets no progress line.
 	delivered := 0
-	deliver := func(i int) {
+	deliver := func(i, started int) {
 		mu.Lock()
 		defer mu.Unlock()
+		r := results[i]
 		done[i] = true
 		delivered++
-		if results[i].Err != nil {
+		if r.Err != nil {
 			stats.Failed++
 		}
-		stats.CellTime += results[i].Elapsed
+		stats.CellTime += r.Elapsed
+		var p Progress
+		if opts.Progress != nil || opts.Observer != nil {
+			p = Progress{Done: delivered, Failed: stats.Failed, Total: n, Elapsed: time.Since(begin)}
+			if delivered < n {
+				// ETA at the achieved whole-grid rate, which already
+				// folds in the worker parallelism.
+				p.Remaining = time.Duration(float64(p.Elapsed) / float64(delivered) * float64(n-delivered))
+			}
+			if opts.Progress != nil && started > 0 {
+				status, tally, cause := "done ", fmt.Sprintf("%d/%d cells", delivered, n), ""
+				if delivered < n {
+					tally += fmt.Sprintf(", ~%v remaining", p.Remaining.Round(time.Second))
+				}
+				if r.Err != nil {
+					status, cause = "fail ", fmt.Sprintf(": %v", r.Err)
+				}
+				fmt.Fprintf(opts.Progress, "engine: %s %d/%d %s in %v (%s)%s\n",
+					status, started, n, r.Key, r.Elapsed.Round(time.Millisecond), tally, cause)
+			}
+		}
 		for next < n && done[next] {
 			if opts.OnResult != nil {
 				opts.OnResult(results[next])
@@ -168,54 +190,8 @@ func Grid[T any](ctx context.Context, cells []Cell[T], opts Options[T]) ([]Resul
 			next++
 		}
 		if opts.Observer != nil {
-			p := Progress{Done: delivered, Failed: stats.Failed, Total: n, Elapsed: time.Since(begin)}
-			if delivered > 0 && delivered < n {
-				p.Remaining = time.Duration(float64(p.Elapsed) / float64(delivered) * float64(n-delivered))
-			}
 			opts.Observer(p)
 		}
-	}
-
-	logf := func(format string, args ...any) {
-		if opts.Progress == nil {
-			return
-		}
-		mu.Lock()
-		fmt.Fprintf(opts.Progress, format+"\n", args...)
-		mu.Unlock()
-	}
-
-	var stopBeat chan struct{}
-	if opts.Heartbeat > 0 && opts.Progress != nil {
-		stopBeat = make(chan struct{})
-		go func() {
-			tick := time.NewTicker(opts.Heartbeat)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stopBeat:
-					return
-				case <-tick.C:
-					mu.Lock()
-					finished := 0
-					for _, d := range done {
-						if d {
-							finished++
-						}
-					}
-					elapsed := time.Since(begin)
-					line := fmt.Sprintf("engine: %d/%d cells in %v", finished, n, elapsed.Round(time.Second))
-					if finished > 0 && finished < n {
-						// ETA at the achieved whole-grid rate, which
-						// already folds in the worker parallelism.
-						eta := time.Duration(float64(elapsed) / float64(finished) * float64(n-finished))
-						line += fmt.Sprintf(", ~%v remaining", eta.Round(time.Second))
-					}
-					fmt.Fprintln(opts.Progress, line)
-					mu.Unlock()
-				}
-			}
-		}()
 	}
 
 	work := make(chan int)
@@ -229,24 +205,20 @@ func Grid[T any](ctx context.Context, cells []Cell[T], opts Options[T]) ([]Resul
 				if err := ctx.Err(); err != nil {
 					// Grid canceled before this cell started.
 					results[i] = Result[T]{Index: i, Key: c.Key, Err: err}
-					deliver(i)
+					deliver(i, 0)
 					continue
 				}
 				mu.Lock()
 				stats.Started++
 				started := stats.Started
+				if opts.Progress != nil {
+					fmt.Fprintf(opts.Progress, "engine: start %d/%d %s\n", started, n, c.Key)
+				}
 				mu.Unlock()
-				logf("engine: start %d/%d %s", started, n, c.Key)
 				t0 := time.Now()
 				row, err := runCell(ctx, c)
-				elapsed := time.Since(t0)
-				results[i] = Result[T]{Index: i, Key: c.Key, Row: row, Err: err, Elapsed: elapsed}
-				if err != nil {
-					logf("engine: fail  %d/%d %s in %v: %v", started, n, c.Key, elapsed.Round(time.Millisecond), err)
-				} else {
-					logf("engine: done  %d/%d %s in %v", started, n, c.Key, elapsed.Round(time.Millisecond))
-				}
-				deliver(i)
+				results[i] = Result[T]{Index: i, Key: c.Key, Row: row, Err: err, Elapsed: time.Since(t0)}
+				deliver(i, started)
 			}
 		}()
 	}
@@ -255,9 +227,6 @@ func Grid[T any](ctx context.Context, cells []Cell[T], opts Options[T]) ([]Resul
 	}
 	close(work)
 	wg.Wait()
-	if stopBeat != nil {
-		close(stopBeat)
-	}
 
 	stats.Wall = time.Since(begin)
 	if opts.Progress != nil {

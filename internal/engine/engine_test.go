@@ -219,55 +219,41 @@ func (w syncWriter) Write(p []byte) (int, error) {
 	return w.b.Write(p)
 }
 
-// TestEngineHeartbeat: with Heartbeat set, a slow grid emits periodic
-// progress/ETA lines between the per-cell events, and the heartbeat
-// goroutine shuts down cleanly with the grid.
-func TestEngineHeartbeat(t *testing.T) {
+// TestEngineProgressETA: each done line carries the whole grid's
+// delivered count; mid-grid ones also estimate the time remaining, and
+// the last one, with nothing left to run, does not.
+func TestEngineProgressETA(t *testing.T) {
 	var mu sync.Mutex
 	var buf strings.Builder
 	w := syncWriter{mu: &mu, b: &buf}
 	cells := make([]Cell[int], 4)
 	for i := range cells {
-		i := i
 		cells[i] = Cell[int]{
 			Key: fmt.Sprintf("cell%d", i),
-			Run: func(ctx context.Context) (int, error) {
-				time.Sleep(30 * time.Millisecond)
-				return i, nil
-			},
+			Run: func(ctx context.Context) (int, error) { return i, nil },
 		}
 	}
-	_, stats := Grid(context.Background(), cells, Options[int]{
-		Exec: Exec{Workers: 1, Progress: w, Heartbeat: 10 * time.Millisecond},
-	})
+	_, stats := Grid(context.Background(), cells, Options[int]{Exec: Exec{Workers: 1, Progress: w}})
 	if stats.Failed != 0 || stats.Started != 4 {
 		t.Fatalf("stats = %+v", stats)
 	}
-	mu.Lock()
-	out := buf.String()
-	mu.Unlock()
-	if !strings.Contains(out, "/4 cells in") {
-		t.Errorf("no heartbeat line in progress output:\n%s", out)
+	var doneLines []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(line, "engine: done") {
+			doneLines = append(doneLines, line)
+		}
 	}
-	// A mid-grid beat (some cells done, some not) carries the ETA.
-	if !strings.Contains(out, "remaining") {
-		t.Errorf("no ETA estimate in heartbeat output:\n%s", out)
+	if len(doneLines) != 4 {
+		t.Fatalf("%d done lines, want 4:\n%s", len(doneLines), buf.String())
 	}
-}
-
-// TestEngineHeartbeatRequiresProgress: Heartbeat without a Progress
-// writer must not spin up the ticker goroutine (or panic writing to
-// nil).
-func TestEngineHeartbeatRequiresProgress(t *testing.T) {
-	cells := []Cell[int]{{Key: "one", Run: func(ctx context.Context) (int, error) {
-		time.Sleep(5 * time.Millisecond)
-		return 1, nil
-	}}}
-	results, _ := Grid(context.Background(), cells, Options[int]{
-		Exec: Exec{Heartbeat: time.Millisecond},
-	})
-	if results[0].Err != nil {
-		t.Fatalf("err = %v", results[0].Err)
+	for i, line := range doneLines {
+		tally := fmt.Sprintf("(%d/4 cells", i+1)
+		if !strings.Contains(line, tally) {
+			t.Errorf("done line %d lacks %q: %s", i, tally, line)
+		}
+		if mid := i < 3; strings.Contains(line, "remaining") != mid {
+			t.Errorf("done line %d: remaining estimate present=%v, want %v: %s", i, !mid, mid, line)
+		}
 	}
 }
 

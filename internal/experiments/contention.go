@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"locality/internal/core"
-	"locality/internal/engine"
 )
 
 // ContentionRow quantifies how much of average message latency is due
@@ -26,7 +24,6 @@ type ContentionRow struct {
 
 // ContentionConfig controls the contention-share study.
 type ContentionConfig struct {
-	engine.Exec
 	// Sizes is the grid of machine sizes N.
 	Sizes []float64
 	// Contexts is the hardware context count.
@@ -44,32 +41,25 @@ func DefaultContentionConfig() ContentionConfig {
 // network contention is observable but does not dominate end
 // performance, while extrapolation to thousands of nodes makes it
 // substantial. Both conclusions fall out of the combined model, one
-// engine cell per machine size.
-func RunContentionShare(ctx context.Context, fc ContentionConfig) ([]ContentionRow, error) {
+// row per machine size.
+func RunContentionShare(fc ContentionConfig) ([]ContentionRow, error) {
 	cfg := core.AlewifeLargeScale(fc.Contexts, 1)
-	cells := make([]engine.Cell[ContentionRow], len(fc.Sizes))
+	rows := make([]ContentionRow, len(fc.Sizes))
 	for i, n := range fc.Sizes {
-		n := n
-		cells[i] = engine.Cell[ContentionRow]{
-			Key: fmt.Sprintf("contention N=%g", n),
-			Run: func(ctx context.Context) (ContentionRow, error) {
-				d := core.RandomMappingDistance(cfg.Net.Dims, n)
-				sol, err := cfg.WithDistance(d).Solve()
-				if err != nil {
-					return ContentionRow{}, fmt.Errorf("experiments: contention share at N=%g: %w", n, err)
-				}
-				zero := d + cfg.Net.MsgSize // Th = 1 per hop, plus serialization
-				return ContentionRow{
-					Nodes:           n,
-					D:               d,
-					Tm:              sol.MsgLatency,
-					TmZeroLoad:      zero,
-					ContentionShare: (sol.MsgLatency - zero) / sol.MsgLatency,
-					Utilization:     sol.Utilization,
-				}, nil
-			},
+		d := core.RandomMappingDistance(cfg.Net.Dims, n)
+		sol, err := cfg.WithDistance(d).Solve()
+		if err != nil {
+			return nil, fmt.Errorf("experiments: contention share at N=%g: %w", n, err)
+		}
+		zero := d + cfg.Net.MsgSize // Th = 1 per hop, plus serialization
+		rows[i] = ContentionRow{
+			Nodes:           n,
+			D:               d,
+			Tm:              sol.MsgLatency,
+			TmZeroLoad:      zero,
+			ContentionShare: (sol.MsgLatency - zero) / sol.MsgLatency,
+			Utilization:     sol.Utilization,
 		}
 	}
-	results, _ := engine.Grid(ctx, cells, engine.Options[ContentionRow]{Exec: fc.Exec})
-	return engine.Rows(results)
+	return rows, nil
 }

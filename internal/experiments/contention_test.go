@@ -1,13 +1,10 @@
 package experiments
 
-import (
-	"context"
-	"testing"
-)
+import "testing"
 
 func TestContentionShareGrowsWithScale(t *testing.T) {
 	fc := ContentionConfig{Sizes: []float64{64, 144, 1024, 16384, 1048576}, Contexts: 1}
-	rows, err := RunContentionShare(context.Background(), fc)
+	rows, err := RunContentionShare(fc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -151,7 +151,7 @@ func TestRunValidationErrors(t *testing.T) {
 
 func TestFigure6(t *testing.T) {
 	sizes := core.LogSizes(100, 1e6, 1)
-	res, err := RunFigure6(context.Background(), Figure6Config{Sizes: sizes})
+	res, err := RunFigure6(Figure6Config{Sizes: sizes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestFigure6(t *testing.T) {
 
 func TestFigure7(t *testing.T) {
 	fc := Figure7Config{Sizes: []float64{10, 1000, 1e6}, Contexts: []int{1, 2, 4}}
-	res, err := RunFigure7(context.Background(), fc)
+	res, err := RunFigure7(fc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestFigure7(t *testing.T) {
 
 func TestFigure8(t *testing.T) {
 	fc := Figure8Config{Nodes: 1000, Contexts: []int{1, 2, 4}}
-	cases, err := RunFigure8(context.Background(), fc)
+	cases, err := RunFigure8(fc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestFigure8(t *testing.T) {
 }
 
 func TestTable1(t *testing.T) {
-	rows, err := RunTable1(context.Background(), DefaultTable1Config())
+	rows, err := RunTable1(DefaultTable1Config())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,7 +145,6 @@ type DimensionRow struct {
 
 // DimensionConfig controls the dimension study.
 type DimensionConfig struct {
-	engine.Exec
 	// Nodes is the fixed machine size.
 	Nodes float64
 	// Dims lists the mesh dimensions to evaluate.
@@ -163,31 +162,24 @@ func DefaultDimensionConfig() DimensionConfig {
 // RunDimensionStudy evaluates the combined model across mesh
 // dimensions at one machine size (Section 4.2's closing analysis:
 // higher n shortens random-mapping distances and lowers Th, shrinking
-// both the need for and the benefit of exploiting locality), one
-// engine cell per dimension.
-func RunDimensionStudy(ctx context.Context, fc DimensionConfig) ([]DimensionRow, error) {
-	cells := make([]engine.Cell[DimensionRow], len(fc.Dims))
+// both the need for and the benefit of exploiting locality), one row
+// per dimension.
+func RunDimensionStudy(fc DimensionConfig) ([]DimensionRow, error) {
+	rows := make([]DimensionRow, len(fc.Dims))
 	for i, n := range fc.Dims {
-		n := n
-		cells[i] = engine.Cell[DimensionRow]{
-			Key: fmt.Sprintf("dimensions n=%d", n),
-			Run: func(ctx context.Context) (DimensionRow, error) {
-				cfg := core.AlewifeLargeScale(fc.Contexts, 1)
-				cfg.Net.Dims = n
-				g, err := core.ExpectedGain(cfg, fc.Nodes)
-				if err != nil {
-					return DimensionRow{}, fmt.Errorf("experiments: dimension study n=%d: %w", n, err)
-				}
-				return DimensionRow{
-					Dims:            n,
-					RandomDistance:  g.RandomDistance,
-					Gain:            g.Gain,
-					RandomIssueTime: g.Random.IssueTime,
-					HopLimit:        core.HopLatencyLimit(cfg),
-				}, nil
-			},
+		cfg := core.AlewifeLargeScale(fc.Contexts, 1)
+		cfg.Net.Dims = n
+		g, err := core.ExpectedGain(cfg, fc.Nodes)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: dimension study n=%d: %w", n, err)
+		}
+		rows[i] = DimensionRow{
+			Dims:            n,
+			RandomDistance:  g.RandomDistance,
+			Gain:            g.Gain,
+			RandomIssueTime: g.Random.IssueTime,
+			HopLimit:        core.HopLatencyLimit(cfg),
 		}
 	}
-	results, _ := engine.Grid(ctx, cells, engine.Options[DimensionRow]{Exec: fc.Exec})
-	return engine.Rows(results)
+	return rows, nil
 }

@@ -50,7 +50,7 @@ func TestRunToleranceErrors(t *testing.T) {
 
 func TestRunDimensionStudy(t *testing.T) {
 	fc := DimensionConfig{Nodes: 4096, Dims: []int{1, 2, 3, 4}, Contexts: 1}
-	rows, err := RunDimensionStudy(context.Background(), fc)
+	rows, err := RunDimensionStudy(fc)
 	if err != nil {
 		t.Fatal(err)
 	}

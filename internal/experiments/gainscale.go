@@ -97,21 +97,14 @@ func RunGainScale(ctx context.Context, cfg GainScaleConfig) ([]GainScaleRow, err
 }
 
 // scaleMachineConfig builds the comm-light machine configuration for
-// one cell. The cache must hold every instance's state-word working
-// set (the relaxation workload assumes conflict-free caching), so the
-// line count grows with the machine: the sparse cache makes a
-// 128Ki-line configuration cost only the lines actually touched. The
-// workload runs with Stagger so windowed throughput is sensitive to
-// per-access latency (lockstep threads all cross the window boundary
-// at the same phase, which hides latency from completed-access
-// counts).
+// one cell. The workload runs with Stagger so windowed throughput is
+// sensitive to per-access latency (lockstep threads all cross the
+// window boundary at the same phase, which hides latency from
+// completed-access counts).
 func scaleMachineConfig(tor *topology.Torus, m *mapping.Mapping, cfg GainScaleConfig) machine.Config {
 	mc := machine.DefaultConfig(tor, m, cfg.Contexts)
 	mc.ReadCompute = cfg.Compute
 	mc.WriteCompute = cfg.Compute
-	for mc.CacheLines < cfg.Contexts*tor.Nodes() {
-		mc.CacheLines *= 2
-	}
 	mc.Workload = workload.RelaxationConfig{
 		Graph:        tor,
 		Map:          m,

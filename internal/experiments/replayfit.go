@@ -9,7 +9,6 @@ import (
 	"locality/internal/machine"
 	"locality/internal/mapping"
 	"locality/internal/replay"
-	"locality/internal/stats"
 	"locality/internal/topology"
 	"locality/internal/workload"
 )
@@ -89,11 +88,13 @@ func RunReplayFit(ctx context.Context, cfg ReplayFitConfig) (*ReplayFit, error) 
 
 	var cells []engine.Cell[MappingPoint]
 	for _, m := range maps {
-		m := m
+		mc := machine.DefaultConfig(tor, m, contexts)
+		mc.LineSize = hdr.LineSize
+		mc.Workload = workload.ReplayConfig{Trace: cfg.Trace, Map: m, Contexts: contexts, Loop: true}
 		cells = append(cells, engine.Cell[MappingPoint]{
 			Key: fmt.Sprintf("replay %s/p=%d", m.Name, contexts),
 			Run: func(ctx context.Context) (MappingPoint, error) {
-				return measureReplayCell(ctx, tor, m, contexts, cfg.Trace, warmup, window)
+				return measureCell(ctx, mc, warmup, window)
 			},
 		})
 	}
@@ -103,68 +104,20 @@ func RunReplayFit(ctx context.Context, cfg ReplayFitConfig) (*ReplayFit, error) 
 		return nil, err
 	}
 
-	out := &ReplayFit{Header: hdr, Curve: ContextValidation{P: contexts, Points: points}}
-	var xs, ys []float64
-	var gSum float64
-	for _, pt := range points {
-		xs = append(xs, pt.MsgTime)
-		ys = append(ys, pt.Tm)
-		gSum += pt.MsgsPerTxn
-	}
-	fit, err := stats.FitLine(xs, ys)
+	curve, err := fitCurve(contexts, points, hdr.Dims)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: fitting replay message curve: %w", err)
-	}
-	out.Curve.S, out.Curve.K, out.Curve.R2 = fit.Slope, -fit.Intercept, fit.R2
-	if err := out.Curve.addModelPredictions(hdr.Dims); err != nil {
 		return nil, err
 	}
-	out.MeanMsgsPerTxn = gSum / float64(len(points))
+	var gSum float64
+	for _, pt := range points {
+		gSum += pt.MsgsPerTxn
+	}
+	g := gSum / float64(len(points))
 	// The replayed machine uses the reference clock ratio.
 	clockRatio := float64(machine.DefaultConfig(tor, maps[0], contexts).ClockRatio)
-	params, err := core.RecoverParams(core.NodeCurve{S: out.Curve.S, K: out.Curve.K},
-		contexts, out.MeanMsgsPerTxn, clockRatio)
+	params, err := core.RecoverParams(core.NodeCurve{S: curve.S, K: curve.K}, contexts, g, clockRatio)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: recovering parameters from replay fit: %w", err)
 	}
-	out.Params = params
-	return out, nil
-}
-
-// measureReplayCell replays the trace under one mapping and gathers
-// its measured point.
-func measureReplayCell(ctx context.Context, tor *topology.Torus, m *mapping.Mapping, contexts int, tr *replay.Trace, warmup, window int64) (MappingPoint, error) {
-	mc := machine.DefaultConfig(tor, m, contexts)
-	mc.LineSize = tr.Header.LineSize
-	mc.Workload = workload.ReplayConfig{Trace: tr, Map: m, Contexts: contexts, Loop: true}
-	mach, err := machine.New(mc)
-	if err != nil {
-		return MappingPoint{}, fmt.Errorf("experiments: building replay machine for %s p=%d: %w", m.Name, contexts, err)
-	}
-	res, err := mach.Execute(ctx, machine.RunSpec{Warmup: warmup, Window: window})
-	if err != nil {
-		return MappingPoint{}, fmt.Errorf("experiments: replaying %s p=%d: %w", m.Name, contexts, err)
-	}
-	met := res.Metrics
-	if met.Messages == 0 {
-		return MappingPoint{}, fmt.Errorf("experiments: no traffic replaying %s p=%d", m.Name, contexts)
-	}
-	mix, err := core.NeighborDistanceMix(m.DistanceHistogram(tor))
-	if err != nil {
-		return MappingPoint{}, fmt.Errorf("experiments: histogram for %s: %w", m.Name, err)
-	}
-	return MappingPoint{
-		Mapping:      m.Name,
-		Mix:          mix,
-		D:            m.AvgDistance(tor),
-		MeasuredD:    met.AvgDistance,
-		Tm:           met.MsgLatency,
-		MsgTime:      met.InterMsgTime,
-		MsgRate:      met.MsgRate,
-		MsgSize:      met.MsgSize,
-		MsgsPerTxn:   met.MsgsPerTxn,
-		TxnLatency:   met.TxnLatency,
-		InterTxnTime: met.InterTxnTime,
-		Utilization:  met.ChannelUtilization,
-	}, nil
+	return &ReplayFit{Header: hdr, Curve: curve, MeanMsgsPerTxn: g, Params: params}, nil
 }

@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"locality/internal/core"
-	"locality/internal/engine"
 )
 
 // UCLvsNUCLRow compares, at one machine size, application performance
@@ -25,7 +23,6 @@ type UCLvsNUCLRow struct {
 
 // UCLvsNUCLConfig controls the organization comparison.
 type UCLvsNUCLConfig struct {
-	engine.Exec
 	// Sizes is the grid of machine sizes N.
 	Sizes []float64
 	// Contexts is the hardware context count.
@@ -39,51 +36,41 @@ func DefaultUCLvsNUCLConfig() UCLvsNUCLConfig {
 }
 
 // RunUCLvsNUCL evaluates the comparison across machine sizes using the
-// Alewife-calibrated application at the given context count, one
-// engine cell per size. The indirect network uses radix-2 switches
-// (log₂N stages), the classic building block for butterflies.
-func RunUCLvsNUCL(ctx context.Context, fc UCLvsNUCLConfig) ([]UCLvsNUCLRow, error) {
+// Alewife-calibrated application at the given context count, one row
+// per size. The indirect network uses radix-2 switches (log₂N stages),
+// the classic building block for butterflies.
+func RunUCLvsNUCL(fc UCLvsNUCLConfig) ([]UCLvsNUCLRow, error) {
 	cfg := core.AlewifeLargeScale(fc.Contexts, 1)
 	node := cfg.Node()
 	curve := core.NodeCurve{S: node.Sensitivity(), K: node.Intercept()}
 	torus := cfg.Net
 
-	cells := make([]engine.Cell[UCLvsNUCLRow], len(fc.Sizes))
+	rows := make([]UCLvsNUCLRow, len(fc.Sizes))
 	for i, n := range fc.Sizes {
-		n := n
-		cells[i] = engine.Cell[UCLvsNUCLRow]{
-			Key: fmt.Sprintf("uclnucl N=%g", n),
-			Run: func(ctx context.Context) (UCLvsNUCLRow, error) {
-				row := UCLvsNUCLRow{Nodes: n}
-
-				rateIdeal, tmIdeal, err := core.SolveOnFabric(curve, torus, 1)
-				if err != nil {
-					return row, fmt.Errorf("experiments: ucl-nucl ideal at N=%g: %w", n, err)
-				}
-				row.TorusIdeal = tmIdeal
-
-				dRandom := core.RandomMappingDistance(torus.Dims, n)
-				rateRandom, tmRandom, err := core.SolveOnFabric(curve, torus, dRandom)
-				if err != nil {
-					return row, fmt.Errorf("experiments: ucl-nucl random at N=%g: %w", n, err)
-				}
-				row.TorusRandom = tmRandom
-
-				indirect := core.IndirectFor(n, 2, torus.MsgSize)
-				rateInd, tmInd, err := core.SolveOnFabric(curve, indirect, 0)
-				if err != nil {
-					return row, fmt.Errorf("experiments: ucl-nucl indirect at N=%g: %w", n, err)
-				}
-				row.Indirect = tmInd
-
-				// Message rate is proportional to transaction rate at
-				// fixed g, so rate ratios are performance ratios.
-				row.RelRandom = rateRandom / rateIdeal
-				row.RelIndirect = rateInd / rateIdeal
-				return row, nil
-			},
+		rateIdeal, tmIdeal, err := core.SolveOnFabric(curve, torus, 1)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: ucl-nucl ideal at N=%g: %w", n, err)
+		}
+		dRandom := core.RandomMappingDistance(torus.Dims, n)
+		rateRandom, tmRandom, err := core.SolveOnFabric(curve, torus, dRandom)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: ucl-nucl random at N=%g: %w", n, err)
+		}
+		indirect := core.IndirectFor(n, 2, torus.MsgSize)
+		rateInd, tmInd, err := core.SolveOnFabric(curve, indirect, 0)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: ucl-nucl indirect at N=%g: %w", n, err)
+		}
+		// Message rate is proportional to transaction rate at fixed g,
+		// so rate ratios are performance ratios.
+		rows[i] = UCLvsNUCLRow{
+			Nodes:       n,
+			TorusIdeal:  tmIdeal,
+			TorusRandom: tmRandom,
+			Indirect:    tmInd,
+			RelRandom:   rateRandom / rateIdeal,
+			RelIndirect: rateInd / rateIdeal,
 		}
 	}
-	results, _ := engine.Grid(ctx, cells, engine.Options[UCLvsNUCLRow]{Exec: fc.Exec})
-	return engine.Rows(results)
+	return rows, nil
 }

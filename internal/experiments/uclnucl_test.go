@@ -1,13 +1,10 @@
 package experiments
 
-import (
-	"context"
-	"testing"
-)
+import "testing"
 
 func TestUCLvsNUCL(t *testing.T) {
 	sizes := []float64{64, 1024, 65536, 1048576}
-	rows, err := RunUCLvsNUCL(context.Background(), UCLvsNUCLConfig{Sizes: sizes, Contexts: 1})
+	rows, err := RunUCLvsNUCL(UCLvsNUCLConfig{Sizes: sizes, Contexts: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

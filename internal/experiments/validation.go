@@ -4,14 +4,19 @@
 // full-system simulator across the mapping suite; model-backed drivers
 // (Figures 6–8, Table 1) evaluate the combined model.
 //
-// Every driver follows one shape: a per-experiment config struct with
-// a Default*Config constructor, a Run*(ctx, cfg) function that lays
-// the study out as a declarative grid of cells and hands it to
-// internal/engine for parallel execution, and a plain-data result.
-// Results come back in deterministic grid order regardless of worker
-// scheduling, so output is byte-identical at any worker count;
-// internal/report renders them as the rows and series the paper
-// reports, and bench_test.go regenerates them as benchmarks.
+// Every study has a config struct with a Default*Config constructor,
+// a Run* function and a plain-data result. The simulation studies
+// (validation, replay fit, tolerance, gainsim, gainscale) take a
+// context, lay the study out as a grid of machine runs and hand it to
+// internal/engine for parallel execution; results come back in grid
+// order regardless of worker scheduling, so output is byte-identical
+// at any worker count. The model-only studies (Figures 6–8, Table 1,
+// and the UCL, contention and dimension extensions) take only their
+// config and evaluate their points in a plain loop: each point is one
+// or two solves of about a microsecond, which a worker pool only
+// slows down. internal/report renders the results as the rows and
+// series the paper reports, and bench_test.go regenerates them as
+// benchmarks.
 package experiments
 
 import (
@@ -114,11 +119,11 @@ func RunValidation(ctx context.Context, cfg ValidationConfig) (*Validation, erro
 	var cells []engine.Cell[MappingPoint]
 	for _, p := range cfg.Contexts {
 		for _, m := range maps {
-			p, m := p, m
+			mc := machine.DefaultConfig(tor, m, p)
 			cells = append(cells, engine.Cell[MappingPoint]{
 				Key: fmt.Sprintf("validation %s/p=%d", m.Name, p),
 				Run: func(ctx context.Context) (MappingPoint, error) {
-					return measureValidationCell(ctx, tor, m, p, cfg)
+					return measureCell(ctx, mc, cfg.Warmup, cfg.Window)
 				},
 			})
 		}
@@ -131,21 +136,8 @@ func RunValidation(ctx context.Context, cfg ValidationConfig) (*Validation, erro
 
 	out := &Validation{Config: cfg}
 	for ci, p := range cfg.Contexts {
-		cv := ContextValidation{P: p}
-		cv.Points = points[ci*len(maps) : (ci+1)*len(maps)]
-		// Fit the application message curve through the sweep.
-		var xs, ys []float64
-		for _, pt := range cv.Points {
-			xs = append(xs, pt.MsgTime)
-			ys = append(ys, pt.Tm)
-		}
-		fit, err := stats.FitLine(xs, ys)
+		cv, err := fitCurve(p, points[ci*len(maps):(ci+1)*len(maps)], cfg.Dims)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: fitting message curve for p=%d: %w", p, err)
-		}
-		cv.S, cv.K, cv.R2 = fit.Slope, -fit.Intercept, fit.R2
-		// Model predictions at each mapping's distance.
-		if err := cv.addModelPredictions(cfg.Dims); err != nil {
 			return nil, err
 		}
 		out.Curves = append(out.Curves, cv)
@@ -153,15 +145,15 @@ func RunValidation(ctx context.Context, cfg ValidationConfig) (*Validation, erro
 	return out, nil
 }
 
-// measureValidationCell simulates one (mapping, context count) machine
-// and gathers its measured point.
-func measureValidationCell(ctx context.Context, tor *topology.Torus, m *mapping.Mapping, p int, cfg ValidationConfig) (MappingPoint, error) {
-	mc := machine.DefaultConfig(tor, m, p)
+// measureCell simulates one machine over the measurement protocol and
+// gathers its point on the application message curve.
+func measureCell(ctx context.Context, mc machine.Config, warmup, window int64) (MappingPoint, error) {
+	m, p := mc.Mapping, mc.Contexts
 	mach, err := machine.New(mc)
 	if err != nil {
 		return MappingPoint{}, fmt.Errorf("experiments: building machine for %s p=%d: %w", m.Name, p, err)
 	}
-	res, err := mach.Execute(ctx, machine.RunSpec{Warmup: cfg.Warmup, Window: cfg.Window})
+	res, err := mach.Execute(ctx, machine.RunSpec{Warmup: warmup, Window: window})
 	if err != nil {
 		return MappingPoint{}, fmt.Errorf("experiments: measuring %s p=%d: %w", m.Name, p, err)
 	}
@@ -169,14 +161,14 @@ func measureValidationCell(ctx context.Context, tor *topology.Torus, m *mapping.
 	if met.Messages == 0 {
 		return MappingPoint{}, fmt.Errorf("experiments: no traffic measured for %s p=%d", m.Name, p)
 	}
-	mix, err := core.NeighborDistanceMix(m.DistanceHistogram(tor))
+	mix, err := core.NeighborDistanceMix(m.DistanceHistogram(mc.Topo))
 	if err != nil {
 		return MappingPoint{}, fmt.Errorf("experiments: histogram for %s: %w", m.Name, err)
 	}
 	return MappingPoint{
 		Mapping:      m.Name,
 		Mix:          mix,
-		D:            m.AvgDistance(tor),
+		D:            m.AvgDistance(mc.Topo),
 		MeasuredD:    met.AvgDistance,
 		Tm:           met.MsgLatency,
 		MsgTime:      met.InterMsgTime,
@@ -189,10 +181,23 @@ func measureValidationCell(ctx context.Context, tor *topology.Torus, m *mapping.
 	}, nil
 }
 
-// addModelPredictions solves the combined model at each point's
-// distance using the fitted curve and the measured average message
-// size.
-func (cv *ContextValidation) addModelPredictions(dims int) error {
+// fitCurve fits the application message curve Tm = S·tm − K through
+// one context count's mapping sweep, then solves the combined model at
+// each point's distance with the fitted curve and the measured average
+// message size.
+func fitCurve(p int, points []MappingPoint, dims int) (ContextValidation, error) {
+	cv := ContextValidation{P: p, Points: points}
+	var xs, ys []float64
+	for _, pt := range points {
+		xs = append(xs, pt.MsgTime)
+		ys = append(ys, pt.Tm)
+	}
+	fit, err := stats.FitLine(xs, ys)
+	if err != nil {
+		return cv, fmt.Errorf("experiments: fitting message curve for p=%d: %w", p, err)
+	}
+	cv.S, cv.K, cv.R2 = fit.Slope, -fit.Intercept, fit.R2
+	curve := core.NodeCurve{S: cv.S, K: cv.K}
 	for i := range cv.Points {
 		pt := &cv.Points[i]
 		net := core.NetworkModel{
@@ -200,9 +205,9 @@ func (cv *ContextValidation) addModelPredictions(dims int) error {
 			MsgSize:               pt.MsgSize,
 			NodeChannelContention: true,
 		}
-		sol, err := core.SolveWithCurve(core.NodeCurve{S: cv.S, K: cv.K}, net, pt.D)
+		sol, err := core.SolveWithCurve(curve, net, pt.D)
 		if err != nil {
-			return fmt.Errorf("experiments: model solve at d=%g p=%d: %w", pt.D, cv.P, err)
+			return cv, fmt.Errorf("experiments: model solve at d=%g p=%d: %w", pt.D, p, err)
 		}
 		pt.MsgRateModel = sol.MsgRate
 		pt.TmModel = sol.MsgLatency
@@ -210,14 +215,14 @@ func (cv *ContextValidation) addModelPredictions(dims int) error {
 		// Refined prediction: the exact neighbor-distance histogram in
 		// place of the single mean distance.
 		mixNet := core.MixedDistanceNetwork{Net: net, Mix: pt.Mix}
-		rate, tm, err := core.SolveOnFabric(core.NodeCurve{S: cv.S, K: cv.K}, mixNet, 0)
+		rate, tm, err := core.SolveOnFabric(curve, mixNet, 0)
 		if err != nil {
-			return fmt.Errorf("experiments: mixture solve for %s p=%d: %w", pt.Mapping, cv.P, err)
+			return cv, fmt.Errorf("experiments: mixture solve for %s p=%d: %w", pt.Mapping, p, err)
 		}
 		pt.MsgRateModelMix = rate
 		pt.TmModelMix = tm
 	}
-	return nil
+	return cv, nil
 }
 
 // RateErrors returns the relative errors |model−sim|/sim on message

@@ -114,15 +114,23 @@ type Config struct {
 // DefaultConfig returns the reference-architecture configuration for a
 // given torus, mapping and context count: 11-cycle switches, 2× network
 // clock, 4096-line caches with 16-byte lines, full-map directory, and
-// the small-grain workload of Section 3.2.
+// the small-grain workload of Section 3.2. The relaxation workload
+// assumes conflict-free caching, so on machines with more than 4096
+// state words (contexts × nodes) the line count doubles until each
+// word has its own line; the sparse cache costs only the lines a run
+// touches.
 func DefaultConfig(topo *topology.Torus, m *mapping.Mapping, contexts int) Config {
+	lines := 4096
+	for lines < contexts*topo.Nodes() {
+		lines *= 2
+	}
 	return Config{
 		Topo:         topo,
 		Mapping:      m,
 		Contexts:     contexts,
 		ClockRatio:   2,
 		BufferDepth:  8,
-		CacheLines:   4096,
+		CacheLines:   lines,
 		LineSize:     16,
 		HWPointers:   0,
 		ReadCompute:  20,

@@ -54,18 +54,11 @@ func TestConfigValidate(t *testing.T) {
 }
 
 // TestNewRejectsTooManyDimensions: the fabric simulates tori of at most
-// 15 dimensions, and New passes its error through. A 2-ary 16-cube's
-// 65,536 nodes need as many cache lines; with the default 4,096, New
-// fails earlier, on the cache.
+// 15 dimensions, and New passes its error through.
 func TestNewRejectsTooManyDimensions(t *testing.T) {
 	tor := topology.MustNew(2, 16)
-	cfg := DefaultConfig(tor, mapping.Identity(tor), 1)
-	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "cache lines") {
-		t.Errorf("default cache: error %v, want one naming the cache lines", err)
-	}
-	cfg.CacheLines = tor.Nodes()
-	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "at most 15 dimensions") {
-		t.Errorf("enough cache lines: error %v, want the fabric's 15-dimension limit", err)
+	if _, err := New(DefaultConfig(tor, mapping.Identity(tor), 1)); err == nil || !strings.Contains(err.Error(), "at most 15 dimensions") {
+		t.Errorf("error %v, want the fabric's 15-dimension limit", err)
 	}
 }
 

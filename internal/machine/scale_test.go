@@ -12,17 +12,13 @@ import (
 	"locality/internal/workload"
 )
 
-// largeConfig builds a comm-light 256×256 (65,536-node) machine. The
-// cache line count is raised so the default relaxation workload's
-// state words stay conflict-free; with the sparse cache, the larger
-// configuration costs only the lines actually touched.
+// largeConfig builds a comm-light 256×256 (65,536-node) machine.
+// DefaultConfig gives it a line per state word; with the sparse cache,
+// that costs only the lines actually touched.
 func largeConfig(contexts int) Config {
 	tor := topology.MustNew(256, 2)
 	cfg := DefaultConfig(tor, mapping.Identity(tor), contexts)
 	cfg.ReadCompute, cfg.WriteCompute = 1000, 1000
-	for cfg.CacheLines < contexts*tor.Nodes() {
-		cfg.CacheLines *= 2
-	}
 	return cfg
 }
 

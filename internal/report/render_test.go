@@ -46,10 +46,9 @@ func TestTableRender(t *testing.T) {
 }
 
 func TestRenderers(t *testing.T) {
-	ctx := context.Background()
 	var buf bytes.Buffer
 
-	f6, err := experiments.RunFigure6(ctx, experiments.Figure6Config{Sizes: []float64{100, 1000}})
+	f6, err := experiments.RunFigure6(experiments.Figure6Config{Sizes: []float64{100, 1000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +58,7 @@ func TestRenderers(t *testing.T) {
 	}
 
 	buf.Reset()
-	f7, err := experiments.RunFigure7(ctx, experiments.Figure7Config{Sizes: []float64{10, 100}, Contexts: []int{1}})
+	f7, err := experiments.RunFigure7(experiments.Figure7Config{Sizes: []float64{10, 100}, Contexts: []int{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +68,7 @@ func TestRenderers(t *testing.T) {
 	}
 
 	buf.Reset()
-	f8, err := experiments.RunFigure8(ctx, experiments.Figure8Config{Nodes: 1000, Contexts: []int{1}})
+	f8, err := experiments.RunFigure8(experiments.Figure8Config{Nodes: 1000, Contexts: []int{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +78,7 @@ func TestRenderers(t *testing.T) {
 	}
 
 	buf.Reset()
-	t1, err := experiments.RunTable1(ctx, experiments.DefaultTable1Config())
+	t1, err := experiments.RunTable1(experiments.DefaultTable1Config())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +88,7 @@ func TestRenderers(t *testing.T) {
 	}
 
 	buf.Reset()
-	cont, err := experiments.RunContentionShare(ctx, experiments.ContentionConfig{Sizes: []float64{64, 1024}, Contexts: 2})
+	cont, err := experiments.RunContentionShare(experiments.ContentionConfig{Sizes: []float64{64, 1024}, Contexts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +98,7 @@ func TestRenderers(t *testing.T) {
 	}
 
 	buf.Reset()
-	ucl, err := experiments.RunUCLvsNUCL(ctx, experiments.UCLvsNUCLConfig{Sizes: []float64{64, 1024}, Contexts: 2})
+	ucl, err := experiments.RunUCLvsNUCL(experiments.UCLvsNUCLConfig{Sizes: []float64{64, 1024}, Contexts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +108,7 @@ func TestRenderers(t *testing.T) {
 	}
 
 	buf.Reset()
-	dim, err := experiments.RunDimensionStudy(ctx, experiments.DimensionConfig{Nodes: 1024, Dims: []int{2, 3}, Contexts: 1})
+	dim, err := experiments.RunDimensionStudy(experiments.DimensionConfig{Nodes: 1024, Dims: []int{2, 3}, Contexts: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,40 +172,39 @@ func TestRenderReplayFit(t *testing.T) {
 // stay out: their full-precision floats may differ in the last bit on
 // another architecture, while the rendered tables round them away.
 func TestModelFiguresGolden(t *testing.T) {
-	ctx := context.Background()
 	var buf bytes.Buffer
-	f6, err := experiments.RunFigure6(ctx, experiments.DefaultFigure6Config())
+	f6, err := experiments.RunFigure6(experiments.DefaultFigure6Config())
 	if err != nil {
 		t.Fatal(err)
 	}
 	RenderFigure6(&buf, f6)
-	f7, err := experiments.RunFigure7(ctx, experiments.DefaultFigure7Config())
+	f7, err := experiments.RunFigure7(experiments.DefaultFigure7Config())
 	if err != nil {
 		t.Fatal(err)
 	}
 	RenderFigure7(&buf, f7)
-	f8, err := experiments.RunFigure8(ctx, experiments.DefaultFigure8Config())
+	f8, err := experiments.RunFigure8(experiments.DefaultFigure8Config())
 	if err != nil {
 		t.Fatal(err)
 	}
 	RenderFigure8(&buf, f8)
-	t1, err := experiments.RunTable1(ctx, experiments.DefaultTable1Config())
+	t1, err := experiments.RunTable1(experiments.DefaultTable1Config())
 	if err != nil {
 		t.Fatal(err)
 	}
 	RenderTable1(&buf, t1)
-	ucl, err := experiments.RunUCLvsNUCL(ctx, experiments.DefaultUCLvsNUCLConfig())
+	ucl, err := experiments.RunUCLvsNUCL(experiments.DefaultUCLvsNUCLConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	RenderUCLvsNUCL(&buf, ucl)
 	dc := experiments.DefaultDimensionConfig()
-	dim, err := experiments.RunDimensionStudy(ctx, dc)
+	dim, err := experiments.RunDimensionStudy(dc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	RenderDimensionStudy(&buf, dc.Nodes, dim)
-	cont, err := experiments.RunContentionShare(ctx, experiments.DefaultContentionConfig())
+	cont, err := experiments.RunContentionShare(experiments.DefaultContentionConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,7 @@ func TestWriteSeriesCSVErrors(t *testing.T) {
 }
 
 func TestWriteFigure6And7CSV(t *testing.T) {
-	f6, err := experiments.RunFigure6(context.Background(), experiments.Figure6Config{Sizes: []float64{100, 1000}})
+	f6, err := experiments.RunFigure6(experiments.Figure6Config{Sizes: []float64{100, 1000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestWriteFigure6And7CSV(t *testing.T) {
 		t.Errorf("figure 6 csv shape wrong: %v", rows)
 	}
 
-	f7, err := experiments.RunFigure7(context.Background(), experiments.Figure7Config{Sizes: []float64{10, 100}, Contexts: []int{1, 2}})
+	f7, err := experiments.RunFigure7(experiments.Figure7Config{Sizes: []float64{10, 100}, Contexts: []int{1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestWriteFigure6And7CSV(t *testing.T) {
 }
 
 func TestWriteFigure8CSV(t *testing.T) {
-	cases, err := experiments.RunFigure8(context.Background(), experiments.Figure8Config{Nodes: 1000, Contexts: []int{1}})
+	cases, err := experiments.RunFigure8(experiments.Figure8Config{Nodes: 1000, Contexts: []int{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestWriteFigure8CSV(t *testing.T) {
 }
 
 func TestWriteTable1CSV(t *testing.T) {
-	rows, err := experiments.RunTable1(context.Background(), experiments.DefaultTable1Config())
+	rows, err := experiments.RunTable1(experiments.DefaultTable1Config())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestWriteTable1CSV(t *testing.T) {
 }
 
 func TestWriteUCLvsNUCLCSV(t *testing.T) {
-	rows, err := experiments.RunUCLvsNUCL(context.Background(), experiments.UCLvsNUCLConfig{Sizes: core.LogSizes(64, 4096, 1), Contexts: 1})
+	rows, err := experiments.RunUCLvsNUCL(experiments.UCLvsNUCLConfig{Sizes: core.LogSizes(64, 4096, 1), Contexts: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

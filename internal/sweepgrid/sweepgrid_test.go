@@ -60,6 +60,19 @@ func TestGridRunRowDeterministic(t *testing.T) {
 	}
 }
 
+// TestGridRunsMachinesPastDefaultCache: a 65×65 torus at one context
+// has 4,225 state words, more than the default 4,096 cache lines, so
+// the cell's machine needs a larger cache to run at all.
+func TestGridRunsMachinesPastDefaultCache(t *testing.T) {
+	g := mustGrid(t, Spec{
+		Radix: 65, Dims: 2, Contexts: []int{1}, Mappings: "identity,random:1",
+		Warmup: 1, Window: 1, Ratio: 2,
+	})
+	if _, err := g.Run(context.Background(), 0); err != nil {
+		t.Fatalf("cell %s: %v", g.Key(0), err)
+	}
+}
+
 func TestGridErrorRowShape(t *testing.T) {
 	g := mustGrid(t, Spec{Radix: 4, Dims: 2, Contexts: []int{1}, Mappings: "identity", Warmup: 1, Window: 1, Ratio: 2})
 	row := g.ErrorRow(0, context.DeadlineExceeded)
