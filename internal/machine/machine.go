@@ -111,17 +111,23 @@ type Config struct {
 	Observer func(*Machine)
 }
 
+// maxCacheLines bounds DefaultConfig's cache growth at the per-node
+// line count a checkpoint holds. A default-workload machine with more
+// state words fails Validate.
+const maxCacheLines = 1 << 26
+
 // DefaultConfig returns the reference-architecture configuration for a
 // given torus, mapping and context count: 11-cycle switches, 2× network
 // clock, 4096-line caches with 16-byte lines, full-map directory, and
 // the small-grain workload of Section 3.2. The relaxation workload
 // assumes conflict-free caching, so on machines with more than 4096
-// state words (contexts × nodes) the line count doubles until each
-// word has its own line; the sparse cache costs only the lines a run
-// touches.
+// state words (contexts × nodes) the line count doubles, up to
+// maxCacheLines, until each word has its own line; the sparse cache
+// costs only the lines a run touches. A caller that sets its own
+// Workload keeps the larger cache.
 func DefaultConfig(topo *topology.Torus, m *mapping.Mapping, contexts int) Config {
 	lines := 4096
-	for lines < contexts*topo.Nodes() {
+	for lines < maxCacheLines && lines < contexts*topo.Nodes() {
 		lines *= 2
 	}
 	return Config{
@@ -158,7 +164,8 @@ func (c Config) Validate() error {
 	if c.ClockRatio < 1 {
 		return fmt.Errorf("machine: clock ratio %d, must be ≥ 1 (network at least as fast as processors)", c.ClockRatio)
 	}
-	if c.Workload == nil && c.Contexts*c.Topo.Nodes() > c.CacheLines {
+	// Compared by division: contexts × nodes can overflow an int.
+	if c.Workload == nil && c.Contexts > c.CacheLines/c.Topo.Nodes() {
 		return fmt.Errorf("machine: %d state words exceed %d cache lines (workload assumes conflict-free caching)", c.Contexts*c.Topo.Nodes(), c.CacheLines)
 	}
 	if c.LocalDelay < 0 {

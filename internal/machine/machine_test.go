@@ -53,6 +53,43 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestDefaultConfigCacheLines: the default cache keeps 4,096 lines
+// until the state words (contexts × nodes) outgrow it, then doubles
+// until each word has a line. Growth stops at maxCacheLines, so an
+// absurd context count returns at once and fails Validate.
+func TestDefaultConfigCacheLines(t *testing.T) {
+	for _, c := range []struct{ k, n, contexts, lines int }{
+		{8, 2, 4, 4096},
+		{64, 2, 1, 4096},
+		{65, 2, 1, 8192},
+		{64, 2, 2, 8192},
+		{32, 2, 9, 16384},
+	} {
+		tor := topology.MustNew(c.k, c.n)
+		cfg := DefaultConfig(tor, mapping.Identity(tor), c.contexts)
+		if cfg.CacheLines != c.lines {
+			t.Errorf("k=%d n=%d p=%d: %d cache lines, want %d", c.k, c.n, c.contexts, cfg.CacheLines, c.lines)
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("k=%d n=%d p=%d: %v", c.k, c.n, c.contexts, err)
+		}
+	}
+	for _, c := range []struct{ k, n, contexts int }{
+		{4, 2, maxCacheLines/16 + 1}, // one word past the cap
+		{4, 1, 1<<60 + 1},            // words near 2^62, where doubling would overflow
+		{4, 2, 1 << 60},              // words overflow an int
+	} {
+		tor := topology.MustNew(c.k, c.n)
+		cfg := DefaultConfig(tor, mapping.Identity(tor), c.contexts)
+		if cfg.CacheLines > maxCacheLines {
+			t.Errorf("k=%d n=%d p=%d: %d cache lines, want at most %d", c.k, c.n, c.contexts, cfg.CacheLines, maxCacheLines)
+		}
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "cache lines") {
+			t.Errorf("k=%d n=%d p=%d: error %v, want state words exceeding the cache", c.k, c.n, c.contexts, err)
+		}
+	}
+}
+
 // TestNewRejectsTooManyDimensions: the fabric simulates tori of at most
 // 15 dimensions, and New passes its error through.
 func TestNewRejectsTooManyDimensions(t *testing.T) {

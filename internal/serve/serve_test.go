@@ -110,6 +110,12 @@ func TestSolveEndpointRejectsBadRequests(t *testing.T) {
 		{"sweep machine over the node cap", http.MethodPost, "/v1/sweep",
 			`{"k":1025,"n":2,"contexts":[1],"mappings":"identity","window":100}`,
 			http.StatusBadRequest, "nodes"},
+		{"sweep context count over the cap", http.MethodPost, "/v1/sweep",
+			`{"k":4,"n":1,"contexts":[1152921504606846977],"mappings":"identity","window":1}`,
+			http.StatusBadRequest, "context count"},
+		{"sweep state words over the cap", http.MethodPost, "/v1/sweep",
+			`{"k":1024,"n":2,"contexts":[2],"mappings":"identity","window":1}`,
+			http.StatusBadRequest, "state words"},
 		// Zero selects the default for these fields. A negative value
 		// would otherwise be served as the default, or by
 		// /v1/sensitivity as a negative sensitivity.

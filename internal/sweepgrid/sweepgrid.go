@@ -10,6 +10,7 @@ package sweepgrid
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -50,9 +51,15 @@ type Grid struct {
 	Kernel sim.KernelKind
 }
 
-// maxNodes caps a grid's machine at the size the .lckp and .lref
-// decoders accept, ten times the largest machine the repo simulates.
-const maxNodes = 1 << 20
+// maxNodes and maxContexts cap a grid's machine at what the .lckp and
+// .lref decoders accept; 2^20 nodes is ten times the largest machine
+// the repo simulates. A cell's state words (contexts × nodes) are
+// capped at maxNodes too: each is a context's program state and a
+// cache line, so the node cap's machine runs at one context.
+const (
+	maxNodes    = 1 << 20
+	maxContexts = 1024
+)
 
 // New resolves a Spec into a runnable Grid.
 func New(spec Spec) (*Grid, error) {
@@ -60,8 +67,8 @@ func New(spec Spec) (*Grid, error) {
 		return nil, fmt.Errorf("sweepgrid: empty context list")
 	}
 	for _, p := range spec.Contexts {
-		if p < 1 {
-			return nil, fmt.Errorf("sweepgrid: bad context count %d", p)
+		if p < 1 || p > maxContexts {
+			return nil, fmt.Errorf("sweepgrid: bad context count %d, want 1 to %d", p, maxContexts)
 		}
 	}
 	if spec.Warmup < 0 || spec.Window <= 0 {
@@ -84,6 +91,9 @@ func New(spec Spec) (*Grid, error) {
 	}
 	if tor.Nodes() > maxNodes {
 		return nil, fmt.Errorf("sweepgrid: %d^%d = %d nodes, more than the %d a checkpoint or trace can hold", spec.Radix, spec.Dims, tor.Nodes(), maxNodes)
+	}
+	if p := slices.Max(spec.Contexts); p > maxNodes/tor.Nodes() {
+		return nil, fmt.Errorf("sweepgrid: %d contexts × %d nodes = %d state words, more than %d", p, tor.Nodes(), p*tor.Nodes(), maxNodes)
 	}
 	sel := spec.Mappings
 	if sel == "" {

@@ -100,6 +100,9 @@ func TestGridSpecValidation(t *testing.T) {
 		{Radix: 4, Dims: 2, Contexts: []int{1}, Mappings: "identity", Window: 1, Ratio: -1},      // negative clock ratio
 		{Radix: 2, Dims: 16, Contexts: []int{1}, Mappings: "identity", Window: 1},                // more dimensions than a network has
 		{Radix: 1025, Dims: 2, Contexts: []int{1}, Mappings: "identity", Window: 1},              // more than 2^20 nodes
+		{Radix: 4, Dims: 2, Contexts: []int{1, 1025}, Mappings: "identity", Window: 1},           // more contexts than a checkpoint holds
+		{Radix: 4, Dims: 1, Contexts: []int{1<<60 + 1}, Mappings: "identity", Window: 1},         // state words that overflowed the cache sizing
+		{Radix: 1024, Dims: 2, Contexts: []int{2}, Mappings: "identity", Window: 1},              // more than 2^20 state words
 	}
 	for i, spec := range bad {
 		if _, err := New(spec); err == nil {
