@@ -219,10 +219,14 @@ func BenchmarkClosedFormSolve(b *testing.B) {
 // sustained uniform random load on a 64-node torus, from a fabric
 // already warmed into that load. Besides ns/op (one network cycle) it
 // reports ns/flit-move, the cost per flit moved across a channel or
-// into its destination node, which a single cycle (-benchtime=1x)
-// already shows.
+// into its destination node, and B/router, the warmed fabric's live
+// heap after a collection divided by its routers; a single cycle
+// (-benchtime=1x) already shows both.
 func BenchmarkNetworkStep(b *testing.B) {
 	tor := topology.MustNew(8, 2)
+	runtime.GC()
+	var before runtime.MemStats
+	runtime.ReadMemStats(&before)
 	nw, err := netsim.New(netsim.Config{Topo: tor, BufferDepth: 8})
 	if err != nil {
 		b.Fatal(err)
@@ -252,15 +256,20 @@ func BenchmarkNetworkStep(b *testing.B) {
 	for i := 0; i < warmup; i++ {
 		step(i)
 	}
-	before := moves()
+	runtime.GC()
+	var warmed runtime.MemStats
+	runtime.ReadMemStats(&warmed)
+	perRouter := float64(int64(warmed.HeapAlloc)-int64(before.HeapAlloc)) / float64(tor.Nodes())
+	moved := moves()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		step(warmup + i)
 	}
 	b.StopTimer()
-	if n := moves() - before; n > 0 {
+	if n := moves() - moved; n > 0 {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/flit-move")
 	}
+	b.ReportMetric(perRouter, "B/router")
 }
 
 // BenchmarkMachineCycle measures full-system simulation speed: one

@@ -142,6 +142,9 @@ func runCell(ctx context.Context, g *sweepgrid.Grid, i int, x cellExtras) (machi
 		return machine.Metrics{}, err
 	}
 	met := res.Metrics
+	if err := g.Measured(met); err != nil {
+		return machine.Metrics{}, err
+	}
 	if x.traceDir != "" {
 		f, err := os.Create(filepath.Join(x.traceDir, stem+".trace.json"))
 		if err != nil {

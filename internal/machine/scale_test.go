@@ -25,7 +25,9 @@ func largeConfig(contexts int) Config {
 // TestLargeMachineSmoke is the large-N viability gate: a 65,536-node
 // machine must construct, run a short comm-light workload through its
 // first communication burst, and stay inside a wall-clock and heap
-// budget. Before the active-set fabric and sparse per-node state this
+// budget. Heap in use reads about 160–220 MB here, 184 MB under -race;
+// the test also logs the live bytes per node left after a collection.
+// Before the active-set fabric and sparse per-node state this
 // configuration was not practically runnable — construction alone
 // swept every router each cycle and dense caches made the required
 // 65,536×65,536-line configuration impossible to hold in memory.
@@ -35,7 +37,7 @@ func TestLargeMachineSmoke(t *testing.T) {
 	}
 	const (
 		wallBudget = 90 * time.Second
-		heapBudget = 2 << 30 // bytes
+		heapBudget = 512 << 20 // bytes
 	)
 	start := time.Now()
 	mach, err := New(largeConfig(1))
@@ -63,8 +65,13 @@ func TestLargeMachineSmoke(t *testing.T) {
 	if ms.HeapInuse > heapBudget {
 		t.Errorf("heap in use %d MB, budget %d MB", ms.HeapInuse>>20, heapBudget>>20)
 	}
-	t.Logf("65,536 nodes: %d txns, %d msgs, %d/%d cycles skipped, %.1fs, heap %d MB",
-		met.Transactions, met.Messages, met.CyclesSkipped, met.PCycles, time.Since(start).Seconds(), ms.HeapInuse>>20)
+	runtime.GC()
+	var live runtime.MemStats
+	runtime.ReadMemStats(&live)
+	runtime.KeepAlive(mach)
+	t.Logf("65,536 nodes: %d txns, %d msgs, %d/%d cycles skipped, %.1fs, heap %d MB, live %d B/node",
+		met.Transactions, met.Messages, met.CyclesSkipped, met.PCycles, time.Since(start).Seconds(), ms.HeapInuse>>20,
+		live.HeapAlloc/uint64(mach.cfg.Topo.Nodes()))
 }
 
 // TestWorklistInvariantBothKernels drives a randomized, zero-locality

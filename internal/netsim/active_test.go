@@ -192,9 +192,8 @@ func TestInjectQReleasesDeliveredMessages(t *testing.T) {
 }
 
 // TestRingsReleaseDeliveredMessages extends the same guarantee to the
-// switch input rings and the local-bypass list: once traffic drains,
-// no ring slot and no slot of local's backing array may reference a
-// message.
+// ring slab and the local-bypass list: once traffic drains, no slab
+// slot and no slot of local's backing array may reference a message.
 func TestRingsReleaseDeliveredMessages(t *testing.T) {
 	nw, err := New(Config{Topo: topology.MustNew(4, 2), BufferDepth: 4, LocalDelay: 3})
 	if err != nil {
@@ -211,11 +210,9 @@ func TestRingsReleaseDeliveredMessages(t *testing.T) {
 		nw.Step()
 	}
 	drain(t, nw, 100000)
-	for i := range nw.in {
-		for slot, f := range nw.in[i].buf {
-			if f.msg != nil {
-				t.Fatalf("drained buffer %d slot %d still references message %d→%d", i, slot, f.msg.Src, f.msg.Dst)
-			}
+	for slot, f := range nw.rings.slab[:cap(nw.rings.slab)] {
+		if f.msg != nil {
+			t.Fatalf("drained fabric's slab slot %d still references message %d→%d", slot, f.msg.Src, f.msg.Dst)
 		}
 	}
 	if cap(nw.local) == 0 {
@@ -230,8 +227,9 @@ func TestRingsReleaseDeliveredMessages(t *testing.T) {
 
 // TestCheckCatchesActiveSetDrift corrupts one piece of the derived
 // per-router state of a 4×4 fabric in mid-traffic — the active bitmap,
-// its summary level, the held-output or feeding-input mask, or a routed
-// head's output key — and requires Check to report it.
+// its summary level, the held-output or feeding-input mask, a routed
+// head's output key, or the ring lending — and requires Check to
+// report it.
 func TestCheckCatchesActiveSetDrift(t *testing.T) {
 	// find returns the first router (and key) satisfying pred, failing
 	// the test when the traffic produced none.
@@ -248,6 +246,10 @@ func TestCheckCatchesActiveSetDrift(t *testing.T) {
 	}
 	occupied := func(nw *Network, v int) bool { return nw.occ[v] != 0 || len(nw.injectQ[v]) > 0 }
 	fed := func(nw *Network, v, key int) bool { return nw.feed[v]>>key&1 != 0 }
+	ringed := func(nw *Network, v, key int) bool { return nw.in[v*nw.nin+key].off != 0 }
+	// spare holds a ring and no flit, so only the ring checks see it.
+	spare := func(nw *Network, v, key int) bool { return ringed(nw, v, key) && nw.occ[v]>>key&1 == 0 }
+	active := func(nw *Network, v int) bool { return nw.active[v>>6]>>(v&63)&1 != 0 }
 	mutations := []struct {
 		name   string
 		mutate func(t *testing.T, nw *Network)
@@ -289,6 +291,55 @@ func TestCheckCatchesActiveSetDrift(t *testing.T) {
 		{"waiting head's key pointed at another output", func(t *testing.T, nw *Network) {
 			v, input := find(t, nw, func(v, input int) bool { return nw.occ[v]>>input&1 != 0 && !fed(nw, v, input) })
 			nw.reqKey[v*nw.nin+input] ^= 1
+		}},
+		{"lent ring offset misaligned", func(t *testing.T, nw *Network) {
+			v, input := find(t, nw, func(v, input int) bool { return spare(nw, v, input) })
+			nw.in[v*nw.nin+input].off++
+		}},
+		{"lent ring offset past the slab", func(t *testing.T, nw *Network) {
+			v, input := find(t, nw, func(v, input int) bool { return spare(nw, v, input) })
+			nw.in[v*nw.nin+input].off = int32(len(nw.rings.slab))
+		}},
+		{"ring lent to two buffers", func(t *testing.T, nw *Network) {
+			v, input := find(t, nw, func(v, input int) bool { return spare(nw, v, input) })
+			w, key := find(t, nw, func(w, key int) bool { return active(nw, w) && !ringed(nw, w, key) })
+			nw.in[w*nw.nin+key].off = nw.in[v*nw.nin+input].off
+		}},
+		{"sentinel on the free list", func(t *testing.T, nw *Network) {
+			nw.rings.free = append(nw.rings.free, 0)
+		}},
+		{"lent ring also free", func(t *testing.T, nw *Network) {
+			v, input := find(t, nw, func(v, input int) bool { return ringed(nw, v, input) })
+			nw.rings.free = append(nw.rings.free, nw.in[v*nw.nin+input].off)
+		}},
+		{"free ring listed twice", func(t *testing.T, nw *Network) {
+			if len(nw.rings.free) == 0 {
+				t.Fatal("mid-traffic fabric has returned no ring")
+			}
+			nw.rings.free = append(nw.rings.free, nw.rings.free[0])
+		}},
+		{"returned ring dropped from the free list", func(t *testing.T, nw *Network) {
+			if len(nw.rings.free) == 0 {
+				t.Fatal("mid-traffic fabric has returned no ring")
+			}
+			nw.rings.free = nw.rings.free[1:]
+		}},
+		{"drained router keeps a ring", func(t *testing.T, nw *Network) {
+			v, _ := find(t, nw, func(v, _ int) bool { return !active(nw, v) })
+			nw.rings.lend(&nw.in[v*nw.nin])
+		}},
+		{"occupied buffer without a ring", func(t *testing.T, nw *Network) {
+			v, input := find(t, nw, func(v, input int) bool { return nw.occ[v]>>input&1 != 0 })
+			in := &nw.in[v*nw.nin+input]
+			nw.rings.free = append(nw.rings.free, in.off)
+			in.off = 0
+		}},
+		{"push to a ringless buffer wrote the sentinel", func(t *testing.T, nw *Network) {
+			nw.rings.slab[0].seq = 1
+		}},
+		{"vacated slot keeps a message", func(t *testing.T, nw *Network) {
+			v, input := find(t, nw, func(v, input int) bool { return spare(nw, v, input) })
+			nw.rings.slab[nw.in[v*nw.nin+input].off].msg = &Message{Size: 1}
 		}},
 	}
 	for _, tc := range mutations {
@@ -389,5 +440,139 @@ func TestLargeIdleFabricSpeedup(t *testing.T) {
 	t.Logf("mostly-idle 256×256: active %v, dense %v for %d cycles → %.0f× speedup", activeT, denseT, cycles, speedup)
 	if speedup < 10 {
 		t.Errorf("active worklist speedup %.1f× on a mostly-idle 256×256 torus, want ≥ 10×", speedup)
+	}
+}
+
+// ringedBuffers counts the buffers holding a ring.
+func ringedBuffers(nw *Network) int {
+	n := 0
+	for i := range nw.in {
+		if nw.in[i].off != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// TestRingSlabFollowsActiveSet drives bursts of random traffic, with
+// quiet gaps between them, through a 32×32 fabric. The slab carves a
+// ring only when none is free, so it never holds more rings than the
+// peak number of buffers ringed at once; its idle capacity stays within
+// one growth step; and a drained fabric lends no ring and holds no
+// flit.
+func TestRingSlabFollowsActiveSet(t *testing.T) {
+	nw, twin := newNet(t, 32, 2, 4), newNet(t, 32, 2, 4)
+	nw.SetDelivery(func(now int64, m *Message) {})
+	twin.SetDelivery(func(now int64, m *Message) {})
+	depth := nw.cfg.BufferDepth
+	// step runs Step's phases on nw and counts the buffers ringed at
+	// the cycle's fullest point: after commit has lent, before
+	// compactActive takes drained routers' rings back. twin runs Step
+	// itself, so the final comparison pins the phases to Step's.
+	step := func() int {
+		nw.worklist = nw.appendActive(nw.worklist[:0])
+		nw.decide()
+		nw.commit()
+		ringed := ringedBuffers(nw)
+		nw.compactActive()
+		nw.stepLocal()
+		nw.now++
+		twin.Step()
+		return ringed
+	}
+	rng := rand.New(rand.NewSource(41))
+	peak := 0
+	for cycle := 0; cycle < 2400; cycle++ {
+		if cycle%600 < 200 {
+			for i := 0; i < 6; i++ {
+				sendRandom(t, rng, nw, twin)
+			}
+		}
+		peak = max(peak, step())
+		carved := len(nw.rings.slab)/depth - 1
+		if carved > peak {
+			t.Fatalf("cycle %d: slab carved %d rings, more than the %d buffers ever ringed at once", cycle, carved, peak)
+		}
+		if idle := cap(nw.rings.slab)/depth - 1 - carved; idle > max(64, carved/4) {
+			t.Fatalf("cycle %d: %d rings carved with %d idle behind them", cycle, carved, idle)
+		}
+		if cycle%200 == 0 {
+			if err := nw.Check(); err != nil {
+				t.Fatalf("cycle %d: %v", cycle, err)
+			}
+		}
+	}
+	for budget := 0; budget < 100000 && nw.Busy(); budget++ {
+		step()
+	}
+	if nw.Busy() || twin.Busy() {
+		t.Fatal("the fabric did not drain")
+	}
+	if !reflect.DeepEqual(nw.Checkpoint(), twin.Checkpoint()) {
+		t.Fatal("Step's phases run one by one diverged from Step")
+	}
+	if err := nw.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if n := ringedBuffers(nw); n != 0 {
+		t.Errorf("drained fabric lends %d rings", n)
+	}
+	for slot, f := range nw.rings.slab[:cap(nw.rings.slab)] {
+		if f != (flit{}) {
+			t.Fatalf("drained fabric's slab slot %d holds %+v", slot, f)
+		}
+	}
+	carved := len(nw.rings.slab)/depth - 1
+	if len(nw.rings.free) != carved {
+		t.Errorf("drained fabric has %d free rings of %d carved", len(nw.rings.free), carved)
+	}
+	t.Logf("32×32: peak %d of %d buffers ringed at once, slab %d rings", peak, len(nw.in), carved)
+}
+
+// TestRingRestoreLendsOccupiedBuffers: restoring a mid-traffic
+// checkpoint, into a fresh network or over the one that wrote it,
+// lends a ring to exactly the occupied buffers and frees nothing, and
+// the restored fabric runs on as the original does.
+func TestRingRestoreLendsOccupiedBuffers(t *testing.T) {
+	nw := newNet(t, 8, 2, 4)
+	nw.SetDelivery(func(now int64, m *Message) {})
+	rng := rand.New(rand.NewSource(43))
+	for cycle := 0; cycle < 300; cycle++ {
+		if cycle%3 == 0 {
+			sendRandom(t, rng, nw)
+		}
+		nw.Step()
+	}
+	if len(nw.rings.free) == 0 {
+		t.Fatal("the traffic returned no ring before the checkpoint")
+	}
+	ck := nw.Checkpoint()
+	fresh := newNet(t, 8, 2, 4)
+	for name, rs := range map[string]*Network{"fresh": fresh, "same": nw} {
+		if err := rs.Restore(ck); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		occupied := 0
+		for i := range rs.in {
+			if (rs.in[i].off != 0) != (rs.in[i].count > 0) {
+				t.Fatalf("%s: buffer %d holds %d flits and ring offset %d", name, i, rs.in[i].count, rs.in[i].off)
+			}
+			if rs.in[i].count > 0 {
+				occupied++
+			}
+		}
+		if occupied == 0 {
+			t.Fatalf("%s: the checkpoint buffers no flit", name)
+		}
+		if carved := len(rs.rings.slab)/rs.cfg.BufferDepth - 1; carved != occupied || len(rs.rings.free) != 0 {
+			t.Errorf("%s: slab carved %d rings with %d free for %d occupied buffers", name, carved, len(rs.rings.free), occupied)
+		}
+	}
+	for cycle := 0; cycle < 200; cycle++ {
+		nw.Step()
+		fresh.Step()
+	}
+	if !reflect.DeepEqual(nw.Checkpoint(), fresh.Checkpoint()) {
+		t.Error("the two restored networks diverged")
 	}
 }

@@ -148,6 +148,7 @@ func (nw *Network) Checkpoint() CheckpointState {
 		Hops:         nw.hops.State(),
 		Sizes:        nw.sizes.State(),
 	}
+	depth := nw.cfg.BufferDepth
 	for v := 0; v < nw.nodes; v++ {
 		if nw.routerZero(v) {
 			continue
@@ -164,8 +165,9 @@ func (nw *Network) Checkpoint() CheckpointState {
 		for key := 0; key < nw.nin; key++ {
 			in := &nw.in[base+key]
 			var flits []FlitState // nil when empty, matching the codec
+			ring := in.window(nw.rings.slab, depth)
 			for n := 0; n < int(in.count); n++ {
-				f := in.buf[(int(in.head)+n)%len(in.buf)]
+				f := ring[(int(in.head)+n)%depth]
 				flits = append(flits, FlitState{Msg: ref(f.msg), Seq: f.seq, ArrivedAt: f.arrivedAt})
 			}
 			rs.Inputs[key] = flits
@@ -311,18 +313,15 @@ func (nw *Network) Restore(s CheckpointState) error {
 			vcClass:     ms.VCClass,
 		}
 	}
-	// Reset every router to zero state, then overlay the sparse entries
+	// Reset every router to zero state and take back every ring, then
+	// overlay the sparse entries, lending a ring to each occupied buffer,
 	// and rebuild the active set and masks from the restored occupancy.
-	for i := range nw.in {
-		clear(nw.in[i].buf)
-		nw.in[i].head, nw.in[i].count = 0, 0
-		nw.owner[i] = nil
-		nw.ownerInput[i] = 0
-		nw.lastGranted[i] = 0
-	}
-	for i := range nw.lastVC {
-		nw.lastVC[i] = 0
-	}
+	clear(nw.in)
+	nw.rings.reset()
+	clear(nw.owner)
+	clear(nw.ownerInput)
+	clear(nw.lastGranted)
+	clear(nw.lastVC)
 	clear(nw.occ)
 	clear(nw.held)
 	clear(nw.feed)
@@ -336,32 +335,32 @@ func (nw *Network) Restore(s CheckpointState) error {
 		v := rs.Index
 		base := v * nin
 		for i, flits := range rs.Inputs {
+			if len(flits) == 0 {
+				continue
+			}
 			in := &nw.in[base+i]
-			if len(flits) > 0 && in.buf == nil {
-				in.buf = make([]flit, nw.cfg.BufferDepth)
-			}
-			in.head, in.count = 0, int32(len(flits))
+			nw.rings.lend(in)
+			in.count = uint16(len(flits))
+			ring := in.window(nw.rings.slab, nw.cfg.BufferDepth)
 			for n, f := range flits {
-				in.buf[n] = flit{msg: msgs[f.Msg], seq: f.Seq, arrivedAt: f.ArrivedAt}
+				ring[n] = flit{msg: msgs[f.Msg], seq: f.Seq, arrivedAt: f.ArrivedAt}
 			}
-			if len(flits) > 0 {
-				nw.occ[v] |= 1 << i
-			}
+			nw.occ[v] |= 1 << i
 		}
 		for key, owner := range rs.Owner {
 			if owner != -1 {
 				input := rs.OwnerInput[key]
 				nw.owner[base+key] = msgs[owner]
-				nw.ownerInput[base+key] = int32(input)
+				nw.ownerInput[base+key] = uint8(input)
 				nw.held[v] |= 1 << key
 				nw.feed[v] |= 1 << input
 				nw.reqKey[base+input] = int8(key)
 			}
-			nw.lastGranted[base+key] = int32(rs.LastGranted[key])
+			nw.lastGranted[base+key] = uint8(rs.LastGranted[key])
 		}
 		for m := nw.occ[v] &^ nw.feed[v]; m != 0; m &= m - 1 {
 			i := bits.TrailingZeros64(m)
-			nw.reqKey[base+i] = nw.requestKey(v, nw.in[base+i].peek().msg)
+			nw.reqKey[base+i] = nw.requestKey(v, nw.in[base+i].peek(nw.rings.slab).msg)
 		}
 		for o, vc := range rs.LastVC {
 			nw.lastVC[v*nw.ports+o] = uint8(vc)

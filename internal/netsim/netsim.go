@@ -25,19 +25,23 @@
 // router, and Step visits only the routers of a two-level active bitmap,
 // in ascending order, so a mostly-idle fabric costs O(active switches)
 // per cycle and an untouched switch costs no resident memory (large
-// zeroed slices are backed by untouched pages). Listing the active
-// routers needs no sort, and moving a flit reads a per-port neighbor
-// table instead of dividing out coordinates. Each head is routed once
-// per hop, when it becomes the front of its input, and a router's
-// decide works from three one-word masks (occupied inputs, held
-// outputs, inputs feeding a held output) to arbitrate only the outputs
-// that can move a flit, so a router has at most 64 inputs and a torus
-// at most 15 dimensions. All of this is behavior-preserving: see
-// DESIGN.md §5i for the parity argument.
+// zeroed slices are backed by untouched pages). An input buffer's flit
+// ring is lent from one slab per network on the buffer's first push and
+// returned when its router leaves the active set, so ring memory
+// follows the active routers, not every buffer a worm ever crossed.
+// Listing the active routers needs no sort, and moving a flit reads a
+// per-port neighbor table instead of dividing out coordinates. Each
+// head is routed once per hop, when it becomes the front of its input,
+// and a router's decide works from three one-word masks (occupied
+// inputs, held outputs, inputs feeding a held output) to arbitrate only
+// the outputs that can move a flit, so a router has at most 64 inputs
+// and a torus at most 15 dimensions. All of this is behavior-preserving:
+// see DESIGN.md §5i for the parity argument.
 package netsim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"strings"
 
@@ -87,52 +91,114 @@ type flit struct {
 func (f flit) isHead() bool { return f.seq == 0 }
 func (f flit) isTail() bool { return f.seq == f.msg.Size-1 }
 
-// fifo is a bounded flit queue (one switch input buffer). It is a value
-// type so buffers pack into one flat slice per network; the ring
-// storage is allocated lazily on first push, so the millions of
-// never-touched buffers of a large mostly-idle fabric cost nothing.
-// The depth is owned by the network and passed in where needed.
+// fifo is a bounded flit queue (one switch input buffer): an 8-byte
+// header over a ring of depth slots that the network lends from its
+// slab. Offset 0 is the slab's sentinel ring, never lent, so a zeroed
+// header is an empty buffer without a ring and the millions of
+// never-touched buffers of a large mostly-idle fabric cost only their
+// untouched header pages. head and count fit 16 bits because New bounds
+// the depth at 65,535. The depth and slab are owned by the network and
+// passed in where needed.
 type fifo struct {
-	buf   []flit
-	head  int32
-	count int32
+	off   int32  // slab offset of the lent ring, 0 for none
+	head  uint16 // ring slot of the front flit
+	count uint16 // buffered flits
 }
 
 func (q *fifo) full(depth int) bool { return int(q.count) == depth }
 func (q *fifo) empty() bool         { return q.count == 0 }
 
-func (q *fifo) push(f flit, depth int) {
+// window returns q's ring: the depth slab slots from its offset.
+func (q *fifo) window(slab []flit, depth int) []flit {
+	return slab[q.off : int(q.off)+depth : int(q.off)+depth]
+}
+
+// push appends f to q, which must hold a ring: a push to a ringless
+// buffer writes the sentinel ring, which Check verifies stays zero.
+func (q *fifo) push(slab []flit, f flit, depth int) {
 	if int(q.count) == depth {
 		panic("netsim: push to full buffer")
 	}
-	if q.buf == nil {
-		q.buf = make([]flit, depth)
-	}
-	i := int(q.head + q.count)
+	i := int(q.head) + int(q.count)
 	if i >= depth {
 		i -= depth
 	}
-	q.buf[i] = f
+	slab[int(q.off)+i] = f
 	q.count++
 }
 
-func (q *fifo) peek() flit {
+func (q *fifo) peek(slab []flit) flit {
 	if q.empty() {
 		panic("netsim: peek at empty buffer")
 	}
-	return q.buf[q.head]
+	return slab[int(q.off)+int(q.head)]
 }
 
 // pop removes the front flit, zeroing its slot so the ring does not
 // keep a delivered message reachable.
-func (q *fifo) pop() flit {
-	f := q.peek()
-	q.buf[q.head] = flit{}
-	if q.head++; int(q.head) == len(q.buf) {
+func (q *fifo) pop(slab []flit, depth int) flit {
+	f := q.peek(slab)
+	slab[int(q.off)+int(q.head)] = flit{}
+	if q.head++; int(q.head) == depth {
 		q.head = 0
 	}
 	q.count--
 	return f
+}
+
+// rings lends the input buffers' flit rings out of one slab. A buffer
+// borrows a ring on its first push, and compactActive returns the rings
+// of a router that leaves the active set, so the slab holds at most the
+// peak number of rings lent at once. slab[:depth] is the sentinel ring
+// at offset 0: never lent, always zero.
+type rings struct {
+	slab  []flit
+	free  []int32 // offsets of returned rings, lent again last in, first out
+	depth int
+	limit int // slots of the sentinel plus one ring per buffer
+}
+
+func newRings(depth, buffers int) rings {
+	return rings{slab: make([]flit, depth), depth: depth, limit: (buffers + 1) * depth}
+}
+
+// lend gives the ringless buffer q a ring: the last one returned, or
+// else a fresh one off the slab's end. A full slab grows by a quarter or
+// 64 rings, whichever is more, up to limit: doubling would leave up to
+// half of a large slab idle.
+func (r *rings) lend(q *fifo) {
+	if n := len(r.free); n > 0 {
+		q.off = r.free[n-1]
+		r.free = r.free[:n-1]
+		return
+	}
+	off := len(r.slab)
+	if off+r.depth > cap(r.slab) {
+		grow := max(off/4/r.depth, 64) * r.depth
+		s := make([]flit, off, min(off+grow, r.limit))
+		copy(s, r.slab)
+		r.slab = s
+	}
+	r.slab = r.slab[:off+r.depth]
+	q.off = int32(off)
+}
+
+// reclaim takes back the rings of a drained router's buffers, leaving
+// their headers zero. Every slot of an empty ring is already zero.
+func (r *rings) reclaim(bufs []fifo) {
+	for i := range bufs {
+		if bufs[i].off != 0 {
+			r.free = append(r.free, bufs[i].off)
+			bufs[i] = fifo{}
+		}
+	}
+}
+
+// reset takes back every ring, keeping the slab's capacity.
+func (r *rings) reset() {
+	clear(r.slab)
+	r.slab = r.slab[:r.depth]
+	r.free = r.free[:0]
 }
 
 // Config parameterizes the network.
@@ -174,6 +240,7 @@ type move struct {
 // per-port state at v·ports+o. The flat slices are allocated once in
 // New; because a fresh large slice is zeroed pages the OS has not
 // materialized, memory residency tracks the routers actually touched.
+// Flit storage is the rings slab, lent to the active routers' buffers.
 type Network struct {
 	cfg   Config
 	topo  *topology.Torus
@@ -183,14 +250,16 @@ type Network struct {
 	nin   int // input buffers / virtual output keys per router (2·ports+1)
 	nodes int
 
-	// in[v·nin+key] is router v's input buffer for key (lazy storage).
-	in []fifo
+	// in[v·nin+key] is router v's input buffer for key; its flits live
+	// in a ring lent from rings.
+	in    []fifo
+	rings rings
 	// owner[v·nin+key] is the message holding virtual output key, or nil.
 	owner []*Message
 	// ownerInput[v·nin+key] is the input buffer index feeding that worm.
-	ownerInput []int32
+	ownerInput []uint8
 	// lastGranted[v·nin+key] rotates arbitration among inputs for a key.
-	lastGranted []int32
+	lastGranted []uint8
 	// lastVC[v·ports+o] rotates the physical channel between its two VCs.
 	lastVC []uint8
 	// nbr[v·ports+o] is the router across directional port o of v.
@@ -288,6 +357,9 @@ func New(cfg Config) (*Network, error) {
 	if cfg.BufferDepth < 1 {
 		return nil, fmt.Errorf("netsim: buffer depth %d, must be ≥ 1", cfg.BufferDepth)
 	}
+	if cfg.BufferDepth > math.MaxUint16 {
+		return nil, fmt.Errorf("netsim: buffer depth %d, at most %d (a buffer counts its flits in 16 bits)", cfg.BufferDepth, math.MaxUint16)
+	}
 	if cfg.LocalDelay == 0 {
 		cfg.LocalDelay = 1
 	}
@@ -298,6 +370,11 @@ func New(cfg Config) (*Network, error) {
 	dims := cfg.Topo.N()
 	ports := 2 * dims
 	nin := 2*ports + 1
+	// Ring offsets are int32: the sentinel and one ring per buffer must
+	// fit below 2^31 flits.
+	if n*nin+1 > math.MaxInt32/cfg.BufferDepth {
+		return nil, fmt.Errorf("netsim: %d buffers of %d flits, more than the ring slab's 2^31 flits", n*nin, cfg.BufferDepth)
+	}
 	nw := &Network{
 		cfg:         cfg,
 		topo:        cfg.Topo,
@@ -307,9 +384,10 @@ func New(cfg Config) (*Network, error) {
 		nin:         nin,
 		nodes:       n,
 		in:          make([]fifo, n*nin),
+		rings:       newRings(cfg.BufferDepth, n*nin),
 		owner:       make([]*Message, n*nin),
-		ownerInput:  make([]int32, n*nin),
-		lastGranted: make([]int32, n*nin),
+		ownerInput:  make([]uint8, n*nin),
+		lastGranted: make([]uint8, n*nin),
 		lastVC:      make([]uint8, n*ports),
 		nbr:         make([]int32, n*ports),
 		reqKey:      make([]int8, n*nin),
@@ -513,7 +591,8 @@ func (nw *Network) Run(cycles int64) {
 func (nw *Network) stepInjection(v int) {
 	q := nw.injectQ[v]
 	in := &nw.in[v*nw.nin+nw.injectIn()]
-	if in.full(nw.cfg.BufferDepth) {
+	depth := nw.cfg.BufferDepth
+	if in.full(depth) {
 		return
 	}
 	msg := q[0]
@@ -526,7 +605,10 @@ func (nw *Network) stepInjection(v int) {
 			nw.reqKey[v*nw.nin+nw.injectIn()] = nw.requestKey(v, msg)
 		}
 	}
-	in.push(flit{msg: msg, seq: seq, arrivedAt: nw.now}, nw.cfg.BufferDepth)
+	if in.off == 0 {
+		nw.rings.lend(in)
+	}
+	in.push(nw.rings.slab, flit{msg: msg, seq: seq, arrivedAt: nw.now}, depth)
 	nw.occ[v] |= 1 << nw.injectIn()
 	nw.flitsIn++
 	nw.lastProgress = nw.now
@@ -620,7 +702,7 @@ func (nw *Network) decide() {
 func (nw *Network) grant(v, key int, held, heads uint64) {
 	base := v * nw.nin
 	if held>>key&1 != 0 {
-		nw.moves = append(nw.moves, move{router: int32(v), input: uint8(nw.ownerInput[base+key]), outKey: uint8(key)})
+		nw.moves = append(nw.moves, move{router: int32(v), input: nw.ownerInput[base+key], outKey: uint8(key)})
 		return
 	}
 	var req uint64
@@ -633,7 +715,7 @@ func (nw *Network) grant(v, key int, held, heads uint64) {
 	if later := req &^ (2<<nw.lastGranted[base+key] - 1); later != 0 {
 		input = bits.TrailingZeros64(later)
 	}
-	nw.lastGranted[base+key] = int32(input)
+	nw.lastGranted[base+key] = uint8(input)
 	nw.moves = append(nw.moves, move{router: int32(v), input: uint8(input), outKey: uint8(key), acquire: true})
 }
 
@@ -649,20 +731,22 @@ func (nw *Network) requestKey(v int, msg *Message) int8 {
 
 // commit applies the decided transfers. A tail flit releases its
 // output; a fabric move of key o·2+vc lands in input o·2+vc of
-// nbr[v·ports+o].
+// nbr[v·ports+o], which borrows a ring if it has none. The slab is
+// held in a local and reloaded only when lending grows it.
 func (nw *Network) commit() {
 	if len(nw.moves) > 0 {
 		nw.lastProgress = nw.now
 	}
-	ek := nw.ejectKey()
+	nin, depth, ek := nw.nin, nw.cfg.BufferDepth, nw.ejectKey()
+	slab := nw.rings.slab
 	for _, mv := range nw.moves {
 		v, input, key := int(mv.router), int(mv.input), int(mv.outKey)
-		base := v * nw.nin
+		base := v * nin
 		in := &nw.in[base+input]
-		f := in.pop()
+		f := in.pop(slab, depth)
 		if mv.acquire {
 			nw.owner[base+key] = f.msg
-			nw.ownerInput[base+key] = int32(input)
+			nw.ownerInput[base+key] = mv.input
 			nw.held[v] |= 1 << key
 			nw.feed[v] |= 1 << input
 		}
@@ -673,7 +757,7 @@ func (nw *Network) commit() {
 			// The input no longer feeds anything: its next flit, if any,
 			// is the head of the next worm. Route it now, once.
 			if !in.empty() {
-				nw.reqKey[base+input] = nw.requestKey(v, in.peek().msg)
+				nw.reqKey[base+input] = nw.requestKey(v, in.peek(slab).msg)
 			}
 		}
 		if in.empty() {
@@ -704,14 +788,18 @@ func (nw *Network) commit() {
 		}
 		nw.flitHops.Inc()
 		f.arrivedAt = nw.now
-		out := &nw.in[dest*nw.nin+key]
+		out := &nw.in[dest*nin+key]
 		if out.empty() && f.isHead() {
 			// The head fronts an unfed input (a fed one awaits its own
 			// worm's body flits), and the worm's dateline state is final
 			// for this hop: route it now, once.
-			nw.reqKey[dest*nw.nin+key] = nw.requestKey(dest, f.msg)
+			nw.reqKey[dest*nin+key] = nw.requestKey(dest, f.msg)
 		}
-		out.push(f, nw.cfg.BufferDepth)
+		if out.off == 0 {
+			nw.rings.lend(out)
+			slab = nw.rings.slab
+		}
+		out.push(slab, f, depth)
 		nw.occ[dest] |= 1 << key
 		// A flit arriving this cycle cannot move before the next one
 		// (decide runs before commit), so activating the destination
@@ -722,19 +810,22 @@ func (nw *Network) commit() {
 
 // compactActive drops drained routers from the active set: a router
 // with no buffered flits and no queued injections contributes nothing
-// to any future cycle until traffic re-activates it. Its persistent
-// arbitration rotors (lastGranted, lastVC) and any stretched-worm
-// output ownership stay in the flat arrays, untouched, exactly as a
-// dense sweep would leave them. Only worklist routers can have
-// drained: a router activated during this cycle received a flit or a
-// queued message.
+// to any future cycle until traffic re-activates it. Its buffers' rings
+// go back to the slab's free list. Its persistent arbitration rotors
+// (lastGranted, lastVC) and any stretched-worm output ownership stay in
+// the flat arrays, untouched, exactly as a dense sweep would leave
+// them; the dense sweep keeps every router, and so every ring. Only
+// worklist routers can have drained: a router activated during this
+// cycle received a flit or a queued message.
 func (nw *Network) compactActive() {
 	if nw.forceDense {
 		return
 	}
+	nin := nw.nin
 	for _, v32 := range nw.worklist {
 		if v := int(v32); nw.occ[v] == 0 && len(nw.injectQ[v]) == 0 {
 			nw.deactivate(v)
+			nw.rings.reclaim(nw.in[v*nin : v*nin+nin])
 		}
 	}
 }
@@ -857,29 +948,85 @@ func (nw *Network) inFlightFlits() int { return int(nw.flitsIn - nw.flitsOut) }
 // arrived before Now, no input feeds two held outputs, a fed input's
 // front flit is a body flit of the worm holding the output it feeds,
 // every other occupied input fronts a head, and each input's reqKey is
-// the output it feeds or its front head requests. Watchdog and
-// restore code call this so no code path can silently leak flits or
-// corrupt the active set. O(N·nin + buffered flits), so not for
-// per-cycle hot paths.
+// the output it feeds or its front head requests. And it verifies the
+// ring lending: every occupied buffer holds a ring; each lent offset is
+// an aligned ring of the slab, lent once, never the sentinel; the free
+// offsets are likewise rings, disjoint from the lent ones, and every
+// ring is lent or free; a router outside the active set lends nothing;
+// and every slot outside the buffered flits is zero, so no ring keeps a
+// delivered message reachable. Watchdog and restore code call this so
+// no code path can silently leak flits or rings or corrupt the active
+// set. O(N·nin + slab), so not for per-cycle hot paths.
 func (nw *Network) Check() error {
 	var inFlight int64
 	q := 0
+	depth, slab := nw.cfg.BufferDepth, nw.rings.slab
+	if len(slab) < depth || len(slab)%depth != 0 {
+		return fmt.Errorf("netsim: ring slab holds %d flits, not whole %d-flit rings", len(slab), depth)
+	}
+	// taken[r] marks slab ring r (offset r·depth) lent or free; ring 0 is
+	// the sentinel. take marks off's ring, or says why it cannot.
+	taken := make([]bool, len(slab)/depth)
+	taken[0] = true
+	take := func(off int32) string {
+		r := int(off) / depth
+		switch {
+		case off < 0 || int(off)%depth != 0 || r >= len(taken):
+			return fmt.Sprintf("ring offset %d is not a %d-flit ring of the %d-flit slab", off, depth, len(slab))
+		case taken[r]:
+			return fmt.Sprintf("ring offset %d is the sentinel or already lent or free", off)
+		}
+		taken[r] = true
+		return ""
+	}
+	// stale returns the first of the n ring slots from slot from that
+	// holds a flit, or -1.
+	stale := func(ring []flit, from, n int) int {
+		for j := 0; j < n; j++ {
+			if slot := (from + j) % depth; ring[slot] != (flit{}) {
+				return slot
+			}
+		}
+		return -1
+	}
+	if slot := stale(slab[:depth], 0, depth); slot >= 0 {
+		return fmt.Errorf("netsim: the sentinel ring holds a flit in slot %d at cycle %d", slot, nw.now)
+	}
 	for v := 0; v < nw.nodes; v++ {
 		base := v * nw.nin
 		var occ, held, feed uint64
+		lends := false
 		for key := 0; key < nw.nin; key++ {
 			in := &nw.in[base+key]
-			if in.count > 0 {
-				occ |= 1 << key
-				inFlight += int64(in.count)
+			if in.off == 0 {
+				if in.count > 0 {
+					return fmt.Errorf("netsim: router %d input %d buffers %d flits without a ring at cycle %d", v, key, in.count, nw.now)
+				}
+			} else {
+				lends = true
+				if why := take(in.off); why != "" {
+					return fmt.Errorf("netsim: router %d input %d %s at cycle %d", v, key, why, nw.now)
+				}
+				if int(in.head) >= depth || int(in.count) > depth {
+					return fmt.Errorf("netsim: router %d input %d window (head %d, %d flits) overruns its %d-flit ring at cycle %d",
+						v, key, in.head, in.count, depth, nw.now)
+				}
+				ring := in.window(slab, depth)
+				if slot := stale(ring, int(in.head)+int(in.count), depth-int(in.count)); slot >= 0 {
+					return fmt.Errorf("netsim: router %d input %d keeps a stale flit in vacant slot %d at cycle %d", v, key, slot, nw.now)
+				}
 				for n, j := 0, int(in.head); n < int(in.count); n++ {
-					if at := in.buf[j].arrivedAt; at >= nw.now {
+					if at := ring[j].arrivedAt; at >= nw.now {
 						return fmt.Errorf("netsim: router %d input %d buffers a flit that arrived at cycle %d, not before cycle %d", v, key, at, nw.now)
 					}
-					if j++; j == len(in.buf) {
+					if j++; j == depth {
 						j = 0
 					}
 				}
+			}
+			if in.count > 0 {
+				occ |= 1 << key
+				inFlight += int64(in.count)
 			}
 			if nw.owner[base+key] == nil {
 				continue
@@ -912,7 +1059,7 @@ func (nw *Network) Check() error {
 		}
 		for m := occ; m != 0; m &= m - 1 {
 			i := bits.TrailingZeros64(m)
-			f := nw.in[base+i].peek()
+			f := nw.in[base+i].peek(slab)
 			if feed>>i&1 != 0 {
 				if key := int(nw.reqKey[base+i]); f.msg != nw.owner[base+key] || f.isHead() {
 					return fmt.Errorf("netsim: router %d input %d feeds output %d but fronts flit %d of message %d→%d at cycle %d",
@@ -937,7 +1084,23 @@ func (nw *Network) Check() error {
 		if !occupied && isActive && !nw.forceDense {
 			return fmt.Errorf("netsim: drained router %d left in the active set at cycle %d", v, nw.now)
 		}
+		if lends && !isActive {
+			return fmt.Errorf("netsim: router %d is outside the active set but holds rings at cycle %d", v, nw.now)
+		}
 		q += len(nw.injectQ[v])
+	}
+	for _, off := range nw.rings.free {
+		if why := take(off); why != "" {
+			return fmt.Errorf("netsim: free %s at cycle %d", why, nw.now)
+		}
+		if slot := stale(slab[off:int(off)+depth], 0, depth); slot >= 0 {
+			return fmt.Errorf("netsim: free ring offset %d keeps a stale flit in slot %d at cycle %d", off, slot, nw.now)
+		}
+	}
+	for r, ok := range taken {
+		if !ok {
+			return fmt.Errorf("netsim: ring offset %d is neither lent nor free at cycle %d", r*depth, nw.now)
+		}
 	}
 	if nw.flitsIn != nw.flitsOut+inFlight {
 		return fmt.Errorf("netsim: flit conservation violated at cycle %d: injected %d != delivered %d + in-flight %d",
@@ -1004,7 +1167,7 @@ func (nw *Network) DiagSnapshot() string {
 			if in.empty() {
 				continue
 			}
-			f := in.peek()
+			f := in.peek(nw.rings.slab)
 			name := "inject"
 			if key < 2*nw.ports {
 				name = fmt.Sprintf("dim%d%svc%d", key/4, map[bool]string{true: "+", false: "-"}[(key/2)%2 == 0], key%2)

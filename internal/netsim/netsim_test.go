@@ -46,6 +46,18 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Topo: topology.MustNew(2, 16), BufferDepth: 4}); err == nil || !strings.Contains(err.Error(), "at most 15 dimensions") {
 		t.Errorf("a 16-dimensional torus: error %v, want one naming the 15-dimension limit", err)
 	}
+	// A buffer counts its flits in 16 bits.
+	if _, err := New(Config{Topo: topology.MustNew(4, 2), BufferDepth: 65535}); err != nil {
+		t.Errorf("buffer depth 65,535: %v", err)
+	}
+	if _, err := New(Config{Topo: topology.MustNew(4, 2), BufferDepth: 65536}); err == nil || !strings.Contains(err.Error(), "at most 65535") {
+		t.Errorf("buffer depth 65,536: error %v, want one naming the 65,535 limit", err)
+	}
+	// Ring offsets are int32: 2^20 routers × 9 buffers × 256 flits pass
+	// 2^31 slab flits. Refused before anything is allocated.
+	if _, err := New(Config{Topo: topology.MustNew(1024, 2), BufferDepth: 256}); err == nil || !strings.Contains(err.Error(), "2^31") {
+		t.Errorf("a 2^31-flit slab: error %v, want one naming the slab limit", err)
+	}
 }
 
 func TestSendValidation(t *testing.T) {
@@ -351,50 +363,90 @@ func TestQuiescedInitially(t *testing.T) {
 
 func TestFIFO(t *testing.T) {
 	const depth = 2
+	r := newRings(depth, 2)
 	var q fifo
 	if !q.empty() || q.full(depth) {
 		t.Error("fresh fifo state wrong")
 	}
+	r.lend(&q)
+	if q.off != depth {
+		t.Fatalf("first ring lent at offset %d, want %d: the sentinel ring at 0 is never lent", q.off, depth)
+	}
 	m := &Message{Size: 3}
-	q.push(flit{msg: m, seq: 0}, depth)
-	q.push(flit{msg: m, seq: 1}, depth)
+	q.push(r.slab, flit{msg: m, seq: 0}, depth)
+	q.push(r.slab, flit{msg: m, seq: 1}, depth)
 	if !q.full(depth) {
 		t.Error("fifo should be full")
 	}
-	if f := q.pop(); f.seq != 0 {
+	if f := q.pop(r.slab, depth); f.seq != 0 {
 		t.Errorf("pop seq = %d, want 0", f.seq)
 	}
-	q.push(flit{msg: m, seq: 2}, depth) // wraps the ring buffer
-	if f := q.pop(); f.seq != 1 {
+	q.push(r.slab, flit{msg: m, seq: 2}, depth) // wraps the ring buffer
+	if f := q.pop(r.slab, depth); f.seq != 1 {
 		t.Errorf("pop seq = %d, want 1", f.seq)
 	}
-	if f := q.pop(); f.seq != 2 {
+	if f := q.pop(r.slab, depth); f.seq != 2 {
 		t.Errorf("pop seq = %d, want 2", f.seq)
 	}
 	if !q.empty() {
 		t.Error("fifo should be empty")
 	}
+	for i, f := range r.slab {
+		if f != (flit{}) {
+			t.Errorf("slab slot %d keeps popped flit %+v", i, f)
+		}
+	}
+	// A reclaimed ring is the next one lent, to whichever buffer asks.
+	off := q.off
+	bufs := []fifo{q}
+	r.reclaim(bufs)
+	if bufs[0] != (fifo{}) || len(r.free) != 1 {
+		t.Fatalf("reclaim left header %+v and free list %v", bufs[0], r.free)
+	}
+	var p fifo
+	r.lend(&p)
+	if p.off != off || len(r.free) != 0 {
+		t.Errorf("lent offset %d with free list %v, want the returned ring %d", p.off, r.free, off)
+	}
 }
 
 func TestFIFOPanics(t *testing.T) {
+	r := newRings(1, 1)
 	var q fifo
-	func() {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
 		defer func() {
 			if recover() == nil {
-				t.Error("pop of empty fifo should panic")
+				t.Errorf("%s should panic", what)
 			}
 		}()
-		q.pop()
-	}()
-	q.push(flit{}, 1)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("push to full fifo should panic")
-			}
-		}()
-		q.push(flit{}, 1)
-	}()
+		f()
+	}
+	mustPanic("pop of empty fifo", func() { q.pop(r.slab, 1) })
+	r.lend(&q)
+	q.push(r.slab, flit{}, 1)
+	mustPanic("push to full fifo", func() { q.push(r.slab, flit{}, 1) })
+}
+
+// TestRingSlabGrowthIsBounded: the slab grows by 64 rings or a quarter,
+// whichever is more, never past the sentinel plus one ring per buffer.
+func TestRingSlabGrowthIsBounded(t *testing.T) {
+	const depth, buffers = 3, 1000
+	r := newRings(depth, buffers)
+	q := make([]fifo, buffers)
+	for i := range q {
+		r.lend(&q[i])
+		carved := len(r.slab)/depth - 1
+		if carved != i+1 {
+			t.Fatalf("after %d lends the slab has carved %d rings", i+1, carved)
+		}
+		if slack, most := cap(r.slab)/depth-1-carved, max(64, carved/4); slack > most {
+			t.Fatalf("%d rings carved with %d idle behind them, want at most %d", carved, slack, most)
+		}
+	}
+	if cap(r.slab) != r.limit {
+		t.Errorf("slab capacity %d flits with every buffer ringed, want the limit %d", cap(r.slab), r.limit)
+	}
 }
 
 func TestCheckPassesOnCleanTraffic(t *testing.T) {

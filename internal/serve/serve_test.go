@@ -301,6 +301,30 @@ func TestSweepMatchesDirectRun(t *testing.T) {
 	}
 }
 
+// TestSweepEmptyWindowServesErrorRows: a cell whose window measures no
+// traffic streams as an error row, as cmd/sweep writes it, and the
+// sweep counts as failed.
+func TestSweepEmptyWindowServesErrorRows(t *testing.T) {
+	s := startServer(t, Config{})
+	spec := sweepgrid.Spec{Radix: 4, Dims: 2, Contexts: []int{1}, Mappings: "identity,random:1", Warmup: 1, Window: 1}
+	got, status := postSweep(t, "http://"+s.Addr(), SweepRequest{Spec: spec})
+	if status != http.StatusOK {
+		t.Fatalf("status = %d: %s", status, got)
+	}
+	lines := strings.Split(strings.TrimSuffix(got, "\n"), "\n")
+	if len(lines) != 4 {
+		t.Fatalf("served %d lines, want comment, header and 2 rows:\n%s", len(lines), got)
+	}
+	for _, row := range lines[2:] {
+		if !strings.Contains(row, ",error=sweepgrid: no traffic measured") {
+			t.Errorf("row %q, want a no-traffic error row", row)
+		}
+	}
+	if n := s.classes["sweep"].errors.Load(); n != 1 {
+		t.Errorf("sweep class recorded %d failed requests, want 1", n)
+	}
+}
+
 // TestSweepClientDisconnectEndsSweep: a client that reads the first row
 // and hangs up ends the sweep. The handler cancels the cells still
 // running, returns and records a failed sweep request long before the

@@ -196,6 +196,19 @@ func (g *Grid) ErrorRow(i int, err error) []string {
 	return row
 }
 
+// Measured refuses a cell whose window injected no fabric message or
+// completed no transaction: its rate, latency and utilization columns
+// would all read 0, a row no reader can tell from a measurement. Run
+// and cmd/sweep apply it after Execute, so the cell becomes an error
+// row.
+func (g *Grid) Measured(met machine.Metrics) error {
+	if met.Messages == 0 || met.Transactions == 0 {
+		return fmt.Errorf("sweepgrid: no traffic measured in the %d-P-cycle window (%d messages and %d transactions)",
+			g.Spec.Window, met.Messages, met.Transactions)
+	}
+	return nil
+}
+
 // Run builds and measures cell i with no observability attached.
 func (g *Grid) Run(ctx context.Context, i int) (machine.Metrics, error) {
 	mach, err := machine.New(g.Config(i))
@@ -204,6 +217,9 @@ func (g *Grid) Run(ctx context.Context, i int) (machine.Metrics, error) {
 	}
 	res, err := mach.Execute(ctx, machine.RunSpec{Warmup: g.Spec.Warmup, Window: g.Spec.Window})
 	if err != nil {
+		return machine.Metrics{}, err
+	}
+	if err := g.Measured(res.Metrics); err != nil {
 		return machine.Metrics{}, err
 	}
 	return res.Metrics, nil

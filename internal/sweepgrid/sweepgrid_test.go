@@ -62,14 +62,26 @@ func TestGridRunRowDeterministic(t *testing.T) {
 
 // TestGridRunsMachinesPastDefaultCache: a 65×65 torus at one context
 // has 4,225 state words, more than the default 4,096 cache lines, so
-// the cell's machine needs a larger cache to run at all.
+// the cell's machine needs a larger cache to run at all. The window is
+// long enough for the cell to measure traffic.
 func TestGridRunsMachinesPastDefaultCache(t *testing.T) {
 	g := mustGrid(t, Spec{
 		Radix: 65, Dims: 2, Contexts: []int{1}, Mappings: "identity,random:1",
-		Warmup: 1, Window: 1, Ratio: 2,
+		Warmup: 1, Window: 100, Ratio: 2,
 	})
 	if _, err := g.Run(context.Background(), 0); err != nil {
 		t.Fatalf("cell %s: %v", g.Key(0), err)
+	}
+}
+
+// TestGridRunRefusesAnEmptyWindow: a window too short to inject a
+// message or complete a transaction is an error, not a row of zeros.
+func TestGridRunRefusesAnEmptyWindow(t *testing.T) {
+	g := mustGrid(t, Spec{Radix: 4, Dims: 2, Contexts: []int{1}, Mappings: "identity,random:1", Warmup: 1, Window: 1, Ratio: 2})
+	for i := 0; i < g.Len(); i++ {
+		if met, err := g.Run(context.Background(), i); err == nil || !strings.Contains(err.Error(), "no traffic measured") {
+			t.Errorf("cell %s: metrics %+v, error %v; want a no-traffic error", g.Key(i), met, err)
+		}
 	}
 }
 
