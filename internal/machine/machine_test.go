@@ -53,6 +53,17 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestNewPassesFabricErrors: a buffer depth the fabric refuses fails
+// New with the fabric's error.
+func TestNewPassesFabricErrors(t *testing.T) {
+	tor := topology.MustNew(4, 2)
+	cfg := DefaultConfig(tor, mapping.Identity(tor), 1)
+	cfg.BufferDepth = 65536
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "at most 65535") {
+		t.Errorf("buffer depth 65,536: error %v, want the fabric's depth limit", err)
+	}
+}
+
 // TestDefaultConfigCacheLines: the default cache keeps 4,096 lines
 // until the state words (contexts × nodes) outgrow it, then doubles
 // until each word has a line. Growth stops at maxCacheLines, so an
