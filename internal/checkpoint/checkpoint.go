@@ -19,6 +19,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"reflect"
 
 	"locality/internal/cohsim"
 	"locality/internal/netsim"
@@ -34,11 +35,13 @@ const Magic = "LCKP"
 // netsim router/injection-queue sections and the protocol node section
 // sparse (zero-state entries omitted, index-tagged, strictly
 // ascending) so snapshots of mostly-idle large machines stay small.
-// Removing fault injection, time-sliced sampling and the settable
-// protocol latencies kept the version: their slots stay on the wire as
-// zero bytes (see retired), so every file written without them still
-// reads and re-encodes byte-identically.
-const Version = 2
+// Version 3 dropped what no run can vary: the slots of the removed
+// fault injection, time-sliced sampling and settable protocol timing,
+// the home-operation sequence numbers no protocol decision read, each
+// in-flight message's delivery time, and the fingerprint's switch and
+// hit times, which are machine constants. Read refuses every other
+// version.
+const Version = 3
 
 // Hardening caps: upper bounds a hostile file cannot talk us past.
 // They are far above any simulation this package targets.
@@ -71,8 +74,6 @@ type Fingerprint struct {
 	Place       []int
 
 	// Machine timing and sizing.
-	SwitchTime  int
-	HitLatency  int
 	ClockRatio  int
 	BufferDepth int
 	CacheLines  int
@@ -110,37 +111,21 @@ func (f *Fingerprint) Nodes() (int, error) {
 }
 
 // Equal reports whether two fingerprints describe the same
-// configuration.
-func (f *Fingerprint) Equal(g *Fingerprint) bool {
-	if len(f.Place) != len(g.Place) {
-		return false
-	}
-	for i := range f.Place {
-		if f.Place[i] != g.Place[i] {
-			return false
-		}
-	}
-	return f.Radix == g.Radix && f.Dims == g.Dims && f.Contexts == g.Contexts &&
-		f.MappingName == g.MappingName &&
-		f.SwitchTime == g.SwitchTime && f.HitLatency == g.HitLatency &&
-		f.ClockRatio == g.ClockRatio && f.BufferDepth == g.BufferDepth &&
-		f.CacheLines == g.CacheLines && f.LineSize == g.LineSize &&
-		f.HWPointers == g.HWPointers && f.LocalDelay == g.LocalDelay &&
-		f.ReadCompute == g.ReadCompute && f.WriteCompute == g.WriteCompute &&
-		f.Workload == g.Workload &&
-		f.Kernel == g.Kernel
-}
+// configuration: every field, so none can be left out. A validated
+// fingerprint's Place is never nil (it covers nodes ≥ 1 threads), so a
+// nil and an empty placement never meet here.
+func (f *Fingerprint) Equal(g *Fingerprint) bool { return reflect.DeepEqual(*f, *g) }
 
 // Digest returns a short stable hex digest of the fingerprint's
-// canonical wire encoding — the same bytes Equal compares field by
-// field — so external records (the run ledger) can identify a machine
+// canonical wire encoding, which codes every field Equal compares, so
+// external records (the run ledger) can identify a machine
 // configuration without carrying the per-node Place table, which is
 // 10⁵ entries on the machines the ledger most wants to track.
 func (f *Fingerprint) Digest() string {
 	h := sha256.New()
 	s := sections{c: wire.NewEncoder(h, "checkpoint")}
 	s.fingerprint(f)
-	s.c.End() // a hash cannot fail; a fingerprint Validate rejects digests up to its first bad field
+	s.c.End() // a hash cannot fail; End flushes only a fingerprint Validate accepts, so only its digest names it
 	return hex.EncodeToString(h.Sum(nil)[:12])
 }
 
@@ -167,7 +152,7 @@ func (f *Fingerprint) validate() (int, error) {
 		}
 		seen[p] = true
 	}
-	if f.SwitchTime < 0 || f.HitLatency < 1 || f.ClockRatio < 1 || f.BufferDepth < 1 {
+	if f.ClockRatio < 1 || f.BufferDepth < 1 {
 		return 0, fmt.Errorf("checkpoint: invalid machine timing in fingerprint")
 	}
 	if f.CacheLines < 1 || f.LineSize < 1 || f.HWPointers < 0 || f.LocalDelay < 0 {

@@ -27,14 +27,12 @@ import (
 //	per-node processor states
 //	protocol state (caches, directories, MSHRs, pending events, counters)
 //	network state (message table, routers, queues, counters)
-//	three retired presence flags, always zero
 //
 // Unsigned quantities are uvarints, possibly-negative ones zigzag
-// varints, floats 8-byte little-endian IEEE 754 bit patterns, and each
-// retired slot one zero byte. Collections ordered by the
-// producing Checkpoint methods (ascending address / (due, seq) /
-// message discovery order) make the encoding canonical: re-encoding a
-// decoded checkpoint is byte-identical.
+// varints, and floats 8-byte little-endian IEEE 754 bit patterns.
+// Collections ordered by the producing Checkpoint methods (ascending
+// address / (due, seq) / message discovery order) make the encoding
+// canonical: re-encoding a decoded checkpoint is byte-identical.
 //
 // Each section is one method of sections, run by Write and Read alike,
 // so every range and ordering check holds in both directions: Write
@@ -113,30 +111,6 @@ func (s *sections) checkpoint(ck *Checkpoint) {
 	wire.Slice(c, &ck.Procs, s.nodes, s.nodes, "processor count", s.proc)
 	s.proto(&ck.Proto)
 	s.net(&ck.Net)
-	retired(c, "link-fault presence", faults)
-	retired(c, "loss-coin presence", faults)
-	retired(c, "slicer presence", slicing)
-}
-
-// The removed features whose slots stay on the wire.
-const (
-	faults    = "fault injection"
-	slicing   = "time-sliced sampling"
-	latencies = "settable protocol timing"
-)
-
-// retired codes a slot that a removed feature used to fill. A run
-// without the feature always left it zero, which every old slot type —
-// varint, string length or presence flag — encodes as one 0x00 byte,
-// so the slot stays on the wire as that byte and the layout keeps its
-// Version. Any other value comes from a run with the feature on,
-// which this build cannot resume.
-func retired(c *wire.Codec, what, feature string) {
-	var b uint8
-	wire.Byte(c, &b, math.MaxUint8, what)
-	if b != 0 {
-		c.Failf("%s is set: the file was written with %s, which was removed", what, feature)
-	}
 }
 
 // fingerprint also fixes the node and context counts. The placement
@@ -167,8 +141,6 @@ func (s *sections) fingerprint(f *Fingerprint) {
 		return
 	}
 	s.nodes, s.contexts = nodes, f.Contexts
-	wire.Uvarint(c, &f.SwitchTime, maxEntries, "switch time")
-	wire.Uvarint(c, &f.HitLatency, maxEntries, "hit latency")
 	wire.Uvarint(c, &f.ClockRatio, maxEntries, "clock ratio")
 	wire.Uvarint(c, &f.BufferDepth, maxEntries, "buffer depth")
 	wire.Uvarint(c, &f.CacheLines, maxEntries, "cache lines")
@@ -178,16 +150,7 @@ func (s *sections) fingerprint(f *Fingerprint) {
 	wire.Uvarint(c, &f.ReadCompute, maxEntries, "read compute")
 	wire.Uvarint(c, &f.WriteCompute, maxEntries, "write compute")
 	c.String(&f.Workload, maxNameLen, "workload identity")
-	retired(c, "request latency", latencies)
-	retired(c, "directory latency", latencies)
-	retired(c, "memory latency", latencies)
-	retired(c, "cache response latency", latencies)
-	retired(c, "fill latency", latencies)
-	retired(c, "software trap latency", latencies)
-	retired(c, "retry timeout", faults)
-	retired(c, "fault spec", faults)
 	wire.Byte(c, &f.Kernel, 1, "kernel mode")
-	retired(c, "slice interval", slicing)
 }
 
 func (s *sections) kernel(k *sim.KernelState) {
@@ -234,13 +197,11 @@ func (s *sections) txnTable(ck *Checkpoint) {
 		wire.Varint(c, &t.Started, math.MinInt64, math.MaxInt64, "transaction start")
 		wire.Varint(c, &t.Completed, math.MinInt64, math.MaxInt64, "transaction completion")
 		wire.Uvarint(c, &t.NetMessages, maxMessages, "transaction message count")
-		retired(c, "transaction retries", faults)
 		c.Bool(&t.Done, "transaction done")
 		wire.Slice(c, &t.Waiters, 0, s.contexts, "waiter count", func(_ int, w *int) {
 			wire.Uvarint(c, w, s.contexts-1, "waiter thread")
 		})
 		c.Bool(&t.PendingWrite, "transaction pending write")
-		retired(c, "transaction epoch", faults)
 	})
 	if c.Decoding() {
 		s.txns = make(map[int64]*cohsim.Transaction, len(table))
@@ -411,14 +372,11 @@ func (s *sections) proto(p *cohsim.CheckpointState) {
 		maxSeq = max(maxSeq, e.Seq)
 		a := &e.Act
 		wire.Byte(c, &a.Kind, math.MaxUint8, "action kind")
-		wire.Varint(c, &a.Node, -1, s.nodes-1, "action node")
-		wire.Varint(c, &a.Peer, -1, s.nodes-1, "action peer")
+		wire.Uvarint(c, &a.Node, s.nodes-1, "action node")
+		wire.Uvarint(c, &a.Peer, s.nodes-1, "action peer")
 		wire.Byte(c, &a.MsgKind, math.MaxUint8, "action message kind")
 		wire.Uvarint(c, &a.Addr, math.MaxUint64, "action address")
 		s.ref(&a.Txn, "action transaction")
-		wire.Varint(c, &a.Seq, math.MinInt64, math.MaxInt64, "action sequence")
-		retired(c, "action epoch", faults)
-		retired(c, "action attempt", faults)
 		wire.Uvarint(c, &a.Size, maxQueue, "action size")
 	})
 	wire.Uvarint(c, &p.Seq, maxTime, "protocol sequence")
@@ -440,9 +398,6 @@ func (s *sections) proto(p *cohsim.CheckpointState) {
 	wire.Uvarint(c, &p.SWTraps, maxTime, "software traps")
 	wire.Uvarint(c, &p.ReadMisses, maxTime, "read misses")
 	wire.Uvarint(c, &p.WriteMisses, maxTime, "write misses")
-	retired(c, "protocol retries", faults)
-	retired(c, "protocol home retries", faults)
-	retired(c, "protocol dropped messages", faults)
 }
 
 // node codes protocol node i: its cache lines by ascending frame, its
@@ -474,7 +429,6 @@ func (s *sections) node(i int, n *cohsim.NodeState) {
 		wire.Slice(c, &de.PendingInv, 0, s.nodes, "pending invalidation count", func(_ int, v *int) {
 			wire.Uvarint(c, v, s.nodes-1, "pending invalidation")
 		})
-		wire.Uvarint(c, &de.OpSeq, maxTime, "directory operation sequence")
 		wire.Varint(c, &de.Requester, -1, s.nodes-1, "directory requester")
 		s.ref(&de.Txn, "directory transaction")
 		wire.Slice(c, &de.Queue, 0, maxQueue, "queued request count", func(_ int, q *cohsim.QueuedReqState) {
@@ -499,17 +453,15 @@ func (s *sections) net(n *netsim.CheckpointState) {
 		wire.Uvarint(c, &ms.Dst, maxNodes, "message destination")
 		wire.Uvarint(c, &ms.Size, maxQueue, "message size")
 		msg, _ := ms.Payload.(cohsim.Msg) // collectTxns vetted every payload Write sees
-		wire.Byte(c, &msg.Kind, math.MaxUint8, "payload kind")
+		wire.Byte(c, &msg.Kind, cohsim.MsgWB, "payload kind")
 		wire.Uvarint(c, &msg.Addr, math.MaxUint64, "payload address")
 		wire.Uvarint(c, &msg.From, maxNodes, "payload source")
 		s.ref(&msg.Txn, "payload transaction")
-		wire.Varint(c, &msg.Seq, math.MinInt64, math.MaxInt64, "payload sequence")
 		if c.Decoding() {
 			ms.Payload = msg
 		}
 		wire.Varint(c, &ms.EnqueuedAt, math.MinInt64, math.MaxInt64, "enqueue time")
 		wire.Varint(c, &ms.InjectedAt, math.MinInt64, math.MaxInt64, "injection time")
-		wire.Varint(c, &ms.DeliveredAt, math.MinInt64, math.MaxInt64, "delivery time")
 		wire.Uvarint(c, &ms.Hops, maxNodes, "message hops")
 		wire.Uvarint(c, &ms.Remaining, maxQueue, "flits remaining")
 		wire.Varint(c, &ms.CurDim, -1, maxDims, "routing dimension")
@@ -568,7 +520,6 @@ func (s *sections) net(n *netsim.CheckpointState) {
 	wire.Uvarint(c, &n.Injected, maxTime, "injected count")
 	wire.Uvarint(c, &n.Delivered, maxTime, "delivered count")
 	wire.Uvarint(c, &n.FlitHops, maxTime, "flit hops")
-	retired(c, "network fault stalls", faults)
 	s.mean(&n.Latency, "latency")
 	s.mean(&n.NetLatency, "network latency")
 	s.mean(&n.Hops, "hop distance")

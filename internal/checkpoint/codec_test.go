@@ -21,10 +21,9 @@ import (
 // wire-format feature: shared transactions (one referenced from a
 // directory entry, an MSHR slot, and the event heap; one riding only in
 // protocol structures and a network payload), buffered flits, local
-// deliveries, and window bookkeeping. Its directory operation and
-// message sequence numbers are nonzero and its second event is of kind
-// 6, so a codec that dropped the sequences or renumbered the action
-// kinds would fail the golden fixture.
+// deliveries, and window bookkeeping. Its second event is of kind 4,
+// an owner fetch, so a codec that renumbered the action kinds would
+// fail the golden fixture.
 func testCheckpoint() *Checkpoint {
 	t1 := cohsim.NewTransactionFromState(cohsim.TxnState{
 		ID: 1, Node: 0, Addr: 0x40, Started: 950, Waiters: []int{1},
@@ -49,7 +48,7 @@ func testCheckpoint() *Checkpoint {
 	}
 	nodes[0].Dir = []cohsim.DirEntryState{{
 		Addr: 0x40, State: 1, Sharers: []int{1, 3}, Owner: -1, Busy: 1,
-		PendingInv: []int{3}, OpSeq: 4, Requester: 0, Txn: t1,
+		PendingInv: []int{3}, Requester: 0, Txn: t1,
 		Queue: []cohsim.QueuedReqState{{Kind: 1, From: 2, Txn: t2}},
 	}}
 	nodes[0].MSHR = []cohsim.MSHRState{{Addr: 0x40, Txn: t1}}
@@ -58,7 +57,7 @@ func testCheckpoint() *Checkpoint {
 	net := netsim.CheckpointState{
 		Messages: []netsim.MessageState{{
 			Src: 2, Dst: 0, Size: 3,
-			Payload:    cohsim.Msg{Kind: 1, Addr: 0x80, From: 2, Txn: t2, Seq: 4},
+			Payload:    cohsim.Msg{Kind: 1, Addr: 0x80, From: 2, Txn: t2},
 			EnqueuedAt: 1990, InjectedAt: 1992, Hops: 1, Remaining: 2, VCClass: 1,
 		}},
 		Local: []netsim.LocalState{{Msg: 0, Due: 2007}},
@@ -113,7 +112,7 @@ func testCheckpoint() *Checkpoint {
 		FP: Fingerprint{
 			Radix: 2, Dims: 2, Contexts: 2,
 			MappingName: "identity", Place: []int{0, 1, 2, 3},
-			SwitchTime: 11, HitLatency: 1, ClockRatio: 2, BufferDepth: 8,
+			ClockRatio: 2, BufferDepth: 8,
 			CacheLines: 16, LineSize: 16,
 			ReadCompute: 20, WriteCompute: 20,
 		},
@@ -129,10 +128,10 @@ func testCheckpoint() *Checkpoint {
 			Events: []cohsim.EventState{
 				{Due: 1003, Seq: 40, Act: cohsim.ActionState{
 					Kind: 1, Node: 0, Peer: 2, MsgKind: 3, Addr: 0x40,
-					Txn: t1, Seq: 4, Size: 2,
+					Txn: t1, Size: 2,
 				}},
 				{Due: 1010, Seq: 41, Act: cohsim.ActionState{
-					Kind: 6, Node: 2, Peer: 0, MsgKind: 7, Addr: 0x80, Txn: t2, Seq: 4,
+					Kind: 4, Node: 2, Peer: 0, MsgKind: 7, Addr: 0x80, Txn: t2,
 				}},
 			},
 			Seq: 42, TxnSeq: 2, Now: 1000,
@@ -158,15 +157,15 @@ func attributedCheckpoint() *Checkpoint {
 	return c
 }
 
-// hostileCheckpoint is a 45-byte file declaring a 1024×1024 machine
+// hostileCheckpoint is a 34-byte file declaring a 1024×1024 machine
 // with an empty placement, followed by zero clocks and empty tables.
 func hostileCheckpoint() []byte {
-	b := []byte(Magic + "\x02")
-	b = append(b, 0x80, 0x08, 2, 1, 0, 0)    // radix 1024, dims 2, contexts 1, no name, no placement
-	b = append(b, make([]byte, 10+1+7+3)...) // machine, workload, protocol fields (retry slot last); fault-spec slot, kernel, slice-interval slot
-	b = append(b, 0, 0, 0, 0, 0)             // clocks and window accounting
-	b = append(b, 0, 0, 0, 1, 0)             // kernel: now, ticked, skipped, pending -1, no attribution
-	return append(b, 0, 0, 0)                // no transactions, processors or protocol nodes
+	b := append([]byte(Magic), Version)
+	b = append(b, 0x80, 0x08, 2, 1, 0, 0) // radix 1024, dims 2, contexts 1, no name, no placement
+	b = append(b, make([]byte, 8+1+1)...) // machine and workload fields, workload identity, kernel
+	b = append(b, 0, 0, 0, 0, 0)          // clocks and window accounting
+	b = append(b, 0, 0, 0, 1, 0)          // kernel: now, ticked, skipped, pending -1, no attribution
+	return append(b, 0, 0, 0)             // no transactions, processors or protocol nodes
 }
 
 func encode(t *testing.T, c *Checkpoint) []byte {
@@ -242,24 +241,17 @@ func TestGoldenFixture(t *testing.T) {
 
 func TestReadRejects(t *testing.T) {
 	valid := encode(t, testCheckpoint())
-	// Checkpoints written with fault injection, time-sliced sampling or
-	// a protocol latency set, by the builds that had them: their
-	// retired slots are nonzero.
-	fixture := func(name string) []byte {
-		data, err := os.ReadFile(filepath.Join("testdata", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
+	// The reference checkpoint as the version 2 build wrote it.
+	v2, err := os.ReadFile(filepath.Join("testdata", "golden-v2.lckp"))
+	if err != nil {
+		t.Fatal(err)
 	}
 	cases := []struct {
 		name string
 		data []byte
 		want string
 	}{
-		{"faulted", fixture("golden-faulted.lckp"), "fault injection, which was removed"},
-		{"sliced", fixture("golden-sliced.lckp"), "slice interval is set: the file was written with time-sliced sampling, which was removed"},
-		{"latency", fixture("golden-latency.lckp"), "request latency is set: the file was written with settable protocol timing, which was removed"},
+		{"version 2", v2, "unsupported version 2 (want 3)"},
 		{"empty", nil, "magic"},
 		{"bad magic", []byte("NOPE"), "magic"},
 		{"bad version", append([]byte(Magic), 99), "version"},
@@ -343,6 +335,12 @@ func TestWriteRejectsWhatReadRejects(t *testing.T) {
 		})},
 		{"VC rotor", mutate(func(c *Checkpoint) { c.Net.Routers[0].LastVC[0] = 2 })},
 		{"output owner", mutate(func(c *Checkpoint) { c.Net.Routers[0].Owner[1] = 5 })},
+		{"payload kind", mutate(func(c *Checkpoint) {
+			msg := c.Net.Messages[0].Payload.(cohsim.Msg)
+			msg.Kind = 200
+			c.Net.Messages[0].Payload = msg
+		})},
+		{"action peer", mutate(func(c *Checkpoint) { c.Proto.Events[0].Act.Peer = -1 })},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -375,24 +373,57 @@ func TestReadAllocatesWithInput(t *testing.T) {
 // would silently rename every recorded machine.
 func TestFingerprintDigest(t *testing.T) {
 	fp := testCheckpoint().FP
-	if got, want := fp.Digest(), "b320633872e8f34dee129b0e"; got != want {
+	if got, want := fp.Digest(), "035f232d95e2763932e6bfe0"; got != want {
 		t.Errorf("Digest() = %s, want %s", got, want)
 	}
 }
 
+// TestFingerprintEqual perturbs every field of the fingerprint in turn,
+// found by reflection so a new field cannot be missed, and checks that
+// Equal and Digest both tell the result from the original. A
+// perturbation that changes the node count also resizes the placement,
+// so every perturbed fingerprint stays valid and its digest covers the
+// whole encoding.
 func TestFingerprintEqual(t *testing.T) {
-	a, b := testCheckpoint().FP, testCheckpoint().FP
-	if !a.Equal(&b) {
+	base := testCheckpoint().FP
+	same := testCheckpoint().FP
+	if !base.Equal(&same) || base.Digest() != same.Digest() {
 		t.Fatal("identical fingerprints compare unequal")
 	}
-	b.Place = append([]int(nil), a.Place...)
-	b.Place[2], b.Place[3] = b.Place[3], b.Place[2]
-	if a.Equal(&b) {
-		t.Error("fingerprints with different placements compare equal")
-	}
-	c := testCheckpoint().FP
-	c.HitLatency++
-	if a.Equal(&c) {
-		t.Error("fingerprints with different hit latencies compare equal")
+	digests := map[string]string{base.Digest(): "the original"}
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		fp := testCheckpoint().FP
+		switch v := reflect.ValueOf(&fp).Elem().Field(i); v.Kind() {
+		case reflect.Int:
+			v.SetInt(v.Int() + 1)
+		case reflect.Uint8:
+			v.SetUint(v.Uint() + 1)
+		case reflect.String:
+			v.SetString(v.String() + "x")
+		case reflect.Slice:
+			fp.Place = append([]int(nil), fp.Place...)
+			fp.Place[0], fp.Place[1] = fp.Place[1], fp.Place[0]
+		default:
+			t.Fatalf("field %s: no perturbation for kind %s", name, v.Kind())
+		}
+		if nodes, err := fp.Nodes(); err == nil && nodes != len(fp.Place) {
+			fp.Place = make([]int, nodes)
+			for j := range fp.Place {
+				fp.Place[j] = j
+			}
+		}
+		if _, err := fp.validate(); err != nil {
+			t.Fatalf("field %s: perturbed fingerprint invalid: %v", name, err)
+		}
+		if base.Equal(&fp) || fp.Equal(&base) {
+			t.Errorf("field %s: perturbed fingerprint compares equal", name)
+		}
+		d := fp.Digest()
+		if prev, ok := digests[d]; ok {
+			t.Errorf("field %s: perturbed digest %s equals that of %s", name, d, prev)
+		}
+		digests[d] = "field " + name
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"locality/internal/cohsim"
 )
 
 // FuzzReadCheckpoint drives the decoder with arbitrary bytes. The
@@ -26,7 +28,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:len(valid)-1])
 	// Flip a byte in each region of the file: fingerprint, clocks,
-	// transaction table, component states, retired slots.
+	// transaction table, component states.
 	for _, i := range []int{4, 5, 8, 24, 64, len(valid) / 3, len(valid) / 2, len(valid) - 2} {
 		mut := append([]byte{}, valid...)
 		mut[i] ^= 0xff
@@ -44,16 +46,34 @@ func FuzzReadCheckpoint(f *testing.F) {
 	}
 	f.Add(attributed.Bytes())
 	f.Add(hostileCheckpoint())
-	// Files from the builds that had fault injection, time-sliced
-	// sampling and settable protocol latencies: their retired slots are
-	// nonzero.
-	for _, name := range []string{"golden-faulted.lckp", "golden-sliced.lckp", "golden-latency.lckp"} {
-		data, err := os.ReadFile(filepath.Join("testdata", name))
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
+	// The reference checkpoint as the version 2 build wrote it, as is
+	// and relabelled version 3, so its fields decode misaligned.
+	v2, err := os.ReadFile(filepath.Join("testdata", "golden-v2.lckp"))
+	if err != nil {
+		f.Fatal(err)
 	}
+	f.Add(v2)
+	relabelled := append([]byte{}, v2...)
+	relabelled[len(Magic)] = Version
+	f.Add(relabelled)
+	// A message payload of a kind no engine sends: the one byte in which
+	// two encodings differing only in that kind differ.
+	wb := testCheckpoint()
+	msg := wb.Net.Messages[0].Payload.(cohsim.Msg)
+	msg.Kind = cohsim.MsgWB
+	wb.Net.Messages[0].Payload = msg
+	var wbBuf bytes.Buffer
+	if err := Write(&wbBuf, wb); err != nil {
+		f.Fatal(err)
+	}
+	badKind := append([]byte{}, valid...)
+	for i := range badKind {
+		if badKind[i] != wbBuf.Bytes()[i] {
+			badKind[i] = 200
+			break
+		}
+	}
+	f.Add(badKind)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := Read(bytes.NewReader(data))

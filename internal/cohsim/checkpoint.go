@@ -70,7 +70,6 @@ type ActionState struct {
 	MsgKind uint8
 	Addr    uint64
 	Txn     *Transaction
-	Seq     int64
 	Size    int
 }
 
@@ -95,7 +94,6 @@ type DirEntryState struct {
 	Owner      int
 	Busy       uint8
 	PendingInv []int
-	OpSeq      int64
 	Requester  int
 	Txn        *Transaction
 	Queue      []QueuedReqState
@@ -180,7 +178,6 @@ func (p *Protocol) Checkpoint() CheckpointState {
 				Owner:      e.owner,
 				Busy:       uint8(e.busy),
 				PendingInv: append([]int(nil), e.pendingInv...),
-				OpSeq:      e.opSeq,
 				Requester:  e.requester,
 				Txn:        e.txn,
 				Queue:      queue,
@@ -203,7 +200,6 @@ func (p *Protocol) Checkpoint() CheckpointState {
 			MsgKind: uint8(e.act.msgKind),
 			Addr:    e.act.addr,
 			Txn:     e.act.txn,
-			Seq:     e.act.seq,
 			Size:    e.act.size,
 		}}
 	}
@@ -270,13 +266,20 @@ func (p *Protocol) Restore(s CheckpointState) error {
 			return fmt.Errorf("cohsim: checkpoint event sequence %d exceeds the protocol sequence %d", e.Seq, s.Seq)
 		}
 		a := e.Act
-		if kind := actKind(a.Kind); kind > actGrantFill || kind > actIssue && kind < actHomeAction {
+		kind := actKind(a.Kind)
+		if kind > actGrantFill {
 			return fmt.Errorf("cohsim: event action kind %d invalid", a.Kind)
+		}
+		if kind == actTransportSend && a.Size < 1 {
+			return fmt.Errorf("cohsim: transport send of %d flits, must be ≥ 1", a.Size)
 		}
 		if a.MsgKind > uint8(MsgWB) {
 			return fmt.Errorf("cohsim: event message kind %d invalid", a.MsgKind)
 		}
 		if err := checkNode("event", a.Node); err != nil {
+			return err
+		}
+		if err := checkNode("event peer", a.Peer); err != nil {
 			return err
 		}
 	}
@@ -311,7 +314,6 @@ func (p *Protocol) Restore(s CheckpointState) error {
 				owner:      de.Owner,
 				busy:       busyKind(de.Busy),
 				pendingInv: append([]int(nil), de.PendingInv...),
-				opSeq:      de.OpSeq,
 				requester:  de.Requester,
 				txn:        de.Txn,
 				queue:      queue,
@@ -337,7 +339,6 @@ func (p *Protocol) Restore(s CheckpointState) error {
 			msgKind: MsgKind(e.Act.MsgKind),
 			addr:    e.Act.Addr,
 			txn:     e.Act.Txn,
-			seq:     e.Act.Seq,
 			size:    e.Act.Size,
 		}}
 	}

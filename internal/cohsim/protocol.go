@@ -82,14 +82,6 @@ type Msg struct {
 	// sender (requester-side messages); home-side messages recover the
 	// transaction from directory state.
 	Txn *Transaction
-	// Seq identifies the home-side directory operation a message
-	// belongs to. Home-initiated messages (Inv, Fetch, FetchInv) carry
-	// the entry's operation sequence number and responses echo it; zero
-	// on messages outside a home operation (requests, grants, victim
-	// writebacks). No protocol decision reads it: it stays because
-	// checkpoints carry it, and dropping it would change the .lckp
-	// layout.
-	Seq int64
 }
 
 // Transport delivers protocol messages between nodes. Implementations
@@ -214,9 +206,6 @@ type dirEntry struct {
 	// pendingInv lists the sharers whose invalidation acks are still
 	// outstanding for the current busyInvalidations operation.
 	pendingInv []int
-	// opSeq numbers this entry's home-side operations; messages the
-	// operation sends carry it and responses echo it (see Msg.Seq).
-	opSeq int64
 	// requester and txn identify the operation being served.
 	requester int
 	txn       *Transaction
@@ -259,11 +248,6 @@ const (
 	// actIssue sends a transaction's initial (or chained) request after
 	// the miss-handling latency. node/peer are requester/home.
 	actIssue
-	// Kinds 2 and 3 were the retired retry layer's deadlines.
-	// Checkpoints store kinds by number, so the two stay reserved and
-	// Restore rejects them.
-	_
-	_
 	// actHomeAction performs the directory transition for a request
 	// after the directory (and any software-trap) latency. node/peer
 	// are home/requester.
@@ -291,7 +275,6 @@ type action struct {
 	msgKind MsgKind
 	addr    uint64
 	txn     *Transaction
-	seq     int64 // the home operation a message belongs to (see Msg.Seq)
 	size    int
 }
 
@@ -391,14 +374,14 @@ func (p *Protocol) fire(a action, now int64) {
 	switch a.kind {
 	case actTransportSend:
 		p.transport.Send(a.node, a.peer, a.size,
-			Msg{Kind: a.msgKind, Addr: a.addr, From: a.node, Txn: a.txn, Seq: a.seq})
+			Msg{Kind: a.msgKind, Addr: a.addr, From: a.node, Txn: a.txn})
 	case actIssue:
 		p.send(a.node, a.peer, a.msgKind, a.addr, a.txn)
 	case actHomeAction:
 		p.homeAction(a.node, p.entry(a.node, a.addr), a.msgKind, a.peer, a.txn)
 	case actSharerInv:
 		p.node(a.node).cache.Invalidate(a.addr)
-		p.sendSeq(a.node, a.peer, MsgInvAck, a.addr, a.txn, a.seq)
+		p.send(a.node, a.peer, MsgInvAck, a.addr, a.txn)
 	case actOwnerFetch:
 		cache := p.node(a.node).cache
 		switch cache.Lookup(a.addr) {
@@ -412,7 +395,7 @@ func (p *Protocol) fire(a action, now int64) {
 			// Eviction writeback crossed the fetch; nothing to do.
 			return
 		}
-		p.sendSeq(a.node, a.peer, MsgWBData, a.addr, a.txn, a.seq)
+		p.send(a.node, a.peer, MsgWBData, a.addr, a.txn)
 	case actHomeReply:
 		e := p.entry(a.node, a.addr)
 		p.send(a.node, a.peer, a.msgKind, a.addr, a.txn)
@@ -454,12 +437,6 @@ func (p *Protocol) NextEvent() int64 { return p.events.due() }
 // send occupies it for sendOccupancy cycles, so bursts (e.g. a fan of
 // invalidations) are spaced rather than injected back to back.
 func (p *Protocol) send(src, dst int, kind MsgKind, addr uint64, txn *Transaction) {
-	p.sendSeq(src, dst, kind, addr, txn, 0)
-}
-
-// sendSeq is send with an explicit home-operation sequence number (see
-// Msg.Seq).
-func (p *Protocol) sendSeq(src, dst int, kind MsgKind, addr uint64, txn *Transaction, seq int64) {
 	size := controlFlits
 	if kind.IsData() {
 		size = dataFlits
@@ -477,10 +454,10 @@ func (p *Protocol) sendSeq(src, dst int, kind MsgKind, addr uint64, txn *Transac
 	}
 	p.nextSend[src] = when + sendOccupancy
 	if when <= p.now {
-		p.transport.Send(src, dst, size, Msg{Kind: kind, Addr: addr, From: src, Txn: txn, Seq: seq})
+		p.transport.Send(src, dst, size, Msg{Kind: kind, Addr: addr, From: src, Txn: txn})
 		return
 	}
-	p.schedule(int(when-p.now), action{kind: actTransportSend, node: src, peer: dst, msgKind: kind, addr: addr, txn: txn, seq: seq, size: size})
+	p.schedule(int(when-p.now), action{kind: actTransportSend, node: src, peer: dst, msgKind: kind, addr: addr, txn: txn, size: size})
 }
 
 // Access is the processor's entry point: thread on nodeID touches addr.
@@ -608,12 +585,6 @@ func (p *Protocol) issue(txn *Transaction) {
 	p.schedule(reqLatency, action{kind: actIssue, node: txn.Node, peer: home, msgKind: kind, addr: txn.Addr, txn: txn})
 }
 
-// beginOp marks a directory entry busy with a new home-side operation.
-func (p *Protocol) beginOp(e *dirEntry, kind busyKind) {
-	e.busy = kind
-	e.opSeq++
-}
-
 // Deliver hands an arriving protocol message to its destination node.
 // The machine layer calls this from the network delivery callback with
 // the processor-cycle arrival time.
@@ -689,10 +660,10 @@ func (p *Protocol) homeAction(home int, e *dirEntry, kind MsgKind, from int, txn
 			e.addSharer(from)
 			p.homeReply(home, e, memLatency, from, MsgRData, txn)
 		case dirModified:
-			p.beginOp(e, busyFetchRead)
+			e.busy = busyFetchRead
 			e.requester = from
 			e.txn = txn
-			p.sendSeq(home, e.owner, MsgFetch, e.addr, txn, e.opSeq)
+			p.send(home, e.owner, MsgFetch, e.addr, txn)
 		}
 	case MsgWReq:
 		switch e.state {
@@ -720,17 +691,17 @@ func (p *Protocol) homeAction(home int, e *dirEntry, kind MsgKind, from int, txn
 				p.homeReply(home, e, memLatency, from, grant, txn)
 				return
 			}
-			p.beginOp(e, busyInvalidations)
+			e.busy = busyInvalidations
 			e.requester = from
 			e.txn = txn
 			for _, s := range e.pendingInv {
-				p.sendSeq(home, s, MsgInv, e.addr, txn, e.opSeq)
+				p.send(home, s, MsgInv, e.addr, txn)
 			}
 		case dirModified:
-			p.beginOp(e, busyFetchWrite)
+			e.busy = busyFetchWrite
 			e.requester = from
 			e.txn = txn
-			p.sendSeq(home, e.owner, MsgFetchInv, e.addr, txn, e.opSeq)
+			p.send(home, e.owner, MsgFetchInv, e.addr, txn)
 		}
 	default:
 		panic(fmt.Sprintf("cohsim: homeAction on %v", kind))
@@ -740,7 +711,7 @@ func (p *Protocol) homeAction(home int, e *dirEntry, kind MsgKind, from int, txn
 // sharerInvalidate handles MsgInv at a sharer: drop the copy (if still
 // present; it may have been silently evicted) and acknowledge.
 func (p *Protocol) sharerInvalidate(nodeID int, m Msg) {
-	p.schedule(cacheRespLatency, action{kind: actSharerInv, node: nodeID, peer: m.From, addr: m.Addr, txn: m.Txn, seq: m.Seq})
+	p.schedule(cacheRespLatency, action{kind: actSharerInv, node: nodeID, peer: m.From, addr: m.Addr, txn: m.Txn})
 }
 
 // homeInvAck counts invalidation acknowledgments; the last one grants
@@ -780,7 +751,7 @@ func (p *Protocol) homeInvAck(home int, m Msg) {
 // ownerFetch handles Fetch/FetchInv at the (former) owner. If the line
 // was already evicted the writeback in flight will satisfy the home.
 func (p *Protocol) ownerFetch(nodeID int, m Msg) {
-	p.schedule(cacheRespLatency, action{kind: actOwnerFetch, node: nodeID, peer: m.From, msgKind: m.Kind, addr: m.Addr, txn: m.Txn, seq: m.Seq})
+	p.schedule(cacheRespLatency, action{kind: actOwnerFetch, node: nodeID, peer: m.From, msgKind: m.Kind, addr: m.Addr, txn: m.Txn})
 }
 
 // homeWriteback handles WBData (fetch response) and WB (victim

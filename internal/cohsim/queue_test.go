@@ -104,8 +104,9 @@ func TestCheckpointRestoresEventOrder(t *testing.T) {
 
 // TestRestoreRejectsBadEvents: restore must refuse events out of (due,
 // seq) order, events whose sequence number the protocol sequence has
-// not reached, since a later event would reuse it, and the reserved
-// action kinds 2 and 3, which no engine schedules.
+// not reached, since a later event would reuse it, an action kind past
+// the last, a peer outside the machine, and a transport send of no
+// flits, which the network would refuse mid-run.
 func TestRestoreRejectsBadEvents(t *testing.T) {
 	p, _ := newTestProtocol(t, 4, func(int, int, int64) {})
 	p.Access(0, 0, lineFor(1), false, 0)
@@ -125,8 +126,12 @@ func TestRestoreRejectsBadEvents(t *testing.T) {
 		{"swapped", mutate(func(s *CheckpointState) { s.Events[0], s.Events[1] = s.Events[1], s.Events[0] })},
 		{"duplicate", mutate(func(s *CheckpointState) { s.Events[1] = s.Events[0] })},
 		{"sequence beyond protocol", mutate(func(s *CheckpointState) { s.Seq = 0 })},
-		{"reserved kind 2", mutate(func(s *CheckpointState) { s.Events[0].Act.Kind = 2 })},
-		{"reserved kind 3", mutate(func(s *CheckpointState) { s.Events[0].Act.Kind = 3 })},
+		{"kind past actGrantFill", mutate(func(s *CheckpointState) { s.Events[0].Act.Kind = uint8(actGrantFill) + 1 })},
+		{"peer out of range", mutate(func(s *CheckpointState) { s.Events[0].Act.Peer = -1 })},
+		{"empty transport send", mutate(func(s *CheckpointState) {
+			s.Events[0].Act.Kind = uint8(actTransportSend)
+			s.Events[0].Act.Size = 0
+		})},
 	}
 	for _, tc := range cases {
 		fresh, _ := newTestProtocol(t, 4, func(int, int, int64) {})

@@ -67,8 +67,6 @@ func (m *Machine) fingerprint() checkpoint.Fingerprint {
 		Contexts:     cfg.Contexts,
 		MappingName:  cfg.Mapping.Name,
 		Place:        append([]int(nil), cfg.Mapping.Place...),
-		SwitchTime:   switchTime,
-		HitLatency:   hitLatency,
 		ClockRatio:   cfg.ClockRatio,
 		BufferDepth:  cfg.BufferDepth,
 		CacheLines:   cfg.CacheLines,

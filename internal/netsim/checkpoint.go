@@ -25,15 +25,17 @@ import (
 // canonicalized away: OwnerInput is recorded as 0 for free outputs
 // (the field is only read while the output is held).
 
-// MessageState is one in-flight message's serialized state.
+// MessageState is one in-flight message's serialized state. It has no
+// delivery time: every tabled message is undelivered, and delivery sets
+// DeliveredAt before anything reads it.
 type MessageState struct {
-	Src, Dst, Size                      int
-	Payload                             any
-	EnqueuedAt, InjectedAt, DeliveredAt int64
-	Hops                                int
-	Remaining                           int
-	CurDim                              int
-	VCClass                             int
+	Src, Dst, Size         int
+	Payload                any
+	EnqueuedAt, InjectedAt int64
+	Hops                   int
+	Remaining              int
+	CurDim                 int
+	VCClass                int
 }
 
 // FlitState is one buffered flit; Msg indexes the message table.
@@ -123,14 +125,13 @@ func (nw *Network) Checkpoint() CheckpointState {
 		index[m] = i
 		msgs = append(msgs, MessageState{
 			Src: m.Src, Dst: m.Dst, Size: m.Size,
-			Payload:     m.Payload,
-			EnqueuedAt:  m.EnqueuedAt,
-			InjectedAt:  m.InjectedAt,
-			DeliveredAt: m.DeliveredAt,
-			Hops:        m.Hops,
-			Remaining:   m.remaining,
-			CurDim:      m.curDim,
-			VCClass:     m.vcClass,
+			Payload:    m.Payload,
+			EnqueuedAt: m.EnqueuedAt,
+			InjectedAt: m.InjectedAt,
+			Hops:       m.Hops,
+			Remaining:  m.remaining,
+			CurDim:     m.curDim,
+			VCClass:    m.vcClass,
 		})
 		return i
 	}
@@ -303,14 +304,13 @@ func (nw *Network) Restore(s CheckpointState) error {
 	for i, ms := range s.Messages {
 		msgs[i] = &Message{
 			Src: ms.Src, Dst: ms.Dst, Size: ms.Size,
-			Payload:     ms.Payload,
-			EnqueuedAt:  ms.EnqueuedAt,
-			InjectedAt:  ms.InjectedAt,
-			DeliveredAt: ms.DeliveredAt,
-			Hops:        ms.Hops,
-			remaining:   ms.Remaining,
-			curDim:      ms.CurDim,
-			vcClass:     ms.VCClass,
+			Payload:    ms.Payload,
+			EnqueuedAt: ms.EnqueuedAt,
+			InjectedAt: ms.InjectedAt,
+			Hops:       ms.Hops,
+			remaining:  ms.Remaining,
+			curDim:     ms.CurDim,
+			vcClass:    ms.VCClass,
 		}
 	}
 	// Reset every router to zero state and take back every ring, then
